@@ -1,16 +1,16 @@
 """Rectangular (q, p) Wigner grids: evaluation with any method, CSV/JSON
 serialization, and convex mixing.
 
-Grid evaluation parallelizes over q-rows with a process pool capped by the
-BARGWIG_THREADS environment variable (default: hardware concurrency); the
-truncation order is frozen before chunking and output assembly is row-major,
-so results are byte-identical for any worker count.
+Grid evaluation runs in one process over blocks of q-rows. A block holds at
+most TOWER_BUDGET derivative-tower entries, which bounds peak memory at any
+grid size. The truncation order is frozen before the rows are cut and every
+method is pointwise, so the values do not depend on the block size.
 """
 
 from __future__ import annotations
 
+import json
 import math
-import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional, Sequence
@@ -28,6 +28,10 @@ __all__ = ["GridAxis", "WignerGrid", "evaluate_grid", "mix", "METHODS"]
 METHODS = ("series", "series-scaled", "config-integral", "phase-integral", "closed")
 
 BOUND_SLACK = 1e-9
+
+# Derivative-tower entries ((K+1) per point, complex) evaluated per block of
+# q-rows: 1<<18 entries is a 4 MB tower.
+TOWER_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,7 @@ class WignerGrid:
         return {
             "q_axis": {"min": self.q_axis.lo, "max": self.q_axis.hi, "count": self.q_axis.count},
             "p_axis": {"min": self.p_axis.lo, "max": self.p_axis.hi, "count": self.p_axis.count},
-            "values": [list(row) for row in self.values],
+            "values": self.values.tolist(),
             "metadata": meta,
         }
 
@@ -86,39 +90,22 @@ class WignerGrid:
             raise ValueError("value array does not match the axes")
         return cls(qa, pa, values, dict(obj.get("metadata", {})))
 
-    def csv_lines(self):
-        """Row-major q,p,W lines at 17 significant digits, deterministic."""
-        yield f"# bargwig v{__version__}"
-        yield "q,p,W"
-        qs = self.q_axis.points
-        ps = self.p_axis.points
-        for i, q in enumerate(qs):
-            for j, p in enumerate(ps):
-                yield f"{q:.17g},{p:.17g},{self.values[i, j]:.17g}"
-
     def write_csv(self, path) -> None:
+        """Row-major q,p,W lines at 17 significant digits, deterministic."""
+        ps = [f"{p:.17g}," for p in self.p_axis.points.tolist()]
         with open(path, "w") as fh:
-            for line in self.csv_lines():
-                fh.write(line + "\n")
+            fh.write(f"# bargwig v{__version__}\nq,p,W\n")
+            # One write per q-row: as fast as one write of the whole file,
+            # without holding the whole file's text.
+            for q, row in zip(self.q_axis.points.tolist(), self.values):
+                q = f"{q:.17g},"
+                fh.write("".join([f"{q}{p}{w:.17g}\n" for p, w in zip(ps, row.tolist())]))
 
     def write_json(self, path, include_timestamp: bool = True) -> None:
-        import json
-
+        # json.dumps takes the C encoder; json.dump streams through the Python one.
+        text = json.dumps(self.to_dict(include_timestamp=include_timestamp), sort_keys=True)
         with open(path, "w") as fh:
-            json.dump(self.to_dict(include_timestamp=include_timestamp), fh, sort_keys=True)
-            fh.write("\n")
-
-
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("BARGWIG_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"BARGWIG_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+            fh.write(text + "\n")
 
 
 def _closed_form_rows(state, q_rows, p_pts, basis):
@@ -133,13 +120,20 @@ def _closed_form_rows(state, q_rows, p_pts, basis):
 
 
 def _eval_rows(state, q_rows, p_pts, basis, method, order, tol):
-    """Evaluate a block of q-rows; the worker entry point for the pool."""
+    """Evaluate one block of q-rows against all of p_pts."""
     qq, pp = np.meshgrid(q_rows, p_pts, indexing="ij")
     if method in ("series", "series-scaled"):
         z = z_from_qp(qq, pp, basis)
-        variant = "auto" if method == "series" else "scaled"
         policy = TruncationPolicy(tail_tolerance=tol) if tol else TruncationPolicy()
-        return wigner_series(state, z, policy=policy, variant=variant, basis=basis, order=order)
+        if method == "series":
+            return wigner_series(state, z, policy=policy, basis=basis, order=order)
+        # The scaled form is singular only removably at z = 0, where its
+        # limit is the standard value.
+        origin = z == 0
+        out = np.empty(z.shape)
+        out[~origin] = wigner_series(state, z[~origin], policy=policy, variant="scaled", basis=basis, order=order)
+        out[origin] = wigner_series(state, z[origin], policy=policy, variant="standard", basis=basis, order=order)
+        return out
     if method == "config-integral":
         out = np.empty(qq.shape)
         quad = QuadratureSpec()
@@ -167,13 +161,14 @@ def evaluate_grid(
     basis: Optional[BasisParams] = None,
     method: str = "series",
     tol: Optional[float] = None,
-    threads: Optional[int] = None,
 ) -> WignerGrid:
     """Evaluate W on the lattice q_axis x p_axis with the chosen method.
 
-    method is one of METHODS; tol feeds the series tail tolerance or the
-    oracle convergence budget. Rows are distributed over a process pool
-    (BARGWIG_THREADS caps it) and reassembled in fixed row-major order.
+    method is one of METHODS; tol is the series tail tolerance (the oracle
+    methods run at their default quadrature). The grid is evaluated in this
+    process, in blocks of q-rows of at most TOWER_BUDGET derivative-tower
+    entries ((K+1) per point, K = 0 for the closed forms and the oracles),
+    which are stacked in row-major order.
     """
     basis = basis or BasisParams()
     if method not in METHODS:
@@ -184,29 +179,17 @@ def evaluate_grid(
 
     order = None
     if method in ("series", "series-scaled"):
-        # One truncation order for the whole grid keeps chunked evaluation
-        # identical to serial evaluation.
+        # One truncation order for the whole grid keeps block evaluation
+        # identical to a single call.
         policy = TruncationPolicy(tail_tolerance=tol) if tol else TruncationPolicy()
         qq, pp = np.meshgrid(q_pts, p_pts, indexing="ij")
         order = choose_truncation(state, z_from_qp(qq, pp, basis), policy)
 
-    threads = _resolve_threads(threads)
-    n_chunks = min(threads, len(q_pts))
-    if n_chunks <= 1:
-        values = _eval_rows(state, q_pts, p_pts, basis, method, order, tol)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = np.linspace(0, len(q_pts), n_chunks + 1).astype(int)
-        blocks = []
-        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-            futures = [
-                pool.submit(_eval_rows, state, q_pts[lo:hi], p_pts, basis, method, order, tol)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            blocks = [f.result() for f in futures]
-        values = np.vstack(blocks)
+    rows = max(1, TOWER_BUDGET // (((order or 0) + 1) * len(p_pts)))
+    values = np.vstack([
+        _eval_rows(state, q_pts[lo:lo + rows], p_pts, basis, method, order, tol)
+        for lo in range(0, len(q_pts), rows)
+    ])
 
     grid = WignerGrid(
         q_axis,

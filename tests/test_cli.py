@@ -1,0 +1,44 @@
+import json
+
+import pytest
+
+from bargwig.cli import main
+
+GRID = ["--qmin", "-2", "--qmax", "2", "--nq", "9", "--pmin", "-2", "--pmax", "2", "--np", "7"]
+
+
+@pytest.fixture
+def state_file(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"type": "coherent", "re": 0.7, "im": -0.4}))
+    return str(path)
+
+
+def test_eval_exits_0(state_file, tmp_path):
+    out = tmp_path / "w.csv"
+    assert main(["eval", "--state", state_file, *GRID, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2 + 9 * 7
+
+
+@pytest.mark.parametrize("content", [None, "{not json", '{"type": "squeezed"}'],
+                         ids=["missing", "malformed", "unknown-type"])
+def test_eval_exits_2_on_unreadable_state(tmp_path, capsys, content):
+    path = tmp_path / "state.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["eval", "--state", str(path), *GRID, "--out", str(tmp_path / "w.csv")]) == 2
+    assert capsys.readouterr().err.startswith("bargwig eval:")
+
+
+def test_check_exits_1_on_failing_suite(capsys):
+    assert main(["check", "--suite", "series", "--tol", "1e-300"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+def test_eval_json_no_meta_is_byte_identical(state_file, tmp_path):
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        args = ["eval", "--state", state_file, *GRID, "--format", "json", "--no-meta", "--out", str(out)]
+        assert main(args) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert "timestamp" not in json.loads(outs[0].read_text())["metadata"]

@@ -1,0 +1,131 @@
+import json
+import math
+
+import numpy as np
+import pytest
+
+from bargwig import __version__, grid
+from bargwig.core import wigner_series
+from bargwig.grid import GridAxis, WignerGrid, evaluate_grid
+from bargwig.phase import BasisParams, z_from_qp
+from bargwig.states import CoherentState, FockState, cat_state, superposition
+
+SUP4 = superposition([(0.5, FockState(n)) for n in range(4)])
+
+
+def reference_csv(g: WignerGrid) -> str:
+    """The per-point formatter the bulk writer replaced."""
+    lines = [f"# bargwig v{__version__}", "q,p,W"]
+    for i, q in enumerate(g.q_axis.points):
+        for j, p in enumerate(g.p_axis.points):
+            lines.append(f"{q:.17g},{p:.17g},{g.values[i, j]:.17g}")
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_json(g: WignerGrid, include_timestamp: bool) -> str:
+    """json.dump of the grid with numpy-scalar rows, as written before."""
+    obj = g.to_dict(include_timestamp=include_timestamp)
+    obj["values"] = [list(row) for row in g.values]
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+@pytest.fixture(scope="module")
+def sup4_grid():
+    return evaluate_grid(SUP4, GridAxis(-3.0, 2.5, 13), GridAxis(-2.0, 3.0, 7))
+
+
+class TestWriters:
+    def test_csv_matches_per_point_formatter(self, sup4_grid, tmp_path):
+        path = tmp_path / "w.csv"
+        sup4_grid.write_csv(path)
+        assert path.read_text() == reference_csv(sup4_grid)
+
+    def test_csv_formats_edge_values_like_per_point_formatter(self, tmp_path):
+        values = np.array([[0.0, -0.0, 1e-300], [-5e-324, 0.1 + 0.2, -1 / 3], [math.pi, 1e22, -2.5e-17]])
+        g = WignerGrid(GridAxis(-0.1, 0.7, 3), GridAxis(-1e-9, 3.0, 3), values)
+        path = tmp_path / "w.csv"
+        g.write_csv(path)
+        assert path.read_text() == reference_csv(g)
+
+    @pytest.mark.parametrize("include_timestamp", [True, False])
+    def test_json_matches_json_dump(self, sup4_grid, tmp_path, include_timestamp):
+        path = tmp_path / "w.json"
+        sup4_grid.write_json(path, include_timestamp=include_timestamp)
+        assert path.read_text() == reference_json(sup4_grid, include_timestamp)
+        assert ("timestamp" in json.loads(path.read_text())["metadata"]) == include_timestamp
+
+    def test_json_round_trip(self, sup4_grid, tmp_path):
+        path = tmp_path / "w.json"
+        sup4_grid.write_json(path)
+        obj = json.loads(path.read_text())
+        back = WignerGrid.from_dict(obj)
+        assert back.q_axis == sup4_grid.q_axis and back.p_axis == sup4_grid.p_axis
+        assert np.array_equal(back.values, sup4_grid.values)
+        assert back.metadata == sup4_grid.metadata
+        assert back.to_dict() == obj
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("state", [CoherentState(0.7 - 0.4j), cat_state(1.1), SUP4],
+                             ids=["coherent", "cat1.1", "sup4"])
+    def test_values_do_not_depend_on_the_block_size(self, state, monkeypatch):
+        q_axis, p_axis = GridAxis(-3.0, 3.0, 23), GridAxis(-2.5, 3.0, 17)
+        whole = evaluate_grid(state, q_axis, p_axis)
+        K = whole.metadata["truncation_order"]
+        # 4 rows per block: 23 rows leave a last block of 3
+        monkeypatch.setattr(grid, "TOWER_BUDGET", 4 * (K + 1) * p_axis.count + K)
+        calls = []
+        eval_rows = grid._eval_rows
+
+        def counting(state, q_rows, *args):
+            calls.append(len(q_rows))
+            return eval_rows(state, q_rows, *args)
+
+        monkeypatch.setattr(grid, "_eval_rows", counting)
+        blocked = evaluate_grid(state, q_axis, p_axis)
+        assert calls == [4, 4, 4, 4, 4, 3]
+
+        qq, pp = np.meshgrid(q_axis.points, p_axis.points, indexing="ij")
+        single = wigner_series(state, z_from_qp(qq, pp, BasisParams()), order=K)
+        assert np.array_equal(blocked.values, single)
+        assert np.array_equal(whole.values, single)
+
+    def test_block_holds_at_least_one_row(self, monkeypatch):
+        monkeypatch.setattr(grid, "TOWER_BUDGET", 1)
+        axis = GridAxis(-1.0, 1.0, 5)
+        g = evaluate_grid(FockState(2), axis, axis, method="closed")
+        monkeypatch.undo()
+        assert np.array_equal(g.values, evaluate_grid(FockState(2), axis, axis, method="closed").values)
+
+
+class TestScaledAtOrigin:
+    @pytest.mark.parametrize("state", [FockState(1), CoherentState(0.7 - 0.4j)], ids=["fock1", "coherent"])
+    def test_scaled_grid_through_origin_matches_series(self, state):
+        axis = GridAxis(-3.0, 3.0, 61)
+        assert axis.points[30] == 0.0
+        scaled = evaluate_grid(state, axis, axis, method="series-scaled")
+        series = evaluate_grid(state, axis, axis, method="series")
+        assert np.max(np.abs(scaled.values - series.values)) <= 1e-12
+        assert scaled.values[30, 30] == series.values[30, 30]
+
+
+class TestValidate:
+    @staticmethod
+    def _grid(value):
+        values = np.zeros((2, 2))
+        values[1, 0] = value
+        return WignerGrid(GridAxis(0.0, 1.0, 2), GridAxis(0.0, 1.0, 2), values)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            self._grid(value).validate()
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    def test_rejects_values_above_bound(self, hbar):
+        over = -(1.0 / (math.pi * hbar) + 1e-6)
+        with pytest.raises(ValueError, match="bound"):
+            self._grid(over).validate(hbar)
+
+    def test_accepts_the_bound(self):
+        self._grid(1.0 / math.pi).validate()
