@@ -8,8 +8,11 @@ terminating-2F0 kernel values. Two kernel variants are supported:
     standard: F_{n,j} = g_kernel(n, j, z)
               (= conj(z)^n z^j 2F0(-n,-j;;-1/|z|^2), regular at z = 0)
     scaled:   F~_{n,j} = 2F0(-n, -j; ; -1/|z|^2) with the z-powers moved
-              into the coefficient vector, z^k V_k / k!  (singular at z = 0,
-              better conditioned at large |z|)
+              into the coefficient vector, z^k V_k / k!  (singular at z = 0)
+
+wigner_series evaluates every point with the standard kernel. The scaled
+kernel is the same form written another way; it is kept as an independent
+cross-check route (`--method series-scaled`, the variant-agreement check).
 
 The 1/n! weights make the coefficient vector the Taylor stack of f at z;
 with them the Fock states reproduce the Laguerre closed form exactly.
@@ -43,11 +46,6 @@ __all__ = [
     "wigner_closed_coherent_gaussian",
     "wigner_closed_coherent_crossb",
 ]
-
-# |z| above which the auto variant switches to the scaled kernel (adaptive
-# policies only); validated by the variant-agreement tests.
-SCALED_SWITCH_RADIUS = 2.0
-
 
 class TruncationError(RuntimeError):
     """Adaptive truncation could not meet the tail tolerance by max_order."""
@@ -222,43 +220,103 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
     return int(meets[0])
 
 
-def _series_sum(state: StateSpec, zz: np.ndarray, K: int, scaled: bool) -> np.ndarray:
-    """Quadratic form sum_{n,j<=K} conj(c_n) G_nj c_j at the points zz, with
-    c_k = V_k/k! the Taylor stack of the state, in O(K^2) vector operations.
+def _series_sum(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
+    """Quadratic form sum_{n,j<=K} conj(c_n) G_nj c_j of the standard kernel
+    at the points zz, with c_k = V_k/k! the Taylor stack of the state, in
+    O(K^2) real vector operations.
 
-    Along the diagonal j = n + a the standard kernel is
-    G_(n,n+a) = n! l_n^(a) z^a with l_n^(a) = (-1)^n L_n^(a)(|z|^2), the
-    laguerre_ladder values at (s, t) = (-1, -|z|^2); the entries below the
-    diagonal are the conjugates, so the form is
+    Along the diagonal j = n + a the kernel is G_(n,n+a) = g_n^(a) z^a, where
+    g_n^(a) = n! (-1)^n L_n^(a)(y), y = |z|^2, follows the n!-scaled
+    Laguerre recurrence
 
-        sum_n n! |c_n|^2 l_n^(0) + 2 Re sum_{a>=1} z^a sum_n n! conj(c_n) c_(n+a) l_n^(a),
+        g_(n+1) = (y - (2n+1+a)) g_n - n (n+a) g_(n-1),   g_0 = 1,
 
-    real by construction. The scaled variant moves z^k into c_k and takes
-    the bare 2F0 values n! l_n^(a) at (s, t) = (-1/|z|^2, -1), the same
-    ladder rescaled by |z|^(-2n), with no z^a factor.
+    which needs no division. The entries below the diagonal are the
+    conjugates. With z = r u, |u| = 1, and the phase-rotated stack
+    e_n = c_n u^n, z^a conj(c_n) c_(n+a) = r^a conj(e_n) e_(n+a), so the form
+    is
+
+        sum_a w_a r^a sum_n g_n^(a) Re(conj(e_n) e_(n+a)),   w_0 = 1, w_a = 2,
+
+    a sum of real products; r^a enters once per diagonal, by Horner's rule.
+
+    The powers u^n are built by repeated multiplication and each is divided
+    by its own modulus before use: |u| = 1 holds only to an ulp, and the
+    drift of |u^n| would scale every term of order n alike, which the
+    cancellation in the form of a Fock state turns into lost digits.
+    """
+    V = derivative_tower(state, zz, K).values
+    r = np.abs(zz)
+    u = np.ones_like(zz)
+    np.divide(zz, r, out=u, where=r > 0)
+    er = np.empty(V.shape)
+    ei = np.empty(V.shape)
+    er[0], ei[0] = V[0].real, V[0].imag
+    un = np.ones_like(zz)
+    scale = np.empty(zz.shape)
+    for n in range(1, K + 1):
+        un *= u
+        V[n] *= un
+        np.abs(un, out=scale)
+        scale *= math.factorial(n)
+        np.divide(V[n].real, scale, out=er[n])
+        np.divide(V[n].imag, scale, out=ei[n])
+    del V
+
+    y = r * r
+    g = np.empty(er.shape)  # g[n] = g_n^(a) along the current diagonal
+    g[0] = 1.0
+    tmp = np.empty(zz.shape)
+    diag = np.empty(zz.shape)
+    total = np.zeros(zz.shape)
+    for a in range(K, -1, -1):
+        m = K + 1 - a
+        if m > 1:
+            np.subtract(y, 1 + a, out=g[1])
+        for n in range(1, m - 1):
+            np.subtract(y, 2 * n + 1 + a, out=tmp)
+            tmp *= g[n]
+            np.multiply(g[n - 1], n * (n + a), out=g[n + 1])
+            np.subtract(tmp, g[n + 1], out=g[n + 1])
+        np.einsum("nk,nk,nk->k", g[:m], er[:m], er[a:], out=diag)
+        np.einsum("nk,nk,nk->k", g[:m], ei[:m], ei[a:], out=tmp)
+        diag += tmp
+        if a:
+            total += diag
+            total *= r
+        else:
+            total *= 2.0
+            total += diag
+    return total
+
+
+def _scaled_series_sum(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
+    """The form of _series_sum with the scaled kernel, the cross-check route.
+
+    z^k moves into the stack, c_k z^k, and the kernel entries are the bare
+    2F0 values n! l_n^(a), l_n^(a) the laguerre_ladder values at
+    (s, t) = (-1/|z|^2, -1), so no phase factor remains:
+
+        sum_n n! |c_n|^2 l_n^(0) + 2 Re sum_{a>=1} sum_n n! conj(c_n) c_(n+a) l_n^(a).
+
+    Singular at z = 0.
     """
     c = derivative_tower(state, zz, K).values
     c *= _inv_factorials(K).reshape(-1, 1)
-    y = (np.conj(zz) * zz).real
-    if scaled:
-        zpow = np.ones_like(zz)
-        for ck in c:
-            ck *= zpow
-            zpow = zpow * zz
-        s, t, step = -1.0 / y, -1.0, 1.0
-    else:
-        s, t, step = -1.0, -y, zz
+    zpow = np.ones_like(zz)
+    for ck in c:
+        ck *= zpow
+        zpow = zpow * zz
+    s = -1.0 / (np.conj(zz) * zz).real
     left = np.conj(c)
     left *= np.array([float(math.factorial(n)) for n in range(K + 1)]).reshape(-1, 1)
 
     total = np.zeros(zz.shape)
-    zpow = np.ones_like(zz)
     for a in range(K + 1):
         inner = np.zeros_like(zz)
-        for n, lag in enumerate(laguerre_ladder(K - a, a, s, t)):
+        for n, lag in enumerate(laguerre_ladder(K - a, a, s, -1.0)):
             inner += left[n] * c[n + a] * lag
-        total += (1.0 if a == 0 else 2.0) * (zpow * inner).real
-        zpow = zpow * step
+        total += (1.0 if a == 0 else 2.0) * inner.real
     return total
 
 
@@ -266,7 +324,7 @@ def wigner_series(
     state: StateSpec,
     z,
     policy: TruncationPolicy | None = None,
-    variant: str = "auto",
+    variant: str = "standard",
     basis: BasisParams | None = None,
     order: int | None = None,
 ):
@@ -280,15 +338,15 @@ def wigner_series(
         Phase-space label(s), sqrt(2) z = q/b + i b p / hbar.
     policy : TruncationPolicy, optional
         Truncation control; default adaptive with tail 1e-12, cap 64.
-    variant : {"auto", "standard", "scaled"}
-        Kernel variant. "auto" keeps the standard kernel except at points
-        with |z| > 2 under an adaptive policy, where the scaled kernel is
-        better conditioned. "scaled" is singular at z = 0.
+    variant : {"standard", "scaled"}
+        Kernel variant. "standard" is regular everywhere and is the
+        evaluation route. "scaled" is the independent cross-check route; it
+        is singular at z = 0.
     basis : BasisParams, optional
         Supplies hbar for the 1/(pi hbar) normalization.
     order : int, optional
         Fixed truncation order, bypassing choose_truncation (used by grid
-        evaluation to keep one order across worker chunks).
+        evaluation to keep one order across row blocks).
 
     Returns
     -------
@@ -296,26 +354,19 @@ def wigner_series(
     """
     policy = policy or TruncationPolicy()
     basis = basis or BasisParams()
-    if variant not in ("auto", "standard", "scaled"):
+    if variant not in ("standard", "scaled"):
         raise ValueError(f"unknown kernel variant {variant!r}")
 
     z_in = np.asarray(z, dtype=complex)
     zz = z_in.ravel()
     K = order if order is not None else choose_truncation(state, zz, policy)
 
-    if variant == "scaled" and np.any(zz == 0):
-        raise ValueError("scaled variant singular at origin")
-    if variant == "auto" and policy.mode == "adaptive":
-        scaled_mask = np.abs(zz) > SCALED_SWITCH_RADIUS
-    elif variant == "scaled":
-        scaled_mask = np.ones(zz.shape, dtype=bool)
+    if variant == "scaled":
+        if np.any(zz == 0):
+            raise ValueError("scaled variant singular at origin")
+        form = _scaled_series_sum(state, zz, K)
     else:
-        scaled_mask = np.zeros(zz.shape, dtype=bool)
-
-    form = np.empty(zz.shape)
-    for scaled, sel in ((True, scaled_mask), (False, ~scaled_mask)):
-        if sel.any():
-            form[sel] = _series_sum(state, zz[sel], K, scaled)
+        form = _series_sum(state, zz, K)
 
     w = np.exp(-2.0 * (np.conj(zz) * zz).real) / (math.pi * basis.hbar) * form
     w = w.reshape(z_in.shape)

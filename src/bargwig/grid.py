@@ -96,10 +96,11 @@ class WignerGrid:
         with open(path, "w") as fh:
             fh.write(f"# bargwig v{__version__}\nq,p,W\n")
             # One write per q-row: as fast as one write of the whole file,
-            # without holding the whole file's text.
+            # without holding the whole file's text. The row's axis text is
+            # a template, so its W values take one %-format call.
             for q, row in zip(self.q_axis.points.tolist(), self.values):
                 q = f"{q:.17g},"
-                fh.write("".join([f"{q}{p}{w:.17g}\n" for p, w in zip(ps, row.tolist())]))
+                fh.write("".join([f"{q}{p}%.17g\n" for p in ps]) % tuple(row.tolist()))
 
     def write_json(self, path, include_timestamp: bool = True) -> None:
         # json.dumps takes the C encoder; json.dump streams through the Python one.
@@ -134,12 +135,14 @@ def _eval_rows(state, q_rows, p_pts, basis, method, order, tol):
         out[~origin] = wigner_series(state, z[~origin], policy=policy, variant="scaled", basis=basis, order=order)
         out[origin] = wigner_series(state, z[origin], policy=policy, variant="standard", basis=basis, order=order)
         return out
+    # The oracles take tol as their convergence budget; unset, their default.
+    budget = {"tol": tol} if tol else {}
     if method == "config-integral":
         out = np.empty(qq.shape)
         quad = QuadratureSpec()
         for i in range(qq.shape[0]):
             for j in range(qq.shape[1]):
-                out[i, j] = wigner_config_integral(state, qq[i, j], pp[i, j], basis, quad)
+                out[i, j] = wigner_config_integral(state, qq[i, j], pp[i, j], basis, quad, **budget)
         return out
     if method == "phase-integral":
         out = np.empty(qq.shape)
@@ -147,7 +150,7 @@ def _eval_rows(state, q_rows, p_pts, basis, method, order, tol):
         for i in range(qq.shape[0]):
             for j in range(qq.shape[1]):
                 z = z_from_qp(qq[i, j], pp[i, j], basis)
-                out[i, j] = wigner_phase_integral(state, z, basis, quad)
+                out[i, j] = wigner_phase_integral(state, z, basis, quad, **budget)
         return out
     if method == "closed":
         return _closed_form_rows(state, q_rows, p_pts, basis)
@@ -164,11 +167,12 @@ def evaluate_grid(
 ) -> WignerGrid:
     """Evaluate W on the lattice q_axis x p_axis with the chosen method.
 
-    method is one of METHODS; tol is the series tail tolerance (the oracle
-    methods run at their default quadrature). The grid is evaluated in this
-    process, in blocks of q-rows of at most TOWER_BUDGET derivative-tower
-    entries ((K+1) per point, K = 0 for the closed forms and the oracles),
-    which are stacked in row-major order.
+    method is one of METHODS; tol is the series tail tolerance, or the
+    convergence budget of config-integral and phase-integral; None keeps
+    each default. The grid is evaluated in this process, in blocks of q-rows
+    of at most TOWER_BUDGET derivative-tower entries ((K+1) per point, K = 0
+    for the closed forms and the oracles), which are stacked in row-major
+    order.
     """
     basis = basis or BasisParams()
     if method not in METHODS:

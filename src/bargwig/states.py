@@ -8,8 +8,9 @@ function of w. For the catalog:
     fock(N):      f(z) = z^N / sqrt(N!)
     coherent(U):  f(z) = exp(conj(U) z - |U|^2 / 2)
 
-and superpositions combine linearly. Derivative towers are closed-form;
-finite differences appear only in the tests.
+f is antilinear in the state, so a superposition sum_m c_m |psi_m> has
+f = sum_m conj(c_m) f_m. Derivative towers are closed-form; finite
+differences appear only in the tests.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def bargmann(state: StateSpec, z):
         z = np.asarray(z, dtype=complex)
         total = np.zeros_like(z)
         for c, member in state.terms:
-            total = total + c * bargmann(member, z)
+            total = total + np.conj(c) * bargmann(member, z)
         return total if total.ndim else complex(total)
     raise TypeError(f"unsupported state type: {type(state)}")
 
@@ -249,7 +250,7 @@ def derivative_tower(state: StateSpec, z, K: int) -> BargmannDerivatives:
         values = np.zeros((K + 1,) + z.shape, dtype=complex)
         for c, member in state.terms:
             member_values = derivative_tower(member, z, K).values
-            member_values *= c
+            member_values *= np.conj(c)
             values += member_values
             del member_values  # one member's tower alive at a time
         return BargmannDerivatives(z, values, exact_degree=exact_degree(state))

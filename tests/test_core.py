@@ -268,6 +268,82 @@ class TestDefaultPathRegressions:
             assert abs(got - want) * math.pi * basis.hbar <= 1e-6
 
 
+class TestComplexSuperpositions:
+    """Superpositions with complex coefficients against the configuration
+    integral, which reads the state through psi(y) and shares no Bargmann
+    arithmetic with the series. f is antilinear in the state, so a tower
+    that combined its members with c instead of conj(c) gives W(q, -p)."""
+
+    STATES = {
+        "fock-pair": superposition([(1 / math.sqrt(2), FockState(0)), (1j / math.sqrt(2), FockState(1))]),
+        "fock-pair-phase": superposition(
+            [(0.6, FockState(2)), (0.8 * np.exp(0.7j), FockState(5))]
+        ),
+        "coherent-pair": superposition(
+            [(1.0, CoherentState(0.8 - 0.3j)), (1j, CoherentState(-0.5 + 0.9j))], normalize=True
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_series_matches_config_integral(self, name):
+        state = self.STATES[name]
+        basis = BasisParams()
+        for q, p in [(0.5, 0.7), (-0.9, 0.4), (1.3, -1.1)]:
+            got = wigner_series(state, z_from_qp(q, p, basis), basis=basis)
+            want = wigner_config_integral(state, q, p, basis)
+            assert abs(got - want) * math.pi * basis.hbar <= 1e-7
+
+
+class TestStandardKernelBeyondTwo:
+    """The standard kernel on 2 < |z| <= 4, where points once took the
+    scaled kernel; errors in units of 1/(pi hbar)."""
+
+    @staticmethod
+    def _labels(count=200):
+        rng = np.random.default_rng(RNG_SEED + 2)
+        z = rng.uniform(2.0, 4.0, count) * np.exp(1j * rng.uniform(0, 2 * np.pi, count))
+        z[0] = 4.0
+        return z
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_fock_matches_closed_form(self, n):
+        z = self._labels()
+        err = np.max(np.abs(wigner_series(FockState(n), z) - wigner_closed_fock(n, z))) * math.pi
+        assert err <= 1e-13
+
+    def test_coherent_matches_closed_form(self):
+        u = 0.7 - 0.4j
+        basis = BasisParams()
+        Q, P = qp_from_z(u, basis)
+        z = self._labels()
+        q, p = qp_from_z(z, basis)
+        want = wigner_closed_coherent_gaussian(Q, P, basis.b, q, p, basis.hbar)
+        err = np.max(np.abs(wigner_series(CoherentState(u), z, basis=basis) - want)) * math.pi
+        assert err <= 1e-13
+
+    def test_cat_matches_mpmath_displaced_parity(self):
+        mpmath = pytest.importorskip("mpmath")
+        u = 1.1
+        z = self._labels(24)
+        got = wigner_series(cat_state(u), z) * math.pi
+        with mpmath.workdps(30):
+            U = mpmath.mpf(u)
+            norm = 1 / mpmath.sqrt(2 + 2 * mpmath.exp(-2 * U * U))
+            for value, zv in zip(got, z):
+                w = 2 * mpmath.mpc(zv.real, zv.imag)
+                # pi W = exp(-2|z|^2) sum_s (-1)^s |f^(s)(2z)|^2 / s!
+                total, s = mpmath.mpf(0), 0
+                while True:
+                    deriv = norm * mpmath.exp(-U * U / 2) * (U**s * mpmath.exp(U * w) + (-U) ** s * mpmath.exp(-U * w))
+                    term = abs(deriv) ** 2 / mpmath.factorial(s)
+                    total += -term if s % 2 else term
+                    if s > 2 * u * abs(w) and term < mpmath.mpf(10) ** -30 * (1 + abs(total)):
+                        break
+                    s += 1
+                want = float(mpmath.exp(-2 * abs(w / 2) ** 2) * total)
+                assert abs(value - want) <= 1e-13
+
+
 class TestClosedForms:
     def test_fock_peak_values(self):
         assert wigner_closed_fock(0, 0j) == pytest.approx(1 / math.pi)

@@ -7,6 +7,7 @@ import pytest
 from bargwig import __version__, grid
 from bargwig.core import wigner_series
 from bargwig.grid import GridAxis, WignerGrid, evaluate_grid
+from bargwig.oracles import OracleConvergenceError
 from bargwig.phase import BasisParams, z_from_qp
 from bargwig.states import CoherentState, FockState, cat_state, superposition
 
@@ -107,6 +108,22 @@ class TestScaledAtOrigin:
         series = evaluate_grid(state, axis, axis, method="series")
         assert np.max(np.abs(scaled.values - series.values)) <= 1e-12
         assert scaled.values[30, 30] == series.values[30, 30]
+
+
+class TestOracleTolerance:
+    """tol is the oracles' convergence budget: node doubling moves fock(6)
+    by far more than 10 * 1e-30, and by less than the default budget."""
+
+    AXIS = GridAxis(-1.0, 1.0, 2)
+
+    @pytest.mark.parametrize("method", ["config-integral", "phase-integral"])
+    def test_tight_tol_raises(self, method):
+        with pytest.raises(OracleConvergenceError):
+            evaluate_grid(FockState(6), self.AXIS, self.AXIS, method=method, tol=1e-30)
+
+    @pytest.mark.parametrize("method", ["config-integral", "phase-integral"])
+    def test_default_tol_passes(self, method):
+        evaluate_grid(FockState(6), self.AXIS, self.AXIS, method=method)
 
 
 class TestValidate:

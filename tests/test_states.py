@@ -60,6 +60,14 @@ class TestBargmannFunctions:
             0.6 * bargmann_of_fock(0, z) + 0.8 * bargmann_of_fock(2, z)
         )
 
+    def test_superposition_is_antilinear(self):
+        # f = exp(|z|^2/2) <psi|z> conjugates the coefficients
+        st = superposition([(0.6, FockState(0)), (0.8j, FockState(2))])
+        z = 0.9 + 0.4j
+        assert bargmann(st, z) == pytest.approx(
+            0.6 * bargmann_of_fock(0, z) - 0.8j * bargmann_of_fock(2, z)
+        )
+
 
 class TestDerivativeTower:
     def test_fock_tower_truncates_at_degree(self):
@@ -96,7 +104,8 @@ class TestDerivativeTower:
         tower = derivative_tower(st, z, K=3)
         t0 = derivative_tower(FockState(0), z, K=3)
         t1 = derivative_tower(FockState(1), z, K=3)
-        assert np.allclose(tower.values, a * t0.values + b * t1.values)
+        # f is antilinear in the state: the members combine with conj(c)
+        assert np.allclose(tower.values, a * t0.values + np.conj(b) * t1.values)
 
     @pytest.mark.parametrize("state", CATALOG)
     def test_tower_against_finite_differences(self, state):
