@@ -52,7 +52,7 @@ from .oracles import (
     wigner_phase_integral,
 )
 from .geometry import IdentityReport, check_b_independence, check_identity_crossb
-from .grid import METHODS, GridAxis, WignerGrid, evaluate_grid, mix
+from .grid import METHODS, GridAxis, WignerGrid, evaluate_grid
 
 __all__ = [
     "__version__",
@@ -108,5 +108,4 @@ __all__ = [
     "GridAxis",
     "WignerGrid",
     "evaluate_grid",
-    "mix",
 ]

@@ -8,6 +8,7 @@ unreadable state file, or a method/state combination that cannot run).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import sys
@@ -40,7 +41,10 @@ def _add_common_state_flags(sub):
     sub.add_argument("--hbar", type=float, default=1.0, help="action scale (default 1)")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every
+    later main() in the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="bargwig",
                                      description="Wigner functions from Bargmann-representation derivatives")
     parser.add_argument("--version", action="version", version=f"bargwig {__version__}")

@@ -48,11 +48,16 @@ __all__ = [
 ]
 
 class TruncationError(RuntimeError):
-    """Adaptive truncation could not meet the tail tolerance by max_order."""
+    """Adaptive truncation could not meet the tail tolerance by max_order.
 
-    def __init__(self, message: str, tail_estimate: float):
+    tail_estimate is the estimate at max_order, and point the sampled z
+    where it is worst.
+    """
+
+    def __init__(self, message: str, tail_estimate: float, point: complex):
         super().__init__(message)
         self.tail_estimate = tail_estimate
+        self.point = point
 
 
 @dataclass(frozen=True)
@@ -72,8 +77,10 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.mode not in ("adaptive", "exact_degree"):
             raise ValueError(f"unknown truncation mode {self.mode!r}")
-        if self.max_order < 1:
-            raise ValueError("max_order must be at least 1")
+        if not 1 <= self.max_order <= 170:
+            raise ValueError(
+                f"max_order must be between 1 and 170 (n! <= 170! is the float64 limit), got {self.max_order}"
+            )
         if not self.tail_tolerance > 0:
             raise ValueError("tail_tolerance must be positive")
 
@@ -126,21 +133,35 @@ def _inv_factorials(K: int) -> np.ndarray:
     return np.array([1 / math.factorial(k) for k in range(K + 1)])
 
 
-def _tail_weights(absV: np.ndarray, r: np.ndarray, max_order: int) -> np.ndarray:
-    """Per-order weights w_n = |V_n|/n! sqrt(Ghat_nn(r_eff)), where Ghat is
-    the kernel with every coefficient taken positive,
+def _tail_estimate(state: StateSpec, zz: np.ndarray, M: int) -> np.ndarray:
+    """est[K, i], K = 0..M: the bound of choose_truncation on the part of
+    the form (times exp(-2|z|^2), in units of 1/(pi hbar)) that truncation
+    at K omits at the point zz[i]."""
+    absV = np.abs(derivative_tower(state, zz, M).values)
+    r = np.abs(zz)
+    absc = absV * _inv_factorials(M).reshape(-1, 1)
 
-        Ghat_nj(r) = sum_s n! j! / (s! (n-s)! (j-s)!) r^(n-s) r^(j-s),
+    # conv[m] = sum_{k=1..m} |c_(m-k)| r^k / k!, one slab per shift k.
+    conv = np.zeros_like(absV)
+    rk = np.ones_like(r)
+    for k in range(1, M + 1):
+        rk *= r / k
+        conv[k:] += absc[:-k] * rk
+    R = absV * (absc + 2.0 * conv)
 
-    and r_eff = max(|z|, 1) absorbs both kernel variants' growth. The
-    diagonal is Ghat_nn(r) = n! L_n(-r^2), a Laguerre polynomial at negative
-    argument (all terms positive), taken from one laguerre_ladder pass.
-    """
-    r_eff = np.maximum(r, 1.0)
-    w = np.empty_like(absV)
-    for n, lag in enumerate(laguerre_ladder(max_order, 0, 1.0, -r_eff * r_eff)):
-        w[n] = absV[n] * np.sqrt(lag / float(math.factorial(n)))
-    return w
+    # Pair-sum closure of sum_{m>M} R_m.
+    last_pair = R[M - 1:].sum(axis=0)
+    prev_pair = R[M - 3:M - 1].sum(axis=0) if M >= 3 else np.zeros_like(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(prev_pair > 0, last_pair / prev_pair, np.inf)
+        beyond = np.where(ratio < 0.99, last_pair * ratio / (1.0 - ratio), np.inf)
+    beyond[last_pair == 0] = 0.0
+
+    # tail[K] = sum_{m>K} R_m, summed from the top so small tails keep their digits.
+    tail = np.empty_like(R)
+    tail[M] = beyond
+    tail[:M] = np.cumsum(R[:0:-1], axis=0)[::-1] + beyond
+    return np.exp(-1.5 * r * r) * tail
 
 
 def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
@@ -148,32 +169,55 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
 
     Polynomial Bargmann functions get their exact degree (the sum is then
     exact and max_order does not apply). Otherwise K is the smallest order
-    whose omitted tail, estimated as below, meets policy.tail_tolerance.
+    whose omitted part, bounded as below on a sample of the points, meets
+    policy.tail_tolerance.
 
-    Tail bound. Ghat (see _tail_weights) is the Gram matrix
-    Ghat_nj = sum_s s! A_sn A_sj of the non-negative A_sn = C(n, s) r^(n-s),
-    so |G_nj| <= Ghat_nj <= sqrt(Ghat_nn Ghat_jj), and every entry of the
-    quadratic form obeys |conj(c_n) G_nj c_j| <= w_n w_j. The entries that
-    truncation at K omits are those with n > K or j > K, hence
+    Bound. Along a diagonal the kernel is G_(n,n+a) = n! (-1)^n L_n^(a)(r^2)
+    z^a, r = |z| (see _series_sum), and for a, x >= 0 the Laguerre
+    polynomials obey |L_n^(a)(x)| <= C(n+a, n) e^(x/2) (Abramowitz & Stegun
+    22.14.13; DLMF 18.14.8). Hence, with m = max(n, j),
 
-        |omitted| <= exp(-2|z|^2) (S_inf^2 - S_K^2),   S_K = sum_{n<=K} w_n.
+        |G_nj| <= m! / |n-j|! r^|n-j| e^(r^2/2).
 
-    The weights are known up to M = policy.max_order; the rest of S_inf is
-    closed geometrically. A single-weight ratio w_M / w_(M-1) cannot serve:
-    for a state of definite parity the odd (or even) derivatives vanish at
-    z = 0, so near the origin consecutive weights alternate between two
-    magnitudes and their ratio says nothing about the decay. The pair sums
-    pi_k = w_(k-1) + w_k over consecutive orders are free of the
-    alternation. With rho = pi_M / pi_(M-2), and assuming the ratio of
-    successive pair sums does not grow beyond M (true once the Taylor
-    coefficients decay faster than geometrically, as they do for every
-    entire Bargmann function of the catalog), the pairs (M+1, M+2),
-    (M+3, M+4), ... sum to at most pi_M rho^i, so
+    With c_k = V_k/k!, so that m! |c_m| = |V_m|, group the entries of the
+    form by m: the diagonal entry and the 2m entries (m, j), (j, m), j < m,
+    give the row weight
 
-        sum_{n>M} w_n <= pi_M rho / (1 - rho).
+        R_m = |V_m| (|c_m| + 2 sum_{j<m} |c_j| r^(m-j) / (m-j)!),
 
+    and the entries that truncation at K omits (max(n, j) > K) are at most
+
+        |omitted| <= exp(-2 r^2) e^(r^2/2) sum_{m>K} R_m = e^(-3r^2/2) sum_{m>K} R_m
+
+    in units of 1/(pi hbar). The bound is not rank one, so the tail is a
+    suffix sum of R_m. The sum over j is a convolution of |c| with r^k/k!,
+    taken as one array operation per shift k over all sampled points.
+
+    Closure beyond M = policy.max_order. R_m is known up to M; the rest of
+    the tail is closed geometrically. A single ratio R_M / R_(M-1) cannot
+    serve: for a state of definite parity the odd (or even) derivatives
+    vanish at z = 0, so near the origin |V_m| and |c_m| are O(r) at every
+    other m, and the convolution reaches an order of the other parity only
+    through an odd power of r. Consecutive R_m therefore alternate between
+    an O(1) and an O(r^2) magnitude (at z = 0, R_m = |V_m|^2/m! is exactly
+    0 at every other m), and their ratio says nothing about the decay.
+    Each pair sum pi_k = R_(k-1) + R_k holds one even and one odd order, so
+    the pair sums are free of the alternation. With rho = pi_M / pi_(M-2),
+    and assuming the ratio of successive pair sums does not grow beyond M,
+    the pairs (M+1, M+2), (M+3, M+4), ... sum to at most pi_M rho^i, so
+
+        sum_{m>M} R_m <= pi_M rho / (1 - rho).
+
+    The assumption holds once the Taylor coefficients decay faster than
+    geometrically, as they do for every entire Bargmann function of the
+    catalog: a coherent state with f^(k) = beta^k f has
+    R_m = |f|^2 |beta|^m (2 (|beta| + r)^m - |beta|^m) / m!, whose ratio
+    falls like 1/m, and a superposition is dominated by its largest |beta|.
     Where rho >= 0.99, or M < 3 leaves no earlier pair, the tail is not
     closable and the estimate is infinite.
+
+    Raises TruncationError, carrying the estimate at M and the sampled point
+    where it is worst, when no K <= M meets the tolerance.
     """
     deg = exact_degree(state)
     if deg is not None:
@@ -193,29 +237,18 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
     sample = zz[sorted(idx)]
 
     M = policy.max_order
-    absV = np.abs(derivative_tower(state, sample, M).values)
-    r = np.abs(sample)
-    w = _tail_weights(absV, r, M)
-
-    # Suffix tail via (S_inf^2 - S_K^2) with the pair-sum closure of S_inf.
-    s_cum = np.cumsum(w, axis=0)
-    last_pair = w[-2:].sum(axis=0)
-    prev_pair = w[-4:-2].sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(prev_pair > 0, last_pair / prev_pair, np.inf)
-    closable = ratio < 0.99
-    s_tot = np.where(closable, s_cum[-1] + last_pair * ratio / np.maximum(1e-300, 1.0 - ratio), np.inf)
-    s_tot = np.where(last_pair == 0, s_cum[-1], s_tot)
-
-    prefactor = np.exp(-2.0 * r * r)
-    est = prefactor * np.maximum(0.0, s_tot * s_tot - s_cum * s_cum)
+    est = _tail_estimate(state, sample, M)
     est_max = est.max(axis=1)
     meets = np.nonzero(est_max <= policy.tail_tolerance)[0]
     if meets.size == 0:
+        worst = int(np.argmax(est[M]))
+        point = complex(sample[worst])
         raise TruncationError(
             f"adaptive truncation did not reach tail tolerance {policy.tail_tolerance:g} "
-            f"by max_order {M}; achieved tail estimate {est_max[-1]:.3g}",
-            tail_estimate=float(est_max[-1]),
+            f"by max_order {M}: at z = {point:.6g} (|z| = {abs(point):.6g}) the tail "
+            f"estimate is {est_max[M]:.3g}",
+            tail_estimate=float(est_max[M]),
+            point=point,
         )
     return int(meets[0])
 
@@ -360,6 +393,11 @@ def wigner_series(
     z_in = np.asarray(z, dtype=complex)
     zz = z_in.ravel()
     K = order if order is not None else choose_truncation(state, zz, policy)
+    if K > 170:
+        raise ValueError(
+            f"{state!r} needs truncation order K = {K}; the series holds n! in float64, "
+            "so K is limited to 170 (n! <= 170!)"
+        )
 
     if variant == "scaled":
         if np.any(zz == 0):

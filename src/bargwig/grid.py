@@ -1,5 +1,5 @@
-"""Rectangular (q, p) Wigner grids: evaluation with any method, CSV/JSON
-serialization, and convex mixing.
+"""Rectangular (q, p) Wigner grids: evaluation with any method and CSV/JSON
+serialization.
 
 Grid evaluation runs in one process over blocks of q-rows. A block holds at
 most TOWER_BUDGET derivative-tower entries, which bounds peak memory at any
@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .oracles import QuadratureSpec, DEFAULT_PHASE_HALFWIDTH, wigner_config_inte
 from .phase import BasisParams, qp_from_z, z_from_qp
 from .states import CoherentState, FockState, StateSpec, exact_degree, state_to_json
 
-__all__ = ["GridAxis", "WignerGrid", "evaluate_grid", "mix", "METHODS"]
+__all__ = ["GridAxis", "WignerGrid", "evaluate_grid", "METHODS"]
 
 METHODS = ("series", "series-scaled", "config-integral", "phase-integral", "closed")
 
@@ -211,34 +211,3 @@ def evaluate_grid(
     )
     grid.validate(basis.hbar)
     return grid
-
-
-def mix(grids: Sequence[WignerGrid], weights: Sequence[float]) -> WignerGrid:
-    """Convex combination sum_i w_i W_i of compatible grids (a mixed-ensemble
-    Wigner function is the weighted average of its components')."""
-    if len(grids) != len(weights) or not grids:
-        raise ValueError("need matching, non-empty grids and weights")
-    weights = [float(w) for w in weights]
-    if any(w < 0 for w in weights):
-        raise ValueError("mixture weights must be non-negative")
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise ValueError("mixture weights must sum to 1")
-    first = grids[0]
-    for g in grids[1:]:
-        if g.q_axis != first.q_axis or g.p_axis != first.p_axis:
-            raise ValueError("all grids in a mixture must share the same axes")
-    values = np.zeros_like(first.values)
-    for w, g in zip(weights, grids):
-        values += w * g.values
-    return WignerGrid(
-        first.q_axis,
-        first.p_axis,
-        values,
-        metadata={
-            "method": "mixture",
-            "weights": weights,
-            "components": [g.metadata for g in grids],
-            "tool": "bargwig",
-            "version": __version__,
-        },
-    )

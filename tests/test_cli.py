@@ -42,3 +42,21 @@ def test_eval_json_no_meta_is_byte_identical(state_file, tmp_path):
         assert main(args) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert "timestamp" not in json.loads(outs[0].read_text())["metadata"]
+
+
+def test_consecutive_calls_each_honor_their_own_flags(state_file, tmp_path):
+    # main() reuses one parser per process; no flag of one call may leak
+    # into the next
+    csv_out, json_out, csv_again = tmp_path / "a.csv", tmp_path / "b.json", tmp_path / "c.csv"
+    assert main(["eval", "--state", state_file, *GRID, "--out", str(csv_out)]) == 0
+    small = ["--qmin", "-1", "--qmax", "1", "--nq", "3", "--pmin", "-1", "--pmax", "1", "--np", "4"]
+    args = ["eval", "--state", state_file, *small, "--method", "closed", "--format", "json", "--no-meta"]
+    assert main([*args, "--out", str(json_out)]) == 0
+    assert main(["eval", "--state", state_file, *GRID, "--out", str(csv_again)]) == 0
+
+    assert csv_out.read_text().splitlines()[1] == "q,p,W"
+    assert csv_again.read_bytes() == csv_out.read_bytes()
+    grid = json.loads(json_out.read_text())
+    assert (grid["q_axis"]["count"], grid["p_axis"]["count"]) == (3, 4)
+    assert grid["metadata"]["method"] == "closed"
+    assert "timestamp" not in grid["metadata"]

@@ -5,6 +5,7 @@ import pytest
 
 from bargwig.core import (
     KernelMatrix,
+    _tail_estimate,
     TruncationError,
     TruncationPolicy,
     build_F,
@@ -51,7 +52,13 @@ class TestTruncationPolicy:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"mode": "magic"}, {"max_order": 0}, {"tail_tolerance": 0.0}, {"tail_tolerance": -1.0}],
+        [
+            {"mode": "magic"},
+            {"max_order": 0},
+            {"max_order": 171},
+            {"tail_tolerance": 0.0},
+            {"tail_tolerance": -1.0},
+        ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -122,10 +129,15 @@ class TestChooseTruncation:
         assert choose_truncation(st, 0.3 + 0j, TruncationPolicy()) == 3
 
     def test_coherent_regression_value(self):
-        # frozen once computed; must stay at or below 40
-        K = choose_truncation(CoherentState(1.0), 1.0 + 0j, TruncationPolicy())
-        assert K == 27
+        # frozen once computed; must stay at or below 40, and the part of
+        # the form it omits (against order 64) must meet the tolerance
+        policy = TruncationPolicy()
+        K = choose_truncation(CoherentState(1.0), 1.0 + 0j, policy)
+        assert K == 19
         assert K <= 40
+        omitted = abs(wigner_series(CoherentState(1.0), 1.0 + 0j, order=K)
+                      - wigner_series(CoherentState(1.0), 1.0 + 0j, order=64)) * math.pi
+        assert omitted <= policy.tail_tolerance
 
     def test_exact_degree_mode_rejects_entire_states(self):
         with pytest.raises(ValueError, match="adaptive"):
@@ -136,6 +148,10 @@ class TestChooseTruncation:
         with pytest.raises(TruncationError) as err:
             choose_truncation(CoherentState(2.0), 2.0 + 0j, policy)
         assert err.value.tail_estimate > 1e-14
+        assert err.value.point == 2.0 + 0j
+        message = str(err.value)
+        for part in ("z = 2+0j", "|z| = 2", "max_order 4", "tolerance 1e-14", f"{err.value.tail_estimate:.3g}"):
+            assert part in message
 
     def test_grows_with_amplitude(self):
         pol = TruncationPolicy()
@@ -266,6 +282,64 @@ class TestDefaultPathRegressions:
             got = wigner_series(state, z_from_qp(q, p, basis), basis=basis)
             want = wigner_config_integral(state, q, p, basis)
             assert abs(got - want) * math.pi * basis.hbar <= 1e-6
+
+
+class TestTruncationBound:
+    """The tail bound of choose_truncation against the true omitted part,
+    and windows that the bound now reaches within max_order."""
+
+    @staticmethod
+    def _window(count):
+        qs = np.linspace(-3.0, 3.0, count)
+        qq, pp = np.meshgrid(qs, qs, indexing="ij")
+        return qq, pp, z_from_qp(qq, pp, BasisParams())
+
+    def test_omitted_part_within_estimate(self):
+        # |W_K - W_64| pi hbar <= est[K]; 1e-15 allows for the roundoff of
+        # the two sums. Points with |z| < 0.05 test the pair-sum closure,
+        # where the cats' odd or even derivatives nearly vanish.
+        rng = np.random.default_rng(RNG_SEED + 3)
+        for trial in range(15):
+            u = complex(*rng.uniform(-1.5, 1.5, 2))
+            state = [CoherentState(u), cat_state(u, 1), cat_state(u, -1)][trial % 3]
+            z = rng.uniform(0.0, 3.0, 32) * np.exp(1j * rng.uniform(0, 2 * np.pi, 32))
+            z[:8] *= 0.05 / 3.0
+            est = _tail_estimate(state, z, 64)
+            ref = wigner_series(state, z, order=64)
+            for K in range(2, 41):
+                omitted = np.abs(wigner_series(state, z, order=K) - ref) * math.pi
+                assert np.all(omitted <= est[K] + 1e-15), (state, K)
+
+    def test_coherent3_on_window_matches_closed_form(self):
+        qq, pp, z = self._window(41)
+        basis = BasisParams()
+        Q, P = qp_from_z(3.0, basis)
+        want = wigner_closed_coherent_gaussian(Q, P, basis.b, qq, pp, basis.hbar)
+        got = wigner_series(CoherentState(3.0), z, basis=basis)
+        assert np.max(np.abs(got - want)) * math.pi <= 1e-12
+
+    def test_coherent4_on_window_raises_at_its_worst_point(self):
+        _, _, z = self._window(41)
+        with pytest.raises(TruncationError) as err:
+            wigner_series(CoherentState(4.0), z)
+        assert err.value.tail_estimate > 1e-12
+        assert err.value.point in z
+        assert f"|z| = {abs(err.value.point):.6g}" in str(err.value)
+
+
+class TestFloat64FactorialLimit:
+    """The series holds n! in float64, so orders stop at 170."""
+
+    def test_fock170_evaluates(self):
+        got = wigner_series(FockState(170), 0.5)
+        assert abs(got - wigner_closed_fock(170, 0.5)) <= 1e-9
+
+    def test_fock171_names_state_and_limit(self):
+        with pytest.raises(ValueError) as err:
+            wigner_series(FockState(171), 0.5)
+        message = str(err.value)
+        for part in ("FockState(n=171)", "K = 171", "170!"):
+            assert part in message
 
 
 class TestComplexSuperpositions:
