@@ -1,5 +1,4 @@
-"""Command-line surface: grid evaluation, validation suites, and a method
-benchmark.
+"""Command-line surface: grid evaluation and validation suites.
 
 Exit codes: 0 success, 1 failing check suite, 2 usage error (bad flags,
 unreadable state file, or a method/state combination that cannot run).
@@ -10,9 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import statistics
 import sys
-import time
 
 from . import __version__
 from .core import TruncationError
@@ -71,17 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--tol", type=float, default=None,
                     help="override every check tolerance in the suite")
 
-    be = sub.add_parser("bench", help="compare evaluation methods on one grid")
-    _add_common_state_flags(be)
-    be.add_argument("--grid-size", type=int, required=True, help="points per axis")
-    be.add_argument("--methods", required=True, help="comma-separated list of methods")
-    be.add_argument("--repeat", type=int, required=True, help="timing repeats (>= 3)")
-    be.add_argument("--qmin", type=float, default=-3.0)
-    be.add_argument("--qmax", type=float, default=3.0)
-    be.add_argument("--pmin", type=float, default=-3.0)
-    be.add_argument("--pmax", type=float, default=3.0)
-    be.add_argument("--out", default=None, help="output file (default: stdout)")
-    be.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
@@ -118,79 +104,12 @@ def _cmd_check(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _cmd_bench(args) -> int:
-    if args.repeat < 3:
-        print("bargwig bench: --repeat must be at least 3", file=sys.stderr)
-        return 2
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        print("bargwig bench: --methods must name at least one method", file=sys.stderr)
-        return 2
-    for m in methods:
-        if m not in METHODS:
-            print(f"bargwig bench: unknown method {m!r}; choose from {METHODS}", file=sys.stderr)
-            return 2
-    try:
-        state = _load_state(args.state, args.normalize)
-        basis = BasisParams(args.b, args.hbar)
-        qa = GridAxis(args.qmin, args.qmax, args.grid_size)
-        pa = GridAxis(args.pmin, args.pmax, args.grid_size)
-        n_points = args.grid_size**2
-
-        reference = evaluate_grid(state, qa, pa, basis, method="series")
-        rows = []
-        for method in methods:
-            times = []
-            result = None
-            for _ in range(args.repeat):
-                t0 = time.perf_counter()
-                result = evaluate_grid(state, qa, pa, basis, method=method)
-                times.append(time.perf_counter() - t0)
-            median = statistics.median(times)
-            deviation = float(abs(result.values - reference.values).max())
-            rows.append(
-                {
-                    "method": method,
-                    "median_seconds": median,
-                    "seconds_per_point": median / n_points,
-                    "max_deviation_from_series": deviation,
-                }
-            )
-    except _USAGE_ERRORS as exc:
-        print(f"bargwig bench: {exc}", file=sys.stderr)
-        return 2
-
-    if args.format == "json":
-        payload = json.dumps({"grid_size": args.grid_size, "repeat": args.repeat, "results": rows}, indent=2)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
-    else:
-        lines = ["method,median_seconds,seconds_per_point,max_deviation_from_series"]
-        lines += [
-            f"{r['method']},{r['median_seconds']:.17g},{r['seconds_per_point']:.17g},"
-            f"{r['max_deviation_from_series']:.17g}"
-            for r in rows
-        ]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            print(text, end="")
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "eval":
         return _cmd_eval(args)
     if args.command == "check":
         return _cmd_check(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

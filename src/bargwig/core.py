@@ -16,10 +16,13 @@ cross-check route (`--method series-scaled`, the variant-agreement check).
 
 The 1/n! weights make the coefficient vector the Taylor stack of f at z;
 with them the Fock states reproduce the Laguerre closed form exactly.
-Every kernel entry is an associated Laguerre polynomial, so wigner_series
-walks each diagonal of F with the Laguerre recurrence (O(K^2) work, real
-by construction); build_F fills the matrix entry by entry and is the
-reference the tests compare against.
+Every kernel entry is an associated Laguerre polynomial. wigner_series
+takes the Taylor stack along the ray through z, t_k = f^(k)(z) u^k / k!
+with u = z/|z|, built in real arithmetic from each state's closed form,
+runs the Laguerre recurrence on the main diagonal of F only, and steps
+each later diagonal from the one before in the Laguerre index (O(K^2)
+work, real by construction). build_F fills the matrix entry by entry and
+is the reference the tests compare against.
 Closed-form references for Fock and (cross-width) coherent states live here
 as well.
 """
@@ -33,7 +36,7 @@ import numpy as np
 
 from .phase import BasisParams
 from .special import g_kernel, hyp2f0_terminating, laguerre, laguerre_ladder
-from .states import StateSpec, bargmann, derivative_tower, exact_degree
+from .states import StateSpec, _stack, bargmann, derivative_tower, exact_degree
 
 __all__ = [
     "KernelMatrix",
@@ -259,67 +262,65 @@ def _series_sum(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
     O(K^2) real vector operations.
 
     Along the diagonal j = n + a the kernel is G_(n,n+a) = g_n^(a) z^a, where
-    g_n^(a) = n! (-1)^n L_n^(a)(y), y = |z|^2, follows the n!-scaled
-    Laguerre recurrence
+    g_n^(a) = n! (-1)^n L_n^(a)(y), y = |z|^2; the entries below the
+    diagonal are the conjugates. With z = r u, |u| = 1 (u = 1 at z = 0),
+    the stack along the ray t_n = c_n u^n gives
+    z^a conj(c_n) c_(n+a) = r^a conj(t_n) t_(n+a), so the form is
+
+        sum_a w_a r^a sum_n g_n^(a) Re(conj(t_n) t_(n+a)),   w_0 = 1, w_a = 2,
+
+    a sum of real products. states._stack builds t in real arithmetic from
+    each state's closed form, so no per-order rotation is needed here.
+
+    The kernel is stepped in its Laguerre index. Only the a = 0 diagonal
+    runs the three-term recurrence: multiplying
+    (n+1) L_(n+1) = (2n+1+a-y) L_n - (n+a) L_(n-1) by (-1)^(n+1) n! gives
 
         g_(n+1) = (y - (2n+1+a)) g_n - n (n+a) g_(n-1),   g_0 = 1,
 
-    which needs no division. The entries below the diagonal are the
-    conjugates. With z = r u, |u| = 1, and the phase-rotated stack
-    e_n = c_n u^n, z^a conj(c_n) c_(n+a) = r^a conj(e_n) e_(n+a), so the form
-    is
+    with no division. Each later diagonal follows from the one before by
+    L_n^(a) = L_n^(a+1) - L_(n-1)^(a+1) (DLMF section 18.9); multiplying
+    L_n^(a+1) = L_n^(a) + L_(n-1)^(a+1) by n! (-1)^n,
 
-        sum_a w_a r^a sum_n g_n^(a) Re(conj(e_n) e_(n+a)),   w_0 = 1, w_a = 2,
+        g_n^(a+1) = g_n^(a) - n g_(n-1)^(a+1),   g_0^(a+1) = 1.
 
-    a sum of real products; r^a enters once per diagonal, by Horner's rule.
-
-    The powers u^n are built by repeated multiplication and each is divided
-    by its own modulus before use: |u| = 1 holds only to an ulp, and the
-    drift of |u^n| would scale every term of order n alike, which the
-    cancellation in the form of a Fock state turns into lost digits.
+    Taken upward in n, this overwrites diagonal a with diagonal a+1 in
+    place: two vector operations per entry, no division and no new array.
+    r^a is built by running product as a rises.
     """
-    V = derivative_tower(state, zz, K).values
+    t = _stack(state, zz, K, ray=True)
     r = np.abs(zz)
-    u = np.ones_like(zz)
-    np.divide(zz, r, out=u, where=r > 0)
-    er = np.empty(V.shape)
-    ei = np.empty(V.shape)
-    er[0], ei[0] = V[0].real, V[0].imag
-    un = np.ones_like(zz)
-    scale = np.empty(zz.shape)
-    for n in range(1, K + 1):
-        un *= u
-        V[n] *= un
-        np.abs(un, out=scale)
-        scale *= math.factorial(n)
-        np.divide(V[n].real, scale, out=er[n])
-        np.divide(V[n].imag, scale, out=ei[n])
-    del V
-
     y = r * r
-    g = np.empty(er.shape)  # g[n] = g_n^(a) along the current diagonal
+    g = np.empty((K + 1,) + zz.shape)  # g[n] = g_n^(a) along the current diagonal
     g[0] = 1.0
     tmp = np.empty(zz.shape)
+    if K:
+        np.subtract(y, 1.0, out=g[1])
+    for n in range(1, K):
+        np.subtract(y, 2 * n + 1, out=tmp)
+        tmp *= g[n]
+        np.multiply(g[n - 1], n * n, out=g[n + 1])
+        np.subtract(tmp, g[n + 1], out=g[n + 1])
+    # Re(conj(t_n) t_(n+a)) sums the products of the real and of the
+    # imaginary parts: one contraction over n and the part index c
+    total = np.einsum("nk,nck,nck->k", g, t, t)
+
     diag = np.empty(zz.shape)
-    total = np.zeros(zz.shape)
-    for a in range(K, -1, -1):
+    ra = np.ones(zz.shape)  # r^a
+    off = np.zeros(zz.shape)  # sum_{a>=1} r^a (diagonal a)
+    for a in range(1, K + 1):
         m = K + 1 - a
         if m > 1:
-            np.subtract(y, 1 + a, out=g[1])
-        for n in range(1, m - 1):
-            np.subtract(y, 2 * n + 1 + a, out=tmp)
-            tmp *= g[n]
-            np.multiply(g[n - 1], n * (n + a), out=g[n + 1])
-            np.subtract(tmp, g[n + 1], out=g[n + 1])
-        np.einsum("nk,nk,nk->k", g[:m], er[:m], er[a:], out=diag)
-        np.einsum("nk,nk,nk->k", g[:m], ei[:m], ei[a:], out=tmp)
-        diag += tmp
-        if a:
-            total += diag
-            total *= r
-        else:
-            total *= 2.0
-            total += diag
+            g[1] -= 1.0
+        for n in range(2, m):
+            np.multiply(g[n - 1], n, out=tmp)
+            g[n] -= tmp
+        np.einsum("nk,nck,nck->k", g[:m], t[:m], t[a:], out=diag)
+        ra *= r
+        diag *= ra
+        off += diag
+    off *= 2.0
+    total += off
     return total
 
 

@@ -92,15 +92,13 @@ class WignerGrid:
 
     def write_csv(self, path) -> None:
         """Row-major q,p,W lines at 17 significant digits, deterministic."""
-        ps = [f"{p:.17g}," for p in self.p_axis.points.tolist()]
-        with open(path, "w") as fh:
-            fh.write(f"# bargwig v{__version__}\nq,p,W\n")
-            # One write per q-row: as fast as one write of the whole file,
-            # without holding the whole file's text. The row's axis text is
-            # a template, so its W values take one %-format call.
+        # Each row is one bytes template, q-prefix joined to the p-columns,
+        # filled by one %-format call and written in one call.
+        cols = [b""] + [b"%.17g,%%.17g\n" % p for p in self.p_axis.points.tolist()]
+        with open(path, "wb") as fh:
+            fh.write(b"# bargwig v%s\nq,p,W\n" % __version__.encode())
             for q, row in zip(self.q_axis.points.tolist(), self.values):
-                q = f"{q:.17g},"
-                fh.write("".join([f"{q}{p}%.17g\n" for p in ps]) % tuple(row.tolist()))
+                fh.write((b"%.17g," % q).join(cols) % tuple(row.tolist()))
 
     def write_json(self, path, include_timestamp: bool = True) -> None:
         # json.dumps takes the C encoder; json.dump streams through the Python one.
@@ -109,22 +107,20 @@ class WignerGrid:
             fh.write(text + "\n")
 
 
-def _closed_form_rows(state, q_rows, p_pts, basis):
-    qq, pp = np.meshgrid(q_rows, p_pts, indexing="ij")
+def _closed_form_rows(state, q_rows, p_pts, z, basis):
     if isinstance(state, FockState):
-        z = z_from_qp(qq, pp, basis)
         return wigner_closed_fock(state.n, z, basis)
     if isinstance(state, CoherentState):
+        qq, pp = np.meshgrid(q_rows, p_pts, indexing="ij")
         Q, P = qp_from_z(state.u, basis)
         return wigner_closed_coherent_gaussian(Q, P, basis.b, qq, pp, basis.hbar)
     raise ValueError("closed-form evaluation is only available for Fock and coherent states")
 
 
-def _eval_rows(state, q_rows, p_pts, basis, method, order, tol):
-    """Evaluate one block of q-rows against all of p_pts."""
-    qq, pp = np.meshgrid(q_rows, p_pts, indexing="ij")
+def _eval_rows(state, q_rows, p_pts, z, basis, method, order, tol):
+    """Evaluate one block of q-rows against all of p_pts; z holds the
+    block's labels, its rows of the grid's one label array."""
     if method in ("series", "series-scaled"):
-        z = z_from_qp(qq, pp, basis)
         policy = TruncationPolicy(tail_tolerance=tol) if tol else TruncationPolicy()
         if method == "series":
             return wigner_series(state, z, policy=policy, basis=basis, order=order)
@@ -135,25 +131,21 @@ def _eval_rows(state, q_rows, p_pts, basis, method, order, tol):
         out[~origin] = wigner_series(state, z[~origin], policy=policy, variant="scaled", basis=basis, order=order)
         out[origin] = wigner_series(state, z[origin], policy=policy, variant="standard", basis=basis, order=order)
         return out
+    if method == "closed":
+        return _closed_form_rows(state, q_rows, p_pts, z, basis)
     # The oracles take tol as their convergence budget; unset, their default.
     budget = {"tol": tol} if tol else {}
+    out = np.empty(z.shape)
     if method == "config-integral":
-        out = np.empty(qq.shape)
         quad = QuadratureSpec()
-        for i in range(qq.shape[0]):
-            for j in range(qq.shape[1]):
-                out[i, j] = wigner_config_integral(state, qq[i, j], pp[i, j], basis, quad, **budget)
+        for i, j in np.ndindex(z.shape):
+            out[i, j] = wigner_config_integral(state, q_rows[i], p_pts[j], basis, quad, **budget)
         return out
     if method == "phase-integral":
-        out = np.empty(qq.shape)
         quad = QuadratureSpec(domain_halfwidth=DEFAULT_PHASE_HALFWIDTH)
-        for i in range(qq.shape[0]):
-            for j in range(qq.shape[1]):
-                z = z_from_qp(qq[i, j], pp[i, j], basis)
-                out[i, j] = wigner_phase_integral(state, z, basis, quad, **budget)
+        for i, j in np.ndindex(z.shape):
+            out[i, j] = wigner_phase_integral(state, complex(z[i, j]), basis, quad, **budget)
         return out
-    if method == "closed":
-        return _closed_form_rows(state, q_rows, p_pts, basis)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -180,18 +172,19 @@ def evaluate_grid(
 
     q_pts = q_axis.points
     p_pts = p_axis.points
+    # The labels of the whole grid, computed once; each block takes its rows.
+    z = z_from_qp(*np.meshgrid(q_pts, p_pts, indexing="ij"), basis)
 
     order = None
     if method in ("series", "series-scaled"):
         # One truncation order for the whole grid keeps block evaluation
         # identical to a single call.
         policy = TruncationPolicy(tail_tolerance=tol) if tol else TruncationPolicy()
-        qq, pp = np.meshgrid(q_pts, p_pts, indexing="ij")
-        order = choose_truncation(state, z_from_qp(qq, pp, basis), policy)
+        order = choose_truncation(state, z, policy)
 
     rows = max(1, TOWER_BUDGET // (((order or 0) + 1) * len(p_pts)))
     values = np.vstack([
-        _eval_rows(state, q_pts[lo:lo + rows], p_pts, basis, method, order, tol)
+        _eval_rows(state, q_pts[lo:lo + rows], p_pts, z[lo:lo + rows], basis, method, order, tol)
         for lo in range(0, len(q_pts), rows)
     ])
 

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .phase import BasisParams
-from .special import hermite_psi, log_factorial
+from .special import hermite_psi
 
 __all__ = [
     "FockState",
@@ -113,8 +113,7 @@ def overlap(left: StateSpec, right: StateSpec) -> complex:
         return 1.0 + 0.0j if left.n == right.n else 0.0j
     if isinstance(left, FockState) and isinstance(right, CoherentState):
         u = right.u
-        amp = math.exp(-0.5 * abs(u) ** 2 - 0.5 * log_factorial(left.n))
-        return amp * u ** left.n
+        return math.exp(-0.5 * abs(u) ** 2) * ((1 << 60) / _root_factorial(left.n)) * u ** left.n
     if isinstance(left, CoherentState) and isinstance(right, FockState):
         return np.conj(overlap(right, left))
     if isinstance(left, CoherentState) and isinstance(right, CoherentState):
@@ -160,7 +159,7 @@ def bargmann_of_fock(N: int, z):
     if N < 0:
         raise ValueError("Fock index must be non-negative")
     z = np.asarray(z, dtype=complex)
-    val = z ** N * math.exp(-0.5 * log_factorial(N))
+    val = z ** N * ((1 << 60) / _root_factorial(N))
     return val if val.ndim else complex(val)
 
 
@@ -214,27 +213,144 @@ def exact_degree(state: StateSpec) -> Optional[int]:
     raise TypeError(f"unsupported state type: {type(state)}")
 
 
-def _fock_tower(N: int, z: np.ndarray, K: int) -> np.ndarray:
-    # d^k/dz^k [z^N/sqrt(N!)] = sqrt(N!) z^(N-k)/(N-k)!  for k <= N, else 0.
-    # The coefficients come from exact integers: root = floor(sqrt(N!) 2^60),
-    # then one correctly rounded division, with no intermediate float that
-    # could overflow before the coefficient itself does.
-    out = np.zeros((K + 1,) + z.shape, dtype=complex)
-    root = math.isqrt(math.factorial(N) << 120)
-    for k in range(min(N, K) + 1):
-        coeff = root / (math.factorial(N - k) << 60)
-        out[k] = coeff * z ** (N - k)
+def _root_factorial(N: int) -> int:
+    """floor(sqrt(N!) 2^60), from exact integers: any coefficient
+    sqrt(N!)/m or m/sqrt(N!) taken from it by one division of integers is
+    correctly rounded, with no intermediate float that could overflow before
+    the coefficient itself does."""
+    return math.isqrt(math.factorial(N) << 120)
+
+
+def _stack(state: StateSpec, z: np.ndarray, K: int, ray: bool) -> np.ndarray:
+    """s_k = f^(k)(z) w^k / d_k, k = 0..K, at the points of the 1-D array
+    z, built in real arithmetic from the closed forms of the catalog and
+    returned with shape (K+1, 2, len(z)): [k, 0] holds Re s_k, [k, 1] Im s_k.
+    This is the one tower builder:
+
+        ray=False: w = 1, d_k = 1, the derivative tower f^(k)(z);
+        ray=True:  w = u = z/|z| (u = 1 at z = 0), d_k = k!, the Taylor
+                   stack along the ray through z, t_k = f^(k)(z) u^k / k!,
+                   that the series walk consumes.
+
+    With rho = z conj(w) (rho = |z| along the ray, rho = z otherwise):
+
+        fock(N):      s_k = sqrt(N!) / (d_k (N-k)!) w^N rho^(N-k),
+                      along the ray one phase u^N per point times real
+                      powers of r; the coefficients come from exact
+                      integers (_root_factorial);
+        coherent(U):  s_0 = f(z) = exp(conj(U) z - |U|^2/2),
+                      s_k = s_(k-1) conj(U) w d_(k-1)/d_k;
+        superposition sum_m c_m |psi_m>: sum_m conj(c_m) s_k[psi_m].
+
+    u^N is taken by repeated squaring and divided by its modulus, since
+    |u| = 1 only to an ulp. Every per-point phase enters through real
+    products, which round the same at a point whatever the length of the
+    array it sits in.
+    """
+    x, y = z.real, z.imag
+    r = np.abs(z)
+    ur, ui = np.ones(z.shape), np.zeros(z.shape)
+    if ray:
+        np.divide(x, r, out=ur, where=r > 0)
+        np.divide(y, r, out=ui, where=r > 0)
+    out = np.zeros((K + 1, 2) + z.shape)
+    re, im = out[:, 0], out[:, 1]
+    qr, qi, t, s = (np.empty(z.shape) for _ in range(4))
+    terms = state.terms if isinstance(state, Superposition) else ((1.0, state),)
+    for i, (c, member) in enumerate(terms):
+        # conj(c) = a + ib multiplies the member's stack. The first member
+        # writes into the zeroed stack, the others add to it.
+        first = i == 0
+        a, b = c.real, -c.imag
+        if isinstance(member, FockState):
+            # q = conj(c) w^N rho^(N-k), from k = N down
+            N = member.n
+            root = _root_factorial(N)
+            _unit_power(ur, ui, N, qr, qi, t, s)
+            _cmul(qr, qi, a, b, t, s)
+            for k in range(N, -1, -1):
+                if k <= K:
+                    coeff = root / ((math.factorial(N - k) * (math.factorial(k) if ray else 1)) << 60)
+                    if first:
+                        np.multiply(qr, coeff, out=re[k])
+                        np.multiply(qi, coeff, out=im[k])
+                    else:
+                        re[k] += np.multiply(qr, coeff, out=t)
+                        im[k] += np.multiply(qi, coeff, out=t)
+                if not k:
+                    break
+                if ray:
+                    qr *= r
+                    qi *= r
+                else:
+                    _cmul(qr, qi, x, y, t, s)
+        elif isinstance(member, CoherentState):
+            # q = conj(c) f(z), f(z) = e^(Ur x + Ui y - |U|^2/2) e^(i (Ur y - Ui x))
+            Ur, Ui = member.u.real, member.u.imag
+            np.multiply(Ur, y, out=t)
+            t -= np.multiply(Ui, x, out=s)
+            np.cos(t, out=qr)
+            np.sin(t, out=qi)
+            _cmul(qr, qi, a, b, t, s)
+            np.multiply(Ur, x, out=t)
+            t += np.multiply(Ui, y, out=s)
+            t -= 0.5 * (Ur * Ur + Ui * Ui)
+            np.exp(t, out=t)
+            qr *= t
+            qi *= t
+            # s_k = s_(k-1) conj(U) w / (d_k/d_(k-1)), with conj(U) w = wr + i wi
+            wr = Ur * ur + Ui * ui
+            wi = Ur * ui - Ui * ur
+            tr, ti = qr, qi
+            nr, ni = np.empty(z.shape), np.empty(z.shape)
+            for k in range(K + 1):
+                if k:
+                    if first:
+                        nr, ni = re[k], im[k]
+                    np.multiply(tr, wr, out=nr)
+                    nr -= np.multiply(ti, wi, out=t)
+                    np.multiply(tr, wi, out=ni)
+                    ni += np.multiply(ti, wr, out=t)
+                    if ray:
+                        nr /= k
+                        ni /= k
+                    tr, ti, nr, ni = nr, ni, tr, ti
+                if not first:
+                    re[k] += tr
+                    im[k] += ti
+                elif not k:
+                    re[0], im[0] = tr, ti
+        else:
+            raise TypeError(f"unsupported state type: {type(member)}")
     return out
 
 
-def _coherent_tower(U: complex, z: np.ndarray, K: int) -> np.ndarray:
-    # d^k f/dz^k = conj(U)^k f(z)
-    f = np.exp(np.conj(U) * z - 0.5 * abs(U) ** 2)
-    out = np.empty((K + 1,) + z.shape, dtype=complex)
-    out[0] = f
-    for k in range(1, K + 1):
-        out[k] = np.conj(U) * out[k - 1]
-    return out
+def _cmul(xr, xi, yr, yi, t, s) -> None:
+    """x <- x y in real arithmetic, in place; y may be x or a scalar, and
+    t, s are scratch arrays."""
+    np.multiply(xr, yi, out=t)
+    t += np.multiply(xi, yr, out=s)
+    np.multiply(xr, yr, out=s)
+    np.multiply(xi, yi, out=xr)
+    np.subtract(s, xr, out=xr)
+    xi[...] = t
+
+
+def _unit_power(ur, ui, N: int, pr, pi, t, s) -> None:
+    """(pr, pi) <- u^N for |u| = 1, by repeated squaring, divided by its
+    modulus; t and s are scratch arrays."""
+    pr[...] = 1.0
+    pi[...] = 0.0
+    br, bi = ur.copy(), ui.copy()
+    while N:
+        if N & 1:
+            _cmul(pr, pi, br, bi, t, s)
+        N >>= 1
+        if N:
+            _cmul(br, bi, br, bi, t, s)
+    np.hypot(pr, pi, out=t)
+    pr /= t
+    pi /= t
 
 
 def derivative_tower(state: StateSpec, z, K: int) -> BargmannDerivatives:
@@ -242,19 +358,11 @@ def derivative_tower(state: StateSpec, z, K: int) -> BargmannDerivatives:
     if K < 0:
         raise ValueError("tower order must be non-negative")
     z = np.asarray(z, dtype=complex)
-    if isinstance(state, FockState):
-        return BargmannDerivatives(z, _fock_tower(state.n, z, K), exact_degree=state.n)
-    if isinstance(state, CoherentState):
-        return BargmannDerivatives(z, _coherent_tower(state.u, z, K), exact_degree=None)
-    if isinstance(state, Superposition):
-        values = np.zeros((K + 1,) + z.shape, dtype=complex)
-        for c, member in state.terms:
-            member_values = derivative_tower(member, z, K).values
-            member_values *= np.conj(c)
-            values += member_values
-            del member_values  # one member's tower alive at a time
-        return BargmannDerivatives(z, values, exact_degree=exact_degree(state))
-    raise TypeError(f"unsupported state type: {type(state)}")
+    s = _stack(state, z.reshape(-1), K, ray=False)
+    values = np.empty((K + 1, z.size), dtype=complex)
+    values.real = s[:, 0]
+    values.imag = s[:, 1]
+    return BargmannDerivatives(z, values.reshape((K + 1,) + z.shape), exact_degree=exact_degree(state))
 
 
 def position_wavefunction(state: StateSpec, y, basis: BasisParams):

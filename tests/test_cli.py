@@ -60,3 +60,9 @@ def test_consecutive_calls_each_honor_their_own_flags(state_file, tmp_path):
     assert (grid["q_axis"]["count"], grid["p_axis"]["count"]) == (3, 4)
     assert grid["metadata"]["method"] == "closed"
     assert "timestamp" not in grid["metadata"]
+
+
+def test_bench_subcommand_is_gone(state_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--state", state_file, "--grid-size", "8", "--methods", "series", "--repeat", "3"])
+    assert exc.value.code == 2

@@ -5,6 +5,7 @@ import pytest
 
 from bargwig.core import (
     KernelMatrix,
+    _series_sum,
     _tail_estimate,
     TruncationError,
     TruncationPolicy,
@@ -282,6 +283,29 @@ class TestDefaultPathRegressions:
             got = wigner_series(state, z_from_qp(q, p, basis), basis=basis)
             want = wigner_config_integral(state, q, p, basis)
             assert abs(got - want) * math.pi * basis.hbar <= 1e-6
+
+
+class TestSteppedWalk:
+    """_series_sum steps the kernel in its Laguerre index; the form must be
+    conj(c)^T F c with F from build_F, entry by entry."""
+
+    STATES = [
+        CoherentState(0.7 - 0.4j),
+        cat_state(1.1),
+        superposition([(0.6, FockState(2)), (0.8j, FockState(7))]),
+        superposition([(0.6, CoherentState(-0.3 + 1.2j)), (0.8j, FockState(5))], normalize=True),
+    ]
+
+    @pytest.mark.parametrize("state", STATES, ids=["coherent", "cat1.1", "fock-pair", "mixed"])
+    @pytest.mark.parametrize("K", [0, 1, 2, 7, 18, 30])
+    def test_equals_build_F_form(self, state, K):
+        rng = np.random.default_rng(RNG_SEED + K)
+        points = [0j] + [complex(*rng.uniform(-2.2, 2.2, 2)) for _ in range(3)]
+        walk = _series_sum(state, np.array(points), K)
+        for z, got in zip(points, walk):
+            c = derivative_tower(state, z, K).values / np.array([math.factorial(k) for k in range(K + 1)])
+            terms = np.conj(c)[:, None] * build_F(z, K).entries * c[None, :]
+            assert abs(got - terms.sum().real) <= 1e-13 * np.abs(terms).sum()
 
 
 class TestTruncationBound:

@@ -100,7 +100,15 @@ class TestBlocks:
 
 
 class TestScaledAtOrigin:
-    @pytest.mark.parametrize("state", [FockState(1), CoherentState(0.7 - 0.4j)], ids=["fock1", "coherent"])
+    """The origin is a one-point call inside the scaled grid and one point
+    of a block in the series grid; the two must agree bitwise."""
+
+    @pytest.mark.parametrize("state", [
+        FockState(1),
+        CoherentState(0.7 - 0.4j),
+        cat_state(1.1),
+        superposition([(1 / math.sqrt(2), FockState(0)), (1j / math.sqrt(2), FockState(1))]),
+    ], ids=["fock1", "coherent", "cat1.1", "fock0+i*fock1"])
     def test_scaled_grid_through_origin_matches_series(self, state):
         axis = GridAxis(-3.0, 3.0, 61)
         assert axis.points[30] == 0.0

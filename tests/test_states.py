@@ -6,6 +6,7 @@ import pytest
 
 from bargwig.phase import BasisParams
 from bargwig.states import (
+    _stack,
     CoherentState,
     FockState,
     Superposition,
@@ -67,6 +68,62 @@ class TestBargmannFunctions:
         assert bargmann(st, z) == pytest.approx(
             0.6 * bargmann_of_fock(0, z) - 0.8j * bargmann_of_fock(2, z)
         )
+
+
+class TestExactNormalization:
+    @pytest.mark.parametrize("N", [20, 100, 170])
+    def test_fock_normalization_to_an_ulp(self, N):
+        # f(1) = 1/sqrt(N!): the exact value lies within one ulp of it
+        v = bargmann_of_fock(N, 1.0).real
+        exact_sq = Fraction(1, math.factorial(N))
+        assert Fraction(v - math.ulp(v)) ** 2 <= exact_sq <= Fraction(v + math.ulp(v)) ** 2
+
+    @pytest.mark.parametrize("N", [5, 40])
+    def test_fock_coherent_overlap_against_mpmath(self, N):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        u = 1.3 - 0.6j
+        U = mpmath.mpc(u)
+        want = complex(mpmath.exp(-abs(U) ** 2 / 2) * U**N / mpmath.sqrt(mpmath.factorial(N)))
+        got = overlap(FockState(N), CoherentState(u))
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+class TestRayStack:
+    """The stack along the ray, t_k = f^(k)(z) u^k / k! with u = z/|z|
+    (u = 1 at z = 0), against the closed forms."""
+
+    @staticmethod
+    def closed_form(state, z, K):
+        u = z / abs(z) if z else 1.0
+        if isinstance(state, FockState):
+            N = state.n
+            return np.array([
+                math.comb(N, k) / math.sqrt(math.factorial(N)) * z ** (N - k) * u**k if k <= N else 0.0
+                for k in range(K + 1)
+            ])
+        if isinstance(state, CoherentState):
+            f = bargmann_of_coherent(state.u, z)
+            return np.array([f * (np.conj(state.u) * u) ** k / math.factorial(k) for k in range(K + 1)])
+        return sum(np.conj(c) * TestRayStack.closed_form(m, z, K) for c, m in state.terms)
+
+    @pytest.mark.parametrize("state", [
+        FockState(0),
+        FockState(1),
+        FockState(12),
+        FockState(40),
+        CoherentState(0.7 - 0.4j),
+        superposition([(0.6, FockState(3)), (0.8j, CoherentState(-0.5 + 1.1j)), (0.3 - 0.4j, FockState(0))],
+                      normalize=True),
+    ], ids=["fock0", "fock1", "fock12", "fock40", "coherent", "complex-superposition"])
+    def test_matches_closed_form(self, state, K=44):
+        rng = np.random.default_rng(419)
+        z = np.array([0j] + [complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(6)])
+        s = _stack(state, z, K, ray=True)
+        t = s[:, 0] + 1j * s[:, 1]
+        for i, zi in enumerate(z):
+            want = self.closed_form(state, complex(zi), K)
+            assert np.all(np.abs(t[:, i] - want) <= 1e-13 * np.abs(want).max())
 
 
 class TestDerivativeTower:
