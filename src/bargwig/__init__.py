@@ -10,7 +10,7 @@ basis-geometry identities validate it.
 __version__ = "0.1.0"
 
 from .phase import BasisParams, PhasePoint, WirtingerCoefficients, qp_from_z, wirtinger_coefficients, z_from_qp
-from .special import g_kernel, hermite_psi, hyp2f0_terminating, laguerre, log_factorial
+from .special import g_kernel, hermite_psi, hyp2f0_terminating, laguerre
 from .states import (
     BargmannDerivatives,
     CoherentState,
@@ -66,7 +66,6 @@ __all__ = [
     "hermite_psi",
     "hyp2f0_terminating",
     "laguerre",
-    "log_factorial",
     "BargmannDerivatives",
     "CoherentState",
     "FockState",

@@ -1,6 +1,11 @@
 """Rectangular (q, p) Wigner grids: evaluation with any method and CSV/JSON
 serialization.
 
+Both writers format numbers with orjson's shortest round-trip encoder: every
+number in a CSV or JSON file is the shortest text that parses back to the
+identical double. Non-finite values, which that text cannot hold, are
+refused before the file is opened.
+
 Grid evaluation runs in one process over blocks of q-rows. A block holds at
 most TOWER_BUDGET derivative-tower entries, which bounds peak memory at any
 grid size. The truncation order is frozen before the rows are cut and every
@@ -9,7 +14,6 @@ method is pointwise, so the values do not depend on the block size.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -45,6 +49,8 @@ class GridAxis:
     def __post_init__(self):
         if self.count < 2:
             raise ValueError("each grid axis needs at least 2 points")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"axis bounds must be finite, got [{self.lo!r}, {self.hi!r}]")
         if not self.hi > self.lo:
             raise ValueError("axis upper bound must exceed lower bound")
 
@@ -62,13 +68,22 @@ class WignerGrid:
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
 
+    def _at(self, flat: int) -> str:
+        i, j = np.unravel_index(flat, self.values.shape)
+        return f"(q, p) = ({float(self.q_axis.points[i])!r}, {float(self.p_axis.points[j])!r})"
+
+    def _require_finite(self) -> None:
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise ValueError(f"grid contains non-finite W = {float(self.values.flat[bad[0]])!r} at {self._at(bad[0])}")
+
     def validate(self, hbar: float = 1.0) -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid contains non-finite values")
+        self._require_finite()
         bound = 1.0 / (math.pi * hbar) + BOUND_SLACK
-        worst = float(np.max(np.abs(self.values)))
+        flat = int(np.argmax(np.abs(self.values)))
+        worst = abs(float(self.values.flat[flat]))
         if worst > bound:
-            raise ValueError(f"|W| = {worst} exceeds the 1/(pi hbar) bound {bound}")
+            raise ValueError(f"|W| = {worst!r} at {self._at(flat)} exceeds the 1/(pi hbar) bound {bound!r}")
 
     def to_dict(self, include_timestamp: bool = True) -> dict:
         meta = dict(self.metadata)
@@ -91,20 +106,37 @@ class WignerGrid:
         return cls(qa, pa, values, dict(obj.get("metadata", {})))
 
     def write_csv(self, path) -> None:
-        """Row-major q,p,W lines at 17 significant digits, deterministic."""
+        """Row-major q,p,W lines after a two-line header. Every number is the
+        shortest text that parses back to the identical double, so the
+        output is deterministic; non-finite W raises ValueError naming its
+        point, before the file is opened."""
+        self._require_finite()
         # Each row is one bytes template, q-prefix joined to the p-columns,
-        # filled by one %-format call and written in one call.
-        cols = [b""] + [b"%.17g,%%.17g\n" % p for p in self.p_axis.points.tolist()]
+        # filled by one %-format call and written in one call. Formatting
+        # row by row keeps the text of one row alive, not of the grid.
+        cols = [b""] + [p + b",%s\n" for p in _fields(self.p_axis.points)]
         with open(path, "wb") as fh:
             fh.write(b"# bargwig v%s\nq,p,W\n" % __version__.encode())
-            for q, row in zip(self.q_axis.points.tolist(), self.values):
-                fh.write((b"%.17g," % q).join(cols) % tuple(row.tolist()))
+            for q, row in zip(_fields(self.q_axis.points), self.values):
+                fh.write((q + b",").join(cols) % tuple(_fields(row)))
 
     def write_json(self, path, include_timestamp: bool = True) -> None:
-        # json.dumps takes the C encoder; json.dump streams through the Python one.
-        text = json.dumps(self.to_dict(include_timestamp=include_timestamp), sort_keys=True)
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        """to_dict() as one line of JSON with sorted keys, numbers as in
+        write_csv; numpy scalars in metadata are written as numbers."""
+        import orjson  # on first use: `import bargwig` does not pay for it
+
+        self._require_finite()
+        options = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+        text = orjson.dumps(self.to_dict(include_timestamp=include_timestamp), option=options)
+        with open(path, "wb") as fh:
+            fh.write(text)
+
+
+def _fields(values: np.ndarray) -> list:
+    """The shortest round-trip text of each double in a 1-D array, as bytes."""
+    import orjson  # on first use: `import bargwig` does not pay for it
+
+    return orjson.dumps(values.tolist())[1:-1].split(b",")
 
 
 def _closed_form_rows(state, q_rows, p_pts, z, basis):

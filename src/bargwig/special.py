@@ -1,5 +1,5 @@
-"""Scalar special functions: factorial logs, Laguerre/Hermite recurrences,
-the terminating 2F0 series and its singularity-free polynomial companion.
+"""Scalar special functions: Laguerre/Hermite recurrences, the terminating
+2F0 series and its singularity-free polynomial companion.
 
 The 2F0 series and the kernel are both associated Laguerre polynomials, and
 both are evaluated by the one upward recurrence in laguerre_ladder rather
@@ -12,47 +12,16 @@ broadcast elementwise; order arguments are plain non-negative ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "TerminatingHypParams",
-    "log_factorial",
     "laguerre",
     "laguerre_ladder",
     "hyp2f0_terminating",
     "g_kernel",
     "hermite_psi",
 ]
-
-
-@dataclass(frozen=True)
-class TerminatingHypParams:
-    """Parameters of the terminating 2F0(-n, -j; ; x) series.
-
-    Both upper parameters are non-positive integers, so the series has
-    exactly min(n, j) + 1 terms.
-    """
-
-    n: int
-    j: int
-    x: float
-
-    def __post_init__(self):
-        if self.n < 0 or self.j < 0:
-            raise ValueError("series orders must be non-negative")
-
-    @property
-    def term_count(self) -> int:
-        return min(self.n, self.j) + 1
-
-
-def log_factorial(n: int) -> float:
-    """ln(n!) for n >= 0, accurate to better than 1e-13 relative up to n ~ 200."""
-    if n < 0:
-        raise ValueError("factorial argument must be non-negative")
-    return math.lgamma(n + 1)
 
 
 def laguerre_ladder(m: int, a: int, s, t):
@@ -95,7 +64,9 @@ def hyp2f0_terminating(n: int, j: int, x):
     the alternating sum's cancellation and without dividing by x, so x = 0
     (where the value is 1) needs no special case.
     """
-    m = TerminatingHypParams(n, j, 0.0).term_count - 1
+    if n < 0 or j < 0:
+        raise ValueError("series orders must be non-negative")
+    m = min(n, j)
     x = np.asarray(x, dtype=float)
     out = float(math.factorial(m)) * _last(laguerre_ladder(m, abs(n - j), x, -1.0))
     return out if out.ndim else float(out)

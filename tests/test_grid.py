@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,22 +13,47 @@ from bargwig.phase import BasisParams, z_from_qp
 from bargwig.states import CoherentState, FockState, cat_state, superposition
 
 SUP4 = superposition([(0.5, FockState(n)) for n in range(4)])
+EDGE_VALUES = np.array([[0.0, -0.0, 1e-300], [-5e-324, 0.1 + 0.2, -1 / 3], [math.pi, 1e22, -2.5e-17]])
 
 
-def reference_csv(g: WignerGrid) -> str:
-    """The per-point formatter the bulk writer replaced."""
-    lines = [f"# bargwig v{__version__}", "q,p,W"]
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def significant_digits(text: str) -> int:
+    mantissa = text.lstrip("-").lower().split("e")[0].replace(".", "")
+    return len(mantissa.lstrip("0").rstrip("0"))
+
+
+def assert_shortest_round_trip(text: str, value: float):
+    """text parses back to value bitwise, in no more significant digits
+    than repr, Python's shortest round-trip formatter, gives."""
+    assert bits(float(text)) == bits(value), (text, value)
+    assert significant_digits(text) <= significant_digits(repr(float(value))), (text, value)
+
+
+def assert_csv_contract(g: WignerGrid, text: str):
+    lines = text.splitlines()
+    assert lines[:2] == [f"# bargwig v{__version__}", "q,p,W"]
+    assert len(lines) == 2 + g.values.size
+    rows = iter(lines[2:])
     for i, q in enumerate(g.q_axis.points):
         for j, p in enumerate(g.p_axis.points):
-            lines.append(f"{q:.17g},{p:.17g},{g.values[i, j]:.17g}")
-    return "".join(line + "\n" for line in lines)
+            for field, value in zip(next(rows).split(","), (q, p, g.values[i, j]), strict=True):
+                assert_shortest_round_trip(field, value)
 
 
-def reference_json(g: WignerGrid, include_timestamp: bool) -> str:
-    """json.dump of the grid with numpy-scalar rows, as written before."""
-    obj = g.to_dict(include_timestamp=include_timestamp)
-    obj["values"] = [list(row) for row in g.values]
-    return json.dumps(obj, sort_keys=True) + "\n"
+def assert_json_contract(g: WignerGrid, text: str, include_timestamp: bool = True):
+    numbers = []
+    obj = json.loads(text, parse_float=lambda s: numbers.append(s) or float(s))
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert obj == g.to_dict(include_timestamp=include_timestamp)
+    assert list(obj) == sorted(obj) and list(obj["metadata"]) == sorted(obj["metadata"])
+    assert np.array_equal(bits(obj["values"]), bits(g.values))
+    for axis, key in ((g.q_axis, "q_axis"), (g.p_axis, "p_axis")):
+        assert bits([obj[key]["min"], obj[key]["max"]]).tolist() == bits([axis.lo, axis.hi]).tolist()
+    for s in numbers:
+        assert significant_digits(s) <= significant_digits(repr(float(s))), s
 
 
 @pytest.fixture(scope="module")
@@ -36,24 +62,62 @@ def sup4_grid():
 
 
 class TestWriters:
+    """Every number either writer emits is the shortest text that parses
+    back to the identical double: it matches repr, the per-point shortest
+    formatter, in value and in digit count. JSON holds what json.dump of
+    to_dict() holds."""
+
     def test_csv_matches_per_point_formatter(self, sup4_grid, tmp_path):
         path = tmp_path / "w.csv"
         sup4_grid.write_csv(path)
-        assert path.read_text() == reference_csv(sup4_grid)
+        assert_csv_contract(sup4_grid, path.read_text())
 
     def test_csv_formats_edge_values_like_per_point_formatter(self, tmp_path):
-        values = np.array([[0.0, -0.0, 1e-300], [-5e-324, 0.1 + 0.2, -1 / 3], [math.pi, 1e22, -2.5e-17]])
-        g = WignerGrid(GridAxis(-0.1, 0.7, 3), GridAxis(-1e-9, 3.0, 3), values)
+        g = WignerGrid(GridAxis(-0.1, 0.7, 3), GridAxis(-1e-9, 3.0, 3), EDGE_VALUES)
         path = tmp_path / "w.csv"
         g.write_csv(path)
-        assert path.read_text() == reference_csv(g)
+        text = path.read_text()
+        assert_csv_contract(g, text)
+        # -1/3 takes 16 digits, not the 17 of '%.17g'
+        assert "-0.3333333333333333\n" in text and ",-0.0\n" in text and ",-5e-324\n" in text
 
     @pytest.mark.parametrize("include_timestamp", [True, False])
     def test_json_matches_json_dump(self, sup4_grid, tmp_path, include_timestamp):
         path = tmp_path / "w.json"
         sup4_grid.write_json(path, include_timestamp=include_timestamp)
-        assert path.read_text() == reference_json(sup4_grid, include_timestamp)
+        assert_json_contract(sup4_grid, path.read_text(), include_timestamp)
         assert ("timestamp" in json.loads(path.read_text())["metadata"]) == include_timestamp
+
+    def test_json_formats_edge_values(self, tmp_path):
+        g = WignerGrid(GridAxis(-0.1, 0.7, 3), GridAxis(-1e-9, 3.0, 3), EDGE_VALUES)
+        path = tmp_path / "w.json"
+        g.write_json(path)
+        assert_json_contract(g, path.read_text())
+
+    def test_json_writes_numpy_scalars_in_metadata(self, tmp_path):
+        g = WignerGrid(GridAxis(0.0, 1.0, 2), GridAxis(0.0, 1.0, 2), np.zeros((2, 2)),
+                       {"b": np.float64(0.7), "K": np.int64(3)})
+        path = tmp_path / "w.json"
+        g.write_json(path)
+        assert json.loads(path.read_text())["metadata"] == {"b": 0.7, "K": 3}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("writer", ["write_csv", "write_json"])
+    def test_writers_refuse_non_finite_before_opening(self, tmp_path, writer, value):
+        values = np.zeros((2, 3))
+        values[0, 2] = value
+        values[1, 0] = math.nan
+        g = WignerGrid(GridAxis(0.0, 1.0, 2), GridAxis(0.0, 1.0, 3), values)
+        path = tmp_path / "w.out"
+        with pytest.raises(ValueError, match=re.escape(f"non-finite W = {value!r} at (q, p) = (0.0, 1.0)")):
+            getattr(g, writer)(path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_axes_refuse_non_finite_bounds(self, lo, hi):
+        # linspace would hand the writers -inf or nan axis points
+        with pytest.raises(ValueError, match="finite"):
+            GridAxis(lo, hi, 3)
 
     def test_json_round_trip(self, sup4_grid, tmp_path):
         path = tmp_path / "w.json"
@@ -143,13 +207,13 @@ class TestValidate:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, value):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite W = {value!r} at (q, p) = (1.0, 0.0)")):
             self._grid(value).validate()
 
     @pytest.mark.parametrize("hbar", [1.0, 0.5])
     def test_rejects_values_above_bound(self, hbar):
         over = -(1.0 / (math.pi * hbar) + 1e-6)
-        with pytest.raises(ValueError, match="bound"):
+        with pytest.raises(ValueError, match=re.escape(f"|W| = {-over!r} at (q, p) = (1.0, 0.0) exceeds the 1/(pi hbar) bound")):
             self._grid(over).validate(hbar)
 
     def test_accepts_the_bound(self):

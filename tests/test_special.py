@@ -5,31 +5,11 @@ import pytest
 from scipy.special import eval_hermite, eval_laguerre, factorial
 
 from bargwig.special import (
-    TerminatingHypParams,
     g_kernel,
     hermite_psi,
     hyp2f0_terminating,
     laguerre,
-    log_factorial,
 )
-
-
-class TestLogFactorial:
-    def test_trivial_values(self):
-        assert log_factorial(0) == 0.0
-        assert log_factorial(1) == 0.0
-
-    def test_ten(self):
-        assert log_factorial(10) == pytest.approx(math.log(3628800), rel=1e-15)
-
-    def test_accuracy_against_exact_integers(self):
-        for n in range(2, 201):
-            exact = math.log(math.factorial(n))
-            assert log_factorial(n) == pytest.approx(exact, rel=1e-13)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            log_factorial(-1)
 
 
 class TestLaguerre:
@@ -60,10 +40,10 @@ class TestLaguerre:
 
 
 class TestHyp2f0Terminating:
-    def test_params_type(self):
-        assert TerminatingHypParams(3, 5, -0.2).term_count == 4
-        with pytest.raises(ValueError):
-            TerminatingHypParams(-1, 0, 0.0)
+    @pytest.mark.parametrize("n, j", [(-1, 0), (0, -1), (-2, 3)])
+    def test_rejects_negative_orders(self, n, j):
+        with pytest.raises(ValueError, match="non-negative"):
+            hyp2f0_terminating(n, j, -0.2)
 
     def test_n_zero_is_one(self):
         for j in (0, 1, 7):
