@@ -31,7 +31,6 @@ from .states import (
     superposition,
 )
 from .core import (
-    KernelMatrix,
     TruncationError,
     TruncationPolicy,
     build_F,
@@ -83,7 +82,6 @@ __all__ = [
     "state_from_json",
     "state_to_json",
     "superposition",
-    "KernelMatrix",
     "TruncationError",
     "TruncationPolicy",
     "build_F",

@@ -18,7 +18,7 @@ The 1/n! weights make the coefficient vector the Taylor stack of f at z;
 with them the Fock states reproduce the Laguerre closed form exactly.
 Every kernel entry is an associated Laguerre polynomial. wigner_series
 takes the Taylor stack along the ray through z, t_k = f^(k)(z) u^k / k!
-with u = z/|z|, built in real arithmetic from each state's closed form,
+with u = z/|z|, built from each state's closed form (states._stack),
 runs the Laguerre recurrence on the main diagonal of F only, and steps
 each later diagonal from the one before in the Laguerre index (O(K^2)
 work, real by construction). build_F fills the matrix entry by entry and
@@ -39,7 +39,6 @@ from .special import g_kernel, hyp2f0_terminating, laguerre, laguerre_ladder
 from .states import StateSpec, _stack, bargmann, derivative_tower, exact_degree
 
 __all__ = [
-    "KernelMatrix",
     "TruncationPolicy",
     "TruncationError",
     "build_F",
@@ -88,25 +87,12 @@ class TruncationPolicy:
             raise ValueError("tail_tolerance must be positive")
 
 
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Kernel matrix of 2F0 values at a fixed point, truncated to order K.
+def build_F(z: complex, K: int, variant: str = "standard") -> np.ndarray:
+    """The (K+1) x (K+1) kernel matrix of 2F0 values at the point z.
 
     The standard variant is Hermitian with g_kernel entries; the scaled
     variant is real-symmetric with bare 2F0 entries.
     """
-
-    z: complex
-    entries: np.ndarray
-    variant: str
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0] - 1
-
-
-def build_F(z: complex, K: int, variant: str = "standard") -> KernelMatrix:
-    """Kernel matrix for orders 0..K at the point z."""
     if K < 0:
         raise ValueError("truncation order must be non-negative")
     z = complex(z)
@@ -117,7 +103,7 @@ def build_F(z: complex, K: int, variant: str = "standard") -> KernelMatrix:
                 val = g_kernel(n, j, z)
                 entries[n, j] = val
                 entries[j, n] = np.conj(val)
-        return KernelMatrix(z, entries, "standard")
+        return entries
     if variant == "scaled":
         if z == 0:
             raise ValueError("scaled variant singular at origin")
@@ -128,7 +114,7 @@ def build_F(z: complex, K: int, variant: str = "standard") -> KernelMatrix:
                 val = hyp2f0_terminating(n, j, x)
                 entries[n, j] = val
                 entries[j, n] = val
-        return KernelMatrix(z, entries, "scaled")
+        return entries
     raise ValueError(f"unknown kernel variant {variant!r}")
 
 
@@ -167,6 +153,25 @@ def _tail_estimate(state: StateSpec, zz: np.ndarray, M: int) -> np.ndarray:
     return np.exp(-1.5 * r * r) * tail
 
 
+def _truncation_sample(state: StateSpec, z) -> np.ndarray:
+    """The points of z at which choose_truncation bounds the tail, in the
+    order of z.ravel(); its docstring describes the sample."""
+    z = np.asarray(z, dtype=complex)
+    zz = z.ravel()
+    if zz.size > 512:
+        idx = set(range(0, zz.size, max(1, zz.size // 512)))
+    else:
+        idx = set(range(zz.size))
+    idx.add(int(np.argmax(np.abs(zz))))
+    if z.ndim == 2:
+        edge = np.arange(zz.size).reshape(z.shape)
+        edge = np.unique(np.concatenate((edge[0], edge[-1], edge[:, 0], edge[:, -1])))
+        idx.add(int(edge[np.argmax(np.abs(bargmann(state, zz[edge])))]))
+    else:
+        idx.add(int(np.argmax(np.abs(bargmann(state, zz)))))
+    return zz[sorted(idx)]
+
+
 def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
     """Truncation order K for the quadratic form at the point(s) z.
 
@@ -174,6 +179,13 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
     exact and max_order does not apply). Otherwise K is the smallest order
     whose omitted part, bounded as below on a sample of the points, meets
     policy.tail_tolerance.
+
+    Sample (_truncation_sample). About 512 points of z at a fixed stride,
+    the point of largest |z| and the point of largest |f|. When z is a 2-D
+    lattice, as evaluate_grid passes it, that last point is sought on the
+    lattice's first and last rows and columns only: f is entire, so by the
+    maximum modulus principle |f| over the window peaks on its boundary. A
+    1-D z, as wigner_series passes it, is scanned in full.
 
     Bound. Along a diagonal the kernel is G_(n,n+a) = n! (-1)^n L_n^(a)(r^2)
     z^a, r = |z| (see _series_sum), and for a, x >= 0 the Laguerre
@@ -228,17 +240,7 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
     if policy.mode == "exact_degree":
         raise ValueError("state has no exact polynomial degree; use an adaptive policy")
 
-    zz = np.asarray(z, dtype=complex).ravel()
-    # Deterministic subsample, always keeping the worst |z| and worst |f|.
-    if zz.size > 512:
-        idx = set(range(0, zz.size, max(1, zz.size // 512)))
-    else:
-        idx = set(range(zz.size))
-    f_all = np.abs(np.atleast_1d(bargmann(state, zz)))
-    idx.add(int(np.argmax(np.abs(zz))))
-    idx.add(int(np.argmax(f_all)))
-    sample = zz[sorted(idx)]
-
+    sample = _truncation_sample(state, z)
     M = policy.max_order
     est = _tail_estimate(state, sample, M)
     est_max = est.max(axis=1)
@@ -269,8 +271,8 @@ def _series_sum(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
 
         sum_a w_a r^a sum_n g_n^(a) Re(conj(t_n) t_(n+a)),   w_0 = 1, w_a = 2,
 
-    a sum of real products. states._stack builds t in real arithmetic from
-    each state's closed form, so no per-order rotation is needed here.
+    a sum of real products. states._stack builds t from each state's
+    closed form, so no per-order rotation is needed here.
 
     The kernel is stepped in its Laguerre index. Only the a = 0 diagonal
     runs the three-term recurrence: multiplying

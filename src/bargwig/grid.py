@@ -37,6 +37,10 @@ BOUND_SLACK = 1e-9
 # q-rows: 1<<18 entries is a 4 MB tower.
 TOWER_BUDGET = 1 << 18
 
+# Buffer of write_csv's file: one text row of a 200-point p-axis is about
+# 12 KB, more than the default buffer, which would write each row unbuffered.
+CSV_BUFFER = 1 << 18
+
 
 @dataclass(frozen=True)
 class GridAxis:
@@ -68,6 +72,11 @@ class WignerGrid:
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        want = (self.q_axis.count, self.p_axis.count)
+        if np.shape(self.values) != want:
+            raise ValueError(f"values of shape {np.shape(self.values)} do not match the axes, which need {want}")
+
     def _at(self, flat: int) -> str:
         i, j = np.unravel_index(flat, self.values.shape)
         return f"(q, p) = ({float(self.q_axis.points[i])!r}, {float(self.p_axis.points[j])!r})"
@@ -86,24 +95,28 @@ class WignerGrid:
             raise ValueError(f"|W| = {worst!r} at {self._at(flat)} exceeds the 1/(pi hbar) bound {bound!r}")
 
     def to_dict(self, include_timestamp: bool = True) -> dict:
+        return self._dict(self.values.tolist(), include_timestamp)
+
+    def _dict(self, values, include_timestamp: bool) -> dict:
         meta = dict(self.metadata)
         if not include_timestamp:
             meta.pop("timestamp", None)
         return {
             "q_axis": {"min": self.q_axis.lo, "max": self.q_axis.hi, "count": self.q_axis.count},
             "p_axis": {"min": self.p_axis.lo, "max": self.p_axis.hi, "count": self.p_axis.count},
-            "values": self.values.tolist(),
+            "values": values,
             "metadata": meta,
         }
+
+    def _doubles(self) -> np.ndarray:
+        """values as the C-contiguous float64 array orjson formats."""
+        return np.ascontiguousarray(self.values, dtype=np.float64)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "WignerGrid":
         qa = GridAxis(obj["q_axis"]["min"], obj["q_axis"]["max"], obj["q_axis"]["count"])
         pa = GridAxis(obj["p_axis"]["min"], obj["p_axis"]["max"], obj["p_axis"]["count"])
-        values = np.asarray(obj["values"], dtype=float)
-        if values.shape != (qa.count, pa.count):
-            raise ValueError("value array does not match the axes")
-        return cls(qa, pa, values, dict(obj.get("metadata", {})))
+        return cls(qa, pa, np.asarray(obj["values"], dtype=float), dict(obj.get("metadata", {})))
 
     def write_csv(self, path) -> None:
         """Row-major q,p,W lines after a two-line header. Every number is the
@@ -115,9 +128,9 @@ class WignerGrid:
         # filled by one %-format call and written in one call. Formatting
         # row by row keeps the text of one row alive, not of the grid.
         cols = [b""] + [p + b",%s\n" for p in _fields(self.p_axis.points)]
-        with open(path, "wb") as fh:
+        with open(path, "wb", buffering=CSV_BUFFER) as fh:
             fh.write(b"# bargwig v%s\nq,p,W\n" % __version__.encode())
-            for q, row in zip(_fields(self.q_axis.points), self.values):
+            for q, row in zip(_fields(self.q_axis.points), self._doubles()):
                 fh.write((q + b",").join(cols) % tuple(_fields(row)))
 
     def write_json(self, path, include_timestamp: bool = True) -> None:
@@ -127,16 +140,17 @@ class WignerGrid:
 
         self._require_finite()
         options = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
-        text = orjson.dumps(self.to_dict(include_timestamp=include_timestamp), option=options)
+        text = orjson.dumps(self._dict(self._doubles(), include_timestamp), option=options)
         with open(path, "wb") as fh:
             fh.write(text)
 
 
 def _fields(values: np.ndarray) -> list:
-    """The shortest round-trip text of each double in a 1-D array, as bytes."""
+    """The shortest round-trip text of each double in a C-contiguous 1-D
+    float64 array, as bytes."""
     import orjson  # on first use: `import bargwig` does not pay for it
 
-    return orjson.dumps(values.tolist())[1:-1].split(b",")
+    return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
 
 
 def _closed_form_rows(state, q_rows, p_pts, z, basis):

@@ -223,9 +223,9 @@ def _root_factorial(N: int) -> int:
 
 def _stack(state: StateSpec, z: np.ndarray, K: int, ray: bool) -> np.ndarray:
     """s_k = f^(k)(z) w^k / d_k, k = 0..K, at the points of the 1-D array
-    z, built in real arithmetic from the closed forms of the catalog and
-    returned with shape (K+1, 2, len(z)): [k, 0] holds Re s_k, [k, 1] Im s_k.
-    This is the one tower builder:
+    z, built from the closed forms of the catalog and returned with shape
+    (K+1, 2, len(z)): [k, 0] holds Re s_k, [k, 1] Im s_k. This is the one
+    tower builder:
 
         ray=False: w = 1, d_k = 1, the derivative tower f^(k)(z);
         ray=True:  w = u = z/|z| (u = 1 at z = 0), d_k = k!, the Taylor
@@ -242,10 +242,23 @@ def _stack(state: StateSpec, z: np.ndarray, K: int, ray: bool) -> np.ndarray:
                       s_k = s_(k-1) conj(U) w d_(k-1)/d_k;
         superposition sum_m c_m |psi_m>: sum_m conj(c_m) s_k[psi_m].
 
-    u^N is taken by repeated squaring and divided by its modulus, since
-    |u| = 1 only to an ulp. Every per-point phase enters through real
-    products, which round the same at a point whatever the length of the
-    array it sits in.
+    The Fock members are built in real arithmetic. u^N is taken by repeated
+    squaring and divided by its modulus, since |u| = 1 only to an ulp.
+
+    A coherent member is carried as one complex vector conj(c) f(z) and
+    stepped by one complex multiply per order, by the scalar conj(U)
+    (ray=False) or by the vector conj(U) u (ray=True). Its real and
+    imaginary parts are copied into the stack, along the ray times 1/k!,
+    correctly rounded from exact integers. numpy rounds a complex product
+    elementwise, by the same instructions at every element, so a point's
+    value does not depend on the length of the array it sits in or on its
+    offset there, and a grid evaluated in blocks stays bitwise equal to one
+    call. The one exception is an in-place product of a length-1 array,
+    which numpy rounds by another loop; the multiply therefore writes into a
+    second buffer. On FMA hardware those instructions round differently
+    from separate real products in about a quarter of the real and of the
+    imaginary parts, so coherent and cat values differ from a
+    real-arithmetic build at roundoff.
     """
     x, y = z.real, z.imag
     r = np.abs(z)
@@ -256,6 +269,7 @@ def _stack(state: StateSpec, z: np.ndarray, K: int, ray: bool) -> np.ndarray:
     out = np.zeros((K + 1, 2) + z.shape)
     re, im = out[:, 0], out[:, 1]
     qr, qi, t, s = (np.empty(z.shape) for _ in range(4))
+    ts = np.empty((2,) + z.shape)
     terms = state.terms if isinstance(state, Superposition) else ((1.0, state),)
     for i, (c, member) in enumerate(terms):
         # conj(c) = a + ib multiplies the member's stack. The first member
@@ -285,41 +299,20 @@ def _stack(state: StateSpec, z: np.ndarray, K: int, ray: bool) -> np.ndarray:
                 else:
                     _cmul(qr, qi, x, y, t, s)
         elif isinstance(member, CoherentState):
-            # q = conj(c) f(z), f(z) = e^(Ur x + Ui y - |U|^2/2) e^(i (Ur y - Ui x))
-            Ur, Ui = member.u.real, member.u.imag
-            np.multiply(Ur, y, out=t)
-            t -= np.multiply(Ui, x, out=s)
-            np.cos(t, out=qr)
-            np.sin(t, out=qi)
-            _cmul(qr, qi, a, b, t, s)
-            np.multiply(Ur, x, out=t)
-            t += np.multiply(Ui, y, out=s)
-            t -= 0.5 * (Ur * Ur + Ui * Ui)
-            np.exp(t, out=t)
-            qr *= t
-            qi *= t
-            # s_k = s_(k-1) conj(U) w / (d_k/d_(k-1)), with conj(U) w = wr + i wi
-            wr = Ur * ur + Ui * ui
-            wi = Ur * ui - Ui * ur
-            tr, ti = qr, qi
-            nr, ni = np.empty(z.shape), np.empty(z.shape)
+            # q_k = conj(c) f(z) (conj(U) w)^k, and s_k = q_k / d_k
+            U = member.u
+            q = np.exp(np.conj(U) * z - 0.5 * abs(U) ** 2) * np.conj(c)
+            step = np.conj(U) * (ur + 1j * ui) if ray else np.conj(U)
+            spare = np.empty_like(q)
             for k in range(K + 1):
                 if k:
-                    if first:
-                        nr, ni = re[k], im[k]
-                    np.multiply(tr, wr, out=nr)
-                    nr -= np.multiply(ti, wi, out=t)
-                    np.multiply(tr, wi, out=ni)
-                    ni += np.multiply(ti, wr, out=t)
-                    if ray:
-                        nr /= k
-                        ni /= k
-                    tr, ti, nr, ni = nr, ni, tr, ti
+                    q, spare = np.multiply(q, step, out=spare), q
+                dest = out[k] if first else ts
+                np.copyto(dest, q.view(float).reshape(-1, 2).T)  # (Re q, Im q)
+                if ray and k > 1:
+                    dest *= 1 / math.factorial(k)
                 if not first:
-                    re[k] += tr
-                    im[k] += ti
-                elif not k:
-                    re[0], im[0] = tr, ti
+                    out[k] += ts
         else:
             raise TypeError(f"unsupported state type: {type(member)}")
     return out

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bargwig.core import (
-    KernelMatrix,
     _series_sum,
     _tail_estimate,
+    _truncation_sample,
     TruncationError,
     TruncationPolicy,
     build_F,
@@ -19,7 +19,7 @@ from bargwig.core import (
 from bargwig.oracles import wigner_config_integral
 from bargwig.phase import BasisParams, qp_from_z, z_from_qp
 from bargwig.special import hyp2f0_terminating
-from bargwig.states import CoherentState, FockState, cat_state, derivative_tower, superposition
+from bargwig.states import CoherentState, FockState, bargmann, cat_state, derivative_tower, superposition
 
 RNG_SEED = 307
 
@@ -36,7 +36,7 @@ CATALOG = [
 def quadratic_form_reference(state, z, variant):
     """V†FV through build_F with explicit Taylor weights; the slow route."""
     deg = choose_truncation(state, z, TruncationPolicy())
-    F = build_F(z, deg, variant).entries
+    F = build_F(z, deg, variant)
     tower = derivative_tower(state, z, deg).values
     weights = np.array([1.0 / math.factorial(k) for k in range(deg + 1)])
     v = tower * weights
@@ -69,17 +69,17 @@ class TestTruncationPolicy:
 class TestBuildF:
     def test_order_zero(self):
         F = build_F(0.3 + 0.2j, 0)
-        assert F.entries.shape == (1, 1)
-        assert F.entries[0, 0] == 1.0 + 0j
-        assert F.order == 0
+        assert F.shape == (1, 1)
+        assert F[0, 0] == 1.0 + 0j
 
     def test_standard_entry_11(self):
         z = 0.8 - 0.5j
         F = build_F(z, 2, "standard")
-        assert F.entries[1, 1] == pytest.approx(abs(z) ** 2 - 1.0)
+        assert F.shape == (3, 3)
+        assert F[1, 1] == pytest.approx(abs(z) ** 2 - 1.0)
 
     def test_standard_at_origin_is_signed_factorial_diagonal(self):
-        F = build_F(0j, 4, "standard").entries
+        F = build_F(0j, 4, "standard")
         for n in range(5):
             for j in range(5):
                 want = (-1.0) ** n * math.factorial(n) if n == j else 0.0
@@ -89,19 +89,19 @@ class TestBuildF:
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(20):
             z = complex(rng.normal(), rng.normal())
-            F = build_F(z, 12, "standard").entries
+            F = build_F(z, 12, "standard")
             assert np.max(np.abs(F - F.conj().T)) <= 1e-14 * max(1.0, np.max(np.abs(F)))
 
     def test_scaled_real_symmetric(self):
         z = 1.7 + 0.6j
         F = build_F(z, 10, "scaled")
-        assert F.entries.dtype == float
-        assert np.array_equal(F.entries, F.entries.T)
+        assert F.dtype == float
+        assert np.array_equal(F, F.T)
 
     def test_scaled_entries_are_2f0_values(self):
         z = 2.0 - 1.0j
         x = -1.0 / abs(z) ** 2
-        F = build_F(z, 6, "scaled").entries
+        F = build_F(z, 6, "scaled")
         for n in range(7):
             for j in range(7):
                 assert F[n, j] == pytest.approx(hyp2f0_terminating(n, j, x), rel=1e-14)
@@ -159,6 +159,55 @@ class TestChooseTruncation:
         k_small = choose_truncation(CoherentState(0.3), 0.5j, pol)
         k_large = choose_truncation(CoherentState(1.5), 2.5j, pol)
         assert k_small < k_large
+
+
+class TestEdgeScan:
+    """On a 2-D lattice choose_truncation takes the largest |f| from the
+    edge rows and columns only (maximum modulus principle); a 1-D z is
+    scanned in full. The two must pick the same point and the same K."""
+
+    @staticmethod
+    def outcome(state, z):
+        try:
+            return choose_truncation(state, z, TruncationPolicy())
+        except TruncationError as err:
+            return ("raises", err.point, err.tail_estimate)
+
+    @staticmethod
+    def lattice(q_lo, q_hi, nq, p_lo, p_hi, np_):
+        qq, pp = np.meshgrid(np.linspace(q_lo, q_hi, nq), np.linspace(p_lo, p_hi, np_), indexing="ij")
+        return z_from_qp(qq, pp, BasisParams())
+
+    @pytest.mark.parametrize("count", [41, 60, 61, 200])
+    @pytest.mark.parametrize("state, K", [(CoherentState(0.7 - 0.4j), 19), (cat_state(1.1), 24)],
+                             ids=["coherent", "cat1.1"])
+    def test_catalog_windows(self, state, K, count):
+        z = self.lattice(-3.0, 3.0, count, -3.0, 3.0, count)
+        assert np.array_equal(_truncation_sample(state, z), _truncation_sample(state, z.ravel()))
+        assert choose_truncation(state, z, TruncationPolicy()) == K
+        assert choose_truncation(state, z.ravel(), TruncationPolicy()) == K
+
+    def test_random_superpositions_on_random_lattices(self):
+        # K is a function of the sample, so equal samples give equal K; K
+        # itself is compared on the first 20 lattices
+        rng = np.random.default_rng(RNG_SEED)
+        for case in range(200):
+            members = int(rng.integers(1, 4))
+            state = superposition(
+                [(complex(*rng.normal(size=2)), CoherentState(complex(*rng.uniform(-1.5, 1.5, 2))))
+                 for _ in range(members)],
+                normalize=True,
+            )
+            q_lo, p_lo = rng.uniform(-4.0, 1.0, 2)
+            q_hi, p_hi = q_lo + rng.uniform(0.2, 4.0), p_lo + rng.uniform(0.2, 4.0)
+            # more than 1024 points, so that the subsample is strided
+            z = self.lattice(q_lo, q_hi, int(rng.integers(33, 121)), p_lo, p_hi, int(rng.integers(33, 121)))
+            f = np.abs(bargmann(state, z))
+            edges = np.concatenate((f[0], f[-1], f[:, 0], f[:, -1]))
+            assert edges.max() == f.max()
+            assert np.array_equal(_truncation_sample(state, z), _truncation_sample(state, z.ravel()))
+            if case < 20:
+                assert self.outcome(state, z) == self.outcome(state, z.ravel())
 
 
 class TestWignerSeries:
@@ -304,7 +353,7 @@ class TestSteppedWalk:
         walk = _series_sum(state, np.array(points), K)
         for z, got in zip(points, walk):
             c = derivative_tower(state, z, K).values / np.array([math.factorial(k) for k in range(K + 1)])
-            terms = np.conj(c)[:, None] * build_F(z, K).entries * c[None, :]
+            terms = np.conj(c)[:, None] * build_F(z, K) * c[None, :]
             assert abs(got - terms.sum().real) <= 1e-13 * np.abs(terms).sum()
 
 
@@ -511,12 +560,3 @@ class TestClosedForms:
             wigner_closed_coherent_gaussian(0, 0, -1.0, 0, 0)
         with pytest.raises(ValueError):
             wigner_closed_coherent_crossb(0j, 0.0, 0j, BasisParams())
-
-
-class TestKernelMatrixType:
-    def test_fields(self):
-        F = build_F(1 + 1j, 3, "standard")
-        assert isinstance(F, KernelMatrix)
-        assert F.z == 1 + 1j
-        assert F.variant == "standard"
-        assert F.order == 3

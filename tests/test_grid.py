@@ -119,6 +119,21 @@ class TestWriters:
         with pytest.raises(ValueError, match="finite"):
             GridAxis(lo, hi, 3)
 
+    @pytest.mark.parametrize("layout", ["float32", "transposed"])
+    @pytest.mark.parametrize("writer", ["write_csv", "write_json"])
+    def test_bytes_do_not_depend_on_the_array_layout(self, sup4_grid, tmp_path, writer, layout):
+        # the writers hand orjson a C-contiguous float64 array, whatever they hold
+        if layout == "float32":
+            values = sup4_grid.values.astype(np.float32)
+        else:
+            values = np.ascontiguousarray(sup4_grid.values.T).T
+            assert not values.flags.c_contiguous
+        paths = []
+        for held in (values, np.array(values, dtype=np.float64, order="C")):
+            paths.append(tmp_path / f"w{len(paths)}")
+            getattr(WignerGrid(sup4_grid.q_axis, sup4_grid.p_axis, held, sup4_grid.metadata), writer)(paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_json_round_trip(self, sup4_grid, tmp_path):
         path = tmp_path / "w.json"
         sup4_grid.write_json(path)
@@ -128,6 +143,22 @@ class TestWriters:
         assert np.array_equal(back.values, sup4_grid.values)
         assert back.metadata == sup4_grid.metadata
         assert back.to_dict() == obj
+
+
+class TestShape:
+    """values must be (q count, p count): a mismatched array would lose
+    rows in write_csv and write JSON that from_dict cannot read back."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 2), (6,), (2, 3, 1)])
+    def test_constructor_names_both_shapes(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"values of shape {shape} do not match the axes, which need (2, 3)")):
+            WignerGrid(GridAxis(0.0, 1.0, 2), GridAxis(0.0, 1.0, 3), np.zeros(shape))
+
+    def test_from_dict_names_both_shapes(self, sup4_grid):
+        obj = sup4_grid.to_dict()
+        obj["values"] = obj["values"][:-1]
+        with pytest.raises(ValueError, match=re.escape("values of shape (12, 7) do not match the axes, which need (13, 7)")):
+            WignerGrid.from_dict(obj)
 
 
 class TestBlocks:

@@ -126,6 +126,56 @@ class TestRayStack:
             assert np.all(np.abs(t[:, i] - want) <= 1e-13 * np.abs(want).max())
 
 
+class TestCoherentTower:
+    """The complex coherent recurrence in both frames, to K = 64, against
+    conj(c) f(z) (conj(U) w)^k / d_k summed over the members in 40-digit
+    arithmetic. The multiplier conj(U) w is taken as float64 rounds it
+    (w = x/r + i y/r along the ray, r = np.abs(z)): raising it to the k-th
+    power multiplies that one rounding by k, which this test leaves to
+    TestRayStack."""
+
+    K = 64
+
+    @pytest.mark.parametrize("state", [
+        CoherentState(0.7 - 0.4j),
+        superposition([(1.0, CoherentState(1.1 + 0.3j)), (0.6 - 0.8j, CoherentState(-1.1 - 0.3j))], normalize=True),
+    ], ids=["coherent", "complex-cat"])
+    @pytest.mark.parametrize("ray", [False, True], ids=["derivative", "ray"])
+    def test_matches_high_precision_recurrence(self, state, ray):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(601)
+        z = np.array([0j] + [complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(12)])
+        s = _stack(state, z, self.K, ray=ray)
+        got = s[:, 0] + 1j * s[:, 1]
+        u = np.array([complex(x / r, y / r) if r else 1.0 for x, y, r in zip(z.real, z.imag, np.abs(z))])
+        terms = state.terms if isinstance(state, Superposition) else ((1.0, state),)
+        with mpmath.workdps(40):
+            for i, zi in enumerate(z):
+                members = []
+                for c, m in terms:
+                    U = mpmath.mpc(m.u)
+                    f = mpmath.exp(mpmath.conj(U) * mpmath.mpc(zi) - abs(U) ** 2 / 2)
+                    step = complex((np.conj(m.u) * u[i:i + 1])[0]) if ray else mpmath.conj(U)
+                    members.append((mpmath.conj(mpmath.mpc(c)) * f, mpmath.mpc(step)))
+                for k in range(self.K + 1):
+                    d = mpmath.factorial(k) if ray else 1
+                    parts = [f * step**k / d for f, step in members]
+                    scale = float(sum(abs(p) for p in parts))
+                    assert abs(got[k, i] - complex(sum(parts))) <= 1e-14 * scale, (zi, k)
+
+    @pytest.mark.parametrize("state", [CoherentState(0.7 - 0.4j), cat_state(1.1)], ids=["coherent", "cat1.1"])
+    @pytest.mark.parametrize("ray", [False, True], ids=["derivative", "ray"])
+    def test_point_does_not_depend_on_its_array(self, state, ray):
+        # a one-point call (the origin of a scaled grid) and short blocks
+        # round as the same points inside a longer array
+        rng = np.random.default_rng(607)
+        z = np.array([0j] + [complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(23)])
+        whole = _stack(state, z, 30, ray=ray)
+        for length in (1, 2, 3, 5):
+            for i in range(len(z) - length + 1):
+                assert np.array_equal(_stack(state, z[i:i + length], 30, ray=ray), whole[:, :, i:i + length])
+
+
 class TestDerivativeTower:
     def test_fock_tower_truncates_at_degree(self):
         tower = derivative_tower(FockState(3), 0.7 + 0.1j, K=5)
