@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import __version__
@@ -38,6 +39,17 @@ def _add_common_state_flags(sub):
     sub.add_argument("--hbar", type=float, default=1.0, help="action scale (default 1)")
 
 
+def _tolerance(text: str) -> float:
+    """--tol: a positive, finite float; argparse exits 2 on anything else."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and reused by every
@@ -56,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--pmax", type=float, required=True)
     ev.add_argument("--np", dest="n_p", type=int, required=True)
     ev.add_argument("--method", choices=METHODS, default="series")
-    ev.add_argument("--tol", type=float, default=None,
+    ev.add_argument("--tol", type=_tolerance, default=None,
                     help="series tail tolerance or oracle convergence budget")
     ev.add_argument("--out", required=True, help="output file path")
     ev.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -65,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ck = sub.add_parser("check", help="run validation suites")
     ck.add_argument("--suite", choices=("all", "series", "oracles", "geometry"), default="all")
-    ck.add_argument("--tol", type=float, default=None,
+    ck.add_argument("--tol", type=_tolerance, default=None,
                     help="override every check tolerance in the suite")
 
     return parser

@@ -69,7 +69,7 @@ class TruncationPolicy:
     mode "adaptive" uses the exact polynomial degree when the state has one
     and a decay-based tail estimate otherwise; mode "exact_degree" insists on
     a polynomial state. tail_tolerance is the absolute bound on the omitted
-    tail in units of the global 1/(pi hbar) scale.
+    tail in units of the global 1/(pi hbar) scale, positive and finite.
     """
 
     mode: str = "adaptive"
@@ -83,8 +83,8 @@ class TruncationPolicy:
             raise ValueError(
                 f"max_order must be between 1 and 170 (n! <= 170! is the float64 limit), got {self.max_order}"
             )
-        if not self.tail_tolerance > 0:
-            raise ValueError("tail_tolerance must be positive")
+        if not (self.tail_tolerance > 0 and math.isfinite(self.tail_tolerance)):
+            raise ValueError(f"tail_tolerance must be positive and finite, got {self.tail_tolerance!r}")
 
 
 def build_F(z: complex, K: int, variant: str = "standard") -> np.ndarray:
@@ -158,18 +158,14 @@ def _truncation_sample(state: StateSpec, z) -> np.ndarray:
     order of z.ravel(); its docstring describes the sample."""
     z = np.asarray(z, dtype=complex)
     zz = z.ravel()
-    if zz.size > 512:
-        idx = set(range(0, zz.size, max(1, zz.size // 512)))
-    else:
-        idx = set(range(zz.size))
-    idx.add(int(np.argmax(np.abs(zz))))
     if z.ndim == 2:
         edge = np.arange(zz.size).reshape(z.shape)
         edge = np.unique(np.concatenate((edge[0], edge[-1], edge[:, 0], edge[:, -1])))
-        idx.add(int(edge[np.argmax(np.abs(bargmann(state, zz[edge])))]))
+        peak = edge[np.argmax(np.abs(bargmann(state, zz[edge])))]
     else:
-        idx.add(int(np.argmax(np.abs(bargmann(state, zz)))))
-    return zz[sorted(idx)]
+        peak = np.argmax(np.abs(bargmann(state, zz)))
+    stride = np.arange(0, zz.size, max(1, zz.size // 512))
+    return zz[np.unique(np.append(stride, (np.argmax(np.abs(zz)), peak)))]
 
 
 def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
@@ -208,12 +204,13 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
     suffix sum of R_m. The sum over j is a convolution of |c| with r^k/k!,
     taken as one array operation per shift k over all sampled points.
 
-    Closure beyond M = policy.max_order. R_m is known up to M; the rest of
-    the tail is closed geometrically. A single ratio R_M / R_(M-1) cannot
-    serve: for a state of definite parity the odd (or even) derivatives
-    vanish at z = 0, so near the origin |V_m| and |c_m| are O(r) at every
-    other m, and the convolution reaches an order of the other parity only
-    through an odd power of r. Consecutive R_m therefore alternate between
+    Closure beyond M. The estimate is built to an order M (see Two tries
+    below): R_m is known up to M, and the rest of the tail is closed
+    geometrically. A single ratio R_M / R_(M-1) cannot serve: for a state
+    of definite parity the odd (or even) derivatives vanish at z = 0, so
+    near the origin |V_m| and |c_m| are O(r) at every other m, and the
+    convolution reaches an order of the other parity only through an odd
+    power of r. Consecutive R_m therefore alternate between
     an O(1) and an O(r^2) magnitude (at z = 0, R_m = |V_m|^2/m! is exactly
     0 at every other m), and their ratio says nothing about the decay.
     Each pair sum pi_k = R_(k-1) + R_k holds one even and one odd order, so
@@ -231,8 +228,39 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
     Where rho >= 0.99, or M < 3 leaves no earlier pair, the tail is not
     closable and the estimate is infinite.
 
-    Raises TruncationError, carrying the estimate at M and the sampled point
-    where it is worst, when no K <= M meets the tolerance.
+    Two tries. The estimate is built first to H = C - 2 floor(C/4), about
+    half the cap C = policy.max_order (H = 32 for the default C = 64; the
+    rounding makes C - H even), and to C only if no K <= H meets the
+    tolerance there. Write est_M(K) for the estimate built to M, without
+    the factor e^(-3r^2/2) that every M shares, and B_M = pi_M rho_M /
+    (1 - rho_M) for its closure. For K <= H,
+
+        est_H(K) - est_C(K) = B_H - (sum_{H<m<=C} R_m + B_C).
+
+    Let C = H + 2j and rho = rho_H. If the ratio of successive pair sums
+    does not grow beyond H (the closure's assumption, taken at H), then
+    pi_(H+2i) <= pi_H rho^i for i >= 1 and rho_C <= rho, so
+
+        sum_{H<m<=C} R_m = sum_{i=1..j} pi_(H+2i) <= pi_H (rho + ... + rho^j),
+        B_C <= pi_H rho^j rho / (1 - rho) = pi_H (rho^(j+1) + rho^(j+2) + ...),
+
+    and the two together are at most pi_H rho / (1 - rho) = B_H (with
+    rho >= 0.99, B_H is infinite). Hence est_H(K) >= est_C(K) at every
+    sampled point and every K <= H, up to rounding: an order that meets the
+    tolerance at the first try meets it at the cap, so the first try never
+    returns a K below the cap's K. It returns a larger K only where B_H
+    overstates the tail beyond H by more than the margin left at the cap's
+    K; on the catalog lattices, coherent states out to |U| = 3 and
+    superpositions with a weak far member (K from 20 to 61), the two agree
+    (tests/test_core.py, TestTwoTrySearch). The first try costs about half
+    of the one at the cap: the tower grows as M and the convolution as M^2,
+    but both carry a fixed cost per order. When no K <= H meets the
+    tolerance, as when K > H, the call pays both tries, about 1.5 times the
+    cost of the cap's try alone. The last try is always at the cap, so
+    TruncationError reports the cap's estimate.
+
+    Raises TruncationError, carrying the estimate at C and the sampled point
+    where it is worst, when no K <= C meets the tolerance.
     """
     deg = exact_degree(state)
     if deg is not None:
@@ -242,20 +270,22 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
 
     sample = _truncation_sample(state, z)
     M = policy.max_order
-    est = _tail_estimate(state, sample, M)
-    est_max = est.max(axis=1)
-    meets = np.nonzero(est_max <= policy.tail_tolerance)[0]
-    if meets.size == 0:
-        worst = int(np.argmax(est[M]))
-        point = complex(sample[worst])
-        raise TruncationError(
-            f"adaptive truncation did not reach tail tolerance {policy.tail_tolerance:g} "
-            f"by max_order {M}: at z = {point:.6g} (|z| = {abs(point):.6g}) the tail "
-            f"estimate is {est_max[M]:.3g}",
-            tail_estimate=float(est_max[M]),
-            point=point,
-        )
-    return int(meets[0])
+    H = M - 2 * (M // 4)
+    for cap in (H, M) if 3 <= H < M else (M,):
+        est = _tail_estimate(state, sample, cap)
+        est_max = est.max(axis=1)
+        meets = np.nonzero(est_max <= policy.tail_tolerance)[0]
+        if meets.size:
+            return int(meets[0])
+    worst = int(np.argmax(est[M]))
+    point = complex(sample[worst])
+    raise TruncationError(
+        f"adaptive truncation did not reach tail tolerance {policy.tail_tolerance:g} "
+        f"by max_order {M}: at z = {point:.6g} (|z| = {abs(point):.6g}) the tail "
+        f"estimate is {est_max[M]:.3g}",
+        tail_estimate=float(est_max[M]),
+        point=point,
+    )
 
 
 def _series_sum(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:

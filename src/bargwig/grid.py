@@ -165,22 +165,23 @@ def _closed_form_rows(state, q_rows, p_pts, z, basis):
 
 def _eval_rows(state, q_rows, p_pts, z, basis, method, order, tol):
     """Evaluate one block of q-rows against all of p_pts; z holds the
-    block's labels, its rows of the grid's one label array."""
+    block's labels, its rows of the grid's one label array. The series
+    methods take the grid's truncation order, so tol reaches only the
+    oracles here."""
     if method in ("series", "series-scaled"):
-        policy = TruncationPolicy(tail_tolerance=tol) if tol else TruncationPolicy()
         if method == "series":
-            return wigner_series(state, z, policy=policy, basis=basis, order=order)
+            return wigner_series(state, z, basis=basis, order=order)
         # The scaled form is singular only removably at z = 0, where its
         # limit is the standard value.
         origin = z == 0
         out = np.empty(z.shape)
-        out[~origin] = wigner_series(state, z[~origin], policy=policy, variant="scaled", basis=basis, order=order)
-        out[origin] = wigner_series(state, z[origin], policy=policy, variant="standard", basis=basis, order=order)
+        out[~origin] = wigner_series(state, z[~origin], variant="scaled", basis=basis, order=order)
+        out[origin] = wigner_series(state, z[origin], variant="standard", basis=basis, order=order)
         return out
     if method == "closed":
         return _closed_form_rows(state, q_rows, p_pts, z, basis)
     # The oracles take tol as their convergence budget; unset, their default.
-    budget = {"tol": tol} if tol else {}
+    budget = {} if tol is None else {"tol": tol}
     out = np.empty(z.shape)
     if method == "config-integral":
         quad = QuadratureSpec()
@@ -206,15 +207,17 @@ def evaluate_grid(
     """Evaluate W on the lattice q_axis x p_axis with the chosen method.
 
     method is one of METHODS; tol is the series tail tolerance, or the
-    convergence budget of config-integral and phase-integral; None keeps
-    each default. The grid is evaluated in this process, in blocks of q-rows
-    of at most TOWER_BUDGET derivative-tower entries ((K+1) per point, K = 0
-    for the closed forms and the oracles), which are stacked in row-major
-    order.
+    convergence budget of config-integral and phase-integral, positive and
+    finite; None keeps each default. The grid is evaluated in this process,
+    in blocks of q-rows of at most TOWER_BUDGET derivative-tower entries
+    ((K+1) per point, K = 0 for the closed forms and the oracles), which are
+    stacked in row-major order.
     """
     basis = basis or BasisParams()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if tol is not None and not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     q_pts = q_axis.points
     p_pts = p_axis.points
@@ -225,7 +228,7 @@ def evaluate_grid(
     if method in ("series", "series-scaled"):
         # One truncation order for the whole grid keeps block evaluation
         # identical to a single call.
-        policy = TruncationPolicy(tail_tolerance=tol) if tol else TruncationPolicy()
+        policy = TruncationPolicy() if tol is None else TruncationPolicy(tail_tolerance=tol)
         order = choose_truncation(state, z, policy)
 
     rows = max(1, TOWER_BUDGET // (((order or 0) + 1) * len(p_pts)))

@@ -1,14 +1,15 @@
 """Validation suites: closed-form agreement, kernel-variant agreement,
 oracle concordance, marginals/normalization, and the basis-geometry checks.
 
-Each check returns a CheckResult with its residual and tolerance; the CLI
-`check` subcommand serializes them, and the acceptance tests assert them at
-the same tolerances.
+Each check returns a CheckResult with its residual, tolerance and wall
+time; the CLI `check` subcommand serializes them, and the acceptance tests
+assert them at the same tolerances.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,11 +29,16 @@ _SEED = 20260810
 
 @dataclass
 class CheckResult:
+    """One check's outcome. seconds is the wall time from the end of the
+    suite's previous check (or the start of the suite) to this result, so
+    work that two checks share is charged to the first."""
+
     name: str
     passed: bool
     residual: float
     tolerance: float
     detail: str = ""
+    seconds: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -41,11 +47,22 @@ class CheckResult:
             "residual": self.residual,
             "tolerance": self.tolerance,
             "detail": self.detail,
+            "seconds": self.seconds,
         }
 
 
-def _result(name, residual, tolerance, detail="") -> CheckResult:
-    return CheckResult(name, bool(residual <= tolerance), float(residual), float(tolerance), detail)
+class _Results(list):
+    """The CheckResults of one suite, each timed from the one before."""
+
+    def __init__(self):
+        super().__init__()
+        self._since = time.perf_counter()
+
+    def add(self, name, residual, tolerance, detail=""):
+        now = time.perf_counter()
+        self.append(CheckResult(name, bool(residual <= tolerance), float(residual), float(tolerance), detail,
+                                now - self._since))
+        self._since = now
 
 
 def state_window(state: StateSpec, basis: BasisParams, n_widths: float = 6.0):
@@ -115,17 +132,17 @@ def _variant_agreement_residual(n_points: int, r_lo: float, r_hi: float, basis: 
 
 def suite_series(tol_override: Optional[float] = None) -> list[CheckResult]:
     basis = BasisParams()
-    out = []
+    out = _Results()
 
-    tol = tol_override or 1e-10
+    tol = 1e-10 if tol_override is None else tol_override
     res = _fock_agreement_residual(n_max=8, grid_points=21, extent=3.0, basis=basis)
-    out.append(_result("fock-closed-form", res, tol, "fock(0..8), 21x21 grid over [-3,3]^2"))
+    out.add("fock-closed-form", res, tol, "fock(0..8), 21x21 grid over [-3,3]^2")
 
-    tol = tol_override or 1e-9
+    tol = 1e-9 if tol_override is None else tol_override
     res = _variant_agreement_residual(n_points=200, r_lo=0.5, r_hi=4.0, basis=basis)
-    out.append(_result("variant-agreement", res, tol, "standard vs scaled, 200 annulus points"))
+    out.add("variant-agreement", res, tol, "standard vs scaled, 200 annulus points")
 
-    tol = tol_override or 1e-12
+    tol = 1e-12 if tol_override is None else tol_override
     target = -1.0 / math.pi
     phase_quad = QuadratureSpec(nodes=257, domain_halfwidth=14.0)
     values = {
@@ -135,7 +152,7 @@ def suite_series(tol_override: Optional[float] = None) -> list[CheckResult]:
         "closed": wigner_closed_fock(1, 0j, basis),
     }
     res = max(abs(v - target) for v in values.values())
-    out.append(_result("negativity-witness", res, tol, "fock(1) at the origin, four methods"))
+    out.add("negativity-witness", res, tol, "fock(1) at the origin, four methods")
     return out
 
 
@@ -148,9 +165,9 @@ def _probe_points(state: StateSpec, basis: BasisParams, n: int = 7, n_widths: fl
 
 def suite_oracles(tol_override: Optional[float] = None) -> list[CheckResult]:
     basis = BasisParams()
-    out = []
+    out = _Results()
 
-    tol = tol_override or 1e-6
+    tol = 1e-6 if tol_override is None else tol_override
     states = [FockState(n) for n in range(5)] + [CoherentState(0.9 - 1.2j), cat_state(1.0)]
     worst = 0.0
     worst_at = ""
@@ -163,11 +180,9 @@ def suite_oracles(tol_override: Optional[float] = None) -> list[CheckResult]:
             dev = max(abs(w_config - w_series), abs(w_phase - w_series)) * math.pi * basis.hbar
             if dev > worst:
                 worst, worst_at = dev, f"{state_label(state)} at ({q:.2f}, {p:.2f})"
-    out.append(
-        _result("oracle-concordance", worst, tol, f"7x7 probes, units 1/(pi hbar); worst {worst_at}")
-    )
+    out.add("oracle-concordance", worst, tol, f"7x7 probes, units 1/(pi hbar); worst {worst_at}")
 
-    tol = tol_override or 1e-6
+    tol = 1e-6 if tol_override is None else tol_override
     states = [FockState(n) for n in range(4)] + [CoherentState(0.8 + 0.55j)]
     worst_norm = 0.0
     worst_marg = 0.0
@@ -178,17 +193,17 @@ def suite_oracles(tol_override: Optional[float] = None) -> list[CheckResult]:
         marg = marginal_position(grid)
         ref = np.abs(position_wavefunction(state, marg.q, basis)) ** 2
         worst_marg = max(worst_marg, float(np.max(np.abs(marg.density - ref))))
-    out.append(_result("normalization", worst_norm, tol, "201x201 grids over 6 state widths"))
-    out.append(_result("position-marginal", worst_marg, tol, "marginal vs |psi(q)|^2, pointwise"))
+    out.add("normalization", worst_norm, tol, "201x201 grids over 6 state widths")
+    out.add("position-marginal", worst_marg, tol, "marginal vs |psi(q)|^2, pointwise")
     return out
 
 
 def suite_geometry(tol_override: Optional[float] = None) -> list[CheckResult]:
     hbar = 1.0
     U_center = (0.7, -0.4, 1.5)  # Q, P, B
-    out = []
+    out = _Results()
 
-    tol = tol_override or 1e-6
+    tol = 1e-6 if tol_override is None else tol_override
     Q, P, B = U_center
     U = z_from_qp(Q, P, BasisParams(B, hbar))
     worst = 0.0
@@ -199,7 +214,7 @@ def suite_geometry(tol_override: Optional[float] = None) -> list[CheckResult]:
                 point = PhasePoint(float(q), float(p), BasisParams(b, hbar))
                 report = check_identity_crossb(U, B, point, step=1e-3 * b)
                 worst = max(worst, report.max_residual / max(abs(report.lhs), scale))
-    out.append(_result("width-derivative-identity", worst, tol, "5x5x3 scan of (q, p, b)"))
+    out.add("width-derivative-identity", worst, tol, "5x5x3 scan of (q, p, b)")
 
     # second-order convergence of the plain central difference
     point = PhasePoint(1.3, 0.7, BasisParams(1.0, hbar))
@@ -207,18 +222,16 @@ def suite_geometry(tol_override: Optional[float] = None) -> list[CheckResult]:
     r2 = check_identity_crossb(U, B, point, step=1e-2, extrapolate=False).residuals["qp"]
     ratio = r1 / r2 if r2 > 0 else float("inf")
     res = abs(ratio - 4.0)
-    out.append(
-        _result("step-halving-convergence", res, 0.5 if tol_override is None else tol_override,
-                f"residual ratio {ratio:.3f} for steps 2e-2 / 1e-2")
-    )
+    out.add("step-halving-convergence", res, 0.5 if tol_override is None else tol_override,
+            f"residual ratio {ratio:.3f} for steps 2e-2 / 1e-2")
 
-    tol = tol_override or 1e-11
+    tol = 1e-11 if tol_override is None else tol_override
     rng = np.random.default_rng(_SEED)
     worst = 0.0
     for _ in range(100):
         q, p = rng.uniform(-3.0, 3.0, 2)
         worst = max(worst, check_b_independence(Q, P, B, float(q), float(p), 1.0, 2.0, hbar))
-    out.append(_result("b-independence", worst, tol, "100 random points, bases b=1 vs b=2"))
+    out.add("b-independence", worst, tol, "100 random points, bases b=1 vs b=2")
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -66,3 +67,22 @@ def test_bench_subcommand_is_gone(state_file):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--state", state_file, "--grid-size", "8", "--methods", "series", "--repeat", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("command", ["eval", "check"])
+def test_tol_must_be_positive_and_finite(state_file, tmp_path, capsys, command, tol):
+    # --tol 0 once gave the default-tolerance file, and --tol inf K = 0
+    out = tmp_path / "w.csv"
+    args = ["eval", "--state", state_file, *GRID, "--out", str(out)] if command == "eval" else ["check"]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert f"--tol: must be positive and finite, got {tol}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_report_times_each_check(capsys):
+    assert main(["check", "--suite", "series"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks and all(math.isfinite(c["seconds"]) and c["seconds"] >= 0 for c in checks)

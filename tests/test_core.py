@@ -65,6 +65,12 @@ class TestTruncationPolicy:
         with pytest.raises(ValueError):
             TruncationPolicy(**kwargs)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_tail_tolerance_error_names_value(self, tol):
+        # an infinite tolerance once gave K = 0 and a wrong W without error
+        with pytest.raises(ValueError, match=f"positive and finite, got {tol!r}"):
+            TruncationPolicy(tail_tolerance=tol)
+
 
 class TestBuildF:
     def test_order_zero(self):
@@ -161,6 +167,28 @@ class TestChooseTruncation:
         assert k_small < k_large
 
 
+def lattice(q_lo, q_hi, nq, p_lo, p_hi, np_):
+    qq, pp = np.meshgrid(np.linspace(q_lo, q_hi, nq), np.linspace(p_lo, p_hi, np_), indexing="ij")
+    return z_from_qp(qq, pp, BasisParams())
+
+
+def random_superpositions_on_lattices(count=200):
+    """(state, z): superpositions of 1-3 coherent states with random
+    coefficients, each on a random lattice of more than 1024 points, so
+    that the truncation subsample is strided."""
+    rng = np.random.default_rng(RNG_SEED)
+    for _ in range(count):
+        members = int(rng.integers(1, 4))
+        state = superposition(
+            [(complex(*rng.normal(size=2)), CoherentState(complex(*rng.uniform(-1.5, 1.5, 2))))
+             for _ in range(members)],
+            normalize=True,
+        )
+        q_lo, p_lo = rng.uniform(-4.0, 1.0, 2)
+        q_hi, p_hi = q_lo + rng.uniform(0.2, 4.0), p_lo + rng.uniform(0.2, 4.0)
+        yield state, lattice(q_lo, q_hi, int(rng.integers(33, 121)), p_lo, p_hi, int(rng.integers(33, 121)))
+
+
 class TestEdgeScan:
     """On a 2-D lattice choose_truncation takes the largest |f| from the
     edge rows and columns only (maximum modulus principle); a 1-D z is
@@ -173,16 +201,11 @@ class TestEdgeScan:
         except TruncationError as err:
             return ("raises", err.point, err.tail_estimate)
 
-    @staticmethod
-    def lattice(q_lo, q_hi, nq, p_lo, p_hi, np_):
-        qq, pp = np.meshgrid(np.linspace(q_lo, q_hi, nq), np.linspace(p_lo, p_hi, np_), indexing="ij")
-        return z_from_qp(qq, pp, BasisParams())
-
     @pytest.mark.parametrize("count", [41, 60, 61, 200])
     @pytest.mark.parametrize("state, K", [(CoherentState(0.7 - 0.4j), 19), (cat_state(1.1), 24)],
                              ids=["coherent", "cat1.1"])
     def test_catalog_windows(self, state, K, count):
-        z = self.lattice(-3.0, 3.0, count, -3.0, 3.0, count)
+        z = lattice(-3.0, 3.0, count, -3.0, 3.0, count)
         assert np.array_equal(_truncation_sample(state, z), _truncation_sample(state, z.ravel()))
         assert choose_truncation(state, z, TruncationPolicy()) == K
         assert choose_truncation(state, z.ravel(), TruncationPolicy()) == K
@@ -190,24 +213,106 @@ class TestEdgeScan:
     def test_random_superpositions_on_random_lattices(self):
         # K is a function of the sample, so equal samples give equal K; K
         # itself is compared on the first 20 lattices
-        rng = np.random.default_rng(RNG_SEED)
-        for case in range(200):
-            members = int(rng.integers(1, 4))
-            state = superposition(
-                [(complex(*rng.normal(size=2)), CoherentState(complex(*rng.uniform(-1.5, 1.5, 2))))
-                 for _ in range(members)],
-                normalize=True,
-            )
-            q_lo, p_lo = rng.uniform(-4.0, 1.0, 2)
-            q_hi, p_hi = q_lo + rng.uniform(0.2, 4.0), p_lo + rng.uniform(0.2, 4.0)
-            # more than 1024 points, so that the subsample is strided
-            z = self.lattice(q_lo, q_hi, int(rng.integers(33, 121)), p_lo, p_hi, int(rng.integers(33, 121)))
+        for case, (state, z) in enumerate(random_superpositions_on_lattices()):
             f = np.abs(bargmann(state, z))
             edges = np.concatenate((f[0], f[-1], f[:, 0], f[:, -1]))
             assert edges.max() == f.max()
             assert np.array_equal(_truncation_sample(state, z), _truncation_sample(state, z.ravel()))
             if case < 20:
                 assert self.outcome(state, z) == self.outcome(state, z.ravel())
+
+
+def cap_order(state, z, policy=TruncationPolicy()):
+    """K from the tail estimate at policy.max_order alone: the smallest
+    order that meets the tolerance there, or None."""
+    est = _tail_estimate(state, _truncation_sample(state, z), policy.max_order).max(axis=1)
+    meets = np.nonzero(est <= policy.tail_tolerance)[0]
+    return int(meets[0]) if meets.size else None
+
+
+def set_sample(state, z):
+    """_truncation_sample with its index set built as a Python set: the
+    reference for the points and their order."""
+    z = np.asarray(z, dtype=complex)
+    zz = z.ravel()
+    idx = set(range(0, zz.size, max(1, zz.size // 512))) if zz.size > 512 else set(range(zz.size))
+    idx.add(int(np.argmax(np.abs(zz))))
+    if z.ndim == 2:
+        edge = np.arange(zz.size).reshape(z.shape)
+        edge = np.unique(np.concatenate((edge[0], edge[-1], edge[:, 0], edge[:, -1])))
+        idx.add(int(edge[np.argmax(np.abs(bargmann(state, zz[edge])))]))
+    else:
+        idx.add(int(np.argmax(np.abs(bargmann(state, zz)))))
+    return zz[sorted(idx)]
+
+
+class TestTwoTrySearch:
+    """choose_truncation builds its estimate to about max_order / 2 before
+    max_order; the K it returns must be the K of the estimate at max_order
+    alone."""
+
+    @staticmethod
+    def assert_cap_order(state, z):
+        try:
+            got = choose_truncation(state, z, TruncationPolicy())
+        except TruncationError:
+            got = None
+        assert got == cap_order(state, z), state
+
+    @pytest.mark.parametrize("count", [41, 60, 61, 200])
+    @pytest.mark.parametrize("state", [CoherentState(0.7 - 0.4j), cat_state(1.1)], ids=["coherent", "cat1.1"])
+    def test_catalog_lattices(self, state, count):
+        self.assert_cap_order(state, lattice(-3.0, 3.0, count, -3.0, 3.0, count))
+
+    @pytest.mark.parametrize("u, extent", [(0.3, 3.0), (1.0, 3.0), (2.0, 3.0), (3.0, 3.0), (2.5, 6.0), (3.0, 6.0)])
+    def test_coherent_windows(self, u, extent):
+        self.assert_cap_order(CoherentState(u), lattice(-extent, extent, 60, -extent, extent, 60))
+
+    def test_random_superpositions(self):
+        for state, z in random_superpositions_on_lattices():
+            self.assert_cap_order(state, z)
+
+    @pytest.mark.parametrize("beta", [2.0, 2.5, 3.0])
+    def test_weak_far_member(self, beta):
+        # a weak member far out sets K, which runs from 20 to 61 here and so
+        # falls on both sides of max_order // 2 = 32
+        z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
+        orders = []
+        for w in 10.0 ** -np.arange(1, 7):
+            state = superposition([(1.0, CoherentState(0.2)), (w, CoherentState(beta + 0.5j))], normalize=True)
+            self.assert_cap_order(state, z)
+            orders.append(cap_order(state, z))
+        assert orders == sorted(orders, reverse=True) and orders[-1] >= 20 and orders[0] <= 61
+
+    def test_second_try_is_only_paid_past_half_the_cap(self, monkeypatch):
+        import bargwig.core as core
+
+        caps = []
+        estimate = core._tail_estimate
+
+        def recording(state, zz, M):
+            caps.append(M)
+            return estimate(state, zz, M)
+
+        monkeypatch.setattr(core, "_tail_estimate", recording)
+        z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
+        assert choose_truncation(cat_state(1.1), z, TruncationPolicy()) == 24
+        assert caps == [32]
+        caps.clear()
+        assert choose_truncation(CoherentState(3.0), z, TruncationPolicy()) > 32
+        assert caps == [32, 64]
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (511,), (512,), (513,), (1024,), (1025,), (5000,),
+                                       (1, 700), (700, 1), (3, 700), (60, 60), (200, 200)])
+    def test_sample_points_and_order(self, shape):
+        rng = np.random.default_rng(RNG_SEED + 11)
+        z = (rng.uniform(-3.0, 3.0, shape) + 1j * rng.uniform(-3.0, 3.0, shape)).round(1)
+        for state in (CoherentState(0.7 - 0.4j), cat_state(1.1)):
+            assert np.array_equal(_truncation_sample(state, z), set_sample(state, z))
+
+    def test_sample_on_random_lattices(self):
+        for state, z in random_superpositions_on_lattices(50):
+            assert np.array_equal(_truncation_sample(state, z), set_sample(state, z))
 
 
 class TestWignerSeries:

@@ -229,6 +229,25 @@ class TestOracleTolerance:
         evaluate_grid(FockState(6), self.AXIS, self.AXIS, method=method)
 
 
+class TestTolerance:
+    """A given tol is used as given, and one that is not positive and
+    finite is refused by every method."""
+
+    AXIS = GridAxis(-1.0, 1.0, 3)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("method", ["series", "series-scaled", "config-integral", "closed"])
+    def test_refused(self, method, tol):
+        with pytest.raises(ValueError, match=f"positive and finite, got {tol!r}"):
+            evaluate_grid(CoherentState(0.7 - 0.4j), self.AXIS, self.AXIS, method=method, tol=tol)
+
+    def test_series_uses_given_tol(self):
+        state = CoherentState(0.7 - 0.4j)
+        orders = [evaluate_grid(state, self.AXIS, self.AXIS, tol=tol).metadata["truncation_order"]
+                  for tol in (1e-4, None, 1e-14)]
+        assert orders[0] < orders[1] < orders[2]
+
+
 class TestValidate:
     @staticmethod
     def _grid(value):

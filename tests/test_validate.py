@@ -13,3 +13,16 @@ def test_every_check_passes(suite):
     assert results
     failed = [r.to_dict() for r in results if not r.passed]
     assert not failed
+
+
+def test_override_of_zero_reaches_every_check():
+    # an override is used as given, so 0 fails every check with a
+    # positive residual
+    results = suite_series(0.0)
+    assert all(r.tolerance == 0.0 for r in results)
+    assert all(r.passed == (r.residual <= 0.0) for r in results)
+
+
+def test_every_check_is_timed():
+    results = suite_geometry()
+    assert all(r.seconds >= 0 and r.to_dict()["seconds"] == r.seconds for r in results)
