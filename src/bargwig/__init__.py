@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .phase import BasisParams, PhasePoint, WirtingerCoefficients, qp_from_z, wirtinger_coefficients, z_from_qp
 from .special import g_kernel, hermite_psi, hyp2f0_terminating, laguerre
 from .states import (
-    BargmannDerivatives,
     CoherentState,
     FockState,
     StateSpec,
@@ -65,7 +64,6 @@ __all__ = [
     "hermite_psi",
     "hyp2f0_terminating",
     "laguerre",
-    "BargmannDerivatives",
     "CoherentState",
     "FockState",
     "StateSpec",

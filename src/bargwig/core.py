@@ -126,7 +126,7 @@ def _tail_estimate(state: StateSpec, zz: np.ndarray, M: int) -> np.ndarray:
     """est[K, i], K = 0..M: the bound of choose_truncation on the part of
     the form (times exp(-2|z|^2), in units of 1/(pi hbar)) that truncation
     at K omits at the point zz[i]."""
-    absV = np.abs(derivative_tower(state, zz, M).values)
+    absV = np.abs(derivative_tower(state, zz, M))
     r = np.abs(zz)
     absc = absV * _inv_factorials(M).reshape(-1, 1)
 
@@ -158,14 +158,17 @@ def _truncation_sample(state: StateSpec, z) -> np.ndarray:
     order of z.ravel(); its docstring describes the sample."""
     z = np.asarray(z, dtype=complex)
     zz = z.ravel()
+    # Indices scanned for the largest |z| and |f|; a lattice's edge is kept
+    # in ravel order, so a tie resolves to the first index a full scan finds.
+    scan = np.arange(zz.size)
     if z.ndim == 2:
-        edge = np.arange(zz.size).reshape(z.shape)
-        edge = np.unique(np.concatenate((edge[0], edge[-1], edge[:, 0], edge[:, -1])))
-        peak = edge[np.argmax(np.abs(bargmann(state, zz[edge])))]
-    else:
-        peak = np.argmax(np.abs(bargmann(state, zz)))
+        scan = scan.reshape(z.shape)
+        scan = np.unique(np.concatenate((scan[0], scan[-1], scan[:, 0], scan[:, -1])))
+    pts = zz[scan]
+    far = scan[np.argmax(np.abs(pts))]
+    peak = scan[np.argmax(np.abs(bargmann(state, pts)))]
     stride = np.arange(0, zz.size, max(1, zz.size // 512))
-    return zz[np.unique(np.append(stride, (np.argmax(np.abs(zz)), peak)))]
+    return zz[np.unique(np.append(stride, (far, peak)))]
 
 
 def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
@@ -178,10 +181,12 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
 
     Sample (_truncation_sample). About 512 points of z at a fixed stride,
     the point of largest |z| and the point of largest |f|. When z is a 2-D
-    lattice, as evaluate_grid passes it, that last point is sought on the
+    lattice, as evaluate_grid passes it, those two points are sought on the
     lattice's first and last rows and columns only: f is entire, so by the
-    maximum modulus principle |f| over the window peaks on its boundary. A
-    1-D z, as wigner_series passes it, is scanned in full.
+    maximum modulus principle |f| over the window peaks on its boundary,
+    and |z|^2 = q^2/(2 b^2) + b^2 p^2/(2 hbar^2) is convex in (q, p), so it
+    too peaks there. A 1-D z, as wigner_series passes it, is scanned in
+    full.
 
     Bound. Along a diagonal the kernel is G_(n,n+a) = n! (-1)^n L_n^(a)(r^2)
     z^a, r = |z| (see _series_sum), and for a, x >= 0 the Laguerre
@@ -367,7 +372,7 @@ def _scaled_series_sum(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
 
     Singular at z = 0.
     """
-    c = derivative_tower(state, zz, K).values
+    c = derivative_tower(state, zz, K)
     c *= _inv_factorials(K).reshape(-1, 1)
     zpow = np.ones_like(zz)
     for ck in c:

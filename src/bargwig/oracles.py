@@ -87,6 +87,13 @@ def quadrature_nodes(rule: str, nodes: int, halfwidth: float):
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
+def _require_budget(tol: float) -> None:
+    """Refuse a budget that switches the node-doubling check off (inf, nan),
+    passes only equal values (0) or fails on them (negative)."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _config_value(state, q, p, basis, rule, nodes, halfwidth) -> complex:
     y, w = quadrature_nodes(rule, nodes, halfwidth * basis.b)
     left = position_wavefunction(state, q + y / 2.0, basis)
@@ -107,8 +114,9 @@ def wigner_config_integral(
 
     The y-cutoff is quad.domain_halfwidth in units of the basis width b.
     Raises OracleConvergenceError if doubling the node count moves the value
-    by more than 10*tol.
+    by more than 10*tol, and ValueError unless tol is positive and finite.
     """
+    _require_budget(tol)
     quad = quad or QuadratureSpec(domain_halfwidth=DEFAULT_CONFIG_HALFWIDTH)
     coarse = _config_value(state, q, p, basis, quad.rule, quad.nodes, quad.domain_halfwidth)
     fine = _config_value(state, q, p, basis, quad.rule, 2 * quad.nodes + 1, quad.domain_halfwidth)
@@ -147,7 +155,9 @@ def wigner_phase_integral(
     tol: float = 1e-8,
 ) -> float:
     """Phase-space quadrature estimate of W at the label z, integrating the
-    Bargmann product over w = u + iv on [-H, H]^2 with measure du dv / pi."""
+    Bargmann product over w = u + iv on [-H, H]^2 with measure du dv / pi.
+    tol is as in wigner_config_integral."""
+    _require_budget(tol)
     quad = quad or QuadratureSpec(domain_halfwidth=DEFAULT_PHASE_HALFWIDTH)
     coarse = _phase_value(state, z, basis, quad.rule, quad.nodes, quad.domain_halfwidth)
     fine = _phase_value(state, z, basis, quad.rule, 2 * quad.nodes + 1, quad.domain_halfwidth)

@@ -29,7 +29,6 @@ __all__ = [
     "CoherentState",
     "Superposition",
     "StateSpec",
-    "BargmannDerivatives",
     "bargmann_of_fock",
     "bargmann_of_coherent",
     "bargmann",
@@ -185,20 +184,6 @@ def bargmann(state: StateSpec, z):
     raise TypeError(f"unsupported state type: {type(state)}")
 
 
-@dataclass(frozen=True)
-class BargmannDerivatives:
-    """The derivative stack (f, f', ..., f^(K)) of a Bargmann function at z.
-
-    values has shape (K+1,) + shape(z); entry k holds d^k f / dz^k.
-    exact_degree is the polynomial degree when f is a polynomial (all higher
-    derivatives vanish identically), None otherwise.
-    """
-
-    z: np.ndarray
-    values: np.ndarray
-    exact_degree: Optional[int] = None
-
-
 def exact_degree(state: StateSpec) -> Optional[int]:
     """Polynomial degree of the Bargmann function, or None if entire non-polynomial."""
     if isinstance(state, FockState):
@@ -346,8 +331,9 @@ def _unit_power(ur, ui, N: int, pr, pi, t, s) -> None:
     pi /= t
 
 
-def derivative_tower(state: StateSpec, z, K: int) -> BargmannDerivatives:
-    """Exact derivatives d^k f/dz^k for k = 0..K at the point(s) z."""
+def derivative_tower(state: StateSpec, z, K: int) -> np.ndarray:
+    """Exact derivatives d^k f/dz^k for k = 0..K at the point(s) z, as a
+    complex array of shape (K+1,) + shape(z)."""
     if K < 0:
         raise ValueError("tower order must be non-negative")
     z = np.asarray(z, dtype=complex)
@@ -355,7 +341,7 @@ def derivative_tower(state: StateSpec, z, K: int) -> BargmannDerivatives:
     values = np.empty((K + 1, z.size), dtype=complex)
     values.real = s[:, 0]
     values.imag = s[:, 1]
-    return BargmannDerivatives(z, values.reshape((K + 1,) + z.shape), exact_degree=exact_degree(state))
+    return values.reshape((K + 1,) + z.shape)
 
 
 def position_wavefunction(state: StateSpec, y, basis: BasisParams):

@@ -37,7 +37,7 @@ def quadratic_form_reference(state, z, variant):
     """V†FV through build_F with explicit Taylor weights; the slow route."""
     deg = choose_truncation(state, z, TruncationPolicy())
     F = build_F(z, deg, variant)
-    tower = derivative_tower(state, z, deg).values
+    tower = derivative_tower(state, z, deg)
     weights = np.array([1.0 / math.factorial(k) for k in range(deg + 1)])
     v = tower * weights
     if variant == "scaled":
@@ -230,19 +230,22 @@ def cap_order(state, z, policy=TruncationPolicy()):
     return int(meets[0]) if meets.size else None
 
 
-def set_sample(state, z):
-    """_truncation_sample with its index set built as a Python set: the
-    reference for the points and their order."""
+def set_sample(state, z, full_scan=False):
+    """_truncation_sample with its index set built as a Python set and each
+    largest |z| and |f| taken by Python's max, the first index on ties: the
+    reference for the points and their order. On a 2-D z the two maxima are
+    sought on the edge rows and columns, or with full_scan over every point,
+    as a 1-D z is."""
     z = np.asarray(z, dtype=complex)
     zz = z.ravel()
-    idx = set(range(0, zz.size, max(1, zz.size // 512))) if zz.size > 512 else set(range(zz.size))
-    idx.add(int(np.argmax(np.abs(zz))))
-    if z.ndim == 2:
-        edge = np.arange(zz.size).reshape(z.shape)
-        edge = np.unique(np.concatenate((edge[0], edge[-1], edge[:, 0], edge[:, -1])))
-        idx.add(int(edge[np.argmax(np.abs(bargmann(state, zz[edge])))]))
-    else:
-        idx.add(int(np.argmax(np.abs(bargmann(state, zz)))))
+    idx = set(range(0, zz.size, max(1, zz.size // 512)))
+    scan = range(zz.size)
+    if z.ndim == 2 and not full_scan:
+        rows, cols = z.shape
+        scan = sorted(i * cols + j for i in range(rows) for j in range(cols) if i in (0, rows - 1) or j in (0, cols - 1))
+    f = np.abs(bargmann(state, zz))
+    idx.add(max(scan, key=lambda i: (abs(zz[i]), -i)))
+    idx.add(max(scan, key=lambda i: (f[i], -i)))
     return zz[sorted(idx)]
 
 
@@ -313,6 +316,23 @@ class TestTwoTrySearch:
     def test_sample_on_random_lattices(self):
         for state, z in random_superpositions_on_lattices(50):
             assert np.array_equal(_truncation_sample(state, z), set_sample(state, z))
+            assert np.array_equal(_truncation_sample(state, z), set_sample(state, z, full_scan=True))
+
+    @pytest.mark.parametrize("window", [
+        (-3.0, 3.0, 200, -3.0, 3.0, 200),  # four corners tie; the first is index 0
+        (-3.0, 3.0, 61, -3.0, 3.0, 41),
+        (-2.0, 3.0, 60, -3.0, 3.0, 60),  # the two corners at q = 3 tie
+        (-3.0, 2.0, 60, -3.0, 3.0, 60),  # the two corners at q = -3 tie
+        (-3.0, 3.0, 60, -1.0, 3.0, 60),  # the two corners at p = 3 tie
+        (-1.0, 3.0, 45, -2.0, 1.0, 70),  # one corner
+    ])
+    def test_edge_maxima_are_those_of_a_full_scan(self, window):
+        # |z| is convex in (q, p) and |f| obeys the maximum modulus
+        # principle, so on a lattice the edge holds both maxima, tied
+        # corners included, at the first index a scan of every point finds
+        z = lattice(*window)
+        for state in (CoherentState(0.7 - 0.4j), cat_state(1.1), CoherentState(-0.2 + 1.5j)):
+            assert np.array_equal(_truncation_sample(state, z), set_sample(state, z, full_scan=True))
 
 
 class TestWignerSeries:
@@ -457,7 +477,7 @@ class TestSteppedWalk:
         points = [0j] + [complex(*rng.uniform(-2.2, 2.2, 2)) for _ in range(3)]
         walk = _series_sum(state, np.array(points), K)
         for z, got in zip(points, walk):
-            c = derivative_tower(state, z, K).values / np.array([math.factorial(k) for k in range(K + 1)])
+            c = derivative_tower(state, z, K) / np.array([math.factorial(k) for k in range(K + 1)])
             terms = np.conj(c)[:, None] * build_F(z, K) * c[None, :]
             assert abs(got - terms.sum().real) <= 1e-13 * np.abs(terms).sum()
 

@@ -161,6 +161,21 @@ class TestShape:
             WignerGrid.from_dict(obj)
 
 
+def spy_on_blocks(monkeypatch):
+    """Record the shape of the labels of every block that evaluate_grid
+    hands to _eval_rows."""
+    shapes = []
+    eval_rows = grid._eval_rows
+
+    def recording(state, q_rows, p_pts, z, *args):
+        assert z.shape == (len(q_rows), len(p_pts))
+        shapes.append(z.shape)
+        return eval_rows(state, q_rows, p_pts, z, *args)
+
+    monkeypatch.setattr(grid, "_eval_rows", recording)
+    return shapes
+
+
 class TestBlocks:
     @pytest.mark.parametrize("state", [CoherentState(0.7 - 0.4j), cat_state(1.1), SUP4],
                              ids=["coherent", "cat1.1", "sup4"])
@@ -169,17 +184,10 @@ class TestBlocks:
         whole = evaluate_grid(state, q_axis, p_axis)
         K = whole.metadata["truncation_order"]
         # 4 rows per block: 23 rows leave a last block of 3
-        monkeypatch.setattr(grid, "TOWER_BUDGET", 4 * (K + 1) * p_axis.count + K)
-        calls = []
-        eval_rows = grid._eval_rows
-
-        def counting(state, q_rows, *args):
-            calls.append(len(q_rows))
-            return eval_rows(state, q_rows, *args)
-
-        monkeypatch.setattr(grid, "_eval_rows", counting)
+        monkeypatch.setattr(grid, "BLOCK_POINTS", 5 * p_axis.count - 1)
+        shapes = spy_on_blocks(monkeypatch)
         blocked = evaluate_grid(state, q_axis, p_axis)
-        assert calls == [4, 4, 4, 4, 4, 3]
+        assert [rows for rows, _ in shapes] == [4, 4, 4, 4, 4, 3]
 
         qq, pp = np.meshgrid(q_axis.points, p_axis.points, indexing="ij")
         single = wigner_series(state, z_from_qp(qq, pp, BasisParams()), order=K)
@@ -187,11 +195,56 @@ class TestBlocks:
         assert np.array_equal(whole.values, single)
 
     def test_block_holds_at_least_one_row(self, monkeypatch):
-        monkeypatch.setattr(grid, "TOWER_BUDGET", 1)
+        monkeypatch.setattr(grid, "BLOCK_POINTS", 1)
         axis = GridAxis(-1.0, 1.0, 5)
         g = evaluate_grid(FockState(2), axis, axis, method="closed")
         monkeypatch.undo()
         assert np.array_equal(g.values, evaluate_grid(FockState(2), axis, axis, method="closed").values)
+
+    @pytest.mark.parametrize("state", [FockState(0), cat_state(1.1)], ids=["fock0", "cat1.1"])
+    def test_no_block_exceeds_the_point_budget(self, state, monkeypatch):
+        # the block is cut by points whatever K is: 20 rows of 200 points
+        # for K = 0 and K = 24 alike
+        axis = GridAxis(-3.0, 3.0, 200)
+        shapes = spy_on_blocks(monkeypatch)
+        evaluate_grid(state, axis, axis)
+        rows = grid.BLOCK_POINTS // 200
+        assert shapes == [(rows, 200)] * (200 // rows) + [(200 % rows, 200)] * (200 % rows > 0)
+        assert all(r * c <= grid.BLOCK_POINTS for r, c in shapes)
+
+    def test_row_longer_than_the_budget_is_one_block(self, monkeypatch):
+        q_axis, p_axis = GridAxis(-1.0, 1.0, 3), GridAxis(-2.0, 2.0, grid.BLOCK_POINTS + 1)
+        shapes = spy_on_blocks(monkeypatch)
+        g = evaluate_grid(SUP4, q_axis, p_axis)
+        assert shapes == [(1, p_axis.count)] * 3
+        qq, pp = np.meshgrid(q_axis.points, p_axis.points, indexing="ij")
+        assert np.array_equal(g.values, wigner_series(SUP4, z_from_qp(qq, pp, BasisParams()), order=3))
+
+
+class TestTracedPeak:
+    """A series block keeps about 3(K+1) + O(1) doubles per point, the
+    Taylor stack and one kernel diagonal, so with the grid's own arrays (the
+    complex labels and the values, 24 bytes a point) one evaluate_grid at
+    200^2 peaks, as tracemalloc sees numpy's allocations, below
+    24 N + 8 (3(K+1) + 24) BLOCK_POINTS bytes: from 1.9 MB for fock(0) to
+    4.2 MB for cat(1.1)."""
+
+    @pytest.mark.parametrize("state", [FockState(0), FockState(6), FockState(12), CoherentState(0.7 - 0.4j),
+                                       cat_state(1.1), SUP4],
+                             ids=["fock0", "fock6", "fock12", "coherent", "cat1.1", "sup4"])
+    def test_catalog_at_200(self, state):
+        import tracemalloc
+
+        axis = GridAxis(-3.0, 3.0, 200)
+        K = evaluate_grid(state, axis, axis).metadata["truncation_order"]
+        tracemalloc.start()
+        try:
+            evaluate_grid(state, axis, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 24 * axis.count**2 + 8 * (3 * (K + 1) + 24) * grid.BLOCK_POINTS
+        assert peak < bound, (K, peak, bound)
 
 
 class TestScaledAtOrigin:
