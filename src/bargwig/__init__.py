@@ -9,8 +9,8 @@ basis-geometry identities validate it.
 
 __version__ = "0.1.0"
 
-from .phase import BasisParams, PhasePoint, WirtingerCoefficients, qp_from_z, wirtinger_coefficients, z_from_qp
-from .special import g_kernel, hermite_psi, hyp2f0_terminating, laguerre
+from .phase import BasisParams, PhasePoint, qp_from_z, wirtinger_derivatives, z_from_qp
+from .special import g_kernel, hermite_psi, laguerre
 from .states import (
     CoherentState,
     FockState,
@@ -56,13 +56,11 @@ __all__ = [
     "__version__",
     "BasisParams",
     "PhasePoint",
-    "WirtingerCoefficients",
     "qp_from_z",
-    "wirtinger_coefficients",
+    "wirtinger_derivatives",
     "z_from_qp",
     "g_kernel",
     "hermite_psi",
-    "hyp2f0_terminating",
     "laguerre",
     "CoherentState",
     "FockState",

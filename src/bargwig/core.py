@@ -3,16 +3,14 @@
     W(z, z*) = exp(-2|z|^2) / (pi hbar) * sum_{n,j} conj(V_n)/n! F_{n,j} V_j/j!
 
 where V_k = d^k f/dz^k is the Bargmann derivative stack and F collects
-terminating-2F0 kernel values. Two kernel variants are supported:
+the terminating-2F0 kernel values
 
-    standard: F_{n,j} = g_kernel(n, j, z)
-              (= conj(z)^n z^j 2F0(-n,-j;;-1/|z|^2), regular at z = 0)
-    scaled:   F~_{n,j} = 2F0(-n, -j; ; -1/|z|^2) with the z-powers moved
-              into the coefficient vector, z^k V_k / k!  (singular at z = 0)
+    F_{n,j} = g_kernel(n, j, z) = conj(z)^n z^j 2F0(-n, -j; ; -1/|z|^2),
 
-wigner_series evaluates every point with the standard kernel. The scaled
-kernel is the same form written another way; it is kept as an independent
-cross-check route (`--method series-scaled`, the variant-agreement check).
+a polynomial in z and conj(z), regular at z = 0. wigner_series walks these
+entries along their diagonals (below); build_F tabulates them entry by
+entry and is the reference that the tests and validate's
+paper-form-agreement check compare the walk against.
 
 The 1/n! weights make the coefficient vector the Taylor stack of f at z;
 with them the Fock states reproduce the Laguerre closed form exactly.
@@ -21,8 +19,7 @@ takes the Taylor stack along the ray through z, t_k = f^(k)(z) u^k / k!
 with u = z/|z|, built from each state's closed form (states._stack),
 runs the Laguerre recurrence on the main diagonal of F only, and steps
 each later diagonal from the one before in the Laguerre index (O(K^2)
-work, real by construction). build_F fills the matrix entry by entry and
-is the reference the tests compare against.
+work, real by construction).
 Closed-form references for Fock and (cross-width) coherent states live here
 as well.
 """
@@ -35,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase import BasisParams
-from .special import g_kernel, hyp2f0_terminating, laguerre, laguerre_ladder
+from .special import g_kernel, laguerre
 from .states import StateSpec, _stack, bargmann, derivative_tower, exact_degree
 
 __all__ = [
@@ -87,35 +84,19 @@ class TruncationPolicy:
             raise ValueError(f"tail_tolerance must be positive and finite, got {self.tail_tolerance!r}")
 
 
-def build_F(z: complex, K: int, variant: str = "standard") -> np.ndarray:
-    """The (K+1) x (K+1) kernel matrix of 2F0 values at the point z.
-
-    The standard variant is Hermitian with g_kernel entries; the scaled
-    variant is real-symmetric with bare 2F0 entries.
-    """
+def build_F(z: complex, K: int) -> np.ndarray:
+    """The (K+1) x (K+1) Hermitian kernel matrix of g_kernel values at the
+    point z, filled entry by entry: the reference for the walk."""
     if K < 0:
         raise ValueError("truncation order must be non-negative")
     z = complex(z)
-    if variant == "standard":
-        entries = np.empty((K + 1, K + 1), dtype=complex)
-        for n in range(K + 1):
-            for j in range(n, K + 1):
-                val = g_kernel(n, j, z)
-                entries[n, j] = val
-                entries[j, n] = np.conj(val)
-        return entries
-    if variant == "scaled":
-        if z == 0:
-            raise ValueError("scaled variant singular at origin")
-        x = -1.0 / abs(z) ** 2
-        entries = np.empty((K + 1, K + 1), dtype=float)
-        for n in range(K + 1):
-            for j in range(n, K + 1):
-                val = hyp2f0_terminating(n, j, x)
-                entries[n, j] = val
-                entries[j, n] = val
-        return entries
-    raise ValueError(f"unknown kernel variant {variant!r}")
+    entries = np.empty((K + 1, K + 1), dtype=complex)
+    for n in range(K + 1):
+        for j in range(n, K + 1):
+            val = g_kernel(n, j, z)
+            entries[n, j] = val
+            entries[j, n] = np.conj(val)
+    return entries
 
 
 def _inv_factorials(K: int) -> np.ndarray:
@@ -294,7 +275,7 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
 
 
 def _series_sum(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
-    """Quadratic form sum_{n,j<=K} conj(c_n) G_nj c_j of the standard kernel
+    """Quadratic form sum_{n,j<=K} conj(c_n) G_nj c_j of the kernel
     at the points zz, with c_k = V_k/k! the Taylor stack of the state, in
     O(K^2) real vector operations.
 
@@ -361,41 +342,10 @@ def _series_sum(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
     return total
 
 
-def _scaled_series_sum(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
-    """The form of _series_sum with the scaled kernel, the cross-check route.
-
-    z^k moves into the stack, c_k z^k, and the kernel entries are the bare
-    2F0 values n! l_n^(a), l_n^(a) the laguerre_ladder values at
-    (s, t) = (-1/|z|^2, -1), so no phase factor remains:
-
-        sum_n n! |c_n|^2 l_n^(0) + 2 Re sum_{a>=1} sum_n n! conj(c_n) c_(n+a) l_n^(a).
-
-    Singular at z = 0.
-    """
-    c = derivative_tower(state, zz, K)
-    c *= _inv_factorials(K).reshape(-1, 1)
-    zpow = np.ones_like(zz)
-    for ck in c:
-        ck *= zpow
-        zpow = zpow * zz
-    s = -1.0 / (np.conj(zz) * zz).real
-    left = np.conj(c)
-    left *= np.array([float(math.factorial(n)) for n in range(K + 1)]).reshape(-1, 1)
-
-    total = np.zeros(zz.shape)
-    for a in range(K + 1):
-        inner = np.zeros_like(zz)
-        for n, lag in enumerate(laguerre_ladder(K - a, a, s, -1.0)):
-            inner += left[n] * c[n + a] * lag
-        total += (1.0 if a == 0 else 2.0) * inner.real
-    return total
-
-
 def wigner_series(
     state: StateSpec,
     z,
     policy: TruncationPolicy | None = None,
-    variant: str = "standard",
     basis: BasisParams | None = None,
     order: int | None = None,
 ):
@@ -409,10 +359,6 @@ def wigner_series(
         Phase-space label(s), sqrt(2) z = q/b + i b p / hbar.
     policy : TruncationPolicy, optional
         Truncation control; default adaptive with tail 1e-12, cap 64.
-    variant : {"standard", "scaled"}
-        Kernel variant. "standard" is regular everywhere and is the
-        evaluation route. "scaled" is the independent cross-check route; it
-        is singular at z = 0.
     basis : BasisParams, optional
         Supplies hbar for the 1/(pi hbar) normalization.
     order : int, optional
@@ -425,8 +371,6 @@ def wigner_series(
     """
     policy = policy or TruncationPolicy()
     basis = basis or BasisParams()
-    if variant not in ("standard", "scaled"):
-        raise ValueError(f"unknown kernel variant {variant!r}")
 
     z_in = np.asarray(z, dtype=complex)
     zz = z_in.ravel()
@@ -437,13 +381,7 @@ def wigner_series(
             "so K is limited to 170 (n! <= 170!)"
         )
 
-    if variant == "scaled":
-        if np.any(zz == 0):
-            raise ValueError("scaled variant singular at origin")
-        form = _scaled_series_sum(state, zz, K)
-    else:
-        form = _series_sum(state, zz, K)
-
+    form = _series_sum(state, zz, K)
     w = np.exp(-2.0 * (np.conj(zz) * zz).real) / (math.pi * basis.hbar) * form
     w = w.reshape(z_in.shape)
     return w if w.ndim else float(w)

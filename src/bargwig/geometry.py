@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import wigner_closed_coherent_crossb, wigner_closed_coherent_gaussian
-from .phase import BasisParams, PhasePoint, qp_from_z, wirtinger_coefficients, z_from_qp
+from .phase import BasisParams, PhasePoint, qp_from_z, wirtinger_derivatives, z_from_qp
 
 __all__ = ["IdentityReport", "check_identity_crossb", "check_b_independence"]
 
@@ -108,9 +108,7 @@ def check_identity_crossb(
 
     rhs_qp = q * w_q - p * w_p
 
-    wc = wirtinger_coefficients(basis)
-    dw_dz = wc.d_dz(w_q, w_p)
-    dw_dzs = wc.d_dzstar(w_q, w_p)
+    dw_dz, dw_dzs = wirtinger_derivatives(w_q, w_p, basis)
     rhs_z = (z.conjugate() * dw_dz + z * dw_dzs).real
 
     rho = math.hypot(q, p)

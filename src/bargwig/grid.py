@@ -1,6 +1,11 @@
 """Rectangular (q, p) Wigner grids: evaluation with any method and CSV/JSON
 serialization.
 
+The methods are the series (core.wigner_series: the quadratic form with its
+one kernel, walked along its Laguerre diagonals), the two quadrature
+oracles (config-integral and phase-integral) and the Fock and coherent
+closed forms (closed).
+
 Both writers format numbers with orjson's shortest round-trip encoder: every
 number in a CSV or JSON file is the shortest text that parses back to the
 identical double. Non-finite values, which that text cannot hold, are
@@ -35,7 +40,7 @@ from .states import CoherentState, FockState, StateSpec, exact_degree, state_to_
 
 __all__ = ["GridAxis", "WignerGrid", "evaluate_grid", "METHODS"]
 
-METHODS = ("series", "series-scaled", "config-integral", "phase-integral", "closed")
+METHODS = ("series", "config-integral", "phase-integral", "closed")
 
 BOUND_SLACK = 1e-9
 
@@ -172,18 +177,10 @@ def _closed_form_rows(state, q_rows, p_pts, z, basis):
 def _eval_rows(state, q_rows, p_pts, z, basis, method, order, tol):
     """Evaluate one block of q-rows against all of p_pts; z holds the
     block's labels, its rows of the grid's one label array. The series
-    methods take the grid's truncation order, so tol reaches only the
-    oracles here."""
-    if method in ("series", "series-scaled"):
-        if method == "series":
-            return wigner_series(state, z, basis=basis, order=order)
-        # The scaled form is singular only removably at z = 0, where its
-        # limit is the standard value.
-        origin = z == 0
-        out = np.empty(z.shape)
-        out[~origin] = wigner_series(state, z[~origin], variant="scaled", basis=basis, order=order)
-        out[origin] = wigner_series(state, z[origin], variant="standard", basis=basis, order=order)
-        return out
+    takes the grid's truncation order, so tol reaches only the oracles
+    here."""
+    if method == "series":
+        return wigner_series(state, z, basis=basis, order=order)
     if method == "closed":
         return _closed_form_rows(state, q_rows, p_pts, z, basis)
     # The oracles take tol as their convergence budget; unset, their default.
@@ -234,7 +231,7 @@ def evaluate_grid(
     z = z_from_qp(q_pts[:, None], p_pts[None, :], basis)
 
     order = None
-    if method in ("series", "series-scaled"):
+    if method == "series":
         # One truncation order for the whole grid keeps block evaluation
         # identical to a single call.
         policy = TruncationPolicy() if tol is None else TruncationPolicy(tail_tolerance=tol)

@@ -18,6 +18,7 @@ imaginary residual exceeds its budget.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -54,14 +55,15 @@ class OracleConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature rule on [-H, H]: rule name, node count, halfwidth H."""
+    """Quadrature rule on [-H, H]: rule name (Gauss-Legendre, the one rule),
+    node count, halfwidth H."""
 
     rule: str = "gauss_legendre"
     nodes: int = DEFAULT_NODES
     domain_halfwidth: float = DEFAULT_CONFIG_HALFWIDTH
 
     def __post_init__(self):
-        if self.rule not in ("gauss_legendre", "tanh_sinh"):
+        if self.rule != "gauss_legendre":
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
         if self.nodes < 32:
             raise ValueError("at least 32 quadrature nodes required")
@@ -69,22 +71,22 @@ class QuadratureSpec:
             raise ValueError("quadrature halfwidth must be positive")
 
 
+@functools.lru_cache(maxsize=16)
+def _legendre(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per node
+    count and kept read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def quadrature_nodes(rule: str, nodes: int, halfwidth: float):
-    """Nodes and weights on [-halfwidth, halfwidth]."""
-    if rule == "gauss_legendre":
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        return x * halfwidth, w * halfwidth
-    if rule == "tanh_sinh":
-        m = nodes // 2
-        # step chosen so the outermost abscissa sits ~1e-15 from the endpoint
-        t_max = math.asinh(math.atanh(1.0 - 1e-15) * 2.0 / math.pi)
-        h = t_max / m
-        k = np.arange(-m, m + 1) * h
-        u = 0.5 * math.pi * np.sinh(k)
-        x = np.tanh(u)
-        w = h * 0.5 * math.pi * np.cosh(k) / np.cosh(u) ** 2
-        return x * halfwidth, w * halfwidth
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+    """Nodes and weights on [-halfwidth, halfwidth], as new arrays."""
+    if rule != "gauss_legendre":
+        raise ValueError(f"unknown quadrature rule {rule!r}")
+    x, w = _legendre(nodes)
+    return x * halfwidth, w * halfwidth
 
 
 def _require_budget(tol: float) -> None:

@@ -14,10 +14,9 @@ import numpy as np
 __all__ = [
     "BasisParams",
     "PhasePoint",
-    "WirtingerCoefficients",
     "z_from_qp",
     "qp_from_z",
-    "wirtinger_coefficients",
+    "wirtinger_derivatives",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -68,32 +67,12 @@ class PhasePoint:
         object.__setattr__(self, "z", z_from_qp(self.q, self.p, self.basis))
 
 
-@dataclass(frozen=True)
-class WirtingerCoefficients:
-    """Real coefficients expressing d/dz and d/dz* through d/dq and d/dp:
+def wirtinger_derivatives(w_q, w_p, basis: BasisParams):
+    """(dW/dz, dW/dz*) from the real partials (dW/dq, dW/dp), by
 
-        d/dz  = dq_dz * d/dq + i * dp_dz  * d/dp
-        d/dz* = dq_dz * d/dq + i * dp_dzs * d/dp
-
-    with dq_dz = b/sqrt(2), dp_dz = -hbar/(b sqrt(2)), dp_dzs = +hbar/(b sqrt(2)).
+        d/dz  = (b d/dq - i (hbar/b) d/dp) / sqrt(2),
+        d/dz* = (b d/dq + i (hbar/b) d/dp) / sqrt(2).
     """
-
-    dq_dz: float
-    dp_dz: float
-    dq_dzs: float
-    dp_dzs: float
-
-    def d_dz(self, w_q, w_p):
-        """Assemble dW/dz from the real partials (dW/dq, dW/dp)."""
-        return self.dq_dz * w_q + 1j * self.dp_dz * w_p
-
-    def d_dzstar(self, w_q, w_p):
-        """Assemble dW/dz* from the real partials (dW/dq, dW/dp)."""
-        return self.dq_dzs * w_q + 1j * self.dp_dzs * w_p
-
-
-def wirtinger_coefficients(basis: BasisParams) -> WirtingerCoefficients:
-    """Coefficients of d/dz = (b d/dq - i (hbar/b) d/dp)/sqrt(2) and its conjugate."""
-    a = basis.b / _SQRT2
-    c = basis.hbar / (basis.b * _SQRT2)
-    return WirtingerCoefficients(dq_dz=a, dp_dz=-c, dq_dzs=a, dp_dzs=c)
+    along_q = basis.b / _SQRT2 * w_q
+    along_p = 1j * (basis.hbar / (basis.b * _SQRT2)) * w_p
+    return along_q - along_p, along_q + along_p

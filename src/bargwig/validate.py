@@ -1,5 +1,6 @@
-"""Validation suites: closed-form agreement, kernel-variant agreement,
-oracle concordance, marginals/normalization, and the basis-geometry checks.
+"""Validation suites: closed-form agreement, agreement of the series walk
+with the paper's form V^dagger F V, oracle concordance,
+marginals/normalization, and the basis-geometry checks.
 
 Each check returns a CheckResult with its residual, tolerance and wall
 time; the CLI `check` subcommand serializes them, and the acceptance tests
@@ -15,12 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import TruncationPolicy, wigner_closed_coherent_gaussian, wigner_closed_fock, wigner_series
+from .core import TruncationPolicy, build_F, choose_truncation, wigner_closed_fock, wigner_series
 from .geometry import check_b_independence, check_identity_crossb
 from .grid import GridAxis, evaluate_grid
 from .oracles import QuadratureSpec, marginal_position, normalization, wigner_config_integral, wigner_phase_integral
 from .phase import BasisParams, PhasePoint, qp_from_z, z_from_qp
-from .states import CoherentState, FockState, StateSpec, cat_state, position_wavefunction, state_label, superposition
+from .states import (CoherentState, FockState, StateSpec, cat_state, derivative_tower, position_wavefunction,
+                     state_label, superposition)
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "suite_series", "suite_oracles", "suite_geometry"]
 
@@ -116,16 +118,24 @@ def _catalog_degree_le(max_degree: int):
     return states
 
 
-def _variant_agreement_residual(n_points: int, r_lo: float, r_hi: float, basis: BasisParams) -> float:
+def _paper_form_residual(n_points: int, n_used: int, r_lo: float, r_hi: float, basis: BasisParams) -> float:
+    """Largest relative gap between the walk and the paper's form
+    exp(-2|z|^2)/(pi hbar) Re(c^dagger F c), F = build_F(z, K) and
+    c_k = V_k/k!, over the first n_used of n_points seeded annulus points.
+    Both sides take one K, chosen on those points: at different orders they
+    would compare two truncations, not two evaluations of one."""
     rng = np.random.default_rng(_SEED)
     r = rng.uniform(r_lo, r_hi, n_points)
     theta = rng.uniform(0.0, 2.0 * math.pi, n_points)
-    z = r * np.exp(1j * theta)
+    z = (r * np.exp(1j * theta))[:n_used]
     worst = 0.0
     for state in _catalog_degree_le(8):
-        std = wigner_series(state, z, variant="standard", basis=basis)
-        scl = wigner_series(state, z, variant="scaled", basis=basis)
-        rel = np.abs(std - scl) / np.maximum(np.maximum(np.abs(std), np.abs(scl)), 1e-280)
+        K = choose_truncation(state, z, TruncationPolicy())
+        walk = wigner_series(state, z, basis=basis, order=K)
+        c = derivative_tower(state, z, K) / np.array([math.factorial(k) for k in range(K + 1)])[:, None]
+        form = np.array([np.vdot(c[:, i], build_F(z[i], K) @ c[:, i]).real for i in range(z.size)])
+        paper = np.exp(-2.0 * np.abs(z) ** 2) / (math.pi * basis.hbar) * form
+        rel = np.abs(walk - paper) / np.maximum(np.maximum(np.abs(walk), np.abs(paper)), 1e-280)
         worst = max(worst, float(np.max(rel)))
     return worst
 
@@ -139,8 +149,8 @@ def suite_series(tol_override: Optional[float] = None) -> list[CheckResult]:
     out.add("fock-closed-form", res, tol, "fock(0..8), 21x21 grid over [-3,3]^2")
 
     tol = 1e-9 if tol_override is None else tol_override
-    res = _variant_agreement_residual(n_points=200, r_lo=0.5, r_hi=4.0, basis=basis)
-    out.add("variant-agreement", res, tol, "standard vs scaled, 200 annulus points")
+    res = _paper_form_residual(n_points=200, n_used=48, r_lo=0.5, r_hi=4.0, basis=basis)
+    out.add("paper-form-agreement", res, tol, "walk vs build_F form, first 48 of 200 annulus points, one K")
 
     tol = 1e-12 if tol_override is None else tol_override
     target = -1.0 / math.pi

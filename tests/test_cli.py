@@ -63,6 +63,12 @@ def test_consecutive_calls_each_honor_their_own_flags(state_file, tmp_path):
     assert "timestamp" not in grid["metadata"]
 
 
+def test_series_scaled_method_is_gone(state_file, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--state", state_file, *GRID, "--method", "series-scaled", "--out", str(tmp_path / "w.csv")])
+    assert exc.value.code == 2
+
+
 def test_bench_subcommand_is_gone(state_file):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--state", state_file, "--grid-size", "8", "--methods", "series", "--repeat", "3"])

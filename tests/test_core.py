@@ -18,7 +18,6 @@ from bargwig.core import (
 )
 from bargwig.oracles import wigner_config_integral
 from bargwig.phase import BasisParams, qp_from_z, z_from_qp
-from bargwig.special import hyp2f0_terminating
 from bargwig.states import CoherentState, FockState, bargmann, cat_state, derivative_tower, superposition
 
 RNG_SEED = 307
@@ -33,15 +32,13 @@ CATALOG = [
 ]
 
 
-def quadratic_form_reference(state, z, variant):
+def quadratic_form_reference(state, z):
     """V†FV through build_F with explicit Taylor weights; the slow route."""
     deg = choose_truncation(state, z, TruncationPolicy())
-    F = build_F(z, deg, variant)
+    F = build_F(z, deg)
     tower = derivative_tower(state, z, deg)
     weights = np.array([1.0 / math.factorial(k) for k in range(deg + 1)])
     v = tower * weights
-    if variant == "scaled":
-        v = v * np.array([z**k for k in range(deg + 1)])
     form = np.vdot(v, F @ v)
     return math.exp(-2 * abs(z) ** 2) / math.pi * form.real
 
@@ -80,12 +77,12 @@ class TestBuildF:
 
     def test_standard_entry_11(self):
         z = 0.8 - 0.5j
-        F = build_F(z, 2, "standard")
+        F = build_F(z, 2)
         assert F.shape == (3, 3)
         assert F[1, 1] == pytest.approx(abs(z) ** 2 - 1.0)
 
     def test_standard_at_origin_is_signed_factorial_diagonal(self):
-        F = build_F(0j, 4, "standard")
+        F = build_F(0j, 4)
         for n in range(5):
             for j in range(5):
                 want = (-1.0) ** n * math.factorial(n) if n == j else 0.0
@@ -95,30 +92,8 @@ class TestBuildF:
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(20):
             z = complex(rng.normal(), rng.normal())
-            F = build_F(z, 12, "standard")
+            F = build_F(z, 12)
             assert np.max(np.abs(F - F.conj().T)) <= 1e-14 * max(1.0, np.max(np.abs(F)))
-
-    def test_scaled_real_symmetric(self):
-        z = 1.7 + 0.6j
-        F = build_F(z, 10, "scaled")
-        assert F.dtype == float
-        assert np.array_equal(F, F.T)
-
-    def test_scaled_entries_are_2f0_values(self):
-        z = 2.0 - 1.0j
-        x = -1.0 / abs(z) ** 2
-        F = build_F(z, 6, "scaled")
-        for n in range(7):
-            for j in range(7):
-                assert F[n, j] == pytest.approx(hyp2f0_terminating(n, j, x), rel=1e-14)
-
-    def test_scaled_singular_at_origin(self):
-        with pytest.raises(ValueError, match="singular at origin"):
-            build_F(0j, 3, "scaled")
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            build_F(1j, 2, "fancy")
 
     def test_negative_order(self):
         with pytest.raises(ValueError):
@@ -359,33 +334,9 @@ class TestWignerSeries:
     def test_matches_buildf_route_standard(self):
         for state in CATALOG:
             for z in (0.4 + 0.3j, 1.9 - 0.8j):
-                got = wigner_series(state, z, variant="standard")
-                ref = quadratic_form_reference(state, z, "standard")
+                got = wigner_series(state, z)
+                ref = quadratic_form_reference(state, z)
                 assert got == pytest.approx(ref, rel=1e-11, abs=1e-14)
-
-    def test_matches_buildf_route_scaled(self):
-        for state in CATALOG:
-            for z in (0.4 + 0.3j, 1.9 - 0.8j):
-                got = wigner_series(state, z, variant="scaled")
-                ref = quadratic_form_reference(state, z, "scaled")
-                assert got == pytest.approx(ref, rel=1e-11, abs=1e-14)
-
-    def test_variant_agreement_annulus(self):
-        rng = np.random.default_rng(RNG_SEED)
-        z = rng.uniform(0.5, 4.0, 200) * np.exp(1j * rng.uniform(0, 2 * np.pi, 200))
-        for state in CATALOG:
-            std = wigner_series(state, z, variant="standard")
-            scl = wigner_series(state, z, variant="scaled")
-            rel = np.abs(std - scl) / np.maximum(np.maximum(np.abs(std), np.abs(scl)), 1e-280)
-            assert np.max(rel) <= 1e-9
-
-    def test_scaled_rejects_origin(self):
-        with pytest.raises(ValueError, match="singular at origin"):
-            wigner_series(FockState(1), 0j, variant="scaled")
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            wigner_series(FockState(0), 0j, variant="weird")
 
     def test_rotational_symmetry_for_fock(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -423,7 +374,7 @@ class TestWignerSeries:
         st = superposition([(1 / math.sqrt(2), FockState(0)), (1j / math.sqrt(2), FockState(1))])
         z = 0.6 - 0.2j
         assert wigner_series(st, z) == pytest.approx(
-            quadratic_form_reference(st, z, "standard"), rel=1e-12
+            quadratic_form_reference(st, z), rel=1e-12
         )
 
 
@@ -567,8 +518,8 @@ class TestComplexSuperpositions:
 
 
 class TestStandardKernelBeyondTwo:
-    """The standard kernel on 2 < |z| <= 4, where points once took the
-    scaled kernel; errors in units of 1/(pi hbar)."""
+    """The kernel walk on 2 < |z| <= 4, where the form cancels most on the
+    catalog; errors in units of 1/(pi hbar)."""
 
     @staticmethod
     def _labels(count=200):

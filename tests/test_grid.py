@@ -247,9 +247,9 @@ class TestTracedPeak:
         assert peak < bound, (K, peak, bound)
 
 
-class TestScaledAtOrigin:
-    """The origin is a one-point call inside the scaled grid and one point
-    of a block in the series grid; the two must agree bitwise."""
+class TestOrigin:
+    """The origin is one point of a block in the series grid; it must agree
+    bitwise with a one-point call at the grid's order."""
 
     @pytest.mark.parametrize("state", [
         FockState(1),
@@ -257,13 +257,12 @@ class TestScaledAtOrigin:
         cat_state(1.1),
         superposition([(1 / math.sqrt(2), FockState(0)), (1j / math.sqrt(2), FockState(1))]),
     ], ids=["fock1", "coherent", "cat1.1", "fock0+i*fock1"])
-    def test_scaled_grid_through_origin_matches_series(self, state):
+    def test_origin_in_a_block_matches_one_point_call(self, state):
         axis = GridAxis(-3.0, 3.0, 61)
         assert axis.points[30] == 0.0
-        scaled = evaluate_grid(state, axis, axis, method="series-scaled")
         series = evaluate_grid(state, axis, axis, method="series")
-        assert np.max(np.abs(scaled.values - series.values)) <= 1e-12
-        assert scaled.values[30, 30] == series.values[30, 30]
+        K = series.metadata["truncation_order"]
+        assert series.values[30, 30] == wigner_series(state, np.array([0j]), order=K)[0]
 
 
 class TestOracleTolerance:
@@ -289,7 +288,7 @@ class TestTolerance:
     AXIS = GridAxis(-1.0, 1.0, 3)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
-    @pytest.mark.parametrize("method", ["series", "series-scaled", "config-integral", "closed"])
+    @pytest.mark.parametrize("method", ["series", "config-integral", "closed"])
     def test_refused(self, method, tol):
         with pytest.raises(ValueError, match=f"positive and finite, got {tol!r}"):
             evaluate_grid(CoherentState(0.7 - 0.4j), self.AXIS, self.AXIS, method=method, tol=tol)

@@ -7,7 +7,7 @@ from bargwig.phase import (
     BasisParams,
     PhasePoint,
     qp_from_z,
-    wirtinger_coefficients,
+    wirtinger_derivatives,
     z_from_qp,
 )
 
@@ -87,17 +87,19 @@ class TestPhasePoint:
 
 class TestWirtinger:
     def test_unit_basis_coefficients(self):
-        wc = wirtinger_coefficients(BasisParams())
-        # d/dz = (d/dq - i d/dp)/sqrt(2)
-        assert wc.dq_dz == pytest.approx(1 / SQRT2)
-        assert wc.dp_dz == pytest.approx(-1 / SQRT2)
-        assert wc.dq_dzs == pytest.approx(1 / SQRT2)
-        assert wc.dp_dzs == pytest.approx(1 / SQRT2)
+        # d/dz = (d/dq - i d/dp)/sqrt(2), d/dz* = (d/dq + i d/dp)/sqrt(2)
+        basis = BasisParams()
+        from_q = wirtinger_derivatives(1.0, 0.0, basis)
+        from_p = wirtinger_derivatives(0.0, 1.0, basis)
+        assert from_q[0] == pytest.approx(1 / SQRT2)
+        assert from_p[0] == pytest.approx(-1j / SQRT2)
+        assert from_q[1] == pytest.approx(1 / SQRT2)
+        assert from_p[1] == pytest.approx(1j / SQRT2)
 
     def test_scaling_consistency(self):
         for b in (0.3, 1.0, 4.2):
-            wc = wirtinger_coefficients(BasisParams(b=b))
-            assert wc.dq_dz * (SQRT2 / b) == pytest.approx(1.0)
+            dw_dz, _ = wirtinger_derivatives(1.0, 0.0, BasisParams(b=b))
+            assert dw_dz * (SQRT2 / b) == pytest.approx(1.0)
 
     def test_identity_reduces_to_qp_form(self):
         # z* d/dz + z d/dz* applied to real partials must equal q d/dq - p d/dp
@@ -108,6 +110,6 @@ class TestWirtinger:
             basis = BasisParams(b=b)
             wq, wp = rng.normal(size=2)
             z = z_from_qp(q, p, basis)
-            wc = wirtinger_coefficients(basis)
-            lhs = (np.conj(z) * wc.d_dz(wq, wp) + z * wc.d_dzstar(wq, wp)).real
+            dw_dz, dw_dzs = wirtinger_derivatives(wq, wp, basis)
+            lhs = (np.conj(z) * dw_dz + z * dw_dzs).real
             assert lhs == pytest.approx(q * wq - p * wp, rel=1e-12, abs=1e-12)

@@ -1,15 +1,27 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import eval_hermite, eval_laguerre, factorial
+from scipy.special import eval_genlaguerre, eval_hermite, eval_laguerre, factorial
 
 from bargwig.special import (
     g_kernel,
     hermite_psi,
-    hyp2f0_terminating,
     laguerre,
 )
+
+
+def hyp2f0_exact(n, j, x):
+    """2F0(-n, -j; ; x) = sum_s (-n)_s (-j)_s x^s / s!, summed in exact
+    rationals from the float x and rounded once."""
+    x = Fraction(x)
+    total = Fraction(0)
+    for s in range(min(n, j) + 1):
+        poch_n = math.prod(range(n - s + 1, n + 1))
+        poch_j = math.prod(range(j - s + 1, j + 1))
+        total += poch_n * poch_j * x**s / math.factorial(s)
+    return float(total)
 
 
 class TestLaguerre:
@@ -32,50 +44,16 @@ class TestLaguerre:
         x = np.linspace(-5.0, 40.0, 101)
         assert np.allclose(laguerre(n, x), eval_laguerre(n, x), rtol=1e-11, atol=1e-11)
 
+    @pytest.mark.parametrize("n, a", [(1, 3), (7, 1), (20, 12)])
+    def test_associated_against_scipy(self, n, a):
+        x = np.linspace(0.0, 40.0, 101)
+        assert np.allclose(laguerre(n, x, a), eval_genlaguerre(n, a, x), rtol=1e-11, atol=1e-11)
+
     def test_array_input(self):
         x = np.array([0.0, 1.0])
         out = laguerre(1, x)
         assert out.shape == (2,)
         assert np.allclose(out, [1.0, 0.0])
-
-
-class TestHyp2f0Terminating:
-    @pytest.mark.parametrize("n, j", [(-1, 0), (0, -1), (-2, 3)])
-    def test_rejects_negative_orders(self, n, j):
-        with pytest.raises(ValueError, match="non-negative"):
-            hyp2f0_terminating(n, j, -0.2)
-
-    def test_n_zero_is_one(self):
-        for j in (0, 1, 7):
-            for x in (-2.0, 0.3):
-                assert hyp2f0_terminating(0, j, x) == 1.0
-                assert hyp2f0_terminating(j, 0, x) == 1.0
-
-    def test_hand_value_11(self):
-        # 1 + (-1)(-1)(-0.25)/1! = 0.75
-        assert hyp2f0_terminating(1, 1, -0.25) == pytest.approx(0.75, abs=1e-15)
-
-    def test_hand_value_21(self):
-        # 1 + (-2)(-1)(-1)/1! = -1
-        assert hyp2f0_terminating(2, 1, -1.0) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_pochhammer_sum_against_exact_rationals(self):
-        # brute-force oracle with exact integer Pochhammer products
-        def oracle(n, j, x):
-            total = 0.0
-            for s in range(min(n, j) + 1):
-                poch_n = math.prod(range(n - s + 1, n + 1))
-                poch_j = math.prod(range(j - s + 1, j + 1))
-                total += poch_n * poch_j * x**s / math.factorial(s)
-            return total
-
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            n, j = rng.integers(0, 15, 2)
-            x = rng.uniform(-3.0, 1.0)
-            got = hyp2f0_terminating(int(n), int(j), x)
-            want = oracle(int(n), int(j), x)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestGKernel:
@@ -103,7 +81,7 @@ class TestGKernel:
             r = rng.uniform(0.1, 5.0)
             z = r * np.exp(1j * rng.uniform(0, 2 * np.pi))
             direct = g_kernel(n, j, z)
-            via_2f0 = np.conj(z) ** n * z**j * hyp2f0_terminating(n, j, -1.0 / r**2)
+            via_2f0 = np.conj(z) ** n * z**j * hyp2f0_exact(n, j, -1.0 / r**2)
             assert abs(direct - via_2f0) <= 1e-10 * max(1e-300, abs(direct))
 
     def test_conjugate_symmetry_exact(self):
@@ -133,8 +111,8 @@ class TestGKernel:
 
 
 class TestKernelAgainstMpmath:
-    """g_kernel and hyp2f0_terminating against the same sums in 50-digit
-    arithmetic, so that no float64 route shares their rounding."""
+    """g_kernel against its sum in 50-digit arithmetic, so that no float64
+    route shares its rounding."""
 
     @pytest.fixture
     def mp(self):
@@ -166,15 +144,10 @@ class TestKernelAgainstMpmath:
             z = r * np.exp(1j * rng.uniform(0, 2 * np.pi))
             want = self._g(mp, n, j, z)
             assert abs(mp.mpc(g_kernel(n, j, z)) - want) <= 1e-12 * abs(want)
-            want = self._hyp(mp, n, j, -1.0 / r**2)
-            assert abs(hyp2f0_terminating(n, j, -1.0 / r**2) - want) <= 1e-12 * abs(want)
-
-    @pytest.mark.parametrize("x", [0.0, 1e-200, -1e-200])
-    def test_2f0_finite_at_vanishing_argument(self, mp, x):
-        for n, j in [(0, 0), (3, 7), (30, 30), (30, 12)]:
-            got = hyp2f0_terminating(n, j, x)
-            assert math.isfinite(got)
-            assert got == pytest.approx(float(self._hyp(mp, n, j, x)), rel=1e-14)
+            # the same value as the paper writes it, conj(z)^n z^j 2F0(-n, -j; ; -1/|z|^2)
+            zm = mp.mpc(z.real, z.imag)
+            want = mp.conj(zm) ** n * zm**j * self._hyp(mp, n, j, -1 / abs(zm) ** 2)
+            assert abs(mp.mpc(g_kernel(n, j, z)) - want) <= 1e-12 * abs(want)
 
 
 class TestHermitePsi:
