@@ -17,8 +17,6 @@ from .states import (
     StateSpec,
     Superposition,
     bargmann,
-    bargmann_of_coherent,
-    bargmann_of_fock,
     cat_state,
     derivative_tower,
     exact_degree,
@@ -67,8 +65,6 @@ __all__ = [
     "StateSpec",
     "Superposition",
     "bargmann",
-    "bargmann_of_coherent",
-    "bargmann_of_fock",
     "cat_state",
     "derivative_tower",
     "exact_degree",

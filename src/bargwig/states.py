@@ -8,20 +8,23 @@ function of w. For the catalog:
     fock(N):      f(z) = z^N / sqrt(N!)
     coherent(U):  f(z) = exp(conj(U) z - |U|^2 / 2)
 
-f is antilinear in the state, so a superposition sum_m c_m |psi_m> has
-f = sum_m conj(c_m) f_m. Derivative towers are closed-form; finite
-differences appear only in the tests.
+Each member kind is one class that carries its own closed forms. f is
+antilinear in the state, so a superposition sum_m c_m |psi_m> has
+f = sum_m conj(c_m) f_m, summed over _terms(state). Derivative towers are
+closed-form; finite differences appear only in the tests.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .phase import BasisParams
+from .phase import BasisParams, qp_from_z
 from .special import hermite_psi
 
 __all__ = [
@@ -29,8 +32,6 @@ __all__ = [
     "CoherentState",
     "Superposition",
     "StateSpec",
-    "bargmann_of_fock",
-    "bargmann_of_coherent",
     "bargmann",
     "derivative_tower",
     "position_wavefunction",
@@ -50,23 +51,173 @@ NORMALIZATION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FockState:
-    """Number state |n>."""
+    """Number state |n>, f(z) = z^n / sqrt(n!)."""
 
     n: int
+    kind = "fock"
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("Fock index must be non-negative")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 0:
+            raise ValueError(f"Fock index must be a non-negative integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "FockState":
+        return cls(obj["n"])
+
+    def to_json(self) -> dict:
+        return {"type": self.kind, "n": self.n}
+
+    def label(self) -> str:
+        return f"fock({self.n})"
+
+    def degree(self) -> int:
+        return self.n
+
+    def bargmann(self, z: np.ndarray) -> np.ndarray:
+        """f(z) = z^n / sqrt(n!)."""
+        return z ** self.n * ((1 << 60) / _root_factorial(self.n))
+
+    def wavefunction(self, y: np.ndarray, b: float) -> np.ndarray:
+        """psi(y) = b^{-1/2} phi_n(y/b), with phi_n the dimensionless
+        oscillator eigenfunction."""
+        return hermite_psi(self.n, y / b) / math.sqrt(b) + 0.0j
+
+    def bra(self, other) -> complex:
+        """<n|other>: a Kronecker delta, or e^(-|u|^2/2) u^n / sqrt(n!) for |u>."""
+        if isinstance(other, FockState):
+            return 1.0 + 0.0j if other.n == self.n else 0.0j
+        u = other.u
+        return math.exp(-0.5 * abs(u) ** 2) * ((1 << 60) / _root_factorial(self.n)) * u ** self.n
+
+    def spread(self, basis: BasisParams):
+        """(Q, P, wq, wp): the phase-space centre and the widths in q and p."""
+        return 0.0, 0.0, basis.b * math.sqrt(self.n + 0.5), (basis.hbar / basis.b) * math.sqrt(self.n + 0.5)
+
+    def add_stack(self, out, c, first, z, r, ur, ui, ray) -> None:
+        """Write (first) or add conj(c) s_k into out, with s_k as in _stack:
+
+            s_k = sqrt(n!) / (d_k (n-k)!) w^n rho^(n-k),
+
+        along the ray one phase u^n per point times real powers of r. The
+        stack is built in real arithmetic from k = n down; the coefficients
+        come from exact integers (_root_factorial), and u^n is taken by
+        repeated squaring and divided by its modulus, since |u| = 1 only to
+        an ulp."""
+        K = len(out) - 1
+        re, im = out[:, 0], out[:, 1]
+        qr, qi, t, s = (np.empty(z.shape) for _ in range(4))
+        # q = conj(c) w^N rho^(N-k), from k = N down
+        N = self.n
+        a, b = c.real, -c.imag
+        root = _root_factorial(N)
+        _unit_power(ur, ui, N, qr, qi, t, s)
+        _cmul(qr, qi, a, b, t, s)
+        for k in range(N, -1, -1):
+            if k <= K:
+                coeff = root / ((math.factorial(N - k) * (math.factorial(k) if ray else 1)) << 60)
+                if first:
+                    np.multiply(qr, coeff, out=re[k])
+                    np.multiply(qi, coeff, out=im[k])
+                else:
+                    re[k] += np.multiply(qr, coeff, out=t)
+                    im[k] += np.multiply(qi, coeff, out=t)
+            if not k:
+                break
+            if ray:
+                qr *= r
+                qi *= r
+            else:
+                _cmul(qr, qi, z.real, z.imag, t, s)
 
 
 @dataclass(frozen=True)
 class CoherentState:
-    """Coherent state |u> whose width equals the analysis-basis width b."""
+    """Coherent state |u> whose width equals the analysis-basis width b,
+    f(z) = exp(conj(u) z - |u|^2 / 2)."""
 
     u: complex
+    kind = "coherent"
 
     def __post_init__(self):
-        object.__setattr__(self, "u", complex(self.u))
+        u = complex(self.u)
+        if not cmath.isfinite(u):
+            raise ValueError(f"coherent amplitude must be finite, got {u!r}")
+        object.__setattr__(self, "u", u)
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "CoherentState":
+        return cls(complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0))))
+
+    def to_json(self) -> dict:
+        return {"type": self.kind, "re": self.u.real, "im": self.u.imag}
+
+    def label(self) -> str:
+        return f"coherent({self.u:.3g})"
+
+    def degree(self) -> None:
+        return None
+
+    def bargmann(self, z: np.ndarray) -> np.ndarray:
+        """f(z) = exp(conj(u) z - |u|^2 / 2)."""
+        return np.exp(np.conj(self.u) * z - 0.5 * abs(self.u) ** 2)
+
+    def wavefunction(self, y: np.ndarray, b: float) -> np.ndarray:
+        """psi(y) = pi^{-1/4} b^{-1/2} exp(-(y/b - sqrt(2) u)^2 / 2 + u (u - conj(u)) / 2)."""
+        u = self.u
+        arg = -0.5 * (y / b - math.sqrt(2.0) * u) ** 2 + 0.5 * u * (u - np.conj(u))
+        return np.pi ** -0.25 / math.sqrt(b) * np.exp(arg)
+
+    def bra(self, other) -> complex:
+        """<u|other>: exp(-|u|^2/2 - |v|^2/2 + conj(u) v) for |v>, and
+        conj(<other|u>) otherwise."""
+        if isinstance(other, CoherentState):
+            v, u = self.u, other.u
+            return np.exp(-0.5 * abs(v) ** 2 - 0.5 * abs(u) ** 2 + np.conj(v) * u)
+        return np.conj(other.bra(self))
+
+    def spread(self, basis: BasisParams):
+        """(Q, P, wq, wp): the phase-space centre and the widths in q and p."""
+        Q, P = qp_from_z(self.u, basis)
+        return Q, P, basis.b / math.sqrt(2.0), basis.hbar / (basis.b * math.sqrt(2.0))
+
+    def add_stack(self, out, c, first, z, r, ur, ui, ray) -> None:
+        """Write (first) or add conj(c) s_k into out, with s_k as in _stack:
+        s_0 = f(z), s_k = s_(k-1) conj(U) w d_(k-1)/d_k.
+
+        The member is carried as one complex vector conj(c) f(z) and stepped
+        by one complex multiply per order, by the scalar conj(U) (ray=False)
+        or by the vector conj(U) u (ray=True). Its real and imaginary parts
+        are copied into the stack, along the ray times 1/k!, correctly
+        rounded from exact integers. numpy rounds a complex product
+        elementwise, by the same instructions at every element, so a point's
+        value does not depend on the length of the array it sits in or on
+        its offset there, and a grid evaluated in blocks stays bitwise equal
+        to one call. The one exception is an in-place product of a length-1
+        array, which numpy rounds by another loop; the multiply therefore
+        writes into a second buffer. On FMA hardware those instructions
+        round differently from separate real products in about a quarter of
+        the real and of the imaginary parts, so coherent and cat values
+        differ from a real-arithmetic build at roundoff."""
+        K = len(out) - 1
+        U = self.u
+        # q_k = conj(c) f(z) (conj(U) w)^k, and s_k = q_k / d_k
+        q = self.bargmann(z) * np.conj(c)
+        step = np.conj(U) * (ur + 1j * ui) if ray else np.conj(U)
+        spare = np.empty_like(q)
+        ts = np.empty((2,) + z.shape)
+        for k in range(K + 1):
+            if k:
+                q, spare = np.multiply(q, step, out=spare), q
+            dest = out[k] if first else ts
+            np.copyto(dest, q.view(float).reshape(-1, 2).T)  # (Re q, Im q)
+            if ray and k > 1:
+                dest *= 1 / math.factorial(k)
+            if not first:
+                out[k] += ts
+
+
+_MEMBER_KINDS = (FockState, CoherentState)
 
 
 @dataclass(frozen=True)
@@ -85,40 +236,44 @@ class Superposition:
             raise ValueError("superposition needs at least one term")
         if len(self.terms) > MAX_SUPERPOSITION_TERMS:
             raise ValueError(f"superposition capped at {MAX_SUPERPOSITION_TERMS} terms")
-        clean = []
-        for coeff, member in self.terms:
-            if not isinstance(member, (FockState, CoherentState)):
-                raise ValueError("superposition members must be Fock or coherent states")
-            clean.append((complex(coeff), member))
-        object.__setattr__(self, "terms", tuple(clean))
+        object.__setattr__(self, "terms", _checked_terms(self.terms))
         nsq = norm_squared(self)
-        if abs(nsq - 1.0) > NORMALIZATION_TOL:
+        if not abs(nsq - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(
                 f"superposition is not normalized: <psi|psi> = {nsq!r}; "
                 "pass normalize=True to superposition() to rescale"
             )
 
+    def to_json(self) -> dict:
+        return {
+            "type": "superposition",
+            "terms": [{"coeff": {"re": c.real, "im": c.imag}, "state": s.to_json()} for c, s in self.terms],
+        }
+
+    def label(self) -> str:
+        return f"superposition[{len(self.terms)}]"
+
 
 StateSpec = Union[FockState, CoherentState, Superposition]
 
 
+def _checked_terms(terms) -> tuple:
+    """The (complex coefficient, member) pairs of terms, each member a Fock
+    or coherent state."""
+    terms = tuple((complex(c), s) for c, s in terms)
+    if not all(isinstance(s, _MEMBER_KINDS) for _, s in terms):
+        raise ValueError("superposition members must be Fock or coherent states")
+    return terms
+
+
+def _terms(state: StateSpec) -> tuple:
+    """The (coefficient, member) pairs of a state; one member is ((1.0, state),)."""
+    return state.terms if isinstance(state, Superposition) else ((1.0, state),)
+
+
 def overlap(left: StateSpec, right: StateSpec) -> complex:
     """Exact inner product <left|right> for catalog states."""
-    if isinstance(left, Superposition):
-        return sum(np.conj(c) * overlap(s, right) for c, s in left.terms)
-    if isinstance(right, Superposition):
-        return sum(c * overlap(left, s) for c, s in right.terms)
-    if isinstance(left, FockState) and isinstance(right, FockState):
-        return 1.0 + 0.0j if left.n == right.n else 0.0j
-    if isinstance(left, FockState) and isinstance(right, CoherentState):
-        u = right.u
-        return math.exp(-0.5 * abs(u) ** 2) * ((1 << 60) / _root_factorial(left.n)) * u ** left.n
-    if isinstance(left, CoherentState) and isinstance(right, FockState):
-        return np.conj(overlap(right, left))
-    if isinstance(left, CoherentState) and isinstance(right, CoherentState):
-        v, u = left.u, right.u
-        return np.exp(-0.5 * abs(v) ** 2 - 0.5 * abs(u) ** 2 + np.conj(v) * u)
-    raise TypeError(f"unsupported state types: {type(left)}, {type(right)}")
+    return sum(np.conj(a) * sum(b * m.bra(n) for b, n in _terms(right)) for a, m in _terms(left))
 
 
 def norm_squared(state: StateSpec) -> float:
@@ -132,13 +287,13 @@ def superposition(terms, normalize: bool = False) -> Superposition:
     With normalize=True the coefficients are rescaled so <psi|psi> = 1;
     otherwise an unnormalized set is rejected.
     """
-    terms = tuple((complex(c), s) for c, s in terms)
+    terms = _checked_terms(terms)
     if normalize:
         probe = object.__new__(Superposition)
         object.__setattr__(probe, "terms", terms)
         nsq = norm_squared(probe)
-        if nsq <= 0:
-            raise ValueError("cannot normalize a null superposition")
+        if not nsq > 0:
+            raise ValueError(f"cannot normalize a superposition with <psi|psi> = {nsq!r}")
         scale = 1.0 / math.sqrt(nsq)
         terms = tuple((c * scale, s) for c, s in terms)
     return Superposition(terms)
@@ -153,49 +308,19 @@ def cat_state(u: complex, sign: int = 1) -> Superposition:
     )
 
 
-def bargmann_of_fock(N: int, z):
-    """f(z) = z^N / sqrt(N!)."""
-    if N < 0:
-        raise ValueError("Fock index must be non-negative")
-    z = np.asarray(z, dtype=complex)
-    val = z ** N * ((1 << 60) / _root_factorial(N))
-    return val if val.ndim else complex(val)
-
-
-def bargmann_of_coherent(U: complex, z):
-    """f(z) = exp(conj(U) z - |U|^2 / 2)."""
-    z = np.asarray(z, dtype=complex)
-    val = np.exp(np.conj(U) * z - 0.5 * abs(U) ** 2)
-    return val if val.ndim else complex(val)
-
-
 def bargmann(state: StateSpec, z):
     """Bargmann function f(z) of a catalog state."""
-    if isinstance(state, FockState):
-        return bargmann_of_fock(state.n, z)
-    if isinstance(state, CoherentState):
-        return bargmann_of_coherent(state.u, z)
-    if isinstance(state, Superposition):
-        z = np.asarray(z, dtype=complex)
-        total = np.zeros_like(z)
-        for c, member in state.terms:
-            total = total + np.conj(c) * bargmann(member, z)
-        return total if total.ndim else complex(total)
-    raise TypeError(f"unsupported state type: {type(state)}")
+    z = np.asarray(z, dtype=complex)
+    total = np.zeros_like(z)
+    for c, member in _terms(state):
+        total = total + np.conj(c) * member.bargmann(z)
+    return total if total.ndim else complex(total)
 
 
 def exact_degree(state: StateSpec) -> Optional[int]:
     """Polynomial degree of the Bargmann function, or None if entire non-polynomial."""
-    if isinstance(state, FockState):
-        return state.n
-    if isinstance(state, CoherentState):
-        return None
-    if isinstance(state, Superposition):
-        degs = [exact_degree(s) for _, s in state.terms]
-        if any(d is None for d in degs):
-            return None
-        return max(degs)
-    raise TypeError(f"unsupported state type: {type(state)}")
+    degs = [member.degree() for _, member in _terms(state)]
+    return None if None in degs else max(degs)
 
 
 def _root_factorial(N: int) -> int:
@@ -217,89 +342,19 @@ def _stack(state: StateSpec, z: np.ndarray, K: int, ray: bool) -> np.ndarray:
                    stack along the ray through z, t_k = f^(k)(z) u^k / k!,
                    that the series walk consumes.
 
-    With rho = z conj(w) (rho = |z| along the ray, rho = z otherwise):
-
-        fock(N):      s_k = sqrt(N!) / (d_k (N-k)!) w^N rho^(N-k),
-                      along the ray one phase u^N per point times real
-                      powers of r; the coefficients come from exact
-                      integers (_root_factorial);
-        coherent(U):  s_0 = f(z) = exp(conj(U) z - |U|^2/2),
-                      s_k = s_(k-1) conj(U) w d_(k-1)/d_k;
-        superposition sum_m c_m |psi_m>: sum_m conj(c_m) s_k[psi_m].
-
-    The Fock members are built in real arithmetic. u^N is taken by repeated
-    squaring and divided by its modulus, since |u| = 1 only to an ulp.
-
-    A coherent member is carried as one complex vector conj(c) f(z) and
-    stepped by one complex multiply per order, by the scalar conj(U)
-    (ray=False) or by the vector conj(U) u (ray=True). Its real and
-    imaginary parts are copied into the stack, along the ray times 1/k!,
-    correctly rounded from exact integers. numpy rounds a complex product
-    elementwise, by the same instructions at every element, so a point's
-    value does not depend on the length of the array it sits in or on its
-    offset there, and a grid evaluated in blocks stays bitwise equal to one
-    call. The one exception is an in-place product of a length-1 array,
-    which numpy rounds by another loop; the multiply therefore writes into a
-    second buffer. On FMA hardware those instructions round differently
-    from separate real products in about a quarter of the real and of the
-    imaginary parts, so coherent and cat values differ from a
-    real-arithmetic build at roundoff.
+    Each member builds its own stack (add_stack), with rho = z conj(w)
+    (rho = |z| along the ray, rho = z otherwise); a superposition
+    sum_m c_m |psi_m> has sum_m conj(c_m) s_k[psi_m]. The first member
+    writes into the zeroed stack, the others add to it.
     """
-    x, y = z.real, z.imag
     r = np.abs(z)
     ur, ui = np.ones(z.shape), np.zeros(z.shape)
     if ray:
-        np.divide(x, r, out=ur, where=r > 0)
-        np.divide(y, r, out=ui, where=r > 0)
+        np.divide(z.real, r, out=ur, where=r > 0)
+        np.divide(z.imag, r, out=ui, where=r > 0)
     out = np.zeros((K + 1, 2) + z.shape)
-    re, im = out[:, 0], out[:, 1]
-    qr, qi, t, s = (np.empty(z.shape) for _ in range(4))
-    ts = np.empty((2,) + z.shape)
-    terms = state.terms if isinstance(state, Superposition) else ((1.0, state),)
-    for i, (c, member) in enumerate(terms):
-        # conj(c) = a + ib multiplies the member's stack. The first member
-        # writes into the zeroed stack, the others add to it.
-        first = i == 0
-        a, b = c.real, -c.imag
-        if isinstance(member, FockState):
-            # q = conj(c) w^N rho^(N-k), from k = N down
-            N = member.n
-            root = _root_factorial(N)
-            _unit_power(ur, ui, N, qr, qi, t, s)
-            _cmul(qr, qi, a, b, t, s)
-            for k in range(N, -1, -1):
-                if k <= K:
-                    coeff = root / ((math.factorial(N - k) * (math.factorial(k) if ray else 1)) << 60)
-                    if first:
-                        np.multiply(qr, coeff, out=re[k])
-                        np.multiply(qi, coeff, out=im[k])
-                    else:
-                        re[k] += np.multiply(qr, coeff, out=t)
-                        im[k] += np.multiply(qi, coeff, out=t)
-                if not k:
-                    break
-                if ray:
-                    qr *= r
-                    qi *= r
-                else:
-                    _cmul(qr, qi, x, y, t, s)
-        elif isinstance(member, CoherentState):
-            # q_k = conj(c) f(z) (conj(U) w)^k, and s_k = q_k / d_k
-            U = member.u
-            q = np.exp(np.conj(U) * z - 0.5 * abs(U) ** 2) * np.conj(c)
-            step = np.conj(U) * (ur + 1j * ui) if ray else np.conj(U)
-            spare = np.empty_like(q)
-            for k in range(K + 1):
-                if k:
-                    q, spare = np.multiply(q, step, out=spare), q
-                dest = out[k] if first else ts
-                np.copyto(dest, q.view(float).reshape(-1, 2).T)  # (Re q, Im q)
-                if ray and k > 1:
-                    dest *= 1 / math.factorial(k)
-                if not first:
-                    out[k] += ts
-        else:
-            raise TypeError(f"unsupported state type: {type(member)}")
+    for i, (c, member) in enumerate(_terms(state)):
+        member.add_stack(out, c, i == 0, z, r, ur, ui, ray)
     return out
 
 
@@ -345,29 +400,13 @@ def derivative_tower(state: StateSpec, z, K: int) -> np.ndarray:
 
 
 def position_wavefunction(state: StateSpec, y, basis: BasisParams):
-    """Normalized position-representation wavefunction psi(y).
-
-    fock(n):     psi(y) = b^{-1/2} phi_n(y/b) with phi_n the dimensionless
-                 oscillator eigenfunction;
-    coherent(u): psi(y) = pi^{-1/4} b^{-1/2}
-                 exp(-(y/b - sqrt(2) u)^2 / 2 + u (u - conj(u)) / 2).
-    """
+    """Normalized position-representation wavefunction psi(y) =
+    sum_m c_m psi_m(y), from each member's closed form (wavefunction)."""
     y = np.asarray(y, dtype=float)
-    b = basis.b
-    if isinstance(state, FockState):
-        val = hermite_psi(state.n, y / b) / math.sqrt(b) + 0.0j
-        return val if np.ndim(val) else complex(val)
-    if isinstance(state, CoherentState):
-        u = state.u
-        arg = -0.5 * (y / b - math.sqrt(2.0) * u) ** 2 + 0.5 * u * (u - np.conj(u))
-        val = np.pi ** -0.25 / math.sqrt(b) * np.exp(arg)
-        return val if np.ndim(val) else complex(val)
-    if isinstance(state, Superposition):
-        total = np.zeros(y.shape, dtype=complex)
-        for c, member in state.terms:
-            total = total + c * position_wavefunction(member, y, basis)
-        return total if total.ndim else complex(total)
-    raise TypeError(f"unsupported state type: {type(state)}")
+    total = np.zeros(y.shape, dtype=complex)
+    for c, member in _terms(state):
+        total = total + c * member.wavefunction(y, basis.b)
+    return total if total.ndim else complex(total)
 
 
 def state_from_json(obj: dict, normalize: bool = False) -> StateSpec:
@@ -383,18 +422,12 @@ def state_from_json(obj: dict, normalize: bool = False) -> StateSpec:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("state description must be an object with a 'type' field")
     kind = obj["type"]
-    if kind == "fock":
-        try:
-            n = int(obj["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError("fock state needs an integer field 'n'") from exc
-        return FockState(n)
-    if kind == "coherent":
-        try:
-            u = complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-        except (TypeError, ValueError) as exc:
-            raise ValueError("coherent state fields 're'/'im' must be numbers") from exc
-        return CoherentState(u)
+    for member in _MEMBER_KINDS:
+        if kind == member.kind:
+            try:
+                return member.from_json(obj)
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"{kind} state has a missing or non-numeric field: {exc}") from exc
     if kind == "superposition":
         raw_terms = obj.get("terms")
         if not isinstance(raw_terms, list) or not raw_terms:
@@ -418,27 +451,9 @@ def state_from_json(obj: dict, normalize: bool = False) -> StateSpec:
 
 def state_to_json(state: StateSpec) -> dict:
     """Inverse of state_from_json."""
-    if isinstance(state, FockState):
-        return {"type": "fock", "n": state.n}
-    if isinstance(state, CoherentState):
-        return {"type": "coherent", "re": state.u.real, "im": state.u.imag}
-    if isinstance(state, Superposition):
-        return {
-            "type": "superposition",
-            "terms": [
-                {"coeff": {"re": c.real, "im": c.imag}, "state": state_to_json(s)}
-                for c, s in state.terms
-            ],
-        }
-    raise TypeError(f"unsupported state type: {type(state)}")
+    return state.to_json()
 
 
 def state_label(state: StateSpec) -> str:
     """Short human-readable tag used in logs and benchmark tables."""
-    if isinstance(state, FockState):
-        return f"fock({state.n})"
-    if isinstance(state, CoherentState):
-        return f"coherent({state.u:.3g})"
-    if isinstance(state, Superposition):
-        return f"superposition[{len(state.terms)}]"
-    return repr(state)
+    return state.label()

@@ -20,9 +20,9 @@ from .core import TruncationPolicy, build_F, choose_truncation, wigner_closed_fo
 from .geometry import check_b_independence, check_identity_crossb
 from .grid import GridAxis, evaluate_grid
 from .oracles import QuadratureSpec, marginal_position, normalization, wigner_config_integral, wigner_phase_integral
-from .phase import BasisParams, PhasePoint, qp_from_z, z_from_qp
-from .states import (CoherentState, FockState, StateSpec, cat_state, derivative_tower, position_wavefunction,
-                     state_label, superposition)
+from .phase import BasisParams, PhasePoint, z_from_qp
+from .states import (CoherentState, FockState, StateSpec, _terms, cat_state, derivative_tower,
+                     position_wavefunction, state_label, superposition)
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "suite_series", "suite_oracles", "suite_geometry"]
 
@@ -73,25 +73,12 @@ def state_window(state: StateSpec, basis: BasisParams, n_widths: float = 6.0):
     Returns (q_lo, q_hi, p_lo, p_hi). Superpositions get the envelope of
     their members.
     """
-    b, hbar = basis.b, basis.hbar
-    if isinstance(state, FockState):
-        wq = b * math.sqrt(state.n + 0.5)
-        wp = (hbar / b) * math.sqrt(state.n + 0.5)
-        return -n_widths * wq, n_widths * wq, -n_widths * wp, n_widths * wp
-    if isinstance(state, CoherentState):
-        Q, P = qp_from_z(state.u, basis)
-        wq = b / math.sqrt(2.0)
-        wp = hbar / (b * math.sqrt(2.0))
-        return Q - n_widths * wq, Q + n_widths * wq, P - n_widths * wp, P + n_widths * wp
-    # superposition: envelope of member windows
-    los_q, his_q, los_p, his_p = [], [], [], []
-    for _, member in state.terms:
-        lo_q, hi_q, lo_p, hi_p = state_window(member, basis, n_widths)
-        los_q.append(lo_q)
-        his_q.append(hi_q)
-        los_p.append(lo_p)
-        his_p.append(hi_p)
-    return min(los_q), max(his_q), min(los_p), max(his_p)
+    boxes = []
+    for _, member in _terms(state):
+        Q, P, wq, wp = member.spread(basis)
+        boxes.append((Q - n_widths * wq, Q + n_widths * wq, P - n_widths * wp, P + n_widths * wp))
+    lo_q, hi_q, lo_p, hi_p = zip(*boxes)
+    return min(lo_q), max(hi_q), min(lo_p), max(hi_p)
 
 
 def _fock_agreement_residual(n_max: int, grid_points: int, extent: float, basis: BasisParams) -> float:

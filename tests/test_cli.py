@@ -31,6 +31,15 @@ def test_eval_exits_2_on_unreadable_state(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith("bargwig eval:")
 
 
+def test_eval_exits_2_on_fractional_fock_index(tmp_path, capsys):
+    # a fractional index is refused, not truncated to fock(2)
+    path = tmp_path / "state.json"
+    path.write_text('{"type": "fock", "n": 2.7}')
+    assert main(["eval", "--state", str(path), *GRID, "--out", str(tmp_path / "w.csv")]) == 2
+    assert "2.7" in capsys.readouterr().err
+    assert not (tmp_path / "w.csv").exists()
+
+
 def test_check_exits_1_on_failing_suite(capsys):
     assert main(["check", "--suite", "series", "--tol", "1e-300"]) == 1
     assert json.loads(capsys.readouterr().out)["passed"] is False

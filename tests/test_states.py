@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,6 @@ from bargwig.states import (
     FockState,
     Superposition,
     bargmann,
-    bargmann_of_coherent,
-    bargmann_of_fock,
     cat_state,
     derivative_tower,
     exact_degree,
@@ -37,28 +36,28 @@ CATALOG = [
 class TestBargmannFunctions:
     def test_vacuum_is_unity(self):
         for z in (0j, 1.5 - 0.3j):
-            assert bargmann_of_fock(0, z) == 1.0 + 0j
+            assert bargmann(FockState(0), z) == 1.0 + 0j
 
     def test_fock2_at_one(self):
-        assert bargmann_of_fock(2, 1 + 0j) == pytest.approx(1 / math.sqrt(2), rel=1e-14)
+        assert bargmann(FockState(2), 1 + 0j) == pytest.approx(1 / math.sqrt(2), rel=1e-14)
 
     def test_fock_vanishes_at_origin(self):
         for n in (1, 4):
-            assert bargmann_of_fock(n, 0j) == 0j
+            assert bargmann(FockState(n), 0j) == 0j
 
     def test_coherent_vacuum_label(self):
         for z in (0j, 0.2 + 2j):
-            assert bargmann_of_coherent(0j, z) == 1.0 + 0j
+            assert bargmann(CoherentState(0j), z) == 1.0 + 0j
 
     def test_coherent_at_origin(self):
         u = 0.8 - 1.1j
-        assert bargmann_of_coherent(u, 0j) == pytest.approx(math.exp(-0.5 * abs(u) ** 2))
+        assert bargmann(CoherentState(u), 0j) == pytest.approx(math.exp(-0.5 * abs(u) ** 2))
 
     def test_superposition_linearity(self):
         st = superposition([(0.6, FockState(0)), (0.8, FockState(2))])
         z = 0.9 + 0.4j
         assert bargmann(st, z) == pytest.approx(
-            0.6 * bargmann_of_fock(0, z) + 0.8 * bargmann_of_fock(2, z)
+            0.6 * bargmann(FockState(0), z) + 0.8 * bargmann(FockState(2), z)
         )
 
     def test_superposition_is_antilinear(self):
@@ -66,7 +65,7 @@ class TestBargmannFunctions:
         st = superposition([(0.6, FockState(0)), (0.8j, FockState(2))])
         z = 0.9 + 0.4j
         assert bargmann(st, z) == pytest.approx(
-            0.6 * bargmann_of_fock(0, z) - 0.8j * bargmann_of_fock(2, z)
+            0.6 * bargmann(FockState(0), z) - 0.8j * bargmann(FockState(2), z)
         )
 
 
@@ -74,7 +73,7 @@ class TestExactNormalization:
     @pytest.mark.parametrize("N", [20, 100, 170])
     def test_fock_normalization_to_an_ulp(self, N):
         # f(1) = 1/sqrt(N!): the exact value lies within one ulp of it
-        v = bargmann_of_fock(N, 1.0).real
+        v = bargmann(FockState(N), 1.0).real
         exact_sq = Fraction(1, math.factorial(N))
         assert Fraction(v - math.ulp(v)) ** 2 <= exact_sq <= Fraction(v + math.ulp(v)) ** 2
 
@@ -103,7 +102,7 @@ class TestRayStack:
                 for k in range(K + 1)
             ])
         if isinstance(state, CoherentState):
-            f = bargmann_of_coherent(state.u, z)
+            f = bargmann(state, z)
             return np.array([f * (np.conj(state.u) * u) ** k / math.factorial(k) for k in range(K + 1)])
         return sum(np.conj(c) * TestRayStack.closed_form(m, z, K) for c, m in state.terms)
 
@@ -201,7 +200,7 @@ class TestDerivativeTower:
     def test_coherent_tower_geometric(self):
         u, z = 0.3 + 0.9j, -0.4 + 0.2j
         tower = derivative_tower(CoherentState(u), z, K=5)
-        f = bargmann_of_coherent(u, z)
+        f = bargmann(CoherentState(u), z)
         for k in range(6):
             assert tower[k] == pytest.approx(np.conj(u) ** k * f, rel=1e-13)
 
@@ -320,6 +319,8 @@ class TestOverlapsAndNormalization:
         inner = superposition([(1.0, FockState(0))])
         with pytest.raises(ValueError, match="Fock or coherent"):
             superposition([(1.0, inner)])
+        with pytest.raises(ValueError, match="Fock or coherent"):
+            superposition([(1.0, inner)], normalize=True)
 
     def test_term_cap(self):
         coeff = 1.0 / math.sqrt(65)
@@ -389,4 +390,42 @@ class TestJsonSchema:
             ],
         }
         with pytest.raises(ValueError, match="nest"):
+            state_from_json(obj)
+
+
+class TestMemberValidation:
+    """A member refuses a value that would name another state or none."""
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None, -1])
+    def test_fock_index_must_be_a_non_negative_integer(self, n):
+        with pytest.raises(ValueError, match="non-negative integer, got " + re.escape(repr(n))):
+            FockState(n)
+
+    def test_numpy_integer_fock_index_is_an_int(self):
+        st = FockState(np.int64(3))
+        assert st == FockState(3) and type(st.n) is int
+
+    @pytest.mark.parametrize("n", [2.7, True, "2"])
+    def test_json_fock_index_is_not_truncated(self, n):
+        with pytest.raises(ValueError, match=re.escape(repr(n))):
+            state_from_json({"type": "fock", "n": n})
+
+    @pytest.mark.parametrize("u", [complex(math.inf, 0.0), complex(0.5, -math.inf), complex(math.nan, 0.0),
+                                   complex(0.0, math.nan)], ids=["inf", "-inf-imag", "nan", "nan-imag"])
+    def test_coherent_amplitude_must_be_finite(self, u):
+        with pytest.raises(ValueError, match="finite"):
+            CoherentState(u)
+
+    def test_json_coherent_amplitude_that_overflows_is_refused(self):
+        with pytest.raises(ValueError, match=r"finite, got \(inf"):
+            state_from_json({"type": "coherent", "re": "1e400"})
+
+    def test_nan_coefficient_is_not_normalized(self):
+        with pytest.raises(ValueError, match="not normalized: <psi|psi> = nan"):
+            superposition([(float("nan"), FockState(0))])
+        with pytest.raises(ValueError, match="cannot normalize .* nan"):
+            superposition([(float("nan"), FockState(0))], normalize=True)
+        obj = {"type": "superposition",
+               "terms": [{"coeff": {"re": float("nan"), "im": 0.0}, "state": {"type": "fock", "n": 0}}]}
+        with pytest.raises(ValueError, match="nan"):
             state_from_json(obj)

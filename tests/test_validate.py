@@ -6,7 +6,9 @@ an annulus out to |z| = 4, both sides at one K."""
 import pytest
 
 from bargwig import validate
-from bargwig.validate import suite_geometry, suite_series
+from bargwig.phase import BasisParams
+from bargwig.states import CoherentState, FockState, cat_state, superposition
+from bargwig.validate import state_window, suite_geometry, suite_series
 
 
 @pytest.mark.parametrize("suite", [suite_series, suite_geometry], ids=["series", "geometry"])
@@ -38,3 +40,29 @@ def test_paper_form_agreement_catches_a_scaled_walk(monkeypatch):
     check = {r.name: r for r in suite_series()}["paper-form-agreement"]
     assert not check.passed
     assert check.residual == pytest.approx(1e-8, rel=0.01)
+
+
+# (q_lo, q_hi, p_lo, p_hi) at n_widths = 6 in the unit basis and at 4 in
+# b = 1.4, hbar = 0.5. The Fock+coherent envelope takes its lower edges from
+# fock(1) and its upper edges from the coherent member.
+WINDOWS = {
+    "fock3": (FockState(3), [
+        (-11.224972160321824, 11.224972160321824, -11.224972160321824, 11.224972160321824),
+        (-10.476640682967036, 10.476640682967036, -2.6726124191242437, 2.6726124191242437)]),
+    "coherent": (CoherentState(0.7 - 0.4j), [
+        (-3.2526911934581184, 5.232590180780451, -4.808326112068523, 3.6769552621700465),
+        (-2.5738686835190325, 5.345727265770298, -1.2121830534626528, 0.8081220356417684)]),
+    "cat1.1": (cat_state(1.1), [
+        (-5.79827560572969, 5.79827560572969, -4.242640687119285, 4.242640687119285),
+        (-6.137686860699231, 6.137686860699231, -1.0101525445522106, 1.0101525445522106)]),
+    "fock-coherent": (superposition([(0.6, FockState(1)), (0.8j, CoherentState(2.5 + 3j))], normalize=True), [
+        (-7.348469228349534, 7.7781745930520225, -7.348469228349534, 8.485281374238571),
+        (-6.858571279792898, 8.909545442950499, -1.749635530559413, 2.5253813613805267)]),
+}
+
+
+@pytest.mark.parametrize("name", WINDOWS)
+def test_state_window(name):
+    state, (unit, scaled) = WINDOWS[name]
+    assert state_window(state, BasisParams()) == unit
+    assert state_window(state, BasisParams(1.4, 0.5), 4.0) == scaled
