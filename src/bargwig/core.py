@@ -36,6 +36,7 @@ from .special import g_kernel, laguerre
 from .states import StateSpec, _stack, bargmann, derivative_tower, exact_degree
 
 __all__ = [
+    "MAX_ORDER",
     "TruncationPolicy",
     "TruncationError",
     "build_F",
@@ -46,10 +47,15 @@ __all__ = [
     "wigner_closed_coherent_crossb",
 ]
 
-class TruncationError(RuntimeError):
-    """Adaptive truncation could not meet the tail tolerance by max_order.
+# Cap on the truncation order. The first try of choose_truncation builds its
+# bound to MAX_ORDER // 2.
+MAX_ORDER = 64
 
-    tail_estimate is the estimate at max_order, and point the sampled z
+
+class TruncationError(RuntimeError):
+    """Adaptive truncation could not meet the tail tolerance by MAX_ORDER.
+
+    tail_estimate is the estimate at MAX_ORDER, and point the sampled z
     where it is worst.
     """
 
@@ -61,25 +67,15 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How many Bargmann derivatives to keep.
-
-    mode "adaptive" uses the exact polynomial degree when the state has one
-    and a decay-based tail estimate otherwise; mode "exact_degree" insists on
-    a polynomial state. tail_tolerance is the absolute bound on the omitted
-    tail in units of the global 1/(pi hbar) scale, positive and finite.
+    """How many Bargmann derivatives to keep: the exact polynomial degree
+    when the state has one, else the smallest order whose omitted tail is
+    at most tail_tolerance, an absolute bound in units of the global
+    1/(pi hbar) scale, positive and finite.
     """
 
-    mode: str = "adaptive"
-    max_order: int = 64
     tail_tolerance: float = 1e-12
 
     def __post_init__(self):
-        if self.mode not in ("adaptive", "exact_degree"):
-            raise ValueError(f"unknown truncation mode {self.mode!r}")
-        if not 1 <= self.max_order <= 170:
-            raise ValueError(
-                f"max_order must be between 1 and 170 (n! <= 170! is the float64 limit), got {self.max_order}"
-            )
         if not (self.tail_tolerance > 0 and math.isfinite(self.tail_tolerance)):
             raise ValueError(f"tail_tolerance must be positive and finite, got {self.tail_tolerance!r}")
 
@@ -156,9 +152,9 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
     """Truncation order K for the quadratic form at the point(s) z.
 
     Polynomial Bargmann functions get their exact degree (the sum is then
-    exact and max_order does not apply). Otherwise K is the smallest order
-    whose omitted part, bounded as below on a sample of the points, meets
-    policy.tail_tolerance.
+    exact and the cap MAX_ORDER does not apply). Otherwise K is the smallest
+    order up to MAX_ORDER whose omitted part, bounded as below on a sample
+    of the points, meets policy.tail_tolerance.
 
     Sample (_truncation_sample). About 512 points of z at a fixed stride,
     the point of largest |z| and the point of largest |f|. When z is a 2-D
@@ -214,51 +210,47 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
     Where rho >= 0.99, or M < 3 leaves no earlier pair, the tail is not
     closable and the estimate is infinite.
 
-    Two tries. The estimate is built first to H = C - 2 floor(C/4), about
-    half the cap C = policy.max_order (H = 32 for the default C = 64; the
-    rounding makes C - H even), and to C only if no K <= H meets the
-    tolerance there. Write est_M(K) for the estimate built to M, without
-    the factor e^(-3r^2/2) that every M shares, and B_M = pi_M rho_M /
-    (1 - rho_M) for its closure. For K <= H,
+    Two tries. The estimate is built first to 32, half the cap MAX_ORDER =
+    64, and to 64 only if no K <= 32 meets the tolerance there. Write
+    est_M(K) for the estimate built to M, without the factor e^(-3r^2/2)
+    that every M shares, and B_M = pi_M rho_M / (1 - rho_M) for its
+    closure. For K <= 32,
 
-        est_H(K) - est_C(K) = B_H - (sum_{H<m<=C} R_m + B_C).
+        est_32(K) - est_64(K) = B_32 - (sum_{32<m<=64} R_m + B_64).
 
-    Let C = H + 2j and rho = rho_H. If the ratio of successive pair sums
-    does not grow beyond H (the closure's assumption, taken at H), then
-    pi_(H+2i) <= pi_H rho^i for i >= 1 and rho_C <= rho, so
+    Let rho = rho_32. If the ratio of successive pair sums does not grow
+    beyond 32 (the closure's assumption, taken at 32), then
+    pi_(32+2i) <= pi_32 rho^i for i >= 1 and rho_64 <= rho, so
 
-        sum_{H<m<=C} R_m = sum_{i=1..j} pi_(H+2i) <= pi_H (rho + ... + rho^j),
-        B_C <= pi_H rho^j rho / (1 - rho) = pi_H (rho^(j+1) + rho^(j+2) + ...),
+        sum_{32<m<=64} R_m = sum_{i=1..16} pi_(32+2i) <= pi_32 (rho + ... + rho^16),
+        B_64 <= pi_32 rho^16 rho / (1 - rho) = pi_32 (rho^17 + rho^18 + ...),
 
-    and the two together are at most pi_H rho / (1 - rho) = B_H (with
-    rho >= 0.99, B_H is infinite). Hence est_H(K) >= est_C(K) at every
-    sampled point and every K <= H, up to rounding: an order that meets the
-    tolerance at the first try meets it at the cap, so the first try never
-    returns a K below the cap's K. It returns a larger K only where B_H
-    overstates the tail beyond H by more than the margin left at the cap's
-    K; on the catalog lattices, coherent states out to |U| = 3 and
+    and the two together are at most pi_32 rho / (1 - rho) = B_32 (with
+    rho >= 0.99, B_32 is infinite). Hence est_32(K) >= est_64(K) at every
+    sampled point and every K <= 32, up to rounding: an order that meets
+    the tolerance at the first try meets it at the cap, so the first try
+    never returns a K below the cap's K. It returns a larger K only where
+    B_32 overstates the tail beyond 32 by more than the margin left at the
+    cap's K; on the catalog lattices, coherent states out to |U| = 3 and
     superpositions with a weak far member (K from 20 to 61), the two agree
     (tests/test_core.py, TestTwoTrySearch). The first try costs about half
     of the one at the cap: the tower grows as M and the convolution as M^2,
-    but both carry a fixed cost per order. When no K <= H meets the
-    tolerance, as when K > H, the call pays both tries, about 1.5 times the
+    but both carry a fixed cost per order. When no K <= 32 meets the
+    tolerance, as when K > 32, the call pays both tries, about 1.5 times the
     cost of the cap's try alone. The last try is always at the cap, so
     TruncationError reports the cap's estimate.
 
-    Raises TruncationError, carrying the estimate at C and the sampled point
-    where it is worst, when no K <= C meets the tolerance.
+    Raises TruncationError, carrying the estimate at MAX_ORDER and the
+    sampled point where it is worst, when no K <= MAX_ORDER meets the
+    tolerance.
     """
     deg = exact_degree(state)
     if deg is not None:
         return deg
-    if policy.mode == "exact_degree":
-        raise ValueError("state has no exact polynomial degree; use an adaptive policy")
 
     sample = _truncation_sample(state, z)
-    M = policy.max_order
-    H = M - 2 * (M // 4)
-    for cap in (H, M) if 3 <= H < M else (M,):
-        est = _tail_estimate(state, sample, cap)
+    for M in (MAX_ORDER // 2, MAX_ORDER):
+        est = _tail_estimate(state, sample, M)
         est_max = est.max(axis=1)
         meets = np.nonzero(est_max <= policy.tail_tolerance)[0]
         if meets.size:
@@ -267,7 +259,7 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
     point = complex(sample[worst])
     raise TruncationError(
         f"adaptive truncation did not reach tail tolerance {policy.tail_tolerance:g} "
-        f"by max_order {M}: at z = {point:.6g} (|z| = {abs(point):.6g}) the tail "
+        f"by the order cap {M}: at z = {point:.6g} (|z| = {abs(point):.6g}) the tail "
         f"estimate is {est_max[M]:.3g}",
         tail_estimate=float(est_max[M]),
         point=point,
@@ -358,12 +350,12 @@ def wigner_series(
     z : complex or ndarray
         Phase-space label(s), sqrt(2) z = q/b + i b p / hbar.
     policy : TruncationPolicy, optional
-        Truncation control; default adaptive with tail 1e-12, cap 64.
+        Truncation control; default tail tolerance 1e-12.
     basis : BasisParams, optional
         Supplies hbar for the 1/(pi hbar) normalization.
     order : int, optional
-        Fixed truncation order, bypassing choose_truncation (used by grid
-        evaluation to keep one order across row blocks).
+        Fixed truncation order, 0 to 170, bypassing choose_truncation (used
+        by grid evaluation to keep one order across row blocks).
 
     Returns
     -------
@@ -375,6 +367,8 @@ def wigner_series(
     z_in = np.asarray(z, dtype=complex)
     zz = z_in.ravel()
     K = order if order is not None else choose_truncation(state, zz, policy)
+    if K < 0:
+        raise ValueError(f"truncation order must be non-negative, got {K}")
     if K > 170:
         raise ValueError(
             f"{state!r} needs truncation order K = {K}; the series holds n! in float64, "

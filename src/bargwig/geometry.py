@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import wigner_closed_coherent_crossb, wigner_closed_coherent_gaussian
 from .phase import BasisParams, PhasePoint, qp_from_z, wirtinger_derivatives, z_from_qp
 
 __all__ = ["IdentityReport", "check_identity_crossb", "check_b_independence"]
-
-_RESIDUAL_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -36,30 +33,10 @@ class IdentityReport:
     rhs_z: float               # z* dW/dz + z dW/dz*, analytic via Wirtinger
     rhs_directional: float     # sqrt(q^2+p^2) n.grad W, n || (q, -p)
     residuals: dict
-    diagnostic: Optional[str] = None
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values())
-
-    def passes(self, tol: float = 1e-6) -> bool:
-        hbar = self.point.basis.hbar
-        return self.max_residual <= tol * max(abs(self.lhs), 1.0 / (math.pi * hbar))
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.point.q,
-            "p": self.point.p,
-            "b": self.point.basis.b,
-            "hbar": self.point.basis.hbar,
-            "step": self.step,
-            "lhs": self.lhs,
-            "rhs_qp": self.rhs_qp,
-            "rhs_z": self.rhs_z,
-            "rhs_directional": self.rhs_directional,
-            "residuals": dict(self.residuals),
-            "diagnostic": self.diagnostic,
-        }
 
 
 def _b_derivative(U: complex, B: float, z: complex, b: float, hbar: float, step: float) -> float:
@@ -88,9 +65,7 @@ def check_identity_crossb(
     With extrapolate (the default) the left-hand side is the Richardson
     extrapolation of the central difference, accurate to O(step^4); without
     it, the plain central difference, accurate to O(step^2), whose residual
-    the step-halving check follows. A diagnostic is attached when halving
-    the step fails to reduce the residual, which indicates the step is
-    outside its useful range.
+    the step-halving check follows.
     """
     basis = point.basis
     b, hbar = basis.b, basis.hbar
@@ -124,16 +99,6 @@ def check_identity_crossb(
         "directional": abs(lhs - rhs_directional),
     }
 
-    diagnostic = None
-    res = residuals["qp"]
-    if res > _RESIDUAL_FLOOR:
-        lhs_half = derivative(U, B, z, b, hbar, step / 2.0)
-        if abs(lhs_half - rhs_qp) >= res:
-            diagnostic = (
-                "halving the b-step did not reduce the residual; "
-                "the step is outside its useful range (too coarse or at roundoff)"
-            )
-
     return IdentityReport(
         point=point,
         step=step,
@@ -142,7 +107,6 @@ def check_identity_crossb(
         rhs_z=rhs_z,
         rhs_directional=rhs_directional,
         residuals=residuals,
-        diagnostic=diagnostic,
     )
 
 

@@ -16,7 +16,7 @@ most BLOCK_POINTS points (one whole row when a row is longer), whatever the
 truncation order K. The series walk keeps about 3(K+1) + O(1) doubles per
 point, the Taylor stack (two per order) and one kernel diagonal, so a block
 holds about 8 (3(K+1) + O(1)) BLOCK_POINTS bytes: at most 2.5 MB on the
-catalog (K <= 24), about 6.5 MB at the default cap K = 64 and 17 MB at the
+catalog (K <= 24), about 6.5 MB at the cap K = 64 and 17 MB at the
 float64 limit K = 170, at any grid size. Beyond its blocks a grid holds its
 labels and values, 24 bytes a point. The truncation order is frozen before
 the rows are cut and every method is pointwise, so the values do not depend
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .core import TruncationPolicy, choose_truncation, wigner_closed_coherent_gaussian, wigner_closed_fock, wigner_series
-from .oracles import QuadratureSpec, DEFAULT_PHASE_HALFWIDTH, wigner_config_integral, wigner_phase_integral
+from .oracles import wigner_config_integral, wigner_phase_integral
 from .phase import BasisParams, qp_from_z, z_from_qp
 from .states import CoherentState, FockState, StateSpec, exact_degree, state_to_json
 
@@ -187,14 +187,12 @@ def _eval_rows(state, q_rows, p_pts, z, basis, method, order, tol):
     budget = {} if tol is None else {"tol": tol}
     out = np.empty(z.shape)
     if method == "config-integral":
-        quad = QuadratureSpec()
         for i, j in np.ndindex(z.shape):
-            out[i, j] = wigner_config_integral(state, q_rows[i], p_pts[j], basis, quad, **budget)
+            out[i, j] = wigner_config_integral(state, q_rows[i], p_pts[j], basis, **budget)
         return out
     if method == "phase-integral":
-        quad = QuadratureSpec(domain_halfwidth=DEFAULT_PHASE_HALFWIDTH)
         for i, j in np.ndindex(z.shape):
-            out[i, j] = wigner_phase_integral(state, complex(z[i, j]), basis, quad, **budget)
+            out[i, j] = wigner_phase_integral(state, complex(z[i, j]), basis, **budget)
         return out
     raise ValueError(f"unknown method {method!r}")
 
@@ -216,7 +214,7 @@ def evaluate_grid(
     row is longer), each written into its rows of the values array. A
     series block keeps about 3(K+1) + O(1) doubles per point, so its working
     set does not grow with the grid: at most 2.5 MB on the catalog
-    (K <= 24), about 6.5 MB at the default cap K = 64, about 17 MB at
+    (K <= 24), about 6.5 MB at the cap K = 64, about 17 MB at
     K = 170.
     """
     basis = basis or BasisParams()

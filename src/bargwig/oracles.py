@@ -89,11 +89,28 @@ def quadrature_nodes(rule: str, nodes: int, halfwidth: float):
     return x * halfwidth, w * halfwidth
 
 
-def _require_budget(tol: float) -> None:
-    """Refuse a budget that switches the node-doubling check off (inf, nan),
-    passes only equal values (0) or fails on them (negative)."""
+def _node_doubling(value, nodes: int, tol: float, imag_budget: float, name: str, where: str) -> float:
+    """The real part of value(2 nodes + 1), checked against value(nodes).
+
+    Raises ValueError unless tol is positive and finite (inf or nan would
+    switch the check off, 0 pass only equal values and a negative budget
+    fail on them), OracleConvergenceError if doubling the node count moves
+    the value by more than 10*tol, and ArithmeticError if the finer value's
+    imaginary part exceeds imag_budget.
+    """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    coarse = value(nodes)
+    fine = value(2 * nodes + 1)
+    if abs(fine - coarse) > 10.0 * tol:
+        raise OracleConvergenceError(
+            f"{name} quadrature not converged at {where}: {coarse} vs {fine} under node doubling",
+            coarse,
+            fine,
+        )
+    if abs(fine.imag) > imag_budget:
+        raise ArithmeticError(f"imaginary residual {fine.imag:.3e} in {name} integral at {where}")
+    return fine.real
 
 
 def _config_value(state, q, p, basis, rule, nodes, halfwidth) -> complex:
@@ -116,22 +133,14 @@ def wigner_config_integral(
 
     The y-cutoff is quad.domain_halfwidth in units of the basis width b.
     Raises OracleConvergenceError if doubling the node count moves the value
-    by more than 10*tol, and ValueError unless tol is positive and finite.
+    by more than 10*tol, ArithmeticError if an imaginary part above 1e-8
+    remains, and ValueError unless tol is positive and finite.
     """
-    _require_budget(tol)
-    quad = quad or QuadratureSpec(domain_halfwidth=DEFAULT_CONFIG_HALFWIDTH)
-    coarse = _config_value(state, q, p, basis, quad.rule, quad.nodes, quad.domain_halfwidth)
-    fine = _config_value(state, q, p, basis, quad.rule, 2 * quad.nodes + 1, quad.domain_halfwidth)
-    if abs(fine - coarse) > 10.0 * tol:
-        raise OracleConvergenceError(
-            f"configuration-space quadrature not converged at (q={q}, p={p}): "
-            f"{coarse} vs {fine} under node doubling",
-            coarse,
-            fine,
-        )
-    if abs(fine.imag) > 1e-8:
-        raise ArithmeticError(f"imaginary residual {fine.imag:.3e} in configuration integral")
-    return fine.real
+    quad = quad or QuadratureSpec()
+    return _node_doubling(
+        lambda nodes: _config_value(state, q, p, basis, quad.rule, nodes, quad.domain_halfwidth),
+        quad.nodes, tol, 1e-8, "configuration-space", f"(q={q}, p={p})",
+    )
 
 
 def _phase_value(state, z, basis, rule, nodes, halfwidth) -> complex:
@@ -158,21 +167,13 @@ def wigner_phase_integral(
 ) -> float:
     """Phase-space quadrature estimate of W at the label z, integrating the
     Bargmann product over w = u + iv on [-H, H]^2 with measure du dv / pi.
-    tol is as in wigner_config_integral."""
-    _require_budget(tol)
+    H defaults to DEFAULT_PHASE_HALFWIDTH; tol is as in
+    wigner_config_integral, and the imaginary budget is 1e-7."""
     quad = quad or QuadratureSpec(domain_halfwidth=DEFAULT_PHASE_HALFWIDTH)
-    coarse = _phase_value(state, z, basis, quad.rule, quad.nodes, quad.domain_halfwidth)
-    fine = _phase_value(state, z, basis, quad.rule, 2 * quad.nodes + 1, quad.domain_halfwidth)
-    if abs(fine - coarse) > 10.0 * tol:
-        raise OracleConvergenceError(
-            f"phase-space quadrature not converged at z={z}: "
-            f"{coarse} vs {fine} under node doubling",
-            coarse,
-            fine,
-        )
-    if abs(fine.imag) > 1e-7:
-        raise ArithmeticError(f"imaginary residual {fine.imag:.3e} in phase-space integral")
-    return fine.real
+    return _node_doubling(
+        lambda nodes: _phase_value(state, z, basis, quad.rule, nodes, quad.domain_halfwidth),
+        quad.nodes, tol, 1e-7, "phase-space", f"z={z}",
+    )
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,9 @@ class BasisParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError("basis width b must be positive")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+        for name, value in (("basis width b", self.b), ("hbar", self.hbar)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def z_from_qp(q, p, basis: BasisParams):

@@ -40,6 +40,15 @@ def test_eval_exits_2_on_fractional_fock_index(tmp_path, capsys):
     assert not (tmp_path / "w.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--b", "--hbar"])
+def test_eval_exits_2_on_infinite_basis(state_file, tmp_path, capsys, flag):
+    # --hbar inf once wrote an all-zero grid and exited 0
+    out = tmp_path / "w.csv"
+    assert main(["eval", "--state", state_file, *GRID, flag, "inf", "--out", str(out)]) == 2
+    assert "must be positive and finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_exits_1_on_failing_suite(capsys):
     assert main(["check", "--suite", "series", "--tol", "1e-300"]) == 1
     assert json.loads(capsys.readouterr().out)["passed"] is False

@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bargwig.core import (
+    MAX_ORDER,
     _series_sum,
     _tail_estimate,
     _truncation_sample,
@@ -45,19 +48,10 @@ def quadratic_form_reference(state, z):
 
 class TestTruncationPolicy:
     def test_defaults(self):
-        pol = TruncationPolicy()
-        assert pol.mode == "adaptive" and pol.max_order == 64 and pol.tail_tolerance == 1e-12
+        assert [f.name for f in dataclasses.fields(TruncationPolicy)] == ["tail_tolerance"]
+        assert TruncationPolicy().tail_tolerance == 1e-12 and MAX_ORDER == 64
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"mode": "magic"},
-            {"max_order": 0},
-            {"max_order": 171},
-            {"tail_tolerance": 0.0},
-            {"tail_tolerance": -1.0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"tail_tolerance": 0.0}, {"tail_tolerance": -1.0}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TruncationPolicy(**kwargs)
@@ -121,18 +115,16 @@ class TestChooseTruncation:
                       - wigner_series(CoherentState(1.0), 1.0 + 0j, order=64)) * math.pi
         assert omitted <= policy.tail_tolerance
 
-    def test_exact_degree_mode_rejects_entire_states(self):
-        with pytest.raises(ValueError, match="adaptive"):
-            choose_truncation(CoherentState(1.0), 1j, TruncationPolicy(mode="exact_degree"))
-
     def test_cap_error_carries_estimate(self):
-        policy = TruncationPolicy(max_order=4, tail_tolerance=1e-14)
+        # coherent(4) at z = 2 needs more than MAX_ORDER derivatives for 1e-14
+        policy = TruncationPolicy(tail_tolerance=1e-14)
         with pytest.raises(TruncationError) as err:
-            choose_truncation(CoherentState(2.0), 2.0 + 0j, policy)
-        assert err.value.tail_estimate > 1e-14
+            choose_truncation(CoherentState(4.0), 2.0 + 0j, policy)
+        assert err.value.tail_estimate == pytest.approx(5.29e-4, rel=1e-2)
         assert err.value.point == 2.0 + 0j
         message = str(err.value)
-        for part in ("z = 2+0j", "|z| = 2", "max_order 4", "tolerance 1e-14", f"{err.value.tail_estimate:.3g}"):
+        for part in ("z = 2+0j", "|z| = 2", f"order cap {MAX_ORDER}", "tolerance 1e-14",
+                     f"{err.value.tail_estimate:.3g}"):
             assert part in message
 
     def test_grows_with_amplitude(self):
@@ -198,9 +190,9 @@ class TestEdgeScan:
 
 
 def cap_order(state, z, policy=TruncationPolicy()):
-    """K from the tail estimate at policy.max_order alone: the smallest
-    order that meets the tolerance there, or None."""
-    est = _tail_estimate(state, _truncation_sample(state, z), policy.max_order).max(axis=1)
+    """K from the tail estimate at MAX_ORDER alone: the smallest order that
+    meets the tolerance there, or None."""
+    est = _tail_estimate(state, _truncation_sample(state, z), MAX_ORDER).max(axis=1)
     meets = np.nonzero(est <= policy.tail_tolerance)[0]
     return int(meets[0]) if meets.size else None
 
@@ -225,8 +217,8 @@ def set_sample(state, z, full_scan=False):
 
 
 class TestTwoTrySearch:
-    """choose_truncation builds its estimate to about max_order / 2 before
-    max_order; the K it returns must be the K of the estimate at max_order
+    """choose_truncation builds its estimate to MAX_ORDER // 2 before
+    MAX_ORDER; the K it returns must be the K of the estimate at MAX_ORDER
     alone."""
 
     @staticmethod
@@ -253,7 +245,7 @@ class TestTwoTrySearch:
     @pytest.mark.parametrize("beta", [2.0, 2.5, 3.0])
     def test_weak_far_member(self, beta):
         # a weak member far out sets K, which runs from 20 to 61 here and so
-        # falls on both sides of max_order // 2 = 32
+        # falls on both sides of MAX_ORDER // 2 = 32
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
         orders = []
         for w in 10.0 ** -np.arange(1, 7):
@@ -320,6 +312,12 @@ class TestWignerSeries:
 
     def test_fock1_negative_origin(self):
         assert wigner_series(FockState(1), 0j) == pytest.approx(-1 / math.pi, rel=1e-14)
+
+    @pytest.mark.parametrize("state", [FockState(3), CoherentState(0.7 - 0.4j)], ids=["fock", "coherent"])
+    def test_negative_order_refused(self, state):
+        # order=-1 once raised IndexError from inside the walk
+        with pytest.raises(ValueError, match=re.escape("truncation order must be non-negative, got -1")):
+            wigner_series(state, 0.3 + 0.1j, order=-1)
 
     def test_matches_fock_closed_form(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -397,9 +395,8 @@ class TestDefaultPathRegressions:
     def test_cat_truncation_on_symmetric_grid(self, count):
         # 61 points put a sample at the origin, where every odd derivative of
         # the even cat vanishes; 60 points straddle it
-        policy = TruncationPolicy()
-        K = choose_truncation(cat_state(1.1), self._window_labels(count), policy)
-        assert K <= policy.max_order
+        K = choose_truncation(cat_state(1.1), self._window_labels(count), TruncationPolicy())
+        assert K <= MAX_ORDER
 
     def test_cat_near_origin_matches_config_integral(self):
         basis = BasisParams()
@@ -435,7 +432,7 @@ class TestSteppedWalk:
 
 class TestTruncationBound:
     """The tail bound of choose_truncation against the true omitted part,
-    and windows that the bound now reaches within max_order."""
+    and windows that the bound now reaches within MAX_ORDER."""
 
     @staticmethod
     def _window(count):

@@ -8,7 +8,7 @@ import pytest
 from bargwig import __version__, grid
 from bargwig.core import wigner_series
 from bargwig.grid import GridAxis, WignerGrid, evaluate_grid
-from bargwig.oracles import OracleConvergenceError
+from bargwig.oracles import OracleConvergenceError, wigner_config_integral, wigner_phase_integral
 from bargwig.phase import BasisParams, z_from_qp
 from bargwig.states import CoherentState, FockState, cat_state, superposition
 
@@ -279,6 +279,25 @@ class TestOracleTolerance:
     @pytest.mark.parametrize("method", ["config-integral", "phase-integral"])
     def test_default_tol_passes(self, method):
         evaluate_grid(FockState(6), self.AXIS, self.AXIS, method=method)
+
+
+class TestOracleMethods:
+    """An oracle method of evaluate_grid is the oracle called point by
+    point with its own default quadrature and budget."""
+
+    @pytest.mark.parametrize("method", ["config-integral", "phase-integral"])
+    def test_grid_equals_direct_calls(self, method):
+        state = superposition([(0.6, FockState(2)), (0.8j, CoherentState(0.5 - 0.3j))], normalize=True)
+        basis = BasisParams(1.3, 0.8)
+        q_axis, p_axis = GridAxis(-0.7, 0.4, 2), GridAxis(-0.2, 0.9, 2)
+        got = evaluate_grid(state, q_axis, p_axis, basis, method=method).values
+        for i, q in enumerate(q_axis.points):
+            for j, p in enumerate(p_axis.points):
+                if method == "config-integral":
+                    want = wigner_config_integral(state, q, p, basis)
+                else:
+                    want = wigner_phase_integral(state, z_from_qp(q, p, basis), basis)
+                assert bits(got[i, j]) == bits(want), (i, j)
 
 
 class TestTolerance:

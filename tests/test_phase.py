@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,9 +20,13 @@ class TestBasisParams:
         basis = BasisParams()
         assert basis.b == 1.0 and basis.hbar == 1.0
 
-    @pytest.mark.parametrize("kwargs", [{"b": 0.0}, {"b": -1.0}, {"hbar": 0.0}, {"hbar": -2.0}])
+    @pytest.mark.parametrize("kwargs", [{"b": 0.0}, {"b": -1.0}, {"hbar": 0.0}, {"hbar": -2.0},
+                                        {"b": math.inf}, {"b": math.nan}, {"hbar": math.inf}, {"hbar": math.nan}])
     def test_rejects_nonpositive(self, kwargs):
-        with pytest.raises(ValueError):
+        # an infinite hbar once gave an all-zero grid, and an infinite b a
+        # TruncationError at z = nan+nanj
+        (value,) = kwargs.values()
+        with pytest.raises(ValueError, match=re.escape(f"must be positive and finite, got {value!r}")):
             BasisParams(**kwargs)
 
 
