@@ -51,7 +51,16 @@ class TestTruncationPolicy:
         assert [f.name for f in dataclasses.fields(TruncationPolicy)] == ["tail_tolerance"]
         assert TruncationPolicy().tail_tolerance == 1e-12 and MAX_ORDER == 64
 
-    @pytest.mark.parametrize("kwargs", [{"tail_tolerance": 0.0}, {"tail_tolerance": -1.0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tail_tolerance": math.inf},
+            {"tail_tolerance": math.nan},
+            {"tail_tolerance": -math.inf},
+            {"tail_tolerance": 0.0},
+            {"tail_tolerance": -1.0},
+        ],
+    )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TruncationPolicy(**kwargs)
