@@ -18,10 +18,10 @@ imaginary residual exceeds its budget.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,7 +45,8 @@ DEFAULT_NODES = 257
 
 
 class OracleConvergenceError(RuntimeError):
-    """Node doubling moved the result by more than the allowed budget."""
+    """Node doubling gave a value that is not finite, or moved the result
+    by more than the allowed budget."""
 
     def __init__(self, message: str, coarse: complex, fine: complex):
         super().__init__(message)
@@ -67,8 +68,8 @@ class QuadratureSpec:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
         if self.nodes < 32:
             raise ValueError("at least 32 quadrature nodes required")
-        if not self.domain_halfwidth > 0:
-            raise ValueError("quadrature halfwidth must be positive")
+        if not (self.domain_halfwidth > 0 and math.isfinite(self.domain_halfwidth)):
+            raise ValueError(f"quadrature halfwidth must be positive and finite, got {self.domain_halfwidth!r}")
 
 
 @functools.lru_cache(maxsize=16)
@@ -94,14 +95,22 @@ def _node_doubling(value, nodes: int, tol: float, imag_budget: float, name: str,
 
     Raises ValueError unless tol is positive and finite (inf or nan would
     switch the check off, 0 pass only equal values and a negative budget
-    fail on them), OracleConvergenceError if doubling the node count moves
-    the value by more than 10*tol, and ArithmeticError if the finer value's
-    imaginary part exceeds imag_budget.
+    fail on them), OracleConvergenceError if either value is not finite
+    (NaN would pass both comparisons below) or if doubling the node count
+    moves the value by more than 10*tol, and ArithmeticError if the finer
+    value's imaginary part exceeds imag_budget.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     coarse = value(nodes)
     fine = value(2 * nodes + 1)
+    if not (cmath.isfinite(coarse) and cmath.isfinite(fine)):
+        raise OracleConvergenceError(
+            f"{name} quadrature value not finite at {where}: {coarse} with {nodes} nodes, "
+            f"{fine} with {2 * nodes + 1}",
+            coarse,
+            fine,
+        )
     if abs(fine - coarse) > 10.0 * tol:
         raise OracleConvergenceError(
             f"{name} quadrature not converged at {where}: {coarse} vs {fine} under node doubling",
@@ -182,33 +191,11 @@ class MarginalDensity:
 
     q: np.ndarray
     density: np.ndarray
-    warning: Optional[str] = None
 
 
 def marginal_position(grid) -> MarginalDensity:
-    """Trapezoid-integrate W over p at each q column.
-
-    Attaches a warning when the grid boundary still carries weight
-    (|W| > 1e-6 of the peak), which biases the marginal.
-    """
-    q = grid.q_axis.points
-    p = grid.p_axis.points
-    values = grid.values
-    density = np.trapezoid(values, p, axis=1)
-    peak = np.max(np.abs(values))
-    edge = max(
-        np.max(np.abs(values[0, :])),
-        np.max(np.abs(values[-1, :])),
-        np.max(np.abs(values[:, 0])),
-        np.max(np.abs(values[:, -1])),
-    )
-    warning = None
-    if peak > 0 and edge > 1e-6 * peak:
-        warning = (
-            f"grid too narrow: boundary |W| up to {edge:.3e} "
-            f"({edge / peak:.1e} of peak) leaks out of the window"
-        )
-    return MarginalDensity(q=q, density=density, warning=warning)
+    """Trapezoid-integrate W over p at each q column."""
+    return MarginalDensity(q=grid.q_axis.points, density=np.trapezoid(grid.values, grid.p_axis.points, axis=1))
 
 
 def normalization(grid) -> float:

@@ -94,41 +94,18 @@ class FockState:
         """(Q, P, wq, wp): the phase-space centre and the widths in q and p."""
         return 0.0, 0.0, basis.b * math.sqrt(self.n + 0.5), (basis.hbar / basis.b) * math.sqrt(self.n + 0.5)
 
-    def add_stack(self, out, c, first, z, r, ur, ui, ray) -> None:
-        """Write (first) or add conj(c) s_k into out, with s_k as in _stack:
+    def recurrence(self, K, z, r, w, ray):
+        """(start, step, orders) of its stack in _stack, from k = n down:
 
-            s_k = sqrt(n!) / (d_k (n-k)!) w^n rho^(n-k),
+            s_k = sqrt(n!) / ((n-k)! d_k) w^n rho^(n-k),
 
-        along the ray one phase u^n per point times real powers of r. The
-        stack is built in real arithmetic from k = n down; the coefficients
-        come from exact integers (_root_factorial), and u^n is taken by
-        repeated squaring and divided by its modulus, since |u| = 1 only to
-        an ulp."""
-        K = len(out) - 1
-        re, im = out[:, 0], out[:, 1]
-        qr, qi, t, s = (np.empty(z.shape) for _ in range(4))
-        # q = conj(c) w^N rho^(N-k), from k = N down
+        start w^n (by repeated squaring), step rho, and the coefficients
+        correctly rounded from exact integers (_root_factorial)."""
         N = self.n
-        a, b = c.real, -c.imag
         root = _root_factorial(N)
-        _unit_power(ur, ui, N, qr, qi, t, s)
-        _cmul(qr, qi, a, b, t, s)
-        for k in range(N, -1, -1):
-            if k <= K:
-                coeff = root / ((math.factorial(N - k) * (math.factorial(k) if ray else 1)) << 60)
-                if first:
-                    np.multiply(qr, coeff, out=re[k])
-                    np.multiply(qi, coeff, out=im[k])
-                else:
-                    re[k] += np.multiply(qr, coeff, out=t)
-                    im[k] += np.multiply(qi, coeff, out=t)
-            if not k:
-                break
-            if ray:
-                qr *= r
-                qi *= r
-            else:
-                _cmul(qr, qi, z.real, z.imag, t, s)
+        orders = ((k, root / ((math.factorial(N - k) * (math.factorial(k) if ray else 1)) << 60))
+                  for k in range(N, -1, -1))
+        return _unit_power(w, N), (r if ray else z), orders
 
 
 @dataclass(frozen=True)
@@ -181,40 +158,14 @@ class CoherentState:
         Q, P = qp_from_z(self.u, basis)
         return Q, P, basis.b / math.sqrt(2.0), basis.hbar / (basis.b * math.sqrt(2.0))
 
-    def add_stack(self, out, c, first, z, r, ur, ui, ray) -> None:
-        """Write (first) or add conj(c) s_k into out, with s_k as in _stack:
-        s_0 = f(z), s_k = s_(k-1) conj(U) w d_(k-1)/d_k.
-
-        The member is carried as one complex vector conj(c) f(z) and stepped
-        by one complex multiply per order, by the scalar conj(U) (ray=False)
-        or by the vector conj(U) u (ray=True). Its real and imaginary parts
-        are copied into the stack, along the ray times 1/k!, correctly
-        rounded from exact integers. numpy rounds a complex product
-        elementwise, by the same instructions at every element, so a point's
-        value does not depend on the length of the array it sits in or on
-        its offset there, and a grid evaluated in blocks stays bitwise equal
-        to one call. The one exception is an in-place product of a length-1
-        array, which numpy rounds by another loop; the multiply therefore
-        writes into a second buffer. On FMA hardware those instructions
-        round differently from separate real products in about a quarter of
-        the real and of the imaginary parts, so coherent and cat values
-        differ from a real-arithmetic build at roundoff."""
-        K = len(out) - 1
-        U = self.u
-        # q_k = conj(c) f(z) (conj(U) w)^k, and s_k = q_k / d_k
-        q = self.bargmann(z) * np.conj(c)
-        step = np.conj(U) * (ur + 1j * ui) if ray else np.conj(U)
-        spare = np.empty_like(q)
-        ts = np.empty((2,) + z.shape)
-        for k in range(K + 1):
-            if k:
-                q, spare = np.multiply(q, step, out=spare), q
-            dest = out[k] if first else ts
-            np.copyto(dest, q.view(float).reshape(-1, 2).T)  # (Re q, Im q)
-            if ray and k > 1:
-                dest *= 1 / math.factorial(k)
-            if not first:
-                out[k] += ts
+    def recurrence(self, K, z, r, w, ray):
+        """(start, step, orders) of its stack in _stack, from k = 0 up,
+        with U = self.u: s_k = f(z) (conj(U) w)^k / d_k, start f(z), step
+        conj(U) w (the scalar conj(U) off the ray), coefficients 1/k! along
+        the ray."""
+        U = np.conj(self.u)
+        orders = ((k, 1 / math.factorial(k) if ray else 1.0) for k in range(K + 1))
+        return self.bargmann(z), (U * w if ray else U), orders
 
 
 _MEMBER_KINDS = (FockState, CoherentState)
@@ -342,48 +293,64 @@ def _stack(state: StateSpec, z: np.ndarray, K: int, ray: bool) -> np.ndarray:
                    stack along the ray through z, t_k = f^(k)(z) u^k / k!,
                    that the series walk consumes.
 
-    Each member builds its own stack (add_stack), with rho = z conj(w)
-    (rho = |z| along the ray, rho = z otherwise); a superposition
-    sum_m c_m |psi_m> has sum_m conj(c_m) s_k[psi_m]. The first member
-    writes into the zeroed stack, the others add to it.
+    Each member gives its recurrence, with rho = z conj(w) (rho = r = |z|
+    along the ray, rho = z otherwise): a start vector, a multiplier, and
+    the (order, coefficient) pairs in the order the products reach them.
+    One loop carries conj(c) start as one complex vector, steps it by one
+    complex multiply per order, and writes its real and imaginary parts
+    times the coefficient into the stack (the first member) or adds them
+    (the others), so a superposition sum_m c_m |psi_m> has
+    sum_m conj(c_m) s_k[psi_m].
+
+    numpy rounds a complex product elementwise, by the same instructions at
+    every element, so a point's value does not depend on the length of the
+    array it sits in or on its offset there, and a grid evaluated in blocks
+    stays bitwise equal to one call. The one exception is an in-place
+    product of a length-1 array, which numpy rounds by another loop; the
+    multiply therefore writes into a second buffer. On FMA hardware those
+    instructions round differently from separate real products in about a
+    quarter of the real and of the imaginary parts, so values differ from a
+    real-arithmetic build at roundoff. u is taken by two real divisions:
+    numpy's complex division z/r overflows at a subnormal z (2.2e-313j
+    gives nan + inf j).
     """
     r = np.abs(z)
-    ur, ui = np.ones(z.shape), np.zeros(z.shape)
+    w = np.ones(z.shape, dtype=complex)
     if ray:
-        np.divide(z.real, r, out=ur, where=r > 0)
-        np.divide(z.imag, r, out=ui, where=r > 0)
+        np.divide(z.real, r, out=w.real, where=r > 0)
+        np.divide(z.imag, r, out=w.imag, where=r > 0)
     out = np.zeros((K + 1, 2) + z.shape)
+    parts = np.empty((2,) + z.shape)
     for i, (c, member) in enumerate(_terms(state)):
-        member.add_stack(out, c, i == 0, z, r, ur, ui, ray)
+        q, step, orders = member.recurrence(K, z, r, w, ray)
+        q = q * np.conj(c)  # not in place, for the length-1 reason below
+        spare = np.empty_like(q)
+        for j, (k, coeff) in enumerate(orders):
+            if j:
+                q, spare = np.multiply(q, step, out=spare), q
+            if k > K:
+                continue
+            dest = out[k] if i == 0 else parts
+            np.multiply(q.view(float).reshape(-1, 2).T, coeff, out=dest)  # (Re q, Im q)
+            if i:
+                out[k] += parts
     return out
 
 
-def _cmul(xr, xi, yr, yi, t, s) -> None:
-    """x <- x y in real arithmetic, in place; y may be x or a scalar, and
-    t, s are scratch arrays."""
-    np.multiply(xr, yi, out=t)
-    t += np.multiply(xi, yr, out=s)
-    np.multiply(xr, yr, out=s)
-    np.multiply(xi, yi, out=xr)
-    np.subtract(s, xr, out=xr)
-    xi[...] = t
-
-
-def _unit_power(ur, ui, N: int, pr, pi, t, s) -> None:
-    """(pr, pi) <- u^N for |u| = 1, by repeated squaring, divided by its
-    modulus; t and s are scratch arrays."""
-    pr[...] = 1.0
-    pi[...] = 0.0
-    br, bi = ur.copy(), ui.copy()
+def _unit_power(u: np.ndarray, N: int) -> np.ndarray:
+    """u^N for |u| = 1, by repeated squaring, divided by its modulus,
+    since |u| = 1 only to an ulp."""
+    p = np.ones_like(u)
     while N:
         if N & 1:
-            _cmul(pr, pi, br, bi, t, s)
+            p = p * u
         N >>= 1
         if N:
-            _cmul(br, bi, br, bi, t, s)
-    np.hypot(pr, pi, out=t)
-    pr /= t
-    pi /= t
+            u = u * u
+    m = np.abs(p)
+    p.real /= m
+    p.imag /= m
+    return p
 
 
 def derivative_tower(state: StateSpec, z, K: int) -> np.ndarray:

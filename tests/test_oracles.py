@@ -61,3 +61,33 @@ class TestNodes:
             QuadratureSpec(rule="tanh_sinh")
         with pytest.raises(ValueError, match="unknown quadrature rule 'tanh_sinh'"):
             quadrature_nodes("tanh_sinh", 41, 1.0)
+
+
+class TestNonFiniteValues:
+    """A value that is not finite fails both node-doubling comparisons, so
+    it is refused before them: an infinite halfwidth when the rule is
+    built, and any NaN or infinity at the check, naming the point."""
+
+    @pytest.mark.parametrize("halfwidth", [math.inf, math.nan, -math.inf], ids=["inf", "nan", "-inf"])
+    def test_halfwidth_refused(self, halfwidth):
+        with pytest.raises(ValueError, match=re.escape(f"positive and finite, got {halfwidth!r}")):
+            QuadratureSpec(domain_halfwidth=halfwidth)
+
+    def test_infinite_halfwidth_refused_for_both_oracles(self):
+        # both calls returned nan with no error while the spec took inf
+        with pytest.raises(ValueError, match="halfwidth"):
+            wigner_config_integral(FockState(1), 0.1, 0.2, BASIS, QuadratureSpec(domain_halfwidth=math.inf))
+        with pytest.raises(ValueError, match="halfwidth"):
+            wigner_phase_integral(FockState(1), 0.1 + 0.2j, BASIS, QuadratureSpec(domain_halfwidth=math.inf))
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(math.nan, 0.0), complex(0.0, math.inf)],
+                             ids=["nan", "nan-real", "inf-imag"])
+    @pytest.mark.parametrize("which", ["coarse", "fine"])
+    def test_node_doubling_names_the_point(self, bad, which):
+        def value(nodes):
+            return complex(bad) if (nodes == 32) == (which == "coarse") else 0.25 + 0j
+
+        with pytest.raises(oracles.OracleConvergenceError, match=re.escape("not finite at z=(0.1+0.2j)")) as info:
+            oracles._node_doubling(value, 32, 1e-8, 1e-8, "phase-space", "z=(0.1+0.2j)")
+        got = info.value.coarse if which == "coarse" else info.value.fine
+        assert not np.isfinite(got)

@@ -162,11 +162,17 @@ class TestCoherentTower:
                     scale = float(sum(abs(p) for p in parts))
                     assert abs(got[k, i] - complex(sum(parts))) <= 1e-14 * scale, (zi, k)
 
-    @pytest.mark.parametrize("state", [CoherentState(0.7 - 0.4j), cat_state(1.1)], ids=["coherent", "cat1.1"])
+    @pytest.mark.parametrize("state", [
+        CoherentState(0.7 - 0.4j),
+        cat_state(1.1),
+        FockState(12),
+        superposition([(0.6, FockState(5)), (0.8j, CoherentState(-0.5 + 1.1j))], normalize=True),
+    ], ids=["coherent", "cat1.1", "fock12", "fock-coherent"])
     @pytest.mark.parametrize("ray", [False, True], ids=["derivative", "ray"])
     def test_point_does_not_depend_on_its_array(self, state, ray):
         # a one-point call (the origin of a scaled grid) and short blocks
-        # round as the same points inside a longer array
+        # round as the same points inside a longer array; Fock members step
+        # by the same complex multiply as coherent ones
         rng = np.random.default_rng(607)
         z = np.array([0j] + [complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(23)])
         whole = _stack(state, z, 30, ray=ray)
