@@ -7,21 +7,15 @@ the terminating-2F0 kernel values
 
     F_{n,j} = g_kernel(n, j, z) = conj(z)^n z^j 2F0(-n, -j; ; -1/|z|^2),
 
-a polynomial in z and conj(z), regular at z = 0. wigner_series walks these
-entries along their diagonals (below); build_F tabulates them entry by
-entry and is the reference that the tests and validate's
-paper-form-agreement check compare the walk against.
-
-The 1/n! weights make the coefficient vector the Taylor stack of f at z;
-with them the Fock states reproduce the Laguerre closed form exactly.
-Every kernel entry is an associated Laguerre polynomial. wigner_series
-takes the Taylor stack along the ray through z, t_k = f^(k)(z) u^k / k!
-with u = z/|z|, built from each state's closed form (states._stack),
-runs the Laguerre recurrence on the main diagonal of F only, and steps
-each later diagonal from the one before in the Laguerre index (O(K^2)
-work, real by construction).
-Closed-form references for Fock and (cross-width) coherent states live here
-as well.
+a polynomial in z and conj(z), regular at z = 0: every entry is an
+associated Laguerre polynomial. build_F tabulates F entry by entry, the
+reference that the tests and validate's paper-form-agreement check compare
+the walk against. The 1/n! weights make the coefficient vector the Taylor
+stack of f at z. wigner_series takes that stack along the ray through z
+(states._stack) and walks F along its diagonals (_series_sum: O(K^2)
+work, real by construction); choose_truncation walks the same recurrences
+up the shells of F in absolute values. Closed-form references for Fock and
+(cross-width) coherent states live here as well.
 """
 
 from __future__ import annotations
@@ -47,8 +41,7 @@ __all__ = [
     "wigner_closed_coherent_crossb",
 ]
 
-# Cap on the truncation order. The first try of choose_truncation builds its
-# bound to MAX_ORDER // 2.
+# Cap on the truncation order; choose_truncation tries MAX_ORDER // 2 first.
 MAX_ORDER = 64
 
 
@@ -95,37 +88,61 @@ def build_F(z: complex, K: int) -> np.ndarray:
     return entries
 
 
-def _tail_estimate(state: StateSpec, zz: np.ndarray, M: int) -> np.ndarray:
-    """est[K, i], K = 0..M: the bound of choose_truncation on the part of
-    the form (times exp(-2|z|^2), in units of 1/(pi hbar)) that truncation
-    at K omits at the point zz[i]. |c_k| is the modulus of the Taylor
-    stack along the ray, the one _series_sum consumes, and |V_k| = k! |c_k|."""
-    t = _stack(state, zz, M, ray=True)
-    absc = np.sqrt(np.einsum("kcn,kcn->kn", t, t))  # 8x faster than np.hypot, no complex copy
-    absV = absc * np.array([float(math.factorial(k)) for k in range(M + 1)]).reshape(-1, 1)
-    r = np.abs(zz)
+def _shell_weights(state: StateSpec, zz: np.ndarray, r: np.ndarray):
+    """Yield R_m = sum over max(n, j) = m of |t_n| |G_nj| |t_j| at the points
+    zz, r = |zz|, for m = 0, 1, ..., MAX_ORDER. The moduli |t_k| of the
+    ray stack are built to MAX_ORDER // 2 and again to MAX_ORDER once the
+    walk passes that shell, so a walk that stops there holds arrays of half
+    the cap. With g_n^(a) as in _series_sum, h[n] = r^(m-n) g_n^(m-n)
+    holds shell m, and |G_(n,m)| = |h[n]|. The identity g_n^(a+1) =
+    g_n^(a) - n g_(n-1)^(a+1) steps every entry off the diagonal from the
+    shell before, h_m[n] = r h_(m-1)[n] - n h_(m-1)[n-1], and the
+    three-term recurrence gives h_m[m] = g_m^(0): a fixed number of array
+    operations per shell.
+    """
+    y = r * r
+    absc = h = np.empty((0, r.size))
+    n = np.arange(1.0, MAX_ORDER + 1)[:, None]
+    g_prev, g = np.zeros_like(r), np.ones_like(r)  # g_(m-1)^(0), g_m^(0)
+    for m in range(MAX_ORDER + 1):
+        if m == len(absc):
+            t = _stack(state, zz, MAX_ORDER if m else MAX_ORDER // 2, ray=True)
+            absc = np.sqrt(np.einsum("kcn,kcn->kn", t, t))  # 8x faster than np.hypot, no complex copy
+            del t  # free the stack: the walk needs only its moduli
+            h = np.concatenate((h, np.empty((len(absc) - m, r.size))))
+            tmp = np.empty_like(h)
+        if m:
+            np.multiply(h[:m - 1], n[:m - 1], out=tmp[:m - 1])
+            h[:m] *= r
+            h[1:m] -= tmp[:m - 1]
+            g_prev, g = g, (y - (2 * m - 1)) * g - (m - 1) ** 2 * g_prev
+        h[m] = g
+        np.abs(h[:m + 1], out=tmp[:m + 1])
+        s = np.einsum("nk,nk->k", absc[:m + 1], tmp[:m + 1])
+        yield absc[m] * (2.0 * s - absc[m] * tmp[m])
 
-    # conv[m] = sum_{k=1..m} |c_(m-k)| r^k / k!, one slab per shift k.
-    conv = np.zeros_like(absV)
-    rk = np.ones_like(r)
-    for k in range(1, M + 1):
-        rk *= r / k
-        conv[k:] += absc[:-k] * rk
-    R = absV * (absc + 2.0 * conv)
 
-    # Pair-sum closure of sum_{m>M} R_m.
+def _closed_tail(R: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """est[K, i], K = 0..M, from the shell weights R[m, i], m = 0..M:
+    exp(-2 r^2) sum_{m>K} R_m, closed beyond M >= 3 by pair sums."""
+    M = len(R) - 1
     last_pair = R[M - 1:].sum(axis=0)
-    prev_pair = R[M - 3:M - 1].sum(axis=0) if M >= 3 else np.zeros_like(r)
+    prev_pair = R[M - 3:M - 1].sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(prev_pair > 0, last_pair / prev_pair, np.inf)
         beyond = np.where(ratio < 0.99, last_pair * ratio / (1.0 - ratio), np.inf)
     beyond[last_pair == 0] = 0.0
 
     # tail[K] = sum_{m>K} R_m, summed from the top so small tails keep their digits.
-    tail = np.empty_like(R)
-    tail[M] = beyond
-    tail[:M] = np.cumsum(R[:0:-1], axis=0)[::-1] + beyond
-    return np.exp(-1.5 * r * r) * tail
+    tail = np.cumsum(np.concatenate((beyond[None], R[:0:-1])), axis=0)[::-1]
+    return np.exp(-2.0 * r * r) * tail
+
+
+def _tail_estimate(state: StateSpec, zz: np.ndarray, M: int) -> np.ndarray:
+    """est[K, i], K = 0..M: the bound of choose_truncation, closed at M, on
+    what truncation at K omits of W at zz[i], in units of 1/(pi hbar)."""
+    r = np.abs(zz)
+    return _closed_tail(np.array([R_m for R_m, _ in zip(_shell_weights(state, zz, r), range(M + 1))]), r)
 
 
 def _truncation_sample(state: StateSpec, z) -> np.ndarray:
@@ -163,56 +180,38 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
     too peaks there. A 1-D z, as wigner_series passes it, is scanned in
     full.
 
-    Bound. Along a diagonal the kernel is G_(n,n+a) = n! (-1)^n L_n^(a)(r^2)
-    z^a, r = |z| (see _series_sum), and for a, x >= 0 the Laguerre
-    polynomials obey |L_n^(a)(x)| <= C(n+a, n) e^(x/2) (Abramowitz & Stegun
-    22.14.13; DLMF 18.14.8). Hence, with m = max(n, j),
+    Bound. Group the entries of the form by the shell m = max(n, j) and
+    take absolute values, R_m = sum over the shell of |t_n| |G_nj| |t_j|
+    (t and G as in _series_sum, walked by _shell_weights). In units of
+    1/(pi hbar) the entries that truncation at K omits sum to at most
 
-        |G_nj| <= m! / |n-j|! r^|n-j| e^(r^2/2).
+        exp(-2 r^2) sum_{m>K} R_m,   r = |z|.
 
-    With c_k = V_k/k!, so that m! |c_m| = |V_m|, group the entries of the
-    form by m: the diagonal entry and the 2m entries (m, j), (j, m), j < m,
-    give the row weight
-
-        R_m = |V_m| (|c_m| + 2 sum_{j<m} |c_j| r^(m-j) / (m-j)!),
-
-    and the entries that truncation at K omits (max(n, j) > K) are at most
-
-        |omitted| <= exp(-2 r^2) e^(r^2/2) sum_{m>K} R_m = e^(-3r^2/2) sum_{m>K} R_m
-
-    in units of 1/(pi hbar). The bound is not rank one, so the tail is a
-    suffix sum of R_m. The sum over j is a convolution of |c| with r^k/k!,
-    taken as one array operation per shift k over all sampled points.
-
-    Closure beyond M. The estimate is built to an order M (see Two tries
-    below): R_m is known up to M, and the rest of the tail is closed
-    geometrically. A single ratio R_M / R_(M-1) cannot serve: for a state
-    of definite parity the odd (or even) derivatives vanish at z = 0, so
-    near the origin |V_m| and |c_m| are O(r) at every other m, and the
-    convolution reaches an order of the other parity only through an odd
-    power of r. Consecutive R_m therefore alternate between
-    an O(1) and an O(r^2) magnitude (at z = 0, R_m = |V_m|^2/m! is exactly
-    0 at every other m), and their ratio says nothing about the decay.
-    Each pair sum pi_k = R_(k-1) + R_k holds one even and one odd order, so
-    the pair sums are free of the alternation. With rho = pi_M / pi_(M-2),
-    and assuming the ratio of successive pair sums does not grow beyond M,
-    the pairs (M+1, M+2), (M+3, M+4), ... sum to at most pi_M rho^i, so
+    Closure beyond M. R_m is known up to the last shell walked, M (see Two
+    tries), and the rest of the tail is closed geometrically. A single
+    ratio R_M / R_(M-1) cannot serve: for a state of definite parity the
+    odd (or even) derivatives vanish at z = 0, so near the origin |t_m| is
+    O(r) at every other m, and G_(n,n+a) carries z^a, so R_m alternates
+    between an O(1) and an O(r^2) magnitude (at z = 0, R_m = m! |t_m|^2 is
+    exactly 0 at every other m). Each pair sum pi_k = R_(k-1) + R_k holds
+    one even and one odd order and is free of the alternation. With
+    rho = pi_M / pi_(M-2), and assuming the ratio of successive pair sums
+    does not grow beyond M, the pairs (M+1, M+2), (M+3, M+4), ... sum to at
+    most pi_M rho^i, so
 
         sum_{m>M} R_m <= pi_M rho / (1 - rho).
 
     The assumption holds once the Taylor coefficients decay faster than
-    geometrically, as they do for every entire Bargmann function of the
-    catalog: a coherent state with f^(k) = beta^k f has
-    R_m = |f|^2 |beta|^m (2 (|beta| + r)^m - |beta|^m) / m!, whose ratio
-    falls like 1/m, and a superposition is dominated by its largest |beta|.
-    Where rho >= 0.99, or M < 3 leaves no earlier pair, the tail is not
-    closable and the estimate is infinite.
+    geometrically, as for every entire Bargmann function of the catalog
+    (|t_k| = |f| |beta|^k / k! for coherent(beta)). Where rho >= 0.99 the
+    estimate is infinite.
 
-    Two tries. The estimate is built first to 32, half the cap MAX_ORDER =
-    64, and to 64 only if no K <= 32 meets the tolerance there. Write
-    est_M(K) for the estimate built to M, without the factor e^(-3r^2/2)
-    that every M shares, and B_M = pi_M rho_M / (1 - rho_M) for its
-    closure. For K <= 32,
+    Two tries, one walk. The closure is tried first at shell 32, half the
+    cap MAX_ORDER = 64, and the walk goes on to shell 64 only if no K <= 32
+    meets the tolerance there; no shell is walked twice, and the second
+    try rebuilds only the moduli |t_k|, to 64. Write est_M(K) for the
+    estimate closed at M, without the factor exp(-2 r^2) that every M
+    shares, and B_M = pi_M rho_M / (1 - rho_M) for its closure. For K <= 32,
 
         est_32(K) - est_64(K) = B_32 - (sum_{32<m<=64} R_m + B_64).
 
@@ -225,36 +224,35 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
 
     and the two together are at most pi_32 rho / (1 - rho) = B_32 (with
     rho >= 0.99, B_32 is infinite). Hence est_32(K) >= est_64(K) at every
-    sampled point and every K <= 32, up to rounding: an order that meets
-    the tolerance at the first try meets it at the cap, so the first try
-    never returns a K below the cap's K. It returns a larger K only where
-    B_32 overstates the tail beyond 32 by more than the margin left at the
+    sampled point and every K <= 32, up to rounding: the first try never
+    returns a K below the cap's K. It returns a larger K only where B_32
+    overstates the tail beyond 32 by more than the margin left at the
     cap's K; on the catalog lattices, coherent states out to |U| = 3 and
-    superpositions with a weak far member (K from 20 to 61), the two agree
-    (tests/test_core.py, TestTwoTrySearch). The first try costs about half
-    of the one at the cap: the tower grows as M and the convolution as M^2,
-    but both carry a fixed cost per order. When no K <= 32 meets the
-    tolerance, as when K > 32, the call pays both tries, about 1.5 times the
-    cost of the cap's try alone. The last try is always at the cap, so
-    TruncationError reports the cap's estimate.
+    superpositions with a weak far member (K from 10 to 56), the two agree
+    (tests/test_core.py, TestTwoTrySearch). Shell m costs O(m) per point,
+    so the walk to 32 is about a quarter of the walk to the cap.
 
-    Raises TruncationError, carrying the estimate at MAX_ORDER and the
-    sampled point where it is worst, when no K <= MAX_ORDER meets the
-    tolerance.
+    Raises TruncationError, carrying the estimate at the cap and the
+    sampled point where it is worst, when no K <= MAX_ORDER meets it.
     """
     deg = exact_degree(state)
     if deg is not None:
         return deg
+    if not np.size(z):
+        return 0  # no point, nothing omitted
 
     sample = _truncation_sample(state, z)
+    r = np.abs(sample)
+    shells = _shell_weights(state, sample, r)
+    R = []
     for M in (MAX_ORDER // 2, MAX_ORDER):
-        est = _tail_estimate(state, sample, M)
+        R += [next(shells) for _ in range(len(R), M + 1)]
+        est = _closed_tail(np.array(R), r)
         est_max = est.max(axis=1)
         meets = np.nonzero(est_max <= policy.tail_tolerance)[0]
         if meets.size:
             return int(meets[0])
-    worst = int(np.argmax(est[M]))
-    point = complex(sample[worst])
+    point = complex(sample[np.argmax(est[M])])
     raise TruncationError(
         f"adaptive truncation did not reach tail tolerance {policy.tail_tolerance:g} "
         f"by the order cap {M}: at z = {point:.6g} (|z| = {abs(point):.6g}) the tail "
@@ -277,8 +275,7 @@ def _series_sum(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
 
         sum_a w_a r^a sum_n g_n^(a) Re(conj(t_n) t_(n+a)),   w_0 = 1, w_a = 2,
 
-    a sum of real products. states._stack builds t from each state's
-    closed form, so no per-order rotation is needed here.
+    a sum of real products.
 
     The kernel is stepped in its Laguerre index. Only the a = 0 diagonal
     runs the three-term recurrence: multiplying
@@ -346,7 +343,8 @@ def wigner_series(
     state : StateSpec
         Fock, coherent (basis-width), or finite superposition.
     z : complex or ndarray
-        Phase-space label(s), sqrt(2) z = q/b + i b p / hbar.
+        Phase-space label(s), sqrt(2) z = q/b + i b p / hbar; a label that
+        is not finite raises ValueError, naming the first such label.
     policy : TruncationPolicy, optional
         Truncation control; default tail tolerance 1e-12.
     basis : BasisParams, optional
@@ -364,6 +362,10 @@ def wigner_series(
 
     z_in = np.asarray(z, dtype=complex)
     zz = z_in.ravel()
+    bad = np.flatnonzero(~np.isfinite(zz))
+    if bad.size:
+        where = str(list(map(int, np.unravel_index(bad[0], z_in.shape)))) if z_in.ndim else ""
+        raise ValueError(f"phase-space label z{where} = {complex(zz[bad[0]]):.6g} is not finite")
     K = order if order is not None else choose_truncation(state, zz, policy)
     if K < 0:
         raise ValueError(f"truncation order must be non-negative, got {K}")

@@ -41,7 +41,7 @@ class IdentityReport:
 
 def _b_derivative(U: complex, B: float, z: complex, b: float, hbar: float, step: float) -> float:
     """b dW/db at fixed z by a central difference, error O(step^2)."""
-    if step <= 0 or b - step <= 0:
+    if not 0 < step < b:
         raise ValueError("finite-difference step must be positive and below b")
     up = wigner_closed_coherent_crossb(U, B, z, BasisParams(b + step, hbar))
     dn = wigner_closed_coherent_crossb(U, B, z, BasisParams(b - step, hbar))

@@ -15,8 +15,8 @@ Grid evaluation runs in one process over blocks of q-rows. A block holds at
 most BLOCK_POINTS points (one whole row when a row is longer), whatever the
 truncation order K. The series walk keeps about 3(K+1) + O(1) doubles per
 point, the Taylor stack (two per order) and one kernel diagonal, so a block
-holds about 8 (3(K+1) + O(1)) BLOCK_POINTS bytes: at most 2.5 MB on the
-catalog (K <= 24), about 6.5 MB at the cap K = 64 and 17 MB at the
+holds about 8 (3(K+1) + O(1)) BLOCK_POINTS bytes: at most 2.2 MB on the
+catalog (K <= 21), about 6.5 MB at the cap K = 64 and 17 MB at the
 float64 limit K = 170, at any grid size. Beyond its blocks a grid holds its
 labels and values, 24 bytes a point. The truncation order is frozen before
 the rows are cut and every method is pointwise, so the values do not depend
@@ -211,11 +211,8 @@ def evaluate_grid(
     convergence budget of config-integral and phase-integral, positive and
     finite; None keeps each default. The grid is evaluated in this process,
     in blocks of whole q-rows of at most BLOCK_POINTS points (one row when a
-    row is longer), each written into its rows of the values array. A
-    series block keeps about 3(K+1) + O(1) doubles per point, so its working
-    set does not grow with the grid: at most 2.5 MB on the catalog
-    (K <= 24), about 6.5 MB at the cap K = 64, about 17 MB at
-    K = 170.
+    row is longer), each written into its rows of the values array; the
+    module docstring gives a series block's working set.
     """
     basis = basis or BasisParams()
     if method not in METHODS:

@@ -8,6 +8,7 @@ import pytest
 from bargwig.core import (
     MAX_ORDER,
     _series_sum,
+    _shell_weights,
     _tail_estimate,
     _truncation_sample,
     TruncationError,
@@ -22,6 +23,7 @@ from bargwig.core import (
 from bargwig.oracles import wigner_config_integral
 from bargwig.phase import BasisParams, qp_from_z, z_from_qp
 from bargwig.states import CoherentState, FockState, bargmann, cat_state, derivative_tower, superposition
+from bargwig.validate import state_window
 
 RNG_SEED = 307
 
@@ -129,7 +131,7 @@ class TestChooseTruncation:
         policy = TruncationPolicy(tail_tolerance=1e-14)
         with pytest.raises(TruncationError) as err:
             choose_truncation(CoherentState(4.0), 2.0 + 0j, policy)
-        assert err.value.tail_estimate == pytest.approx(5.29e-4, rel=1e-2)
+        assert err.value.tail_estimate == pytest.approx(2.47e-8, rel=1e-2)
         assert err.value.point == 2.0 + 0j
         message = str(err.value)
         for part in ("z = 2+0j", "|z| = 2", f"order cap {MAX_ORDER}", "tolerance 1e-14",
@@ -178,13 +180,14 @@ class TestEdgeScan:
             return ("raises", err.point, err.tail_estimate)
 
     @pytest.mark.parametrize("count", [41, 60, 61, 200])
-    @pytest.mark.parametrize("state, K", [(CoherentState(0.7 - 0.4j), 19), (cat_state(1.1), 24)],
+    @pytest.mark.parametrize("state, K", [(CoherentState(0.7 - 0.4j), 17), (cat_state(1.1), 21)],
                              ids=["coherent", "cat1.1"])
     def test_catalog_windows(self, state, K, count):
         z = lattice(-3.0, 3.0, count, -3.0, 3.0, count)
         assert np.array_equal(_truncation_sample(state, z), _truncation_sample(state, z.ravel()))
         assert choose_truncation(state, z, TruncationPolicy()) == K
         assert choose_truncation(state, z.ravel(), TruncationPolicy()) == K
+        assert omitted_at(state, z, K) <= TruncationPolicy().tail_tolerance
 
     def test_random_superpositions_on_random_lattices(self):
         # K is a function of the sample, so equal samples give equal K; K
@@ -196,6 +199,12 @@ class TestEdgeScan:
             assert np.array_equal(_truncation_sample(state, z), _truncation_sample(state, z.ravel()))
             if case < 20:
                 assert self.outcome(state, z) == self.outcome(state, z.ravel())
+
+
+def omitted_at(state, z, K):
+    """max |W_K - W_64| pi hbar over z: what truncation at K omits of the
+    form that the cap keeps."""
+    return np.max(np.abs(wigner_series(state, z, order=K) - wigner_series(state, z, order=MAX_ORDER))) * math.pi
 
 
 def cap_order(state, z, policy=TruncationPolicy()):
@@ -253,33 +262,38 @@ class TestTwoTrySearch:
 
     @pytest.mark.parametrize("beta", [2.0, 2.5, 3.0])
     def test_weak_far_member(self, beta):
-        # a weak member far out sets K, which runs from 20 to 61 here and so
-        # falls on both sides of MAX_ORDER // 2 = 32
+        # a weak member far out sets K, which runs from 17 to 51 here and
+        # falls on both sides of MAX_ORDER // 2 = 32 for each beta
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
         orders = []
         for w in 10.0 ** -np.arange(1, 7):
             state = superposition([(1.0, CoherentState(0.2)), (w, CoherentState(beta + 0.5j))], normalize=True)
             self.assert_cap_order(state, z)
             orders.append(cap_order(state, z))
-        assert orders == sorted(orders, reverse=True) and orders[-1] >= 20 and orders[0] <= 61
+            assert omitted_at(state, z, orders[-1]) <= TruncationPolicy().tail_tolerance
+        assert orders == sorted(orders, reverse=True) and orders[-1] <= MAX_ORDER // 2 < orders[0]
 
     def test_second_try_is_only_paid_past_half_the_cap(self, monkeypatch):
+        # the catalog walks the shells 0..32 once; coherent(3) walks on to
+        # 64 and still walks no shell twice
         import bargwig.core as core
 
-        caps = []
-        estimate = core._tail_estimate
+        shells = []
+        walk = core._shell_weights
 
-        def recording(state, zz, M):
-            caps.append(M)
-            return estimate(state, zz, M)
+        def recording(state, zz, r):
+            for m, weights in enumerate(walk(state, zz, r)):
+                shells.append(m)
+                yield weights
 
-        monkeypatch.setattr(core, "_tail_estimate", recording)
+        monkeypatch.setattr(core, "_shell_weights", recording)
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
-        assert choose_truncation(cat_state(1.1), z, TruncationPolicy()) == 24
-        assert caps == [32]
-        caps.clear()
+        assert choose_truncation(cat_state(1.1), z, TruncationPolicy()) == 21
+        assert shells == list(range(MAX_ORDER // 2 + 1))
+        assert omitted_at(cat_state(1.1), z, 21) <= TruncationPolicy().tail_tolerance
+        shells.clear()
         assert choose_truncation(CoherentState(3.0), z, TruncationPolicy()) > 32
-        assert caps == [32, 64]
+        assert shells == list(range(MAX_ORDER + 1))
 
     @pytest.mark.parametrize("shape", [(1,), (2,), (511,), (512,), (513,), (1024,), (1025,), (5000,),
                                        (1, 700), (700, 1), (3, 700), (60, 60), (200, 200)])
@@ -367,6 +381,23 @@ class TestWignerSeries:
         rng = np.random.default_rng(RNG_SEED + 1)
         z = rng.uniform(0, 4.0, 500) * np.exp(1j * rng.uniform(0, 2 * np.pi, 500))
         for state in CATALOG:
+            wigner_series(state, z)
+
+    @pytest.mark.parametrize("state", [FockState(3), CoherentState(1.0), cat_state(1.1)], ids=["fock", "coherent", "cat"])
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_labels_give_empty_values(self, state, shape):
+        # a coherent state once raised "attempt to get argmax of an empty sequence"
+        out = wigner_series(state, np.zeros(shape, dtype=complex))
+        assert isinstance(out, np.ndarray) and out.shape == shape
+
+    @pytest.mark.parametrize("state", [FockState(2), CoherentState(1.0), cat_state(1.1)], ids=["fock", "coherent", "cat"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(math.inf, 1.0)])
+    def test_non_finite_label_refused(self, state, bad):
+        # Fock states once returned nan and coherent states raised TruncationError
+        with pytest.raises(ValueError, match=re.escape(f"z = {complex(bad):.6g} is not finite")):
+            wigner_series(state, bad)
+        z = np.array([[0.1, 0.2], [bad, bad]], dtype=complex)
+        with pytest.raises(ValueError, match=re.escape(f"z[1, 0] = {complex(bad):.6g} is not finite")):
             wigner_series(state, z)
 
     def test_scalar_and_array_shapes(self):
@@ -465,6 +496,21 @@ class TestTruncationBound:
                 omitted = np.abs(wigner_series(state, z, order=K) - ref) * math.pi
                 assert np.all(omitted <= est[K] + 1e-15), (state, K)
 
+    @pytest.mark.parametrize("state", TestSteppedWalk.STATES, ids=["coherent", "cat1.1", "fock-pair", "mixed"])
+    def test_shell_weights_are_those_of_build_F(self, state):
+        # R_m = sum over max(n, j) = m of |c_n| |F_nj| |c_j|, F tabulated
+        # entry by entry, against the walk up the shells
+        M = 30
+        rng = np.random.default_rng(RNG_SEED + 5)
+        points = np.array([0j, 4.0 + 0j] + [complex(*rng.uniform(-2.8, 2.8, 2)) for _ in range(4)])
+        walk = np.array([R_m for R_m, _ in zip(_shell_weights(state, points, np.abs(points)), range(M + 1))])
+        shell = np.maximum.outer(np.arange(M + 1), np.arange(M + 1))
+        for i, z in enumerate(points):
+            c = np.abs(derivative_tower(state, z, M)) / np.array([math.factorial(k) for k in range(M + 1)])
+            entries = c[:, None] * np.abs(build_F(z, M)) * c[None, :]
+            want = np.array([entries[shell == m].sum() for m in range(M + 1)])
+            assert np.all(np.abs(walk[:, i] - want) <= 1e-13 * want), (state, z)
+
     def test_coherent3_on_window_matches_closed_form(self):
         qq, pp, z = self._window(41)
         basis = BasisParams()
@@ -472,6 +518,45 @@ class TestTruncationBound:
         want = wigner_closed_coherent_gaussian(Q, P, basis.b, qq, pp, basis.hbar)
         got = wigner_series(CoherentState(3.0), z, basis=basis)
         assert np.max(np.abs(got - want)) * math.pi <= 1e-12
+
+    @staticmethod
+    def _own_window(state, count=41):
+        basis = BasisParams()
+        q_lo, q_hi, p_lo, p_hi = state_window(state, basis)
+        qq, pp = np.meshgrid(np.linspace(q_lo, q_hi, count), np.linspace(p_lo, p_hi, count), indexing="ij")
+        return qq, pp, z_from_qp(qq, pp, basis)
+
+    def test_coherent3_on_its_own_window_matches_closed_form(self):
+        # the window validate.state_window gives; the Laguerre-inequality
+        # bound raised TruncationError here
+        state = CoherentState(3.0)
+        qq, pp, z = self._own_window(state)
+        basis = BasisParams()
+        assert choose_truncation(state, z, TruncationPolicy()) <= MAX_ORDER
+        Q, P = qp_from_z(3.0, basis)
+        want = wigner_closed_coherent_gaussian(Q, P, basis.b, qq, pp, basis.hbar)
+        got = wigner_series(state, z, basis=basis)
+        assert np.max(np.abs(got - want)) * math.pi * basis.hbar <= 1e-12
+
+    def test_cat3_on_its_own_window_matches_mpmath(self):
+        # pi hbar W of sum_i c_i |u_i> is sum_{i,j} c_i conj(c_j) <u_j|u_i>
+        # exp(-2 (z - u_i)(conj(z) - conj(u_j))), in 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        state = cat_state(3.0)
+        _, _, z = self._own_window(state)
+        assert choose_truncation(state, z, TruncationPolicy()) <= MAX_ORDER
+        got = wigner_series(state, z).ravel() * math.pi
+        with mpmath.workdps(30):
+            terms = [(mpmath.mpc(c.real, c.imag), mpmath.mpc(m.u.real, m.u.imag)) for c, m in state.terms]
+            for value, zv in zip(got, z.ravel()):
+                w = mpmath.mpc(zv.real, zv.imag)
+                want = mpmath.fsum(
+                    ci * mpmath.conj(cj)
+                    * mpmath.exp(mpmath.conj(uj) * ui - (abs(ui) ** 2 + abs(uj) ** 2) / 2)
+                    * mpmath.exp(-2 * (w - ui) * mpmath.conj(w - uj))
+                    for ci, ui in terms for cj, uj in terms
+                )
+                assert abs(value - float(want.real)) <= 1e-12
 
     def test_coherent4_on_window_raises_at_its_worst_point(self):
         _, _, z = self._window(41)
