@@ -14,8 +14,9 @@ the walk against. The 1/n! weights make the coefficient vector the Taylor
 stack of f at z. wigner_series takes that stack along the ray through z
 (states._stack) and walks F along its diagonals (_series_sum: O(K^2)
 work, real by construction); choose_truncation walks the same recurrences
-up the shells of F in absolute values. Closed-form references for Fock and
-(cross-width) coherent states live here as well.
+up the shells of F in absolute values. A bare coherent state is evaluated
+in its own frame, as the vacuum at shifted labels (_own_frame). Closed-form
+references for Fock and (cross-width) coherent states live here as well.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .phase import BasisParams
 from .special import g_kernel, laguerre
-from .states import StateSpec, _stack, bargmann, exact_degree
+from .states import CoherentState, StateSpec, _stack, bargmann, exact_degree
 
 __all__ = [
     "MAX_ORDER",
@@ -135,7 +136,8 @@ def _closed_tail(R: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     # tail[K] = sum_{m>K} R_m, summed from the top so small tails keep their digits.
     tail = np.cumsum(np.concatenate((beyond[None], R[:0:-1])), axis=0)[::-1]
-    return np.exp(-2.0 * r * r) * tail
+    # An infinite tail stays infinite where exp(-2 r^2) underflows to 0 (|z| >~ 27).
+    return np.multiply(np.exp(-2.0 * r * r), tail, out=tail, where=np.isfinite(tail))
 
 
 def _tail_estimate(state: StateSpec, zz: np.ndarray, M: int) -> np.ndarray:
@@ -329,6 +331,29 @@ def _series_sum(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
     return total
 
 
+def _own_frame(state: StateSpec):
+    """(framed, z0): wigner_series and evaluate_grid evaluate state as the
+    state framed at the labels z - z0.
+
+    W is covariant under displacement, W_|U>(z) = W_|0>(z - U) (Cahill and
+    Glauber, Phys. Rev. 177, 1882 (1969)): D(-U)|U> is the vacuum up to a
+    global phase, which W does not see. So a bare coherent state |U> is the
+    vacuum in its own frame, z0 = U, where f = 1 and K = 0 at any |U|.
+    Every other state, anything with a Fock member and any superposition,
+    keeps the origin, z0 = 0.
+    """
+    if isinstance(state, CoherentState) and state.u:
+        return CoherentState(0), state.u
+    return state, 0j
+
+
+def _wigner_at(state: StateSpec, zz: np.ndarray, K: int, hbar: float) -> np.ndarray:
+    """W at the 1-D labels zz from the form walked to order K, with no
+    frame applied: exp(-2|z|^2) / (pi hbar) times _series_sum."""
+    form = _series_sum(state, zz, K)
+    return np.exp(-2.0 * (np.conj(zz) * zz).real) / (math.pi * hbar) * form
+
+
 def wigner_series(
     state: StateSpec,
     z,
@@ -351,11 +376,18 @@ def wigner_series(
         Supplies hbar for the 1/(pi hbar) normalization.
     order : int, optional
         Fixed truncation order, 0 to 170, bypassing choose_truncation (used
-        by grid evaluation to keep one order across row blocks).
+        by grid evaluation to keep one order across row blocks). Like the
+        order that choose_truncation picks, it is the order in the state's
+        own frame (below).
 
     Returns
     -------
     float or ndarray of the same shape as z.
+
+    Frame. A bare CoherentState(U) is evaluated as the vacuum at the labels
+    z - U (_own_frame), exactly, since W_|U>(z) = W_|0>(z - U); there the
+    Taylor stack is 1, 0, 0, ..., so K = 0 is exact. Every other state is
+    evaluated at z itself.
     """
     policy = policy or TruncationPolicy()
     basis = basis or BasisParams()
@@ -366,7 +398,10 @@ def wigner_series(
     if bad.size:
         where = str(list(map(int, np.unravel_index(bad[0], z_in.shape)))) if z_in.ndim else ""
         raise ValueError(f"phase-space label z{where} = {complex(zz[bad[0]]):.6g} is not finite")
-    K = order if order is not None else choose_truncation(state, zz, policy)
+    framed, z0 = _own_frame(state)
+    if z0:
+        zz = zz - z0
+    K = order if order is not None else choose_truncation(framed, zz, policy)
     if K < 0:
         raise ValueError(f"truncation order must be non-negative, got {K}")
     if K > 170:
@@ -375,9 +410,7 @@ def wigner_series(
             "so K is limited to 170 (n! <= 170!)"
         )
 
-    form = _series_sum(state, zz, K)
-    w = np.exp(-2.0 * (np.conj(zz) * zz).real) / (math.pi * basis.hbar) * form
-    w = w.reshape(z_in.shape)
+    w = _wigner_at(framed, zz, K, basis.hbar).reshape(z_in.shape)
     return w if w.ndim else float(w)
 
 

@@ -21,6 +21,12 @@ float64 limit K = 170, at any grid size. Beyond its blocks a grid holds its
 labels and values, 24 bytes a point. The truncation order is frozen before
 the rows are cut and every method is pointwise, so the values do not depend
 on the block size.
+
+The series runs in the state's own frame (core._own_frame): a bare coherent
+state |U> is the vacuum at the labels z - U, with K = 0 at any |U|, and
+every other state keeps the origin. The metadata records that frame as
+"frame": [Re z0, Im z0], next to "truncation_order", the order in it; the
+other methods keep the origin.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import TruncationPolicy, choose_truncation, wigner_closed_coherent_gaussian, wigner_closed_fock, wigner_series
+from .core import (TruncationPolicy, _own_frame, choose_truncation, wigner_closed_coherent_gaussian,
+                   wigner_closed_fock, wigner_series)
 from .oracles import wigner_config_integral, wigner_phase_integral
 from .phase import BasisParams, qp_from_z, z_from_qp
 from .states import CoherentState, FockState, StateSpec, exact_degree, state_to_json
@@ -176,9 +183,9 @@ def _closed_form_rows(state, q_rows, p_pts, z, basis):
 
 def _eval_rows(state, q_rows, p_pts, z, basis, method, order, tol):
     """Evaluate one block of q-rows against all of p_pts; z holds the
-    block's labels, its rows of the grid's one label array. The series
-    takes the grid's truncation order, so tol reaches only the oracles
-    here."""
+    block's labels, its rows of the grid's one label array (in the state's
+    own frame for the series). The series takes the grid's truncation
+    order, so tol reaches only the oracles here."""
     if method == "series":
         return wigner_series(state, z, basis=basis, order=order)
     if method == "closed":
@@ -212,7 +219,8 @@ def evaluate_grid(
     finite; None keeps each default. The grid is evaluated in this process,
     in blocks of whole q-rows of at most BLOCK_POINTS points (one row when a
     row is longer), each written into its rows of the values array; the
-    module docstring gives a series block's working set.
+    module docstring gives a series block's working set and the frame the
+    series runs in.
     """
     basis = basis or BasisParams()
     if method not in METHODS:
@@ -225,17 +233,22 @@ def evaluate_grid(
     # The labels of the whole grid, computed once; each block takes its rows.
     z = z_from_qp(q_pts[:, None], p_pts[None, :], basis)
 
-    order = None
+    order, framed, z0 = None, state, 0j
     if method == "series":
-        # One truncation order for the whole grid keeps block evaluation
+        # The series runs in the state's own frame (core._own_frame), the
+        # labels shifted in place, as wigner_series shifts them. One
+        # truncation order for the whole grid keeps block evaluation
         # identical to a single call.
+        framed, z0 = _own_frame(state)
+        if z0:
+            z -= z0
         policy = TruncationPolicy() if tol is None else TruncationPolicy(tail_tolerance=tol)
-        order = choose_truncation(state, z, policy)
+        order = choose_truncation(framed, z, policy)
 
     rows = max(1, BLOCK_POINTS // len(p_pts))
     values = np.empty(z.shape)
     for lo in range(0, len(q_pts), rows):
-        values[lo:lo + rows] = _eval_rows(state, q_pts[lo:lo + rows], p_pts, z[lo:lo + rows], basis, method, order, tol)
+        values[lo:lo + rows] = _eval_rows(framed, q_pts[lo:lo + rows], p_pts, z[lo:lo + rows], basis, method, order, tol)
 
     grid = WignerGrid(
         q_axis,
@@ -246,6 +259,7 @@ def evaluate_grid(
             "basis": {"b": basis.b, "hbar": basis.hbar},
             "method": method,
             "truncation_order": order if order is not None else exact_degree(state),
+            "frame": [z0.real, z0.imag],
             "tool": "bargwig",
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),

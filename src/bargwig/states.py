@@ -132,8 +132,9 @@ class CoherentState:
     def label(self) -> str:
         return f"coherent({self.u:.3g})"
 
-    def degree(self) -> None:
-        return None
+    def degree(self) -> Optional[int]:
+        """0 for the vacuum u = 0, where f = 1; None otherwise."""
+        return None if self.u else 0
 
     def bargmann(self, z: np.ndarray) -> np.ndarray:
         """f(z) = exp(conj(u) z - |u|^2 / 2)."""

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import TruncationPolicy, build_F, choose_truncation, wigner_closed_fock, wigner_series
+from .core import TruncationPolicy, _wigner_at, build_F, choose_truncation, wigner_closed_fock, wigner_series
 from .geometry import check_b_independence, check_identity_crossb
 from .grid import GridAxis, evaluate_grid
 from .oracles import QuadratureSpec, marginal_position, normalization, wigner_config_integral, wigner_phase_integral
@@ -109,8 +109,10 @@ def _paper_form_residual(n_points: int, n_used: int, r_lo: float, r_hi: float, b
     """Largest relative gap between the walk and the paper's form
     exp(-2|z|^2)/(pi hbar) Re(c^dagger F c), F = build_F(z, K) and
     c_k = V_k/k!, over the first n_used of n_points seeded annulus points.
-    Both sides take one K, chosen on those points: at different orders they
-    would compare two truncations, not two evaluations of one."""
+    Both sides take one K, chosen on those points, and one frame, the
+    origin (core._wigner_at, which applies no frame): at different orders,
+    or in a coherent state's own frame, they would compare two truncations,
+    not two evaluations of one."""
     rng = np.random.default_rng(_SEED)
     r = rng.uniform(r_lo, r_hi, n_points)
     theta = rng.uniform(0.0, 2.0 * math.pi, n_points)
@@ -118,7 +120,7 @@ def _paper_form_residual(n_points: int, n_used: int, r_lo: float, r_hi: float, b
     worst = 0.0
     for state in _catalog_degree_le(8):
         K = choose_truncation(state, z, TruncationPolicy())
-        walk = wigner_series(state, z, basis=basis, order=K)
+        walk = _wigner_at(state, z, K, basis.hbar)
         c = derivative_tower(state, z, K) / np.array([math.factorial(k) for k in range(K + 1)])[:, None]
         form = np.array([np.vdot(c[:, i], build_F(z[i], K) @ c[:, i]).real for i in range(z.size)])
         paper = np.exp(-2.0 * np.abs(z) ** 2) / (math.pi * basis.hbar) * form

@@ -110,3 +110,21 @@ def test_check_report_times_each_check(capsys):
     assert main(["check", "--suite", "series"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks and all(math.isfinite(c["seconds"]) and c["seconds"] >= 0 for c in checks)
+
+
+def test_eval_records_the_frame_of_a_coherent_state(tmp_path):
+    # coherent(6) on its own window: K = 0 in its own frame, at z0 = 6
+    from bargwig.phase import BasisParams
+    from bargwig.states import CoherentState
+    from bargwig.validate import state_window
+
+    path = tmp_path / "coherent6.json"
+    path.write_text(json.dumps({"type": "coherent", "re": 6, "im": 0}))
+    qmin, qmax, pmin, pmax = state_window(CoherentState(6), BasisParams())
+    out = tmp_path / "grid.json"
+    window = ["--qmin", repr(qmin), "--qmax", repr(qmax), "--nq", "41",
+              "--pmin", repr(pmin), "--pmax", repr(pmax), "--np", "41"]
+    assert main(["eval", "--state", str(path), *window, "--format", "json", "--out", str(out)]) == 0
+    meta = json.loads(out.read_text())["metadata"]
+    assert meta["truncation_order"] == 0
+    assert meta["frame"] == [6, 0]

@@ -7,10 +7,12 @@ import pytest
 
 from bargwig.core import (
     MAX_ORDER,
+    _own_frame,
     _series_sum,
     _shell_weights,
     _tail_estimate,
     _truncation_sample,
+    _wigner_at,
     TruncationError,
     TruncationPolicy,
     build_F,
@@ -122,8 +124,8 @@ class TestChooseTruncation:
         K = choose_truncation(CoherentState(1.0), 1.0 + 0j, policy)
         assert K == 19
         assert K <= 40
-        omitted = abs(wigner_series(CoherentState(1.0), 1.0 + 0j, order=K)
-                      - wigner_series(CoherentState(1.0), 1.0 + 0j, order=64)) * math.pi
+        omitted = abs(origin_series(CoherentState(1.0), 1.0 + 0j, K)
+                      - origin_series(CoherentState(1.0), 1.0 + 0j, 64)) * math.pi
         assert omitted <= policy.tail_tolerance
 
     def test_cap_error_carries_estimate(self):
@@ -201,10 +203,18 @@ class TestEdgeScan:
                 assert self.outcome(state, z) == self.outcome(state, z.ravel())
 
 
+def origin_series(state, z, K):
+    """W at z from the form walked to order K in the origin frame, the frame
+    choose_truncation bounds: wigner_series would evaluate a bare coherent
+    state in its own frame, where K = 0 is exact."""
+    z = np.asarray(z, dtype=complex)
+    return _wigner_at(state, z.ravel(), K, 1.0).reshape(z.shape)
+
+
 def omitted_at(state, z, K):
-    """max |W_K - W_64| pi hbar over z: what truncation at K omits of the
-    form that the cap keeps."""
-    return np.max(np.abs(wigner_series(state, z, order=K) - wigner_series(state, z, order=MAX_ORDER))) * math.pi
+    """max |W_K - W_64| pi hbar over z in the origin frame: what truncation
+    at K omits of the form that the cap keeps."""
+    return np.max(np.abs(origin_series(state, z, K) - origin_series(state, z, MAX_ORDER))) * math.pi
 
 
 def cap_order(state, z, policy=TruncationPolicy()):
@@ -232,6 +242,23 @@ def set_sample(state, z, full_scan=False):
     idx.add(max(scan, key=lambda i: (abs(zz[i]), -i)))
     idx.add(max(scan, key=lambda i: (f[i], -i)))
     return zz[sorted(idx)]
+
+
+def record_shells(monkeypatch):
+    """The list into which every shell m that core._shell_weights yields is
+    appended, for the rest of the test."""
+    import bargwig.core as core
+
+    shells = []
+    walk = core._shell_weights
+
+    def recording(state, zz, r):
+        for m, weights in enumerate(walk(state, zz, r)):
+            shells.append(m)
+            yield weights
+
+    monkeypatch.setattr(core, "_shell_weights", recording)
+    return shells
 
 
 class TestTwoTrySearch:
@@ -276,17 +303,7 @@ class TestTwoTrySearch:
     def test_second_try_is_only_paid_past_half_the_cap(self, monkeypatch):
         # the catalog walks the shells 0..32 once; coherent(3) walks on to
         # 64 and still walks no shell twice
-        import bargwig.core as core
-
-        shells = []
-        walk = core._shell_weights
-
-        def recording(state, zz, r):
-            for m, weights in enumerate(walk(state, zz, r)):
-                shells.append(m)
-                yield weights
-
-        monkeypatch.setattr(core, "_shell_weights", recording)
+        shells = record_shells(monkeypatch)
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
         assert choose_truncation(cat_state(1.1), z, TruncationPolicy()) == 21
         assert shells == list(range(MAX_ORDER // 2 + 1))
@@ -491,10 +508,23 @@ class TestTruncationBound:
             z = rng.uniform(0.0, 3.0, 32) * np.exp(1j * rng.uniform(0, 2 * np.pi, 32))
             z[:8] *= 0.05 / 3.0
             est = _tail_estimate(state, z, 64)
-            ref = wigner_series(state, z, order=64)
+            ref = origin_series(state, z, 64)
             for K in range(2, 41):
-                omitted = np.abs(wigner_series(state, z, order=K) - ref) * math.pi
+                omitted = np.abs(origin_series(state, z, K) - ref) * math.pi
                 assert np.all(omitted <= est[K] + 1e-15), (state, K)
+
+    def test_infinite_closure_stays_infinite_where_the_gaussian_underflows(self):
+        # at |z| = 27 exp(-2 r^2) underflows to 0 while the closure at shell
+        # 32 is infinite: that point's estimate is +inf, not nan, and the
+        # walk on to the cap still certifies K
+        import warnings
+
+        z = np.array([27.0, 0.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = _tail_estimate(cat_state(1.1), z, MAX_ORDER // 2)
+            assert np.all(est[:, 0] == np.inf)
+            assert choose_truncation(cat_state(1.1), z, TruncationPolicy()) == 16
 
     @pytest.mark.parametrize("state", TestSteppedWalk.STATES, ids=["coherent", "cat1.1", "fock-pair", "mixed"])
     def test_shell_weights_are_those_of_build_F(self, state):
@@ -559,12 +589,63 @@ class TestTruncationBound:
                 assert abs(value - float(want.real)) <= 1e-12
 
     def test_coherent4_on_window_raises_at_its_worst_point(self):
+        # in the origin frame; wigner_series takes coherent(4) to its own
+        # frame, where K = 0 (TestOwnFrame)
         _, _, z = self._window(41)
         with pytest.raises(TruncationError) as err:
-            wigner_series(CoherentState(4.0), z)
+            choose_truncation(CoherentState(4.0), z, TruncationPolicy())
         assert err.value.tail_estimate > 1e-12
         assert err.value.point in z
         assert f"|z| = {abs(err.value.point):.6g}" in str(err.value)
+
+
+class TestOwnFrame:
+    """A bare coherent state |U> is evaluated as the vacuum at z - U; every
+    other state keeps the origin."""
+
+    @pytest.mark.parametrize("u", [0.7 - 0.4j, 3.0, -2.0j])
+    def test_coherent_state_moves_to_its_centre(self, u):
+        assert _own_frame(CoherentState(u)) == (CoherentState(0), u)
+
+    @pytest.mark.parametrize("state", [
+        CoherentState(0),
+        FockState(3),
+        cat_state(1.1),
+        superposition([(0.6, FockState(2)), (0.8j, CoherentState(0.5 - 0.3j))], normalize=True),
+        superposition([(1.0, CoherentState(0.7 - 0.4j))]),
+    ], ids=["vacuum", "fock3", "cat1.1", "fock-coherent", "one-member-superposition"])
+    def test_other_states_keep_the_origin(self, state):
+        framed, z0 = _own_frame(state)
+        assert framed is state and z0 == 0
+
+    def test_vacuum_walks_no_shell(self, monkeypatch):
+        # f = 1, so K = 0 is exact and the bound is never walked
+        shells = record_shells(monkeypatch)
+        z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
+        assert choose_truncation(CoherentState(0), z, TruncationPolicy()) == 0
+        assert wigner_series(CoherentState(4.0 - 2.0j), z).shape == z.shape
+        assert shells == []
+
+    @pytest.mark.parametrize("u", [0.7 - 0.4j, 2.0])
+    def test_agrees_with_the_origin_where_it_certifies(self, u):
+        # the origin frame certifies K on [-3,3]^2 (17 and 36); its walk at
+        # that K and the own-frame value differ by at most the tolerance
+        state = CoherentState(u)
+        z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
+        policy = TruncationPolicy()
+        K = choose_truncation(state, z, policy)
+        assert 0 < K <= MAX_ORDER
+        gap = np.max(np.abs(wigner_series(state, z) - origin_series(state, z, K))) * math.pi
+        assert gap <= policy.tail_tolerance
+
+    def test_order_is_the_order_in_the_frame(self):
+        # in its own frame the Taylor stack of |U> is 1, 0, 0, ...: the
+        # orders the origin needs, and the cap, give the values of K = 0
+        state = CoherentState(0.7 - 0.4j)
+        z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
+        values = wigner_series(state, z)
+        for K in (0, 17, MAX_ORDER):
+            assert np.array_equal(wigner_series(state, z, order=K), values)
 
 
 class TestFloat64FactorialLimit:

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from bargwig import __version__, grid
-from bargwig.core import wigner_series
+from bargwig.core import TruncationPolicy, choose_truncation, wigner_closed_coherent_gaussian, wigner_series
 from bargwig.grid import GridAxis, WignerGrid, evaluate_grid
 from bargwig.oracles import OracleConvergenceError, wigner_config_integral, wigner_phase_integral
-from bargwig.phase import BasisParams, z_from_qp
+from bargwig.phase import BasisParams, qp_from_z, z_from_qp
 from bargwig.states import CoherentState, FockState, cat_state, superposition
+from bargwig.validate import state_window
 
 SUP4 = superposition([(0.5, FockState(n)) for n in range(4)])
 EDGE_VALUES = np.array([[0.0, -0.0, 1e-300], [-5e-324, 0.1 + 0.2, -1 / 3], [math.pi, 1e22, -2.5e-17]])
@@ -265,6 +266,47 @@ class TestOrigin:
         assert series.values[30, 30] == wigner_series(state, np.array([0j]), order=K)[0]
 
 
+class TestOwnFrame:
+    """The series grid evaluates a bare coherent state in its own frame and
+    records the frame next to the truncation order, which is the order in
+    that frame; every other state keeps the origin and its K."""
+
+    @pytest.mark.parametrize("u", [3.0, 4.0, 5.0, 6.0, 4.0 - 2.0j])
+    def test_coherent_on_its_own_window(self, u):
+        # (4) to (6) raised TruncationError in the origin frame
+        basis = BasisParams()
+        state = CoherentState(u)
+        q_lo, q_hi, p_lo, p_hi = state_window(state, basis)
+        g = evaluate_grid(state, GridAxis(q_lo, q_hi, 41), GridAxis(p_lo, p_hi, 41), basis)
+        assert g.metadata["truncation_order"] == 0
+        assert g.metadata["frame"] == [u.real, u.imag]
+        Q, P = qp_from_z(u, basis)
+        qq, pp = np.meshgrid(g.q_axis.points, g.p_axis.points, indexing="ij")
+        want = wigner_closed_coherent_gaussian(Q, P, basis.b, qq, pp, basis.hbar)
+        assert np.max(np.abs(g.values - want)) * math.pi * basis.hbar <= 1e-13
+
+    @pytest.mark.parametrize("state, K", [
+        (cat_state(1.1), 21),
+        (superposition([(0.6, FockState(2)), (0.8j, CoherentState(0.5 - 0.3j))], normalize=True), 14),
+        (superposition([(1.0, CoherentState(0.2)), (1e-3, CoherentState(2.5 + 0.5j))], normalize=True), 34),
+    ], ids=["cat1.1", "fock-coherent", "weak-far-member"])
+    def test_origin_states_keep_frame_and_order(self, state, K):
+        axis = GridAxis(-3.0, 3.0, 60)
+        g = evaluate_grid(state, axis, axis)
+        assert g.metadata["frame"] == [0.0, 0.0]
+        assert g.metadata["truncation_order"] == K
+        z = z_from_qp(axis.points[:, None], axis.points[None, :], BasisParams())
+        assert choose_truncation(state, z, TruncationPolicy()) == K
+        assert np.array_equal(g.values, wigner_series(state, z, order=K))
+
+    @pytest.mark.parametrize("method", ["closed", "config-integral"])
+    def test_other_methods_keep_the_origin(self, method):
+        axis = GridAxis(-1.0, 1.0, 2)
+        g = evaluate_grid(CoherentState(0.7 - 0.4j), axis, axis, method=method)
+        assert g.metadata["frame"] == [0.0, 0.0]
+        assert g.metadata["truncation_order"] is None
+
+
 class TestOracleTolerance:
     """tol is the oracles' convergence budget: node doubling moves fock(6)
     by far more than 10 * 1e-30, and by less than the default budget."""
@@ -313,7 +355,8 @@ class TestTolerance:
             evaluate_grid(CoherentState(0.7 - 0.4j), self.AXIS, self.AXIS, method=method, tol=tol)
 
     def test_series_uses_given_tol(self):
-        state = CoherentState(0.7 - 0.4j)
+        # a cat keeps the origin frame; a bare coherent state has K = 0 in its own
+        state = cat_state(1.1)
         orders = [evaluate_grid(state, self.AXIS, self.AXIS, tol=tol).metadata["truncation_order"]
                   for tol in (1e-4, None, 1e-14)]
         assert orders[0] < orders[1] < orders[2]

@@ -35,8 +35,8 @@ def test_every_check_is_timed():
 def test_paper_form_agreement_catches_a_scaled_walk(monkeypatch):
     # a walk off by a relative 1e-8 fails the check's 1e-9 tolerance; the
     # paper's side (build_F) is untouched
-    walk = validate.wigner_series
-    monkeypatch.setattr(validate, "wigner_series", lambda *a, **k: walk(*a, **k) * (1 + 1e-8))
+    walk = validate._wigner_at
+    monkeypatch.setattr(validate, "_wigner_at", lambda *a, **k: walk(*a, **k) * (1 + 1e-8))
     check = {r.name: r for r in suite_series()}["paper-form-agreement"]
     assert not check.passed
     assert check.residual == pytest.approx(1e-8, rel=0.01)
