@@ -1,8 +1,8 @@
 """Rectangular (q, p) Wigner grids: evaluation with any method and CSV/JSON
 serialization.
 
-The methods are the series (core.wigner_series: the quadratic form with its
-one kernel, walked along its Laguerre diagonals), the two quadrature
+The methods are the series (the quadratic form of core with its one
+kernel, walked along its Laguerre diagonals), the two quadrature
 oracles (config-integral and phase-integral) and the Fock and coherent
 closed forms (closed).
 
@@ -11,22 +11,12 @@ number in a CSV or JSON file is the shortest text that parses back to the
 identical double. Non-finite values, which that text cannot hold, are
 refused before the file is opened.
 
-Grid evaluation runs in one process over blocks of q-rows. A block holds at
-most BLOCK_POINTS points (one whole row when a row is longer), whatever the
-truncation order K. The series walk keeps about 3(K+1) + O(1) doubles per
-point, the Taylor stack (two per order) and one kernel diagonal, so a block
-holds about 8 (3(K+1) + O(1)) BLOCK_POINTS bytes: at most 2.2 MB on the
-catalog (K <= 21), about 6.5 MB at the cap K = 64 and 17 MB at the
-float64 limit K = 170, at any grid size. Beyond its blocks a grid holds its
-labels and values, 24 bytes a point. The truncation order is frozen before
-the rows are cut and every method is pointwise, so the values do not depend
-on the block size.
-
-The series runs in the state's own frame (core._own_frame): a bare coherent
-state |U> is the vacuum at the labels z - U, with K = 0 at any |U|, and
-every other state keeps the origin. The metadata records that frame as
-"frame": [Re z0, Im z0], next to "truncation_order", the order in it; the
-other methods keep the origin.
+A grid is evaluated in this process. The series is one call to
+core._evaluate on the grid's label lattice, which sets the frame, the
+truncation order and the blocks of points the walk takes; the metadata
+records that frame as "frame": [Re z0, Im z0], next to "truncation_order",
+the order in it. The other methods keep the origin. Beyond the walk's
+blocks a grid holds its labels and values, 24 bytes a point.
 """
 
 from __future__ import annotations
@@ -39,8 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import (TruncationPolicy, _own_frame, choose_truncation, wigner_closed_coherent_gaussian,
-                   wigner_closed_fock, wigner_series)
+from .core import TruncationPolicy, _evaluate, wigner_closed_coherent_gaussian, wigner_closed_fock
 from .oracles import wigner_config_integral, wigner_phase_integral
 from .phase import BasisParams, qp_from_z, z_from_qp
 from .states import CoherentState, FockState, StateSpec, exact_degree, state_to_json
@@ -50,11 +39,6 @@ __all__ = ["GridAxis", "WignerGrid", "evaluate_grid", "METHODS"]
 METHODS = ("series", "config-integral", "phase-integral", "closed")
 
 BOUND_SLACK = 1e-9
-
-# Grid points evaluated per block of q-rows, whatever K is: on the catalog a
-# block's working set stays near the size of a 2 MB L2 cache. 8192 points
-# lowered the 200^2 benchmark's peak RSS by half as much.
-BLOCK_POINTS = 4096
 
 # Buffer of write_csv's file: one text row of a 200-point p-axis is about
 # 12 KB, more than the default buffer, which would write each row unbuffered.
@@ -172,36 +156,13 @@ def _fields(values: np.ndarray) -> list:
     return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
 
 
-def _closed_form_rows(state, q_rows, p_pts, z, basis):
+def _closed_form(state, q_pts, p_pts, z, basis):
     if isinstance(state, FockState):
         return wigner_closed_fock(state.n, z, basis)
     if isinstance(state, CoherentState):
         Q, P = qp_from_z(state.u, basis)
-        return wigner_closed_coherent_gaussian(Q, P, basis.b, q_rows[:, None], p_pts[None, :], basis.hbar)
+        return wigner_closed_coherent_gaussian(Q, P, basis.b, q_pts[:, None], p_pts[None, :], basis.hbar)
     raise ValueError("closed-form evaluation is only available for Fock and coherent states")
-
-
-def _eval_rows(state, q_rows, p_pts, z, basis, method, order, tol):
-    """Evaluate one block of q-rows against all of p_pts; z holds the
-    block's labels, its rows of the grid's one label array (in the state's
-    own frame for the series). The series takes the grid's truncation
-    order, so tol reaches only the oracles here."""
-    if method == "series":
-        return wigner_series(state, z, basis=basis, order=order)
-    if method == "closed":
-        return _closed_form_rows(state, q_rows, p_pts, z, basis)
-    # The oracles take tol as their convergence budget; unset, their default.
-    budget = {} if tol is None else {"tol": tol}
-    out = np.empty(z.shape)
-    if method == "config-integral":
-        for i, j in np.ndindex(z.shape):
-            out[i, j] = wigner_config_integral(state, q_rows[i], p_pts[j], basis, **budget)
-        return out
-    if method == "phase-integral":
-        for i, j in np.ndindex(z.shape):
-            out[i, j] = wigner_phase_integral(state, complex(z[i, j]), basis, **budget)
-        return out
-    raise ValueError(f"unknown method {method!r}")
 
 
 def evaluate_grid(
@@ -216,11 +177,8 @@ def evaluate_grid(
 
     method is one of METHODS; tol is the series tail tolerance, or the
     convergence budget of config-integral and phase-integral, positive and
-    finite; None keeps each default. The grid is evaluated in this process,
-    in blocks of whole q-rows of at most BLOCK_POINTS points (one row when a
-    row is longer), each written into its rows of the values array; the
-    module docstring gives a series block's working set and the frame the
-    series runs in.
+    finite; None keeps each default. The module docstring says where the
+    series runs and in which frame.
     """
     basis = basis or BasisParams()
     if method not in METHODS:
@@ -230,25 +188,23 @@ def evaluate_grid(
 
     q_pts = q_axis.points
     p_pts = p_axis.points
-    # The labels of the whole grid, computed once; each block takes its rows.
     z = z_from_qp(q_pts[:, None], p_pts[None, :], basis)
 
-    order, framed, z0 = None, state, 0j
+    order, z0 = None, 0j
     if method == "series":
-        # The series runs in the state's own frame (core._own_frame), the
-        # labels shifted in place, as wigner_series shifts them. One
-        # truncation order for the whole grid keeps block evaluation
-        # identical to a single call.
-        framed, z0 = _own_frame(state)
-        if z0:
-            z -= z0
         policy = TruncationPolicy() if tol is None else TruncationPolicy(tail_tolerance=tol)
-        order = choose_truncation(framed, z, policy)
-
-    rows = max(1, BLOCK_POINTS // len(p_pts))
-    values = np.empty(z.shape)
-    for lo in range(0, len(q_pts), rows):
-        values[lo:lo + rows] = _eval_rows(framed, q_pts[lo:lo + rows], p_pts, z[lo:lo + rows], basis, method, order, tol)
+        values, order, z0 = _evaluate(state, z, policy, basis.hbar)
+    elif method == "closed":
+        values = _closed_form(state, q_pts, p_pts, z, basis)
+    else:
+        # The oracles take tol as their convergence budget; unset, their default.
+        budget = {} if tol is None else {"tol": tol}
+        values = np.empty(z.shape)
+        for i, j in np.ndindex(z.shape):
+            if method == "config-integral":
+                values[i, j] = wigner_config_integral(state, q_pts[i], p_pts[j], basis, **budget)
+            else:
+                values[i, j] = wigner_phase_integral(state, complex(z[i, j]), basis, **budget)
 
     grid = WignerGrid(
         q_axis,

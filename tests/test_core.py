@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from bargwig import core
 from bargwig.core import (
     MAX_ORDER,
     _own_frame,
@@ -392,13 +393,13 @@ class TestWignerSeries:
             w = wigner_series(state, z)
             assert np.max(np.abs(w)) <= 1 / math.pi + 1e-9
 
-    def test_realness_residual_within_budget(self):
-        # the engine raises if the imaginary residual exceeds 1e-10 relative;
-        # a broad random scan must therefore pass silently
+    def test_random_scan_is_finite_and_bounded(self):
         rng = np.random.default_rng(RNG_SEED + 1)
         z = rng.uniform(0, 4.0, 500) * np.exp(1j * rng.uniform(0, 2 * np.pi, 500))
         for state in CATALOG:
-            wigner_series(state, z)
+            w = wigner_series(state, z)
+            assert np.all(np.isfinite(w))
+            assert np.max(np.abs(w)) <= 1 / math.pi
 
     @pytest.mark.parametrize("state", [FockState(3), CoherentState(1.0), cat_state(1.1)], ids=["fock", "coherent", "cat"])
     @pytest.mark.parametrize("shape", [(0,), (2, 0)])
@@ -646,6 +647,79 @@ class TestOwnFrame:
         values = wigner_series(state, z)
         for K in (0, 17, MAX_ORDER):
             assert np.array_equal(wigner_series(state, z, order=K), values)
+
+
+class TestBlocks:
+    """The walk takes the raveled labels in flat blocks of core.BLOCK_POINTS
+    points, with one K for all of them, so the values do not depend on the
+    block size: a point's value does not depend on the length of the array
+    it sits in (states._stack), length 1 included."""
+
+    STATES = [CoherentState(0.7 - 0.4j), cat_state(1.1), superposition([(0.5, FockState(n)) for n in range(4)])]
+
+    @staticmethod
+    def one_block(monkeypatch, state, z, order=None):
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "BLOCK_POINTS", z.size)
+            return wigner_series(state, z, order=order)
+
+    @pytest.mark.parametrize("state", STATES, ids=["coherent", "cat1.1", "sup4"])
+    def test_last_block_of_one_point(self, state, monkeypatch):
+        rng = np.random.default_rng(RNG_SEED)
+        z = rng.uniform(-2.0, 2.0, 4097) + 1j * rng.uniform(-2.0, 2.0, 4097)
+        assert core.BLOCK_POINTS == 4096
+        assert np.array_equal(wigner_series(state, z), self.one_block(monkeypatch, state, z))
+
+    @pytest.mark.parametrize("state", STATES, ids=["coherent", "cat1.1", "sup4"])
+    def test_blocks_of_one_point(self, state, monkeypatch):
+        z = lattice(-3.0, 3.0, 9, -3.0, 3.0, 7).ravel()
+        K = choose_truncation(state, z, TruncationPolicy())
+        monkeypatch.setattr(core, "BLOCK_POINTS", 1)
+        blocked = wigner_series(state, z, order=K)
+        assert np.array_equal(blocked, self.one_block(monkeypatch, state, z, order=K))
+
+    def test_traced_peak_of_200_squared_labels(self):
+        # the bound of tests/test_grid.py::TestTracedPeak at blocks of 4096
+        # points: the labels and values, 24 bytes a point, and one block's
+        # walk; building the whole Taylor stack at once would take 14 MB
+        import tracemalloc
+
+        state = cat_state(1.1)
+        z = lattice(-3.0, 3.0, 200, -3.0, 3.0, 200).ravel()
+        K = choose_truncation(state, z, TruncationPolicy())
+        assert K == 21
+        tracemalloc.start()
+        try:
+            wigner_series(state, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 24 * z.size + 8 * (3 * (K + 1) + 24) * 4096
+        assert peak < bound, (peak, bound)
+
+
+class TestLargeExplicitOrder:
+    """An explicit order far above what a state needs once gave nan with no
+    error at large |z|: the n!-scaled kernel values overflow to inf and
+    multiply Taylor coefficients that are exactly 0."""
+
+    @pytest.mark.parametrize("state, z", [
+        (FockState(0), [8, 20]),
+        (CoherentState(3), [11, 23]),
+        (FockState(3), [0.5 - 0.2j, 4, 30]),
+    ], ids=["fock0", "coherent3", "fock3"])
+    def test_polynomial_state_walks_to_its_degree(self, state, z):
+        # in its own frame coherent(3) is the vacuum, of degree 0; the
+        # entries beyond the degree are 0, so the cap is exact
+        z = np.array(z, dtype=complex)
+        got = wigner_series(state, z, order=170)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, wigner_series(state, z))
+
+    def test_non_finite_value_names_label_order_and_value(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=re.escape("at z = 3.5+0j is nan at truncation order K = 170")):
+                wigner_series(cat_state(1.1), np.array([3.5, 6, 11, 23]), order=170)
 
 
 class TestFloat64FactorialLimit:

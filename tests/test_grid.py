@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from bargwig import __version__, grid
+from bargwig import __version__, core
 from bargwig.core import TruncationPolicy, choose_truncation, wigner_closed_coherent_gaussian, wigner_series
 from bargwig.grid import GridAxis, WignerGrid, evaluate_grid
 from bargwig.oracles import OracleConvergenceError, wigner_config_integral, wigner_phase_integral
@@ -163,63 +163,50 @@ class TestShape:
 
 
 def spy_on_blocks(monkeypatch):
-    """Record the shape of the labels of every block that evaluate_grid
-    hands to _eval_rows."""
-    shapes = []
-    eval_rows = grid._eval_rows
+    """Record the number of labels in every block that the series walk of
+    core._evaluate takes."""
+    sizes = []
+    wigner_at = core._wigner_at
 
-    def recording(state, q_rows, p_pts, z, *args):
-        assert z.shape == (len(q_rows), len(p_pts))
-        shapes.append(z.shape)
-        return eval_rows(state, q_rows, p_pts, z, *args)
+    def recording(state, zz, *args):
+        sizes.append(zz.size)
+        return wigner_at(state, zz, *args)
 
-    monkeypatch.setattr(grid, "_eval_rows", recording)
-    return shapes
+    monkeypatch.setattr(core, "_wigner_at", recording)
+    return sizes
 
 
 class TestBlocks:
+    """A series grid is one core._evaluate call on the label lattice, walked
+    in flat blocks of core.BLOCK_POINTS points; tests/test_core.py tests the
+    blocks themselves."""
+
     @pytest.mark.parametrize("state", [CoherentState(0.7 - 0.4j), cat_state(1.1), SUP4],
                              ids=["coherent", "cat1.1", "sup4"])
     def test_values_do_not_depend_on_the_block_size(self, state, monkeypatch):
         q_axis, p_axis = GridAxis(-3.0, 3.0, 23), GridAxis(-2.5, 3.0, 17)
         whole = evaluate_grid(state, q_axis, p_axis)
         K = whole.metadata["truncation_order"]
-        # 4 rows per block: 23 rows leave a last block of 3
-        monkeypatch.setattr(grid, "BLOCK_POINTS", 5 * p_axis.count - 1)
-        shapes = spy_on_blocks(monkeypatch)
+        # blocks of 84 points cut rows: 391 points leave a last block of 55
+        monkeypatch.setattr(core, "BLOCK_POINTS", 5 * p_axis.count - 1)
+        sizes = spy_on_blocks(monkeypatch)
         blocked = evaluate_grid(state, q_axis, p_axis)
-        assert [rows for rows, _ in shapes] == [4, 4, 4, 4, 4, 3]
+        assert sizes == [84, 84, 84, 84, 55]
 
         qq, pp = np.meshgrid(q_axis.points, p_axis.points, indexing="ij")
         single = wigner_series(state, z_from_qp(qq, pp, BasisParams()), order=K)
         assert np.array_equal(blocked.values, single)
         assert np.array_equal(whole.values, single)
 
-    def test_block_holds_at_least_one_row(self, monkeypatch):
-        monkeypatch.setattr(grid, "BLOCK_POINTS", 1)
-        axis = GridAxis(-1.0, 1.0, 5)
-        g = evaluate_grid(FockState(2), axis, axis, method="closed")
-        monkeypatch.undo()
-        assert np.array_equal(g.values, evaluate_grid(FockState(2), axis, axis, method="closed").values)
-
     @pytest.mark.parametrize("state", [FockState(0), cat_state(1.1)], ids=["fock0", "cat1.1"])
     def test_no_block_exceeds_the_point_budget(self, state, monkeypatch):
-        # the block is cut by points whatever K is: 20 rows of 200 points
-        # for K = 0 and K = 24 alike
+        # the block is cut by points whatever K is: 9 blocks of 4096 points
+        # and one of 3136 for K = 0 and K = 21 alike
         axis = GridAxis(-3.0, 3.0, 200)
-        shapes = spy_on_blocks(monkeypatch)
+        sizes = spy_on_blocks(monkeypatch)
         evaluate_grid(state, axis, axis)
-        rows = grid.BLOCK_POINTS // 200
-        assert shapes == [(rows, 200)] * (200 // rows) + [(200 % rows, 200)] * (200 % rows > 0)
-        assert all(r * c <= grid.BLOCK_POINTS for r, c in shapes)
-
-    def test_row_longer_than_the_budget_is_one_block(self, monkeypatch):
-        q_axis, p_axis = GridAxis(-1.0, 1.0, 3), GridAxis(-2.0, 2.0, grid.BLOCK_POINTS + 1)
-        shapes = spy_on_blocks(monkeypatch)
-        g = evaluate_grid(SUP4, q_axis, p_axis)
-        assert shapes == [(1, p_axis.count)] * 3
-        qq, pp = np.meshgrid(q_axis.points, p_axis.points, indexing="ij")
-        assert np.array_equal(g.values, wigner_series(SUP4, z_from_qp(qq, pp, BasisParams()), order=3))
+        assert core.BLOCK_POINTS == 4096
+        assert sizes == [4096] * 9 + [3136]
 
 
 class TestTracedPeak:
@@ -244,7 +231,7 @@ class TestTracedPeak:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 24 * axis.count**2 + 8 * (3 * (K + 1) + 24) * grid.BLOCK_POINTS
+        bound = 24 * axis.count**2 + 8 * (3 * (K + 1) + 24) * core.BLOCK_POINTS
         assert peak < bound, (K, peak, bound)
 
 
