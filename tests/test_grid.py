@@ -214,8 +214,10 @@ class TestTracedPeak:
     Taylor stack and one kernel diagonal, so with the grid's own arrays (the
     complex labels and the values, 24 bytes a point) one evaluate_grid at
     200^2 peaks, as tracemalloc sees numpy's allocations, below
-    24 N + 8 (3(K+1) + 24) BLOCK_POINTS bytes: from 1.9 MB for fock(0) to
-    4.2 MB for cat(1.1)."""
+    24 N + 8 (3(K+1) + 24) 4096 bytes: from 1.9 MB for fock(0) to 4.2 MB
+    for cat(1.1). The block term is fixed at the 4096 points of
+    core.BLOCK_POINTS, so a larger block fails the test rather than raising
+    its bound."""
 
     @pytest.mark.parametrize("state", [FockState(0), FockState(6), FockState(12), CoherentState(0.7 - 0.4j),
                                        cat_state(1.1), SUP4],
@@ -231,7 +233,7 @@ class TestTracedPeak:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 24 * axis.count**2 + 8 * (3 * (K + 1) + 24) * core.BLOCK_POINTS
+        bound = 24 * axis.count**2 + 8 * (3 * (K + 1) + 24) * 4096
         assert peak < bound, (K, peak, bound)
 
 
