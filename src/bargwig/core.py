@@ -14,8 +14,7 @@ the walk against. The 1/n! weights make the coefficient vector the Taylor
 stack of f at z. wigner_series takes that stack along the ray through z
 (states._stack) and walks F along its diagonals (_series_sum: O(K^2)
 work, real by construction); choose_truncation walks the same recurrences
-up the shells of F in absolute values, to the first even shell whose
-closure certifies K. _evaluate, behind wigner_series and
+up the shells of F in absolute values. _evaluate, behind wigner_series and
 evaluate_grid, takes a bare coherent state to its own frame (_own_frame),
 chooses and checks K, and walks flat blocks of BLOCK_POINTS. Closed-form
 references for Fock and (cross-width) coherent states live here as well.
@@ -44,7 +43,7 @@ __all__ = [
     "wigner_closed_coherent_crossb",
 ]
 
-# Cap on the truncation order: the last shell choose_truncation walks.
+# Cap on the truncation order; choose_truncation tries MAX_ORDER // 2 first.
 MAX_ORDER = 64
 
 # Points walked per block, whatever K is. The walk keeps about 3(K+1) + O(1)
@@ -104,26 +103,26 @@ def _main_diagonal(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     g[0] = 1.0
     if len(g) > 1:
         np.subtract(y, 1.0, out=g[1])
+    tmp = np.empty_like(y)
     for n in range(1, len(g) - 1):
         np.subtract(y, 2 * n + 1, out=g[n + 1])
         g[n + 1] *= g[n]
-        g[n + 1] -= n * n * g[n - 1]
+        np.multiply(g[n - 1], n * n, out=tmp)
+        g[n + 1] -= tmp
     return g
 
 
 def _shell_weights(state: StateSpec, zz: np.ndarray, r: np.ndarray):
     """Yield R_m = sum over max(n, j) = m of |t_n| |G_nj| |t_j| at the points
-    zz, r = |zz|, for m = 0, 1, ..., MAX_ORDER, as long as the caller asks.
-    The moduli |t_k| of the ray stack are built to MAX_ORDER // 2 and again
-    to MAX_ORDER once the walk passes that shell, so a walk that stops by
-    shell 32 (as choose_truncation does on the catalog) holds arrays of half
+    zz, r = |zz|, for m = 0, 1, ..., MAX_ORDER. The moduli |t_k| of the
+    ray stack are built to MAX_ORDER // 2 and again to MAX_ORDER once the
+    walk passes that shell, so a walk that stops there holds arrays of half
     the cap. With g_n^(a) as in _series_sum, h[n] = r^(m-n) g_n^(m-n)
     holds shell m, and |G_(n,m)| = |h[n]|. The identity g_n^(a+1) =
     g_n^(a) - n g_(n-1)^(a+1) steps every entry off the diagonal from the
     shell before, h_m[n] = r h_(m-1)[n] - n h_(m-1)[n-1], and h_m[m] =
-    g_m^(0) comes from _main_diagonal, as in _series_sum (filled with the
-    moduli, to 32 and again to 64): a fixed number of array operations per
-    shell.
+    g_m^(0) comes from _main_diagonal, as in _series_sum (filled at each of
+    the two stages): a fixed number of array operations per shell.
     """
     absc = h = np.empty((0, r.size))
     n = np.arange(1.0, MAX_ORDER + 1)[:, None]
@@ -212,8 +211,8 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
 
         exp(-2 r^2) sum_{m>K} R_m,   r = |z|.
 
-    Closure beyond M. R_m is known up to the last shell walked, M (see Where
-    the walk stops), and the rest of the tail is closed geometrically. A single
+    Closure beyond M. R_m is known up to the last shell walked, M (see Two
+    tries), and the rest of the tail is closed geometrically. A single
     ratio R_M / R_(M-1) cannot serve: for a state of definite parity the
     odd (or even) derivatives vanish at z = 0, so near the origin |t_m| is
     O(r) at every other m, and G_(n,n+a) carries z^a, so R_m alternates
@@ -228,41 +227,46 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
 
     The assumption holds once the Taylor coefficients decay faster than
     geometrically, as for every entire Bargmann function of the catalog
-    (|t_k| = |f| |beta|^k / k! for coherent(beta)). Where rho >= 0.99 the
-    estimate is infinite.
+    (|t_k| = |f| |beta|^k / k! for coherent(beta)), except where the stack
+    is sparse (see the last paragraph). Where rho >= 0.99 the estimate is
+    infinite.
 
-    Where the walk stops. The walk checks the closure after each even
-    shell M >= 4 and stops at the first one where est_M(M), the closure
-    alone (the smallest estimate closed at M), meets the tolerance at every
-    sampled point; it returns the smallest K <= M whose estimate closed at
-    M meets it. No shell is walked twice, and past shell 32 the walk
-    rebuilds only the moduli |t_k|, to 64 (_shell_weights). Write est_M(K)
-    for the estimate closed at M, without the factor exp(-2 r^2) that every
-    M shares, and B_M = pi_M rho_M / (1 - rho_M) for its closure. For even
-    M < M' = M + 2j and K <= M,
+    Two tries, one walk. The closure is tried first at shell 32, half the
+    cap MAX_ORDER = 64, and the walk goes on to shell 64 only if no K <= 32
+    meets the tolerance there; no shell is walked twice, and the second
+    try rebuilds only the moduli |t_k|, to 64. Write est_M(K) for the
+    estimate closed at M, without the factor exp(-2 r^2) that every M
+    shares, and B_M = pi_M rho_M / (1 - rho_M) for its closure. For K <= 32,
 
-        est_M(K) - est_M'(K) = B_M - (sum_{M<m<=M'} R_m + B_M').
+        est_32(K) - est_64(K) = B_32 - (sum_{32<m<=64} R_m + B_64).
 
-    Let rho = rho_M. If the ratio of successive pair sums does not grow
-    beyond M (the closure's assumption, taken at M), then
-    pi_(M+2i) <= pi_M rho^i for i >= 1 and rho_M' <= rho, so
+    Let rho = rho_32. If the ratio of successive pair sums does not grow
+    beyond 32 (the closure's assumption, taken at 32), then
+    pi_(32+2i) <= pi_32 rho^i for i >= 1 and rho_64 <= rho, so
 
-        sum_{M<m<=M'} R_m = sum_{i=1..j} pi_(M+2i) <= pi_M (rho + ... + rho^j),
-        B_M' <= pi_M rho^j rho / (1 - rho) = pi_M (rho^(j+1) + rho^(j+2) + ...),
+        sum_{32<m<=64} R_m = sum_{i=1..16} pi_(32+2i) <= pi_32 (rho + ... + rho^16),
+        B_64 <= pi_32 rho^16 rho / (1 - rho) = pi_32 (rho^17 + rho^18 + ...),
 
-    and the two together are at most pi_M rho / (1 - rho) = B_M (with
-    rho >= 0.99, B_M is infinite). Hence est_M(K) >= est_M'(K) at every
-    sampled point and every K <= M, up to rounding; with M' = MAX_ORDER,
-    the walk never returns a K below the cap's K. The shells M < m <= M'
-    are whole pairs only when M' - M is even, and the cap is even, so only
-    even shells are checked. The walk returns a larger K than the cap's
-    only where B_M overstates the tail beyond M by more than the margin
-    left at the cap's K; on the catalog lattices, coherent states out to
-    |U| = 3 and superpositions with a weak far member (K from 10 to 56),
-    the two agree (tests/test_core.py, TestTwoTrySearch). Shell m costs
-    O(m) per point, so a walk that stops at M costs about (M / 64)^2 of
-    the walk to the cap: on [-3, 3]^2, cat(1.1) stops at shell 22 (K = 21)
-    and cat(2) at 36 (K = 35).
+    and the two together are at most pi_32 rho / (1 - rho) = B_32 (with
+    rho >= 0.99, B_32 is infinite). Hence est_32(K) >= est_64(K) at every
+    sampled point and every K <= 32, up to rounding: the first try never
+    returns a K below the cap's K. It returns a larger K only where B_32
+    overstates the tail beyond 32 by more than the margin left at the
+    cap's K; on the catalog lattices, coherent states out to |U| = 3 and
+    superpositions with a weak far member (K from 10 to 56), the two agree
+    (tests/test_core.py, TestTwoTrySearch). Shell m costs O(m) per point,
+    so the walk to 32 is about a quarter of the walk to the cap.
+
+    Only these two shells are checked. The argument holds for any two even
+    shells, but each shell checked is one more place where the closure's
+    assumption can fail, and it fails where the Taylor stack is sparse: at
+    the centre of a p-fold symmetric superposition of coherent states t_k
+    vanishes unless p divides k, so for p >= 3 a pair sum can be 0 while
+    later ones are not, and the closure drops them. Checked at every even
+    shell, three members of modulus 2 at z = 0 stop at shell 8 with W 0.04
+    off in units of 1/(pi hbar); the two tries get it right, but at shell
+    32 they too drop R_33 of three members of modulus 4, 2e-4 off
+    (TestTwoTrySearch::test_sparse_taylor_stack).
 
     Raises TruncationError, carrying the estimate at the cap and the
     sampled point where it is worst, when no K <= MAX_ORDER meets it.
@@ -275,21 +279,21 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
 
     sample = _truncation_sample(state, z)
     r = np.abs(sample)
+    shells = _shell_weights(state, sample, r)
     R = []
-    for M, R_M in enumerate(_shell_weights(state, sample, r)):
-        R.append(R_M)
-        if M < 4 or M % 2:
-            continue
-        est_M = _closed_tail(np.array(R[-4:]), r)[-1]  # est_M(M): the closure alone
-        if est_M.max() <= policy.tail_tolerance:
-            est_max = _closed_tail(np.array(R), r).max(axis=1)
-            return int(np.flatnonzero(est_max <= policy.tail_tolerance)[0])
-    point = complex(sample[np.argmax(est_M)])
+    for M in (MAX_ORDER // 2, MAX_ORDER):
+        R += [next(shells) for _ in range(len(R), M + 1)]
+        est = _closed_tail(np.array(R), r)
+        est_max = est.max(axis=1)
+        meets = np.nonzero(est_max <= policy.tail_tolerance)[0]
+        if meets.size:
+            return int(meets[0])
+    point = complex(sample[np.argmax(est[M])])
     raise TruncationError(
         f"adaptive truncation did not reach tail tolerance {policy.tail_tolerance:g} "
         f"by the order cap {M}: at z = {point:.6g} (|z| = {abs(point):.6g}) the tail "
-        f"estimate is {est_M.max():.3g}",
-        tail_estimate=float(est_M.max()),
+        f"estimate is {est_max[M]:.3g}",
+        tail_estimate=float(est_max[M]),
         point=point,
     )
 
