@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--np", dest="n_p", type=int, required=True)
     ev.add_argument("--method", choices=METHODS, default="series")
     ev.add_argument("--tol", type=_tolerance, default=None,
-                    help="series tail tolerance or oracle convergence budget")
+                    help="series tail tolerance, the mass left at each point in units of 1/(pi hbar) "
+                         "(default 1e-14), or oracle convergence budget (default 1e-8)")
     ev.add_argument("--out", required=True, help="output file path")
     ev.add_argument("--format", choices=("csv", "json"), default="csv")
     ev.add_argument("--no-meta", action="store_true",

@@ -1,22 +1,18 @@
 """Rectangular (q, p) Wigner grids: evaluation with any method and CSV/JSON
 serialization.
 
-The methods are the series (the quadratic form of core with its one
-kernel, walked along its Laguerre diagonals), the two quadrature
-oracles (config-integral and phase-integral) and the Fock and coherent
-closed forms (closed).
+The methods are the series (core's evaluation: the paper's form, or its
+displaced-number factorization), the two quadrature oracles
+(config-integral and phase-integral) and the Fock and coherent closed
+forms (closed). Both writers format every number as the shortest text that
+parses back to the identical double (orjson), and refuse non-finite values
+before the file is opened.
 
-Both writers format numbers with orjson's shortest round-trip encoder: every
-number in a CSV or JSON file is the shortest text that parses back to the
-identical double. Non-finite values, which that text cannot hold, are
-refused before the file is opened.
-
-A grid is evaluated in this process. The series is one call to
-core._evaluate on the grid's label lattice, which sets the frame, the
-truncation order and the blocks of points the walk takes; the metadata
-records that frame as "frame": [Re z0, Im z0], next to "truncation_order",
-the order in it. The other methods keep the origin. Beyond the walk's
-blocks a grid holds its labels and values, 24 bytes a point.
+The series is one call to core._evaluate on the grid's label lattice, in
+this process; the metadata records its frame as "frame": [Re z0, Im z0],
+next to "truncation_order", the largest order summed in it. The other
+methods keep the origin. Beyond a block of the sum a grid holds its labels
+and values, 24 bytes a point.
 """
 
 from __future__ import annotations
@@ -177,8 +173,7 @@ def evaluate_grid(
 
     method is one of METHODS; tol is the series tail tolerance, or the
     convergence budget of config-integral and phase-integral, positive and
-    finite; None keeps each default. The module docstring says where the
-    series runs and in which frame.
+    finite; None keeps each default.
     """
     basis = basis or BasisParams()
     if method not in METHODS:

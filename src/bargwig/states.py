@@ -8,15 +8,19 @@ function of w. For the catalog:
     fock(N):      f(z) = z^N / sqrt(N!)
     coherent(U):  f(z) = exp(conj(U) z - |U|^2 / 2)
 
-Each member kind is one class that carries its own closed forms. f is
-antilinear in the state, so a superposition sum_m c_m |psi_m> has
-f = sum_m conj(c_m) f_m, summed over _terms(state). Derivative towers are
-closed-form; finite differences appear only in the tests.
+Each member kind is one class that carries its own closed forms, among
+them its Taylor stack (recurrence) and the number amplitudes of the state
+displaced to z (displaced), which core sums. f is antilinear in the state,
+so a superposition sum_m c_m |psi_m> has f = sum_m conj(c_m) f_m, summed
+over _terms(state); its amplitudes are linear, sum_m c_m a_k[psi_m].
+Derivative towers are closed-form; finite differences appear only in the
+tests.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -25,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .phase import BasisParams, qp_from_z
-from .special import hermite_psi
+from .special import hermite_psi, laguerre
 
 __all__ = [
     "FockState",
@@ -107,6 +111,30 @@ class FockState:
                   for k in range(N, -1, -1))
         return _unit_power(w, N), (r if ray else z), orders
 
+    def displaced(self, z):
+        """Yield a_k = <k|D(-z)|n>, k = 0, 1, ..., at the 1-D labels z, from
+        the normalized associated Laguerre closed form (Cahill and Glauber,
+        Phys. Rev. 177, 1857 (1969)), x = |z|^2:
+
+            k < n:   sqrt(k!/n!) conj(z)^(n-k) exp(-x/2) L_k^(n-k)(x),
+            k >= n:  sqrt(n!/k!) (-z)^(k-n)    exp(-x/2) L_n^(k-n)(x).
+
+        The prefactors, running products from k = n down and up, stay
+        below 1 in modulus."""
+        N = self.n
+        x = z.real * z.real + z.imag * z.imag
+        pre = [np.exp(-0.5 * x) + 0j]  # pre[i]: the prefactor of k = n - i
+        x[pre[0] == 0] = 0.0  # there a_k = 0, and L(x) could overflow to nan
+        for k in range(N, 0, -1):
+            pre.append(pre[-1] * np.conj(z) * (1 / math.sqrt(k)))
+        for k in range(N):
+            yield pre[N - k] * laguerre(k, x, N - k)
+        p = pre[0]
+        for k in itertools.count(N):
+            if k > N:
+                p = p * -z * (1 / math.sqrt(k))
+            yield p * laguerre(N, x, k - N)
+
 
 @dataclass(frozen=True)
 class CoherentState:
@@ -167,6 +195,18 @@ class CoherentState:
         U = np.conj(self.u)
         orders = ((k, 1 / math.factorial(k) if ray else 1.0) for k in range(K + 1))
         return self.bargmann(z), (U * w if ray else U), orders
+
+    def displaced(self, z):
+        """Yield a_k = <k|D(-z)|u>, k = 0, 1, ..., at the 1-D labels z:
+        D(-z)|u> is |u - z> times the phase exp(i Im(conj(z) u)), so
+        a_0 = exp(i Im(conj(z) u) - |u - z|^2 / 2) and a_k = a_(k-1) (u - z) / sqrt(k),
+        one complex and one real multiply per order."""
+        d = self.u - z
+        a = np.exp(1j * (np.conj(z) * self.u).imag - 0.5 * (d.real * d.real + d.imag * d.imag))
+        yield a
+        for k in itertools.count(1):
+            a = a * d * (1 / math.sqrt(k))
+            yield a
 
 
 _MEMBER_KINDS = (FockState, CoherentState)
@@ -285,35 +325,28 @@ def _root_factorial(N: int) -> int:
 
 def _stack(state: StateSpec, z: np.ndarray, K: int, ray: bool) -> np.ndarray:
     """s_k = f^(k)(z) w^k / d_k, k = 0..K, at the points of the 1-D array
-    z, built from the closed forms of the catalog and returned with shape
-    (K+1, 2, len(z)): [k, 0] holds Re s_k, [k, 1] Im s_k. This is the one
-    tower builder:
+    z, from the closed forms of the catalog, with shape (K+1, 2, len(z)):
+    [k, 0] holds Re s_k, [k, 1] Im s_k. The one tower builder:
 
         ray=False: w = 1, d_k = 1, the derivative tower f^(k)(z);
         ray=True:  w = u = z/|z| (u = 1 at z = 0), d_k = k!, the Taylor
-                   stack along the ray through z, t_k = f^(k)(z) u^k / k!,
-                   that the series walk consumes.
+                   stack along the ray, t_k = f^(k)(z) u^k / k!, of the walk.
 
-    Each member gives its recurrence, with rho = z conj(w) (rho = r = |z|
-    along the ray, rho = z otherwise): a start vector, a multiplier, and
-    the (order, coefficient) pairs in the order the products reach them.
-    One loop carries conj(c) start as one complex vector, steps it by one
-    complex multiply per order, and writes its real and imaginary parts
-    times the coefficient into the stack (the first member) or adds them
-    (the others), so a superposition sum_m c_m |psi_m> has
-    sum_m conj(c_m) s_k[psi_m].
+    Each member gives its recurrence, with rho = z conj(w) (r = |z| along
+    the ray): a start vector, a multiplier, and the (order, coefficient)
+    pairs in the order the products reach them. One loop carries conj(c)
+    start as one complex vector, steps it by one complex multiply per
+    order, and writes or adds its parts times the coefficient, so a
+    superposition has sum_m conj(c_m) s_k[psi_m].
 
     numpy rounds a complex product elementwise, by the same instructions at
-    every element, so a point's value does not depend on the length of the
-    array it sits in or on its offset there, and a grid evaluated in blocks
-    stays bitwise equal to one call. The one exception is an in-place
-    product of a length-1 array, which numpy rounds by another loop; the
-    multiply therefore writes into a second buffer. On FMA hardware those
-    instructions round differently from separate real products in about a
-    quarter of the real and of the imaginary parts, so values differ from a
-    real-arithmetic build at roundoff. u is taken by two real divisions:
-    numpy's complex division z/r overflows at a subnormal z (2.2e-313j
-    gives nan + inf j).
+    every element, so a point's value does not depend on the array it sits
+    in, and a grid evaluated in blocks stays bitwise equal to one call. The
+    exception is an in-place product of a length-1 array, which numpy
+    rounds by another loop, so the multiply writes into a second buffer.
+    On FMA hardware values differ from a real-arithmetic build at roundoff.
+    u is taken by two real divisions: numpy's complex division z/r
+    overflows at a subnormal z (2.2e-313j gives nan + inf j).
     """
     r = np.abs(z)
     w = np.ones(z.shape, dtype=complex)
@@ -336,6 +369,19 @@ def _stack(state: StateSpec, z: np.ndarray, K: int, ray: bool) -> np.ndarray:
             if i:
                 out[k] += parts
     return out
+
+
+def _displaced(terms, z: np.ndarray):
+    """Yield a_k = <k|D(-z)|psi> = sum_m c_m a_k[psi_m], k = 0, 1, ..., at
+    the 1-D labels z, from each member's displaced, for the (coefficient,
+    member) pairs terms of psi. Every product is taken into a new array:
+    numpy rounds an in-place complex product of a length-1 array by
+    another loop (_stack), and values must not depend on the block."""
+    for amps in zip(*(member.displaced(z) for _, member in terms)):
+        total = amps[0] * terms[0][0]
+        for (c, _), a in zip(terms[1:], amps[1:]):
+            total = total + a * c
+        yield total
 
 
 def _unit_power(u: np.ndarray, N: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import TruncationPolicy, _wigner_at, build_F, choose_truncation, wigner_closed_fock, wigner_series
+from .core import TruncationPolicy, _series_sum, build_F, choose_truncation, wigner_closed_fock, wigner_series
 from .geometry import check_b_independence, check_identity_crossb
 from .grid import GridAxis, evaluate_grid
 from .oracles import QuadratureSpec, marginal_position, normalization, wigner_config_integral, wigner_phase_integral
@@ -105,14 +105,13 @@ def _catalog_degree_le(max_degree: int):
     return states
 
 
-def _paper_form_residual(n_points: int, n_used: int, r_lo: float, r_hi: float, basis: BasisParams) -> float:
-    """Largest relative gap between the walk and the paper's form
-    exp(-2|z|^2)/(pi hbar) Re(c^dagger F c), F = build_F(z, K) and
-    c_k = V_k/k!, over the first n_used of n_points seeded annulus points.
-    Both sides take one K, chosen on those points, and one frame, the
-    origin (core._wigner_at, which applies no frame): at different orders,
-    or in a coherent state's own frame, they would compare two truncations,
-    not two evaluations of one."""
+def _paper_form_residual(n_points: int, n_used: int, r_lo: float, r_hi: float) -> float:
+    """Largest relative gap between the walk (_series_sum) and the paper's
+    form Re(c^dagger F c), F = build_F(z, K), c_k = V_k/k!, over the first
+    n_used of n_points seeded annulus points; W's factor
+    exp(-2|z|^2)/(pi hbar) is common to both and left out. Both take one K,
+    chosen on those points, in the origin frame: at different orders, or
+    in a coherent state's own frame, they would compare two truncations."""
     rng = np.random.default_rng(_SEED)
     r = rng.uniform(r_lo, r_hi, n_points)
     theta = rng.uniform(0.0, 2.0 * math.pi, n_points)
@@ -120,10 +119,9 @@ def _paper_form_residual(n_points: int, n_used: int, r_lo: float, r_hi: float, b
     worst = 0.0
     for state in _catalog_degree_le(8):
         K = choose_truncation(state, z, TruncationPolicy())
-        walk = _wigner_at(state, z, K, basis.hbar)
+        walk = _series_sum(state, z, K)
         c = derivative_tower(state, z, K) / np.array([math.factorial(k) for k in range(K + 1)])[:, None]
-        form = np.array([np.vdot(c[:, i], build_F(z[i], K) @ c[:, i]).real for i in range(z.size)])
-        paper = np.exp(-2.0 * np.abs(z) ** 2) / (math.pi * basis.hbar) * form
+        paper = np.array([np.vdot(c[:, i], build_F(z[i], K) @ c[:, i]).real for i in range(z.size)])
         rel = np.abs(walk - paper) / np.maximum(np.maximum(np.abs(walk), np.abs(paper)), 1e-280)
         worst = max(worst, float(np.max(rel)))
     return worst
@@ -138,7 +136,7 @@ def suite_series(tol_override: Optional[float] = None) -> list[CheckResult]:
     out.add("fock-closed-form", res, tol, "fock(0..8), 21x21 grid over [-3,3]^2")
 
     tol = 1e-9 if tol_override is None else tol_override
-    res = _paper_form_residual(n_points=200, n_used=48, r_lo=0.5, r_hi=4.0, basis=basis)
+    res = _paper_form_residual(n_points=200, n_used=48, r_lo=0.5, r_hi=4.0)
     out.add("paper-form-agreement", res, tol, "walk vs build_F form, first 48 of 200 annulus points, one K")
 
     tol = 1e-12 if tol_override is None else tol_override

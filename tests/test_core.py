@@ -7,13 +7,11 @@ import pytest
 
 from bargwig import core
 from bargwig.core import (
-    MAX_ORDER,
+    ORDER_CAP,
+    WALK_DEGREE,
+    _displaced_sum,
     _own_frame,
     _series_sum,
-    _shell_weights,
-    _tail_estimate,
-    _truncation_sample,
-    _wigner_at,
     TruncationError,
     TruncationPolicy,
     build_F,
@@ -25,7 +23,8 @@ from bargwig.core import (
 )
 from bargwig.oracles import wigner_config_integral
 from bargwig.phase import BasisParams, qp_from_z, z_from_qp
-from bargwig.states import CoherentState, FockState, bargmann, cat_state, derivative_tower, superposition
+from bargwig.states import (CoherentState, FockState, _displaced, _terms, cat_state, derivative_tower, norm_squared,
+                            superposition)
 from bargwig.validate import state_window
 
 RNG_SEED = 307
@@ -54,7 +53,7 @@ def quadratic_form_reference(state, z):
 class TestTruncationPolicy:
     def test_defaults(self):
         assert [f.name for f in dataclasses.fields(TruncationPolicy)] == ["tail_tolerance"]
-        assert TruncationPolicy().tail_tolerance == 1e-12 and MAX_ORDER == 64
+        assert TruncationPolicy().tail_tolerance == 1e-14 and ORDER_CAP == 400 and WALK_DEGREE == 12
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -119,26 +118,22 @@ class TestChooseTruncation:
         assert choose_truncation(st, 0.3 + 0j, TruncationPolicy()) == 3
 
     def test_coherent_regression_value(self):
-        # frozen once computed; must stay at or below 40, and the part of
-        # the form it omits (against order 64) must meet the tolerance
-        policy = TruncationPolicy()
-        K = choose_truncation(CoherentState(1.0), 1.0 + 0j, policy)
-        assert K == 19
-        assert K <= 40
-        omitted = abs(origin_series(CoherentState(1.0), 1.0 + 0j, K)
-                      - origin_series(CoherentState(1.0), 1.0 + 0j, 64)) * math.pi
-        assert omitted <= policy.tail_tolerance
+        # frozen once computed, in the origin frame: at z = u the displaced
+        # state is the vacuum, a = 1, 0, 0, ..., and the sum stops once the
+        # last two terms are 0; coherent(1.5) at 2.5j is 43 orders out
+        assert certify(CoherentState(1.0), np.array([1.0 + 0j])) == 2
+        assert certify(CoherentState(1.5), np.array([2.5j])) == 43
 
     def test_cap_error_carries_estimate(self):
-        # coherent(4) at z = 2 needs more than MAX_ORDER derivatives for 1e-14
+        # coherent(40) at z = 0 has its mass near k = 1600, past ORDER_CAP,
+        # and exp(-|U - z|^2 / 2) underflows: none of it arrives
         policy = TruncationPolicy(tail_tolerance=1e-14)
         with pytest.raises(TruncationError) as err:
-            choose_truncation(CoherentState(4.0), 2.0 + 0j, policy)
-        assert err.value.tail_estimate == pytest.approx(2.47e-8, rel=1e-2)
-        assert err.value.point == 2.0 + 0j
+            choose_truncation(CoherentState(40.0), np.array([0.5, 0j]), policy)
+        assert err.value.remaining_mass == 1.0 and err.value.order == ORDER_CAP
+        assert err.value.point == 0.5 + 0j
         message = str(err.value)
-        for part in ("z = 2+0j", "|z| = 2", f"order cap {MAX_ORDER}", "tolerance 1e-14",
-                     f"{err.value.tail_estimate:.3g}"):
+        for part in ("z = 0.5+0j", "|z| = 0.5", f"order cap {ORDER_CAP}", "tolerance 1e-14", "mass left is 1"):
             assert part in message
 
     def test_grows_with_amplitude(self):
@@ -155,8 +150,7 @@ def lattice(q_lo, q_hi, nq, p_lo, p_hi, np_):
 
 def random_superpositions_on_lattices(count=200):
     """(state, z): superpositions of 1-3 coherent states with random
-    coefficients, each on a random lattice of more than 1024 points, so
-    that the truncation subsample is strided."""
+    coefficients, each on a random lattice of more than 1024 points."""
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(count):
         members = int(rng.integers(1, 4))
@@ -170,200 +164,173 @@ def random_superpositions_on_lattices(count=200):
         yield state, lattice(q_lo, q_hi, int(rng.integers(33, 121)), p_lo, p_hi, int(rng.integers(33, 121)))
 
 
-class TestEdgeScan:
-    """On a 2-D lattice choose_truncation takes the largest |f| from the
-    edge rows and columns only (maximum modulus principle); a 1-D z is
-    scanned in full. The two must pick the same point and the same K."""
+TOL = TruncationPolicy().tail_tolerance
 
-    @staticmethod
-    def outcome(state, z):
-        try:
-            return choose_truncation(state, z, TruncationPolicy())
-        except TruncationError as err:
-            return ("raises", err.point, err.tail_estimate)
+
+def origin_sum(state, z, K=None):
+    """pi hbar W at z by the displaced-number sum in the origin frame, the
+    frame choose_truncation works in (wigner_series evaluates a bare
+    coherent state in its own): to K, or else point by point to TOL."""
+    z = np.asarray(z, dtype=complex)
+    return _displaced_sum(state, z.ravel(), K, TOL)[0].reshape(z.shape)
+
+
+def mass_left(state, z, K):
+    """<psi|psi> - sum_(k<=K) |a_k|^2 at z, from the amplitudes alone."""
+    z = np.asarray(z, dtype=complex).ravel()
+    amplitudes = zip(_displaced(_terms(state), z), range(K + 1))
+    return norm_squared(state) - sum(a.real**2 + a.imag**2 for a, _ in amplitudes)
+
+
+def certify(state, z):
+    """The certificate of the per-point sum at every point of z, in the
+    origin frame, and choose_truncation's K: at K, the largest order any
+    point takes, the mass left is within the tolerance (or the rounding
+    allowance, past K = 89), and so is what the per-point sum leaves out
+    of the sum 40 orders on."""
+    K = choose_truncation(state, z, TruncationPolicy())
+    bound = max(TOL, (K + 1) * 2.0**-53)
+    # the mass sums here and in the walk round apart by about K ulp
+    assert np.max(mass_left(state, z, K)) <= bound + (K + 1) * 2.0**-53, state
+    assert np.max(np.abs(origin_sum(state, z) - origin_sum(state, z, K + 40))) <= bound, state
+    return K
+
+
+def count_orders(monkeypatch):
+    """The list of the orders each states._displaced call of core yields,
+    one entry per call, for the rest of the test."""
+    calls = []
+
+    def recording(terms, z):
+        calls.append(0)
+        for a in _displaced(terms, z):
+            calls[-1] += 1
+            yield a
+
+    monkeypatch.setattr(core, "_displaced", recording)
+    return calls
+
+
+def coherent_pi_w(state, z, dps=30):
+    """pi hbar W of a superposition sum_i c_i |u_i> of coherent states at z,
+    sum_(i,j) c_i conj(c_j) <u_j|u_i> exp(-2 (z - u_i)(conj(z) - conj(u_j))),
+    in dps digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        terms = [(mpmath.mpc(c.real, c.imag), mpmath.mpc(m.u.real, m.u.imag)) for c, m in _terms(state)]
+        w = mpmath.mpc(z.real, z.imag)
+        return float(mpmath.fsum(
+            ci * mpmath.conj(cj)
+            * mpmath.exp(mpmath.conj(uj) * ui - (abs(ui) ** 2 + abs(uj) ** 2) / 2)
+            * mpmath.exp(-2 * (w - ui) * mpmath.conj(w - uj))
+            for ci, ui in terms for cj, uj in terms
+        ).real)
+
+
+class TestEdgeScan:
+    """choose_truncation once bounded the tail on a sample, its largest |f|
+    sought on a lattice's edge. Now every point stops on its own, so a
+    lattice, its ravel and its transpose give one K, and every point meets
+    the certificate (certify)."""
 
     @pytest.mark.parametrize("count", [41, 60, 61, 200])
-    @pytest.mark.parametrize("state, K", [(CoherentState(0.7 - 0.4j), 17), (cat_state(1.1), 21)],
-                             ids=["coherent", "cat1.1"])
-    def test_catalog_windows(self, state, K, count):
+    @pytest.mark.parametrize("state", [CoherentState(0.7 - 0.4j), cat_state(1.1)], ids=["coherent", "cat1.1"])
+    def test_catalog_windows(self, state, count):
         z = lattice(-3.0, 3.0, count, -3.0, 3.0, count)
-        assert np.array_equal(_truncation_sample(state, z), _truncation_sample(state, z.ravel()))
-        assert choose_truncation(state, z, TruncationPolicy()) == K
+        K = certify(state, z)
         assert choose_truncation(state, z.ravel(), TruncationPolicy()) == K
-        assert omitted_at(state, z, K) <= TruncationPolicy().tail_tolerance
+        assert choose_truncation(state, z.T, TruncationPolicy()) == K
 
     def test_random_superpositions_on_random_lattices(self):
-        # K is a function of the sample, so equal samples give equal K; K
-        # itself is compared on the first 20 lattices
-        for case, (state, z) in enumerate(random_superpositions_on_lattices()):
-            f = np.abs(bargmann(state, z))
-            edges = np.concatenate((f[0], f[-1], f[:, 0], f[:, -1]))
-            assert edges.max() == f.max()
-            assert np.array_equal(_truncation_sample(state, z), _truncation_sample(state, z.ravel()))
-            if case < 20:
-                assert self.outcome(state, z) == self.outcome(state, z.ravel())
-
-
-def origin_series(state, z, K):
-    """W at z from the form walked to order K in the origin frame, the frame
-    choose_truncation bounds: wigner_series would evaluate a bare coherent
-    state in its own frame, where K = 0 is exact."""
-    z = np.asarray(z, dtype=complex)
-    return _wigner_at(state, z.ravel(), K, 1.0).reshape(z.shape)
-
-
-def omitted_at(state, z, K):
-    """max |W_K - W_64| pi hbar over z in the origin frame: what truncation
-    at K omits of the form that the cap keeps."""
-    return np.max(np.abs(origin_series(state, z, K) - origin_series(state, z, MAX_ORDER))) * math.pi
-
-
-def cap_order(state, z, policy=TruncationPolicy()):
-    """K from the tail estimate at MAX_ORDER alone: the smallest order that
-    meets the tolerance there, or None."""
-    est = _tail_estimate(state, _truncation_sample(state, z), MAX_ORDER).max(axis=1)
-    meets = np.nonzero(est <= policy.tail_tolerance)[0]
-    return int(meets[0]) if meets.size else None
-
-
-def set_sample(state, z, full_scan=False):
-    """_truncation_sample with its index set built as a Python set and each
-    largest |z| and |f| taken by Python's max, the first index on ties: the
-    reference for the points and their order. On a 2-D z the two maxima are
-    sought on the edge rows and columns, or with full_scan over every point,
-    as a 1-D z is."""
-    z = np.asarray(z, dtype=complex)
-    zz = z.ravel()
-    idx = set(range(0, zz.size, max(1, zz.size // 512)))
-    scan = range(zz.size)
-    if z.ndim == 2 and not full_scan:
-        rows, cols = z.shape
-        scan = sorted(i * cols + j for i in range(rows) for j in range(cols) if i in (0, rows - 1) or j in (0, cols - 1))
-    f = np.abs(bargmann(state, zz))
-    idx.add(max(scan, key=lambda i: (abs(zz[i]), -i)))
-    idx.add(max(scan, key=lambda i: (f[i], -i)))
-    return zz[sorted(idx)]
-
-
-def record_shells(monkeypatch):
-    """The list into which every shell m that core._shell_weights yields is
-    appended, for the rest of the test."""
-    import bargwig.core as core
-
-    shells = []
-    walk = core._shell_weights
-
-    def recording(state, zz, r):
-        for m, weights in enumerate(walk(state, zz, r)):
-            shells.append(m)
-            yield weights
-
-    monkeypatch.setattr(core, "_shell_weights", recording)
-    return shells
+        for state, z in random_superpositions_on_lattices(30):
+            K = certify(state, z)
+            assert choose_truncation(state, z.ravel()[::-1], TruncationPolicy()) == K
 
 
 class TestTwoTrySearch:
-    """choose_truncation builds its estimate to MAX_ORDER // 2 before
-    MAX_ORDER; the K it returns must be the K of the estimate at MAX_ORDER
-    alone."""
-
-    @staticmethod
-    def assert_cap_order(state, z):
-        try:
-            got = choose_truncation(state, z, TruncationPolicy())
-        except TruncationError:
-            got = None
-        assert got == cap_order(state, z), state
+    """The shell walk tried its closure at shell 32, then at the cap, 64.
+    The displaced-number sum needs no search; the cases on which the two
+    tries were checked are restated against its certificate (certify)."""
 
     @pytest.mark.parametrize("count", [41, 60, 61, 200])
     @pytest.mark.parametrize("state", [CoherentState(0.7 - 0.4j), cat_state(1.1)], ids=["coherent", "cat1.1"])
     def test_catalog_lattices(self, state, count):
-        self.assert_cap_order(state, lattice(-3.0, 3.0, count, -3.0, 3.0, count))
+        certify(state, lattice(-3.0, 3.0, count, -3.0, 3.0, count))
 
     @pytest.mark.parametrize("u, extent", [(0.3, 3.0), (1.0, 3.0), (2.0, 3.0), (3.0, 3.0), (2.5, 6.0), (3.0, 6.0)])
     def test_coherent_windows(self, u, extent):
-        self.assert_cap_order(CoherentState(u), lattice(-extent, extent, 60, -extent, extent, 60))
+        certify(CoherentState(u), lattice(-extent, extent, 60, -extent, extent, 60))
 
     def test_random_superpositions(self):
-        for state, z in random_superpositions_on_lattices():
-            self.assert_cap_order(state, z)
+        for state, z in random_superpositions_on_lattices(30):
+            certify(state, z)
 
     @pytest.mark.parametrize("beta", [2.0, 2.5, 3.0])
     def test_weak_far_member(self, beta):
-        # a weak member far out sets K, which runs from 17 to 51 here and
-        # falls on both sides of MAX_ORDER // 2 = 32 for each beta
+        # a weak member far out sets K, which falls with its weight
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
         orders = []
         for w in 10.0 ** -np.arange(1, 7):
             state = superposition([(1.0, CoherentState(0.2)), (w, CoherentState(beta + 0.5j))], normalize=True)
-            self.assert_cap_order(state, z)
-            orders.append(cap_order(state, z))
-            assert omitted_at(state, z, orders[-1]) <= TruncationPolicy().tail_tolerance
-        assert orders == sorted(orders, reverse=True) and orders[-1] <= MAX_ORDER // 2 < orders[0]
+            orders.append(certify(state, z))
+        assert orders == sorted(orders, reverse=True) and orders[-1] < orders[0]
 
     def test_second_try_is_only_paid_past_half_the_cap(self, monkeypatch):
-        # the catalog walks the shells 0..32 once; coherent(3) walks on to
-        # 64 and still walks no shell twice
-        shells = record_shells(monkeypatch)
+        # no order is summed twice, nor past the last point's: one pass of
+        # K + 1 amplitudes, for K = 56 (cat(1.1)) and K = 86 (coherent(3))
+        calls = count_orders(monkeypatch)
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
-        assert choose_truncation(cat_state(1.1), z, TruncationPolicy()) == 21
-        assert shells == list(range(MAX_ORDER // 2 + 1))
-        assert omitted_at(cat_state(1.1), z, 21) <= TruncationPolicy().tail_tolerance
-        shells.clear()
-        assert choose_truncation(CoherentState(3.0), z, TruncationPolicy()) > 32
-        assert shells == list(range(MAX_ORDER + 1))
+        assert choose_truncation(cat_state(1.1), z, TruncationPolicy()) == 56
+        assert calls == [57]
+        calls.clear()
+        K = choose_truncation(CoherentState(3.0), z, TruncationPolicy())
+        assert K > 64 and calls == [K + 1]
 
-    @pytest.mark.parametrize("p, beta, K", [
-        (3, 2.0, 24),
-        (4, 2.0, None),
-        (4, 3.0, None),
-        pytest.param(3, 4.0, 30, marks=pytest.mark.xfail(
-            strict=True, reason="the closure at shell 32 sees R_31 = R_32 = 0 and drops R_33")),
-    ])
-    def test_sparse_taylor_stack(self, p, beta, K):
-        # at the centre of a p-fold symmetric superposition t_k vanishes
-        # unless p divides k, so for p >= 3 a pair sum of the closure can
-        # vanish while later ones do not: W at z = 0 must match the form
-        # walked far past the cap, or the walk must raise
+    # the ids keep the orders the shell walk took at z = 0 (None: it raised)
+    @pytest.mark.parametrize("p, beta", [(3, 2.0), (4, 2.0), (4, 3.0), (3, 4.0)],
+                             ids=["3-2.0-24", "4-2.0-None", "4-3.0-None", "3-4.0-30"])
+    def test_sparse_taylor_stack(self, p, beta):
+        # at the centre of a p-fold symmetric superposition a_k vanishes
+        # unless p divides k, which fooled the walk's pair-sum closure; the
+        # mass left sees every order
         w = np.exp(2j * np.pi / p)
         state = superposition([(1.0, CoherentState(beta * w**k)) for k in range(p)], normalize=True)
         z = np.array([0j])
-        if K is None:
-            with pytest.raises(TruncationError):
-                wigner_series(state, z)
-            return
-        assert choose_truncation(state, z, TruncationPolicy()) == K
-        omitted = abs(wigner_series(state, z)[0] - wigner_series(state, z, order=120)[0]) * math.pi
-        assert omitted <= TruncationPolicy().tail_tolerance
+        certify(state, z)
+        assert abs(wigner_series(state, z)[0] * math.pi - coherent_pi_w(state, 0j)) <= TOL
 
     @pytest.mark.parametrize("shape", [(1,), (2,), (511,), (512,), (513,), (1024,), (1025,), (5000,),
                                        (1, 700), (700, 1), (3, 700), (60, 60), (200, 200)])
     def test_sample_points_and_order(self, shape):
+        # labels of any shape: each point is certified, and its value is
+        # that of the raveled labels
         rng = np.random.default_rng(RNG_SEED + 11)
         z = (rng.uniform(-3.0, 3.0, shape) + 1j * rng.uniform(-3.0, 3.0, shape)).round(1)
         for state in (CoherentState(0.7 - 0.4j), cat_state(1.1)):
-            assert np.array_equal(_truncation_sample(state, z), set_sample(state, z))
+            certify(state, z)
+            assert np.array_equal(origin_sum(state, z), origin_sum(state, z.ravel()).reshape(shape))
 
     def test_sample_on_random_lattices(self):
-        for state, z in random_superpositions_on_lattices(50):
-            assert np.array_equal(_truncation_sample(state, z), set_sample(state, z))
-            assert np.array_equal(_truncation_sample(state, z), set_sample(state, z, full_scan=True))
+        # a point's value does not depend on where it sits among the labels
+        for state, z in random_superpositions_on_lattices(20):
+            zz = z.ravel()
+            certify(state, zz)
+            assert np.array_equal(origin_sum(state, zz[::-1])[::-1], origin_sum(state, zz))
 
     @pytest.mark.parametrize("window", [
-        (-3.0, 3.0, 200, -3.0, 3.0, 200),  # four corners tie; the first is index 0
+        (-3.0, 3.0, 200, -3.0, 3.0, 200),
         (-3.0, 3.0, 61, -3.0, 3.0, 41),
-        (-2.0, 3.0, 60, -3.0, 3.0, 60),  # the two corners at q = 3 tie
-        (-3.0, 2.0, 60, -3.0, 3.0, 60),  # the two corners at q = -3 tie
-        (-3.0, 3.0, 60, -1.0, 3.0, 60),  # the two corners at p = 3 tie
-        (-1.0, 3.0, 45, -2.0, 1.0, 70),  # one corner
+        (-2.0, 3.0, 60, -3.0, 3.0, 60),
+        (-3.0, 2.0, 60, -3.0, 3.0, 60),
+        (-3.0, 3.0, 60, -1.0, 3.0, 60),
+        (-1.0, 3.0, 45, -2.0, 1.0, 70),
     ])
     def test_edge_maxima_are_those_of_a_full_scan(self, window):
-        # |z| is convex in (q, p) and |f| obeys the maximum modulus
-        # principle, so on a lattice the edge holds both maxima, tied
-        # corners included, at the first index a scan of every point finds
+        # K is the largest order of any point, wherever it sits
         z = lattice(*window)
         for state in (CoherentState(0.7 - 0.4j), cat_state(1.1), CoherentState(-0.2 + 1.5j)):
-            assert np.array_equal(_truncation_sample(state, z), set_sample(state, z, full_scan=True))
+            K = certify(state, z)
+            assert choose_truncation(state, z.ravel()[::-1], TruncationPolicy()) == K
 
 
 class TestWignerSeries:
@@ -474,10 +441,9 @@ class TestDefaultPathRegressions:
 
     @pytest.mark.parametrize("count", [60, 61])
     def test_cat_truncation_on_symmetric_grid(self, count):
-        # 61 points put a sample at the origin, where every odd derivative of
-        # the even cat vanishes; 60 points straddle it
-        K = choose_truncation(cat_state(1.1), self._window_labels(count), TruncationPolicy())
-        assert K <= MAX_ORDER
+        # 61 points put one at the origin, where every odd amplitude of the
+        # even cat vanishes; 60 points straddle it
+        assert certify(cat_state(1.1), self._window_labels(count)) <= ORDER_CAP
 
     def test_cat_near_origin_matches_config_integral(self):
         basis = BasisParams()
@@ -512,8 +478,9 @@ class TestSteppedWalk:
 
 
 class TestTruncationBound:
-    """The tail bound of choose_truncation against the true omitted part,
-    and windows that the bound now reaches within MAX_ORDER."""
+    """The certificate of the displaced-number sum against the true omitted
+    part, the amplitudes against the paper's stack, and windows the sum
+    reaches."""
 
     @staticmethod
     def _window(count):
@@ -522,48 +489,58 @@ class TestTruncationBound:
         return qq, pp, z_from_qp(qq, pp, BasisParams())
 
     def test_omitted_part_within_estimate(self):
-        # |W_K - W_64| pi hbar <= est[K]; 1e-15 allows for the roundoff of
-        # the two sums. Points with |z| < 0.05 test the pair-sum closure,
-        # where the cats' odd or even derivatives nearly vanish.
+        # |W_K - W_80| pi hbar <= the mass left at K; 1e-15 and K + 1 ulp
+        # allow for the roundoff of the sums. Points with |z| < 0.05 are
+        # where a cat's odd or even amplitudes nearly vanish.
         rng = np.random.default_rng(RNG_SEED + 3)
         for trial in range(15):
             u = complex(*rng.uniform(-1.5, 1.5, 2))
             state = [CoherentState(u), cat_state(u, 1), cat_state(u, -1)][trial % 3]
             z = rng.uniform(0.0, 3.0, 32) * np.exp(1j * rng.uniform(0, 2 * np.pi, 32))
             z[:8] *= 0.05 / 3.0
-            est = _tail_estimate(state, z, 64)
-            ref = origin_series(state, z, 64)
+            ref = origin_sum(state, z, 80)
             for K in range(2, 41):
-                omitted = np.abs(origin_series(state, z, K) - ref) * math.pi
-                assert np.all(omitted <= est[K] + 1e-15), (state, K)
+                omitted = np.abs(origin_sum(state, z, K) - ref)
+                assert np.all(omitted <= mass_left(state, z, K) + 1e-15 + (K + 1) * 2.0**-53), (state, K)
 
     def test_infinite_closure_stays_infinite_where_the_gaussian_underflows(self):
-        # at |z| = 27 exp(-2 r^2) underflows to 0 while the closure at shell
-        # 32 is infinite: that point's estimate is +inf, not nan, and the
-        # walk on to the cap still certifies K
+        # at |z| = 45 exp(-|u - z|^2 / 2) underflows to 0: the amplitudes
+        # there are 0, not nan and with no warning, so all the mass is left
+        # at the cap and the error names that point
         import warnings
 
-        z = np.array([27.0, 0.1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = _tail_estimate(cat_state(1.1), z, MAX_ORDER // 2)
-            assert np.all(est[:, 0] == np.inf)
-            assert choose_truncation(cat_state(1.1), z, TruncationPolicy()) == 16
+            with pytest.raises(TruncationError) as err:
+                choose_truncation(cat_state(1.1), np.array([0.1, 45.0]), TruncationPolicy())
+        assert err.value.point == 45.0 and err.value.remaining_mass == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("state", TestSteppedWalk.STATES, ids=["coherent", "cat1.1", "fock-pair", "mixed"])
     def test_shell_weights_are_those_of_build_F(self, state):
-        # R_m = sum over max(n, j) = m of |c_n| |F_nj| |c_j|, F tabulated
-        # entry by entry, against the walk up the shells
+        # the amplitudes are the paper's stack through the factorization
+        # N^-1 F N^-1 = exp(|z|^2) B^+ S B of build_F's kernel:
+        # a_k = conj(exp(-|z|^2/2) (B V)_k) / sqrt(k!), B_kj = C(k, j) (-conj(z))^(k-j)
         M = 30
         rng = np.random.default_rng(RNG_SEED + 5)
         points = np.array([0j, 4.0 + 0j] + [complex(*rng.uniform(-2.8, 2.8, 2)) for _ in range(4)])
-        walk = np.array([R_m for R_m, _ in zip(_shell_weights(state, points, np.abs(points)), range(M + 1))])
-        shell = np.maximum.outer(np.arange(M + 1), np.arange(M + 1))
+        amplitudes = np.array([a for a, _ in zip(_displaced(_terms(state), points), range(M + 1))])
         for i, z in enumerate(points):
-            c = np.abs(derivative_tower(state, z, M)) / np.array([math.factorial(k) for k in range(M + 1)])
-            entries = c[:, None] * np.abs(build_F(z, M)) * c[None, :]
-            want = np.array([entries[shell == m].sum() for m in range(M + 1)])
-            assert np.all(np.abs(walk[:, i] - want) <= 1e-13 * want), (state, z)
+            V = derivative_tower(state, z, M)
+            for k in range(M + 1):
+                terms = np.array([math.comb(k, j) * (-np.conj(z)) ** (k - j) * V[j] for j in range(k + 1)])
+                scale = math.exp(-abs(z) ** 2 / 2) / math.sqrt(math.factorial(k))
+                want = np.conj(terms.sum()) * scale
+                assert abs(amplitudes[k, i] - want) <= 1e-13 * (np.abs(terms).sum() * scale + 1e-300), (state, z, k)
+
+    def test_kernel_factorization(self):
+        # N^-1 F N^-1 = exp(|z|^2) B^+ S B, S = diag((-1)^k / k!), k summed to 100
+        z, K = 0.6 - 0.35j, 6
+        k = np.arange(101)
+        B = np.array([[math.comb(int(kk), j) * (-np.conj(z)) ** (kk - j) for j in range(K + 1)] for kk in k])
+        S = np.array([(-1.0) ** kk / math.factorial(int(kk)) for kk in k])
+        N = np.array([math.factorial(n) for n in range(K + 1)], dtype=float)
+        want = math.exp(abs(z) ** 2) * (B.conj().T * S) @ B
+        assert np.max(np.abs(build_F(z, K) / np.outer(N, N) - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_coherent3_on_window_matches_closed_form(self):
         qq, pp, z = self._window(41)
@@ -586,7 +563,7 @@ class TestTruncationBound:
         state = CoherentState(3.0)
         qq, pp, z = self._own_window(state)
         basis = BasisParams()
-        assert choose_truncation(state, z, TruncationPolicy()) <= MAX_ORDER
+        assert certify(state, z) <= ORDER_CAP
         Q, P = qp_from_z(3.0, basis)
         want = wigner_closed_coherent_gaussian(Q, P, basis.b, qq, pp, basis.hbar)
         got = wigner_series(state, z, basis=basis)
@@ -598,27 +575,20 @@ class TestTruncationBound:
         mpmath = pytest.importorskip("mpmath")
         state = cat_state(3.0)
         _, _, z = self._own_window(state)
-        assert choose_truncation(state, z, TruncationPolicy()) <= MAX_ORDER
+        assert certify(state, z) <= ORDER_CAP
         got = wigner_series(state, z).ravel() * math.pi
-        with mpmath.workdps(30):
-            terms = [(mpmath.mpc(c.real, c.imag), mpmath.mpc(m.u.real, m.u.imag)) for c, m in state.terms]
-            for value, zv in zip(got, z.ravel()):
-                w = mpmath.mpc(zv.real, zv.imag)
-                want = mpmath.fsum(
-                    ci * mpmath.conj(cj)
-                    * mpmath.exp(mpmath.conj(uj) * ui - (abs(ui) ** 2 + abs(uj) ** 2) / 2)
-                    * mpmath.exp(-2 * (w - ui) * mpmath.conj(w - uj))
-                    for ci, ui in terms for cj, uj in terms
-                )
-                assert abs(value - float(want.real)) <= 1e-12
+        for value, zv in zip(got, z.ravel()):
+            assert abs(value - coherent_pi_w(state, zv)) <= 1e-12
 
     def test_coherent4_on_window_raises_at_its_worst_point(self):
-        # in the origin frame; wigner_series takes coherent(4) to its own
-        # frame, where K = 0 (TestOwnFrame)
+        # coherent(4) now certifies on [-3, 3]^2 in the origin frame (K =
+        # 105); coherent(40) does not, and the error names the point with
+        # the most mass left
         _, _, z = self._window(41)
+        assert certify(CoherentState(4.0), z) <= ORDER_CAP
         with pytest.raises(TruncationError) as err:
-            choose_truncation(CoherentState(4.0), z, TruncationPolicy())
-        assert err.value.tail_estimate > 1e-12
+            choose_truncation(CoherentState(40.0), z, TruncationPolicy())
+        assert err.value.remaining_mass > TOL
         assert err.value.point in z
         assert f"|z| = {abs(err.value.point):.6g}" in str(err.value)
 
@@ -643,24 +613,23 @@ class TestOwnFrame:
         assert framed is state and z0 == 0
 
     def test_vacuum_walks_no_shell(self, monkeypatch):
-        # f = 1, so K = 0 is exact and the bound is never walked
-        shells = record_shells(monkeypatch)
+        # f = 1, so K = 0 is exact and no displaced amplitude is summed
+        calls = count_orders(monkeypatch)
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
         assert choose_truncation(CoherentState(0), z, TruncationPolicy()) == 0
         assert wigner_series(CoherentState(4.0 - 2.0j), z).shape == z.shape
-        assert shells == []
+        assert calls == []
 
     @pytest.mark.parametrize("u", [0.7 - 0.4j, 2.0])
     def test_agrees_with_the_origin_where_it_certifies(self, u):
-        # the origin frame certifies K on [-3,3]^2 (17 and 36); its walk at
-        # that K and the own-frame value differ by at most the tolerance
+        # the origin frame certifies K on [-3,3]^2; its sum and the
+        # own-frame value differ by at most the tolerance
         state = CoherentState(u)
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
-        policy = TruncationPolicy()
-        K = choose_truncation(state, z, policy)
-        assert 0 < K <= MAX_ORDER
-        gap = np.max(np.abs(wigner_series(state, z) - origin_series(state, z, K))) * math.pi
-        assert gap <= policy.tail_tolerance
+        K = certify(state, z)
+        assert 0 < K <= ORDER_CAP
+        gap = np.max(np.abs(wigner_series(state, z) * math.pi - origin_sum(state, z)))
+        assert gap <= TOL
 
     def test_order_is_the_order_in_the_frame(self):
         # in its own frame the Taylor stack of |U> is 1, 0, 0, ...: the
@@ -668,7 +637,7 @@ class TestOwnFrame:
         state = CoherentState(0.7 - 0.4j)
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
         values = wigner_series(state, z)
-        for K in (0, 17, MAX_ORDER):
+        for K in (0, 17, ORDER_CAP):
             assert np.array_equal(wigner_series(state, z, order=K), values)
 
 
@@ -707,10 +676,11 @@ class TestBlocks:
         # walk; building the whole Taylor stack at once would take 14 MB
         import tracemalloc
 
+        # the block term keeps the shell walk's K = 21: the displaced-number
+        # sum holds far fewer doubles a point than the walk's 3(K+1) at K = 56
         state = cat_state(1.1)
         z = lattice(-3.0, 3.0, 200, -3.0, 3.0, 200).ravel()
-        K = choose_truncation(state, z, TruncationPolicy())
-        assert K == 21
+        K = 21
         tracemalloc.start()
         try:
             wigner_series(state, z)
@@ -740,9 +710,12 @@ class TestLargeExplicitOrder:
         assert np.array_equal(got, wigner_series(state, z))
 
     def test_non_finite_value_names_label_order_and_value(self):
+        # the displaced-number sum stays finite at any order; the walk's
+        # kernel and stack overflow at |z| = 1e30
+        assert np.all(np.isfinite(wigner_series(cat_state(1.1), np.array([3.5, 6, 11, 23]), order=170)))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match=re.escape("at z = 3.5+0j is nan at truncation order K = 170")):
-                wigner_series(cat_state(1.1), np.array([3.5, 6, 11, 23]), order=170)
+            with pytest.raises(ValueError, match=re.escape("at z = 1e+30+0j is nan at truncation order K = 12")):
+                wigner_series(FockState(12), np.array([3.5, 1e30, 11]))
 
 
 class TestFloat64FactorialLimit:
@@ -751,6 +724,13 @@ class TestFloat64FactorialLimit:
     def test_fock170_evaluates(self):
         got = wigner_series(FockState(170), 0.5)
         assert abs(got - wigner_closed_fock(170, 0.5)) <= 1e-9
+
+    def test_fock150_matches_mpmath(self):
+        # Royer's form at 2z; the walk gave pi W = 0.602 here
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            want = float(mpmath.exp(-8) * mpmath.laguerre(150, 0, 16))
+        assert abs(wigner_series(FockState(150), 2.0) * math.pi - want) <= 1e-14
 
     def test_fock171_names_state_and_limit(self):
         with pytest.raises(ValueError) as err:
