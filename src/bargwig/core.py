@@ -12,21 +12,22 @@ The form has a second exact factorization, N^-1 F N^-1 = exp(|z|^2) B^+ S B
 with N = diag(n!), B_kj = C(k, j) (-conj(z))^(k-j), S = diag((-1)^k / k!).
 By it the form is Royer's displaced parity (Phys. Rev. A 15, 449 (1977)),
 
-    W(z) = 1/(pi hbar) sum_k (-1)^k |a_k|^2,   a_k = <k|D(-z)|psi>,
+    W(z) = 1/(pi hbar) <psi|D(2z) Pi|psi> = 1/(pi hbar) Re sum_k (-1)^k conj(a_k(0)) a_k(2z),
 
-over the number amplitudes of the state displaced to z (states._displaced).
-The |a_k|^2 sum to <psi|psi>, so the mass left after order K bounds, point
-by point, what truncation there omits. _evaluate, behind wigner_series and
-evaluate_grid, sums W block by block (_wigner_at) by one of three routes:
-the walk at K = degree for a polynomial state up to WALK_DEGREE and for a
-bare coherent state, the vacuum in its own frame (_own_frame); Royer's form
-at 2z for a polynomial state of higher degree (_parity_form); and the
-displaced-number sum, stopped point by point, for every other state
-(_displaced_sum). Closed forms for Fock and coherent states live here too.
+over the number amplitudes a_k(w) = <k|D(-w)|psi> of the state displaced
+to w (states._displaced). a_k(0) = <k|psi> does not depend on z, so one
+order K, chosen per state (choose_truncation), bounds what truncation
+omits at every point. _evaluate, behind wigner_series and evaluate_grid,
+moves the state to its own frame (_own_frame) and sums W block by block
+(_wigner_at) by one of two routes: the walk at K = degree for a
+polynomial state up to WALK_DEGREE, a bare coherent state among them as
+the vacuum in its own frame, and this sum (_royer_form) for every other
+state. Closed forms for Fock and coherent states live here too.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,8 @@ import numpy as np
 
 from .phase import BasisParams
 from .special import g_kernel, laguerre
-from .states import CoherentState, StateSpec, _displaced, _stack, _terms, exact_degree, norm_squared
+from .states import (CoherentState, StateSpec, _displaced, _stack, _terms, _unchecked_superposition, exact_degree,
+                     norm_squared)
 
 __all__ = [
     "TruncationPolicy",
@@ -47,46 +49,39 @@ __all__ = [
     "wigner_closed_coherent_crossb",
 ]
 
-# Orders the displaced-number sum may take at a point; 306 certify a 5-fold
-# superposition with |U| = 4 on its own window. A member at distance d from
-# z has its mass near k = d^2, and exp(-d^2/2) underflows from d ~ 38.
+# Orders choose_truncation may take. A coherent member |U> has its mass
+# near k = |U|^2, and the cut needs K >= 2|U|^2: |U| > 14.1 in the state's
+# own frame is past it. A 5-fold superposition with |U| = 4 takes K = 79.
 ORDER_CAP = 400
 
 # Highest degree the walk takes. On its own window, against 60-digit
 # Laguerre values, it is 2.2e-15 off for fock(12) and 1.3e-14 for fock(16);
-# _parity_form stays within 7e-16, at about 1.2 times the walk's cost.
+# _royer_form stays within 7e-16, at about 1.2 times the walk's cost.
 WALK_DEGREE = 12
 
 # Points summed per block, whatever the route: the walk keeps 3(K+1) + O(1)
-# doubles a point, the displaced-number sum two dozen for a cat. 8192
-# points lowered the 200^2 benchmark's peak RSS by half as much.
+# doubles a point, _royer_form two dozen for a cat. 8192 points lowered
+# the 200^2 benchmark's peak RSS by half as much.
 BLOCK_POINTS = 4096
 
 
 class TruncationError(RuntimeError):
-    """A point of the displaced-number sum was not certified by ORDER_CAP:
-    point, its remaining_mass <psi|psi> - sum_(k<=order) |a_k|^2, the most
-    of any point, and order, the last order summed."""
+    """choose_truncation found no order up to ORDER_CAP for a state: order,
+    the last order tried, and tail_bound, the bound there on what the sum
+    omits (sqrt(2 <psi|psi>) g_(order+1))."""
 
-    def __init__(self, message: str, point: complex, remaining_mass: float, order: int):
+    def __init__(self, message: str, order: int, tail_bound: float):
         super().__init__(message)
-        self.point = point
-        self.remaining_mass = remaining_mass
         self.order = order
+        self.tail_bound = tail_bound
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
     """tail_tolerance, positive and finite, in units of 1/(pi hbar): the
-    displaced-number sum stops at a point once the mass left,
-    <psi|psi> - sum_(k<=K) |a_k|^2, which bounds what it omits, is at most
-    this (_displaced_sum). Polynomial states are summed to their degree.
-
-    The default is 1e-14, down from the 1e-12 of the shell walk this sum
-    replaced. That bound overstated the omitted part about 100-fold, and
-    the mass left does not: by the mass alone, at 1e-12, cat(1.1) on
-    [-3, 3]^2 came out 7.7e-13 off, where the walk was 7e-15 off. With
-    _displaced_sum's second condition it is 5e-16 off at 1e-14.
+    bound on what the truncated sum omits, at any point, that
+    choose_truncation's order must meet. Polynomial states are summed to
+    their degree, exactly.
     """
 
     tail_tolerance: float = 1e-14
@@ -166,109 +161,96 @@ def _series_sum(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
     return total
 
 
-def _displaced_sum(state: StateSpec, zz: np.ndarray, K: int | None, tol: float):
-    """(form, K reached): sum_k (-1)^k |a_k|^2 = pi hbar W at the 1-D labels
-    zz, with no frame applied, to K at every point, or else point by point:
-    to the first k where M - sum_(j<=k) |a_j|^2, M = <psi|psi> (a
-    Superposition is normalized only to 1e-12), is at most
-    max(tol, (k+1) 2^-53 M), an allowance for the mass sum's rounding, and
-    |a_(k-1)|^2 + |a_k|^2 <= tol / 16. The first certifies the point: the
-    terms left out sum to at most that mass in modulus. The second keeps
-    the value steady where rounding (a global phase, say) moves the mass
-    across the margin: it adds at most tol / 16 more (two terms, as a state
-    of definite parity has every other a_k = 0 at its centre). A stopped
-    point adds nothing more, so values do not depend on the other labels.
-    TruncationError names the point with the most mass left at ORDER_CAP.
-    """
-    M = norm_squared(state)
-    form, mass, p, prev = (np.zeros(zz.shape) for _ in range(4))
-    live = np.ones(zz.shape, dtype=bool)
-    for k, a in enumerate(_displaced(_terms(state), zz)):
-        p, prev = prev, p
-        np.multiply(a.real, a.real, out=p)
-        p += a.imag * a.imag
-        (np.subtract if k & 1 else np.add)(form, p, out=form, where=live)
-        np.add(mass, p, out=mass, where=live)
-        if K is None:
-            live &= (mass < M - max(tol, (k + 1) * 2.0**-53 * M)) | (p + prev > tol / 16)
-        if k == K or not live.any():
-            return form, k
-        if K is None and k == ORDER_CAP:
-            left = np.where(live, M - mass, -np.inf)
-            i = int(np.argmax(left))
-            point = complex(zz[i])
-            raise TruncationError(f"the displaced-number sum did not reach tail tolerance {tol:g} by the order "
-                                  f"cap {k}: at z = {point:.6g} (|z| = {abs(point):.6g}) the mass left is "
-                                  f"{left[i]:.3g}", point, float(left[i]), k)
+def _royer_form(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
+    """pi hbar W at the 1-D labels zz, with no frame applied, to order K:
 
+        <psi|D(z) Pi D(-z)|psi> = <psi|D(2z) Pi|psi> = Re sum_k (-1)^k conj(a_k(0)) a_k(2z),
 
-def _parity_form(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
-    """pi hbar W at the 1-D labels zz of a polynomial state, to order K:
-
-        <psi|D(z) Pi D(-z)|psi> = <psi|D(2z) Pi|psi> = sum_k conj(<k|psi>) <k|D(2z)|Pi psi>,
-
-    Pi|n> = (-1)^n |n>, which is finite, as <k|psi> = 0 beyond the degree.
-    <k|D(2z)|Pi psi> are the amplitudes of Pi psi at the label -2z; they
-    carry the Gaussian factor, so far out the sum is 0 where the walk
-    overflows."""
-    terms = _terms(state)
-    total = np.zeros(zz.shape, dtype=complex)
-    for k, b in zip(range(K + 1), _displaced([((-1) ** m.degree() * c, m) for c, m in terms], -2.0 * zz)):
-        ck = sum(c for c, m in terms if m.degree() == k)
-        if ck:
-            total = total + b * np.conj(ck)
-    return total.real
+    Pi|k> = (-1)^k |k>, a_k(w) = <k|D(-w)|psi> from states._displaced.
+    a_k(0) = <k|psi> = sqrt(k!) conj(c_k), with c_k the paper's Taylor stack
+    at the origin, is the same at every point, so choose_truncation cuts
+    the sum once per state. a_k(0) rides along in the same call as the
+    label w = 0, so a point's value does not depend on the block. Every
+    term is at most |a_k(0)| |a_k(2z)| in modulus, and the a_k(2z) carry
+    the Gaussian factor, so far out the sum is 0 where the walk overflows."""
+    w = np.concatenate(([0j], 2.0 * zz))
+    form = np.zeros(w.shape)
+    for k, a in zip(range(K + 1), _displaced(_terms(state), w)):
+        s = (-1) ** k * np.conj(a[0])
+        if s:
+            form += s.real * a.real - s.imag * a.imag
+    return form[1:]
 
 
 def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
-    """Truncation order K at the point(s) z: a polynomial state's degree,
-    else the largest order at which a point of z stops in the
-    displaced-number sum at policy.tail_tolerance (TruncationError past
-    ORDER_CAP). No frame is applied: validate's paper-form check compares
-    the walk and build_F at this K, in the origin frame."""
+    """Truncation order K of state, one for every point: z is not read. A
+    polynomial state's degree; else the first K that is at least each Fock
+    member's degree and 2|U|^2 of each coherent member |U>, with
+
+        sqrt(2 <psi|psi>) g_(K+1) <= policy.tail_tolerance,   g_k = sum_m |c_m| |<k|psi_m>|.
+
+    g_k bounds |a_k(0)|. Past 2|U|^2, |<k+1|U>| <= |<k|U>| / sqrt(2), so the
+    a_k(0) beyond K hold at most 2 g_(K+1)^2, and by Cauchy-Schwarz what
+    _royer_form leaves out is at most the left side at every z, as the
+    a_k(2z) hold at most <psi|psi>. TruncationError past ORDER_CAP. No
+    frame is applied: validate's paper-form check compares the walk and
+    build_F at this K, in the origin frame."""
     deg = exact_degree(state)
     if deg is not None:
         return deg
-    zz = np.asarray(z, dtype=complex).ravel()
-    return max((_displaced_sum(state, zz[lo:lo + BLOCK_POINTS], None, policy.tail_tolerance)[1]
-                for lo in range(0, zz.size, BLOCK_POINTS)), default=0)
+    terms = _terms(state)
+    least = max(2 * abs(m.u) ** 2 if m.degree() is None else m.degree() for _, m in terms)
+    scale = math.sqrt(2.0 * norm_squared(state))
+    amplitudes = zip(*(m.displaced(np.zeros(1, dtype=complex)) for _, m in terms))
+    next(amplitudes)  # K looks at g_(K+1)
+    for K, amps in enumerate(amplitudes):
+        bound = scale * sum(abs(c) * abs(a[0]) for (c, _), a in zip(terms, amps))
+        if K >= least and bound <= policy.tail_tolerance:
+            return K
+        if K == ORDER_CAP:
+            raise TruncationError(f"{state!r} is not cut by the order cap K = {K}: the cut needs K >= {least:.6g}, "
+                                  "its members' largest Fock degree or 2|U|^2, and the bound on what the sum omits "
+                                  f"at most the tail tolerance {policy.tail_tolerance:g}; at K = {K} that bound is "
+                                  f"{bound:.3g}", K, bound)
 
 
 def _own_frame(state: StateSpec):
     """(framed, z0): _evaluate evaluates state as framed at the labels
-    z - z0. W is covariant under displacement, W_|U>(z) = W_|0>(z - U)
-    (Cahill and Glauber, Phys. Rev. 177, 1882 (1969)), so a bare coherent
-    state |U> is the vacuum in its own frame, z0 = U, where f = 1 and K = 0
-    at any |U|. Every other state keeps the origin, z0 = 0."""
-    if isinstance(state, CoherentState) and state.u:
-        return CoherentState(0), state.u
-    return state, 0j
+    z - z0. W is covariant under displacement, W_psi(z) = W_(D(-z0) psi)(z - z0)
+    (Cahill and Glauber, Phys. Rev. 177, 1882 (1969)), and
+    D(-z0)|U> = exp(i Im(conj(z0) U)) |U - z0>. A state whose members are
+    all coherent moves to the mean z0 of their labels: a bare |U> becomes
+    the vacuum, where f = 1 and K = 0 at any |U|, and a cat keeps z0 = 0.
+    A state with a Fock member keeps the origin, z0 = 0."""
+    terms = _terms(state)
+    if not all(isinstance(m, CoherentState) for _, m in terms):
+        return state, 0j
+    z0 = sum(m.u for _, m in terms) / len(terms)
+    if not z0:
+        return state, 0j
+    moved = [(c * cmath.exp(1j * (z0.conjugate() * m.u).imag), CoherentState(m.u - z0)) for c, m in terms]
+    return (moved[0][1] if isinstance(state, CoherentState) else _unchecked_superposition(moved)), z0
 
 
-def _wigner_at(state: StateSpec, zz: np.ndarray, K: int | None, hbar: float, tol: float):
-    """(W, K reached) at the 1-D labels zz, with no frame applied: the walk
-    for a polynomial state up to WALK_DEGREE, _parity_form above it, and
-    _displaced_sum, to K or else to tol point by point, for the rest."""
+def _wigner_at(state: StateSpec, zz: np.ndarray, K: int, hbar: float) -> np.ndarray:
+    """W at the 1-D labels zz, with no frame applied, to order K: the walk
+    for a polynomial state up to WALK_DEGREE, _royer_form for every other."""
     deg = exact_degree(state)
-    if deg is None:
-        form, K = _displaced_sum(state, zz, K, tol)
-    elif deg <= WALK_DEGREE:
-        return np.exp(-2.0 * (np.conj(zz) * zz).real) / (math.pi * hbar) * _series_sum(state, zz, K), K
-    else:
-        form = _parity_form(state, zz, K)
-    return form / (math.pi * hbar), K
+    if deg is not None and deg <= WALK_DEGREE:
+        return np.exp(-2.0 * (np.conj(zz) * zz).real) / (math.pi * hbar) * _series_sum(state, zz, K)
+    return _royer_form(state, zz, K) / (math.pi * hbar)
 
 
 def _evaluate(state: StateSpec, z: np.ndarray, policy: TruncationPolicy, hbar: float, order: int | None = None):
     """(values, K, z0): W of state at the finite labels z (a 1-D array or
-    a 2-D lattice), the largest order K summed and the frame z0: the one
-    series evaluation behind wigner_series and evaluate_grid. z is shifted
-    in place (_own_frame), so the caller gives it up. A polynomial state
-    sums to its degree, or to a lower given order, and the degree is
-    limited to 170 (n!-sized terms in float64); any other state sums to
-    the given order, or else point by point. Every route is pointwise, so
-    values do not depend on the blocks of BLOCK_POINTS that _wigner_at
-    takes. A value not finite raises ValueError naming its label and K.
+    a 2-D lattice), the order K summed and the frame z0: the one series
+    evaluation behind wigner_series and evaluate_grid. z is shifted in
+    place (_own_frame), so the caller gives it up. K is choose_truncation's
+    in the frame, or the given order, lowered to a polynomial state's
+    degree; the degree is limited to 170 (n!-sized terms in float64). Every
+    route is pointwise, so values do not depend on the blocks of
+    BLOCK_POINTS that _wigner_at takes. A value not finite raises
+    ValueError naming its label and K.
     """
     framed, z0 = _own_frame(state)
     if z0:
@@ -276,23 +258,21 @@ def _evaluate(state: StateSpec, z: np.ndarray, policy: TruncationPolicy, hbar: f
     if order is not None and order < 0:
         raise ValueError(f"truncation order must be non-negative, got {order}")
     deg = exact_degree(framed)
-    K = order if deg is None else deg if order is None else min(order, deg)
+    K = choose_truncation(framed, z, policy) if order is None else order if deg is None else min(order, deg)
     if deg is not None and K > 170:
         raise ValueError(f"{state!r} needs truncation order K = {K}; its terms hold n! in float64, "
                          "so K is limited to 170 (n! <= 170!)")
     values = np.empty(z.shape)
     zz, out = z.reshape(-1), values.reshape(-1)
-    reached = K or 0
     for lo in range(0, zz.size, BLOCK_POINTS):
-        out[lo:lo + BLOCK_POINTS], k = _wigner_at(framed, zz[lo:lo + BLOCK_POINTS], K, hbar, policy.tail_tolerance)
-        reached = max(reached, k)
+        out[lo:lo + BLOCK_POINTS] = _wigner_at(framed, zz[lo:lo + BLOCK_POINTS], K, hbar)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise ValueError(
             f"W of {state!r} at z = {complex(zz[bad[0]] + z0):.6g} is {float(out[bad[0]])!r} "
-            f"at truncation order K = {reached}"
+            f"at truncation order K = {K}"
         )
-    return values, reached, z0
+    return values, K, z0
 
 
 def wigner_series(
@@ -306,16 +286,17 @@ def wigner_series(
     width, or a finite superposition) at the complex label(s) z,
     sqrt(2) z = q/b + i b p / hbar: a float, or an array of the shape of z.
 
-    policy (TruncationPolicy, default tail tolerance 1e-14) stops the
-    displaced-number sum; basis supplies hbar; order fixes the truncation
-    order in place of the point-by-point one, so every point sums orders 0
-    to order, in the state's own frame, and a polynomial state no further
-    than its degree. A label, or a value, that is not finite raises
-    ValueError naming it.
+    policy (TruncationPolicy, default tail tolerance 1e-14) bounds what
+    the truncated sum omits; basis supplies hbar; order fixes the
+    truncation order in place of choose_truncation's, so every point sums
+    orders 0 to order, in the state's own frame, and a polynomial state no
+    further than its degree. A label, or a value, that is not finite
+    raises ValueError naming it.
 
-    A bare CoherentState(U) is evaluated as the vacuum at the labels z - U
-    (_own_frame), exactly, since W_|U>(z) = W_|0>(z - U); its Taylor stack
-    there is 1, 0, 0, ..., so K = 0. Every other state is evaluated at z.
+    A state whose members are all coherent is evaluated at the labels
+    z - z0 in the frame of their mean label z0 (_own_frame), exactly: a
+    bare CoherentState(U) as the vacuum, whose Taylor stack there is
+    1, 0, 0, ..., so K = 0. Every other state is evaluated at z.
     """
     policy = policy or TruncationPolicy()
     basis = basis or BasisParams()

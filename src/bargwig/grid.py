@@ -1,8 +1,8 @@
 """Rectangular (q, p) Wigner grids: evaluation with any method and CSV/JSON
 serialization.
 
-The methods are the series (core's evaluation: the paper's form, or its
-displaced-number factorization), the two quadrature oracles
+The methods are the series (core's evaluation: the paper's form, or
+Royer's displaced-parity factorization of it), the two quadrature oracles
 (config-integral and phase-integral) and the Fock and coherent closed
 forms (closed). Both writers format every number as the shortest text that
 parses back to the identical double (orjson), and refuse non-finite values
@@ -10,7 +10,7 @@ before the file is opened.
 
 The series is one call to core._evaluate on the grid's label lattice, in
 this process; the metadata records its frame as "frame": [Re z0, Im z0],
-next to "truncation_order", the largest order summed in it. The other
+next to "truncation_order", the one order summed at every point. The other
 methods keep the origin. Beyond a block of the sum a grid holds its labels
 and values, 24 bytes a point.
 """

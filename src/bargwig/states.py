@@ -281,14 +281,21 @@ def superposition(terms, normalize: bool = False) -> Superposition:
     """
     terms = _checked_terms(terms)
     if normalize:
-        probe = object.__new__(Superposition)
-        object.__setattr__(probe, "terms", terms)
-        nsq = norm_squared(probe)
+        nsq = norm_squared(_unchecked_superposition(terms))
         if not nsq > 0:
             raise ValueError(f"cannot normalize a superposition with <psi|psi> = {nsq!r}")
         scale = 1.0 / math.sqrt(nsq)
         terms = tuple((c * scale, s) for c, s in terms)
     return Superposition(terms)
+
+
+def _unchecked_superposition(terms) -> Superposition:
+    """The Superposition of the (coefficient, member) pairs terms, with no
+    check of its norm: core moves a normalized state to its own frame,
+    which changes the norm by roundoff only."""
+    state = object.__new__(Superposition)
+    object.__setattr__(state, "terms", tuple(terms))
+    return state
 
 
 def cat_state(u: complex, sign: int = 1) -> Superposition:

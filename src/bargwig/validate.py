@@ -110,8 +110,8 @@ def _paper_form_residual(n_points: int, n_used: int, r_lo: float, r_hi: float) -
     form Re(c^dagger F c), F = build_F(z, K), c_k = V_k/k!, over the first
     n_used of n_points seeded annulus points; W's factor
     exp(-2|z|^2)/(pi hbar) is common to both and left out. Both take one K,
-    chosen on those points, in the origin frame: at different orders, or
-    in a coherent state's own frame, they would compare two truncations."""
+    choose_truncation's in the origin frame: at different orders, or in a
+    coherent state's own frame, they would compare two truncations."""
     rng = np.random.default_rng(_SEED)
     r = rng.uniform(r_lo, r_hi, n_points)
     theta = rng.uniform(0.0, 2.0 * math.pi, n_points)

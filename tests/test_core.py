@@ -9,8 +9,8 @@ from bargwig import core
 from bargwig.core import (
     ORDER_CAP,
     WALK_DEGREE,
-    _displaced_sum,
     _own_frame,
+    _royer_form,
     _series_sum,
     TruncationError,
     TruncationPolicy,
@@ -21,10 +21,11 @@ from bargwig.core import (
     wigner_closed_fock,
     wigner_series,
 )
+from bargwig.grid import GridAxis, evaluate_grid
 from bargwig.oracles import wigner_config_integral
 from bargwig.phase import BasisParams, qp_from_z, z_from_qp
-from bargwig.states import (CoherentState, FockState, _displaced, _terms, cat_state, derivative_tower, norm_squared,
-                            superposition)
+from bargwig.states import (CoherentState, FockState, Superposition, _displaced, _terms, cat_state, derivative_tower,
+                            norm_squared, superposition)
 from bargwig.validate import state_window
 
 RNG_SEED = 307
@@ -118,22 +119,28 @@ class TestChooseTruncation:
         assert choose_truncation(st, 0.3 + 0j, TruncationPolicy()) == 3
 
     def test_coherent_regression_value(self):
-        # frozen once computed, in the origin frame: at z = u the displaced
-        # state is the vacuum, a = 1, 0, 0, ..., and the sum stops once the
-        # last two terms are 0; coherent(1.5) at 2.5j is 43 orders out
-        assert certify(CoherentState(1.0), np.array([1.0 + 0j])) == 2
-        assert certify(CoherentState(1.5), np.array([2.5j])) == 43
+        # frozen once computed, in the origin frame; in its own frame a bare
+        # coherent state is the vacuum, K = 0, and a cat keeps the origin
+        for state, K in [(CoherentState(1.0), 26), (CoherentState(1.5), 34), (CoherentState(0.7 - 0.4j), 23),
+                         (cat_state(1.1), 28), (cat_state(1.2), 30), (cat_state(4.0), 78)]:
+            assert certify(state, np.array([1.0 + 0j, 2.5j]), frame=False) == K, state
+        assert certify(CoherentState(1.5), np.array([2.5j])) == 0
+        assert certify(cat_state(4.0), np.array([2.5j])) == 78
 
     def test_cap_error_carries_estimate(self):
-        # coherent(40) at z = 0 has its mass near k = 1600, past ORDER_CAP,
-        # and exp(-|U - z|^2 / 2) underflows: none of it arrives
-        policy = TruncationPolicy(tail_tolerance=1e-14)
+        # cat(15) needs K >= 2|U|^2 = 450, past ORDER_CAP; the error carries
+        # the cap and the bound there, sqrt(2 <psi|psi>) g_401 with
+        # g_k = 2 |c| exp(-|U|^2/2) |U|^k / sqrt(k!), and names the state
+        state = cat_state(15.0)
         with pytest.raises(TruncationError) as err:
-            choose_truncation(CoherentState(40.0), np.array([0.5, 0j]), policy)
-        assert err.value.remaining_mass == 1.0 and err.value.order == ORDER_CAP
-        assert err.value.point == 0.5 + 0j
+            choose_truncation(state, None, TruncationPolicy(tail_tolerance=1e-14))
+        k, c = ORDER_CAP + 1, abs(state.terms[0][0])
+        g = 2 * c * math.exp(-112.5 + k * math.log(15.0) - math.lgamma(k + 1) / 2)
+        assert err.value.order == ORDER_CAP and not hasattr(err.value, "point")
+        assert err.value.tail_bound == pytest.approx(math.sqrt(2 * norm_squared(state)) * g, rel=1e-12)
         message = str(err.value)
-        for part in ("z = 0.5+0j", "|z| = 0.5", f"order cap {ORDER_CAP}", "tolerance 1e-14", "mass left is 1"):
+        for part in (repr(state), f"order cap K = {ORDER_CAP}", "K >= 450", "tolerance 1e-14",
+                     f"bound is {err.value.tail_bound:.3g}"):
             assert part in message
 
     def test_grows_with_amplitude(self):
@@ -164,35 +171,42 @@ def random_superpositions_on_lattices(count=200):
         yield state, lattice(q_lo, q_hi, int(rng.integers(33, 121)), p_lo, p_hi, int(rng.integers(33, 121)))
 
 
-TOL = TruncationPolicy().tail_tolerance
+POLICY = TruncationPolicy()
+TOL = POLICY.tail_tolerance
 
 
 def origin_sum(state, z, K=None):
-    """pi hbar W at z by the displaced-number sum in the origin frame, the
-    frame choose_truncation works in (wigner_series evaluates a bare
-    coherent state in its own): to K, or else point by point to TOL."""
+    """pi hbar W at z by Royer's sum in the origin frame, the frame
+    choose_truncation works in (wigner_series moves a state whose members
+    are all coherent to its own): to K, or else to choose_truncation's."""
     z = np.asarray(z, dtype=complex)
-    return _displaced_sum(state, z.ravel(), K, TOL)[0].reshape(z.shape)
+    K = choose_truncation(state, z, POLICY) if K is None else K
+    return _royer_form(state, z.ravel(), K).reshape(z.shape)
 
 
-def mass_left(state, z, K):
-    """<psi|psi> - sum_(k<=K) |a_k|^2 at z, from the amplitudes alone."""
-    z = np.asarray(z, dtype=complex).ravel()
-    amplitudes = zip(_displaced(_terms(state), z), range(K + 1))
-    return norm_squared(state) - sum(a.real**2 + a.imag**2 for a, _ in amplitudes)
+def origin_tail(state, K, extra=200):
+    """sum_(K<k<=K+extra) |a_k(0)|^2 = |<k|psi>|^2, summed term by term."""
+    amplitudes = zip(_displaced(_terms(state), np.zeros(1, dtype=complex)), range(K + extra + 1))
+    return sum(abs(a[0]) ** 2 for a, k in amplitudes if k > K)
 
 
-def certify(state, z):
-    """The certificate of the per-point sum at every point of z, in the
-    origin frame, and choose_truncation's K: at K, the largest order any
-    point takes, the mass left is within the tolerance (or the rounding
-    allowance, past K = 89), and so is what the per-point sum leaves out
-    of the sum 40 orders on."""
-    K = choose_truncation(state, z, TruncationPolicy())
-    bound = max(TOL, (K + 1) * 2.0**-53)
-    # the mass sums here and in the walk round apart by about K ulp
-    assert np.max(mass_left(state, z, K)) <= bound + (K + 1) * 2.0**-53, state
-    assert np.max(np.abs(origin_sum(state, z) - origin_sum(state, z, K + 40))) <= bound, state
+def certify(state, z, frame=True):
+    """choose_truncation's K for state in the frame wigner_series sums it
+    in (_own_frame), or as given, checked on the labels z: K is the same on
+    any labels, its certificate sqrt(<psi|psi> sum_(k>K) |a_k(0)|^2)
+    bounds what the sum omits by the tolerance, and the values at K are
+    within the tolerance of the sum 40 orders on at every point."""
+    framed = _own_frame(state)[0] if frame else state
+    K = choose_truncation(framed, z, POLICY)
+    for labels in (np.ravel(z)[::-1], np.array([0j]), None):
+        assert choose_truncation(framed, labels, POLICY) == K
+    assert math.sqrt(norm_squared(state) * origin_tail(framed, K)) <= TOL, (state, K)
+    if frame:
+        values, further = (wigner_series(state, z, order=order) * math.pi for order in (K, K + 40))
+        assert np.array_equal(values, wigner_series(state, z) * math.pi)
+    else:
+        values, further = origin_sum(state, z, K), origin_sum(state, z, K + 40)
+    assert np.max(np.abs(values - further)) <= TOL, state
     return K
 
 
@@ -229,28 +243,31 @@ def coherent_pi_w(state, z, dps=30):
 
 class TestEdgeScan:
     """choose_truncation once bounded the tail on a sample, its largest |f|
-    sought on a lattice's edge. Now every point stops on its own, so a
-    lattice, its ravel and its transpose give one K, and every point meets
-    the certificate (certify)."""
+    sought on a lattice's edge. Now K is the state's alone, so a lattice,
+    its ravel and its transpose give one K, and every point meets the
+    certificate (certify)."""
 
     @pytest.mark.parametrize("count", [41, 60, 61, 200])
     @pytest.mark.parametrize("state", [CoherentState(0.7 - 0.4j), cat_state(1.1)], ids=["coherent", "cat1.1"])
     def test_catalog_windows(self, state, count):
         z = lattice(-3.0, 3.0, count, -3.0, 3.0, count)
-        K = certify(state, z)
-        assert choose_truncation(state, z.ravel(), TruncationPolicy()) == K
-        assert choose_truncation(state, z.T, TruncationPolicy()) == K
+        for frame in (True, False):
+            K = certify(state, z, frame)
+            framed = _own_frame(state)[0] if frame else state
+            assert choose_truncation(framed, z.ravel(), POLICY) == K
+            assert choose_truncation(framed, z.T, POLICY) == K
 
     def test_random_superpositions_on_random_lattices(self):
         for state, z in random_superpositions_on_lattices(30):
-            K = certify(state, z)
-            assert choose_truncation(state, z.ravel()[::-1], TruncationPolicy()) == K
+            for frame in (True, False):
+                K = certify(state, z, frame)
+                assert choose_truncation(_own_frame(state)[0] if frame else state, z.T, POLICY) == K
 
 
 class TestTwoTrySearch:
     """The shell walk tried its closure at shell 32, then at the cap, 64.
-    The displaced-number sum needs no search; the cases on which the two
-    tries were checked are restated against its certificate (certify)."""
+    Royer's sum is cut once per state; the cases on which the two tries
+    were checked are restated against its certificate (certify)."""
 
     @pytest.mark.parametrize("count", [41, 60, 61, 200])
     @pytest.mark.parametrize("state", [CoherentState(0.7 - 0.4j), cat_state(1.1)], ids=["coherent", "cat1.1"])
@@ -259,7 +276,10 @@ class TestTwoTrySearch:
 
     @pytest.mark.parametrize("u, extent", [(0.3, 3.0), (1.0, 3.0), (2.0, 3.0), (3.0, 3.0), (2.5, 6.0), (3.0, 6.0)])
     def test_coherent_windows(self, u, extent):
-        certify(CoherentState(u), lattice(-extent, extent, 60, -extent, extent, 60))
+        # in the origin frame, where K > 0, against exp(-2|z - u|^2)
+        z = lattice(-extent, extent, 60, -extent, extent, 60)
+        K = certify(CoherentState(u), z, frame=False)
+        assert np.max(np.abs(origin_sum(CoherentState(u), z, K) - np.exp(-2 * np.abs(z - u) ** 2))) <= TOL
 
     def test_random_superpositions(self):
         for state, z in random_superpositions_on_lattices(30):
@@ -267,24 +287,30 @@ class TestTwoTrySearch:
 
     @pytest.mark.parametrize("beta", [2.0, 2.5, 3.0])
     def test_weak_far_member(self, beta):
-        # a weak member far out sets K, which falls with its weight
+        # in the origin frame a weak member far out sets K, which falls with
+        # its weight
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
         orders = []
         for w in 10.0 ** -np.arange(1, 7):
             state = superposition([(1.0, CoherentState(0.2)), (w, CoherentState(beta + 0.5j))], normalize=True)
-            orders.append(certify(state, z))
+            orders.append(certify(state, z, frame=False))
         assert orders == sorted(orders, reverse=True) and orders[-1] < orders[0]
 
     def test_second_try_is_only_paid_past_half_the_cap(self, monkeypatch):
-        # no order is summed twice, nor past the last point's: one pass of
-        # K + 1 amplitudes, for K = 56 (cat(1.1)) and K = 86 (coherent(3))
+        # no order is summed twice: one pass of K + 1 amplitudes a block, the
+        # origin's among them, for K = 28 (cat(1.1)) and K = 59 (coherent(3)
+        # in the origin frame); choose_truncation takes none of them
         calls = count_orders(monkeypatch)
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
-        assert choose_truncation(cat_state(1.1), z, TruncationPolicy()) == 56
-        assert calls == [57]
+        assert choose_truncation(cat_state(1.1), z, TruncationPolicy()) == 28 and calls == []
+        wigner_series(cat_state(1.1), z)
+        assert calls == [29]
         calls.clear()
-        K = choose_truncation(CoherentState(3.0), z, TruncationPolicy())
-        assert K > 64 and calls == [K + 1]
+        origin_sum(CoherentState(3.0), z)
+        assert calls == [60]
+        calls.clear()
+        wigner_series(cat_state(1.1), lattice(-3.0, 3.0, 200, -3.0, 3.0, 200))
+        assert calls == [29] * 10
 
     # the ids keep the orders the shell walk took at z = 0 (None: it raised)
     @pytest.mark.parametrize("p, beta", [(3, 2.0), (4, 2.0), (4, 3.0), (3, 4.0)],
@@ -308,14 +334,14 @@ class TestTwoTrySearch:
         z = (rng.uniform(-3.0, 3.0, shape) + 1j * rng.uniform(-3.0, 3.0, shape)).round(1)
         for state in (CoherentState(0.7 - 0.4j), cat_state(1.1)):
             certify(state, z)
-            assert np.array_equal(origin_sum(state, z), origin_sum(state, z.ravel()).reshape(shape))
+            assert np.array_equal(wigner_series(state, z), wigner_series(state, z.ravel()).reshape(shape))
 
     def test_sample_on_random_lattices(self):
         # a point's value does not depend on where it sits among the labels
         for state, z in random_superpositions_on_lattices(20):
             zz = z.ravel()
             certify(state, zz)
-            assert np.array_equal(origin_sum(state, zz[::-1])[::-1], origin_sum(state, zz))
+            assert np.array_equal(wigner_series(state, zz[::-1])[::-1], wigner_series(state, zz))
 
     @pytest.mark.parametrize("window", [
         (-3.0, 3.0, 200, -3.0, 3.0, 200),
@@ -326,11 +352,12 @@ class TestTwoTrySearch:
         (-1.0, 3.0, 45, -2.0, 1.0, 70),
     ])
     def test_edge_maxima_are_those_of_a_full_scan(self, window):
-        # K is the largest order of any point, wherever it sits
+        # K is the state's, whatever the window, in either frame
         z = lattice(*window)
         for state in (CoherentState(0.7 - 0.4j), cat_state(1.1), CoherentState(-0.2 + 1.5j)):
-            K = certify(state, z)
-            assert choose_truncation(state, z.ravel()[::-1], TruncationPolicy()) == K
+            for frame in (True, False):
+                K = certify(state, z, frame)
+                assert choose_truncation(_own_frame(state)[0] if frame else state, z.ravel()[::-1], POLICY) == K
 
 
 class TestWignerSeries:
@@ -478,9 +505,8 @@ class TestSteppedWalk:
 
 
 class TestTruncationBound:
-    """The certificate of the displaced-number sum against the true omitted
-    part, the amplitudes against the paper's stack, and windows the sum
-    reaches."""
+    """The certificate of Royer's sum against the true omitted part, the
+    amplitudes against the paper's stack, and windows the sum reaches."""
 
     @staticmethod
     def _window(count):
@@ -489,9 +515,10 @@ class TestTruncationBound:
         return qq, pp, z_from_qp(qq, pp, BasisParams())
 
     def test_omitted_part_within_estimate(self):
-        # |W_K - W_80| pi hbar <= the mass left at K; 1e-15 and K + 1 ulp
-        # allow for the roundoff of the sums. Points with |z| < 0.05 are
-        # where a cat's odd or even amplitudes nearly vanish.
+        # |W_K - W_80| pi hbar <= sqrt(<psi|psi> sum_(k>K) |a_k(0)|^2), by
+        # Cauchy-Schwarz; 1e-15 and K + 1 ulp allow for the roundoff of the
+        # sums. Points with |z| < 0.05 are where a cat's odd or even
+        # amplitudes nearly vanish.
         rng = np.random.default_rng(RNG_SEED + 3)
         for trial in range(15):
             u = complex(*rng.uniform(-1.5, 1.5, 2))
@@ -501,19 +528,22 @@ class TestTruncationBound:
             ref = origin_sum(state, z, 80)
             for K in range(2, 41):
                 omitted = np.abs(origin_sum(state, z, K) - ref)
-                assert np.all(omitted <= mass_left(state, z, K) + 1e-15 + (K + 1) * 2.0**-53), (state, K)
+                bound = math.sqrt(norm_squared(state) * origin_tail(state, K))
+                assert np.all(omitted <= bound + 1e-15 + (K + 1) * 2.0**-53), (state, K)
 
     def test_infinite_closure_stays_infinite_where_the_gaussian_underflows(self):
-        # at |z| = 45 exp(-|u - z|^2 / 2) underflows to 0: the amplitudes
-        # there are 0, not nan and with no warning, so all the mass is left
-        # at the cap and the error names that point
+        # at |z| = 45 exp(-|u - 2z|^2 / 2) underflows to 0: the amplitudes
+        # there are 0, not nan and with no warning, and so is W, within the
+        # tolerance of its closed form
         import warnings
 
+        state = cat_state(1.1)
+        z = np.array([0.1, 45.0], dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TruncationError) as err:
-                choose_truncation(cat_state(1.1), np.array([0.1, 45.0]), TruncationPolicy())
-        assert err.value.point == 45.0 and err.value.remaining_mass == pytest.approx(1.0, abs=1e-15)
+            got = wigner_series(state, z) * math.pi
+        for value, zv in zip(got, z):
+            assert abs(value - coherent_pi_w(state, zv)) <= TOL
 
     @pytest.mark.parametrize("state", TestSteppedWalk.STATES, ids=["coherent", "cat1.1", "fock-pair", "mixed"])
     def test_shell_weights_are_those_of_build_F(self, state):
@@ -563,7 +593,7 @@ class TestTruncationBound:
         state = CoherentState(3.0)
         qq, pp, z = self._own_window(state)
         basis = BasisParams()
-        assert certify(state, z) <= ORDER_CAP
+        assert certify(state, z) == 0 and certify(state, z, frame=False) <= ORDER_CAP
         Q, P = qp_from_z(3.0, basis)
         want = wigner_closed_coherent_gaussian(Q, P, basis.b, qq, pp, basis.hbar)
         got = wigner_series(state, z, basis=basis)
@@ -580,22 +610,23 @@ class TestTruncationBound:
         for value, zv in zip(got, z.ravel()):
             assert abs(value - coherent_pi_w(state, zv)) <= 1e-12
 
-    def test_coherent4_on_window_raises_at_its_worst_point(self):
-        # coherent(4) now certifies on [-3, 3]^2 in the origin frame (K =
-        # 105); coherent(40) does not, and the error names the point with
-        # the most mass left
+    def test_coherent40_raises_in_the_origin_frame_only(self):
+        # coherent(4) is cut at K = 78 in the origin frame; coherent(40)
+        # would need K >= 3200 there, and the error names the state and
+        # the order, while in its own frame it is the vacuum
         _, _, z = self._window(41)
-        assert certify(CoherentState(4.0), z) <= ORDER_CAP
+        assert certify(CoherentState(4.0), z, frame=False) == 78
         with pytest.raises(TruncationError) as err:
             choose_truncation(CoherentState(40.0), z, TruncationPolicy())
-        assert err.value.remaining_mass > TOL
-        assert err.value.point in z
-        assert f"|z| = {abs(err.value.point):.6g}" in str(err.value)
+        assert err.value.order == ORDER_CAP
+        assert repr(CoherentState(40.0)) in str(err.value) and "K >= 3200" in str(err.value)
+        assert np.max(np.abs(wigner_series(CoherentState(40.0), z))) == 0.0
 
 
 class TestOwnFrame:
-    """A bare coherent state |U> is evaluated as the vacuum at z - U; every
-    other state keeps the origin."""
+    """A state whose members are all coherent is evaluated in the frame of
+    their mean label z0, at z - z0: a bare coherent state |U> as the vacuum.
+    A state with a Fock member keeps the origin."""
 
     @pytest.mark.parametrize("u", [0.7 - 0.4j, 3.0, -2.0j])
     def test_coherent_state_moves_to_its_centre(self, u):
@@ -606,11 +637,39 @@ class TestOwnFrame:
         FockState(3),
         cat_state(1.1),
         superposition([(0.6, FockState(2)), (0.8j, CoherentState(0.5 - 0.3j))], normalize=True),
-        superposition([(1.0, CoherentState(0.7 - 0.4j))]),
-    ], ids=["vacuum", "fock3", "cat1.1", "fock-coherent", "one-member-superposition"])
+    ], ids=["vacuum", "fock3", "cat1.1", "fock-coherent"])
     def test_other_states_keep_the_origin(self, state):
         framed, z0 = _own_frame(state)
         assert framed is state and z0 == 0
+
+    def test_coherent_superpositions_move_to_their_mean_label(self):
+        # D(-z0)|U> = exp(i Im(conj(z0) U)) |U - z0>: a one-member
+        # superposition becomes the vacuum, and |7> + |5> a pair at 1 and -1
+        framed, z0 = _own_frame(superposition([(1.0, CoherentState(0.7 - 0.4j))]))
+        assert z0 == 0.7 - 0.4j and framed == Superposition(((1.0, CoherentState(0)),))
+        pair = superposition([(1.0, CoherentState(7.0)), (1.0, CoherentState(5.0))], normalize=True)
+        framed, z0 = _own_frame(pair)
+        assert z0 == 6 and framed.terms == tuple((c, CoherentState(u)) for (c, _), u in zip(pair.terms, (1, -1)))
+
+    @pytest.mark.parametrize("labels", [(1 + 1j, -1 + 1j), (0.7 - 0.4j,), (2.0, 0.5j, -1.0 - 0.5j)],
+                             ids=["pair", "one", "three"])
+    def test_mean_frame_agrees_with_the_origin(self, labels):
+        # each sum is within the tolerance of W, so within twice of the other
+        state = superposition([(complex(1, k), CoherentState(u)) for k, u in enumerate(labels)], normalize=True)
+        assert _own_frame(state)[1] == pytest.approx(sum(labels) / len(labels), abs=1e-15)
+        z = lattice(-3.0, 3.0, 41, -3.0, 3.0, 41)
+        assert np.max(np.abs(wigner_series(state, z) * math.pi - origin_sum(state, z))) <= 2 * TOL
+
+    def test_off_centre_pair_on_its_own_window(self):
+        # |7> + |5> at z0 = 6, against 30-digit mpmath at every point
+        state = superposition([(1.0, CoherentState(7.0)), (1.0, CoherentState(5.0))], normalize=True)
+        basis = BasisParams()
+        q_lo, q_hi, p_lo, p_hi = state_window(state, basis)
+        g = evaluate_grid(state, GridAxis(q_lo, q_hi, 41), GridAxis(p_lo, p_hi, 41), basis)
+        assert g.metadata["frame"] == [6, 0] and g.metadata["truncation_order"] == 27
+        z = z_from_qp(g.q_axis.points[:, None], g.p_axis.points[None, :], basis)
+        for value, zv in zip(g.values.ravel() * math.pi, z.ravel()):
+            assert abs(value - coherent_pi_w(state, zv)) <= 1e-12
 
     def test_vacuum_walks_no_shell(self, monkeypatch):
         # f = 1, so K = 0 is exact and no displaced amplitude is summed
@@ -622,11 +681,11 @@ class TestOwnFrame:
 
     @pytest.mark.parametrize("u", [0.7 - 0.4j, 2.0])
     def test_agrees_with_the_origin_where_it_certifies(self, u):
-        # the origin frame certifies K on [-3,3]^2; its sum and the
-        # own-frame value differ by at most the tolerance
+        # the origin frame certifies K; its sum and the own-frame value
+        # differ by at most the tolerance
         state = CoherentState(u)
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
-        K = certify(state, z)
+        K = certify(state, z, frame=False)
         assert 0 < K <= ORDER_CAP
         gap = np.max(np.abs(wigner_series(state, z) * math.pi - origin_sum(state, z)))
         assert gap <= TOL
@@ -676,8 +735,8 @@ class TestBlocks:
         # walk; building the whole Taylor stack at once would take 14 MB
         import tracemalloc
 
-        # the block term keeps the shell walk's K = 21: the displaced-number
-        # sum holds far fewer doubles a point than the walk's 3(K+1) at K = 56
+        # the block term keeps the shell walk's K = 21: Royer's sum holds
+        # far fewer doubles a point than the walk's 3(K+1) at K = 28
         state = cat_state(1.1)
         z = lattice(-3.0, 3.0, 200, -3.0, 3.0, 200).ravel()
         K = 21
@@ -710,8 +769,8 @@ class TestLargeExplicitOrder:
         assert np.array_equal(got, wigner_series(state, z))
 
     def test_non_finite_value_names_label_order_and_value(self):
-        # the displaced-number sum stays finite at any order; the walk's
-        # kernel and stack overflow at |z| = 1e30
+        # Royer's sum stays finite at any order; the walk's kernel and
+        # stack overflow at |z| = 1e30
         assert np.all(np.isfinite(wigner_series(cat_state(1.1), np.array([3.5, 6, 11, 23]), order=170)))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=re.escape("at z = 1e+30+0j is nan at truncation order K = 12")):

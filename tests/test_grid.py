@@ -201,7 +201,7 @@ class TestBlocks:
     @pytest.mark.parametrize("state", [FockState(0), cat_state(1.1)], ids=["fock0", "cat1.1"])
     def test_no_block_exceeds_the_point_budget(self, state, monkeypatch):
         # the block is cut by points whatever K is: 9 blocks of 4096 points
-        # and one of 3136 for K = 0 and K = 21 alike
+        # and one of 3136 for K = 0 and K = 28 alike
         axis = GridAxis(-3.0, 3.0, 200)
         sizes = spy_on_blocks(monkeypatch)
         evaluate_grid(state, axis, axis)
@@ -216,7 +216,7 @@ class TestTracedPeak:
     200^2 peaks, as tracemalloc sees numpy's allocations, below
     24 N + 8 (3(K+1) + 24) 4096 bytes: from 1.9 MB for fock(0) to 4.2 MB
     for cat(1.1), whose block term keeps the walk's K = 21 although its
-    displaced-number sum runs to K = 56. The block term is fixed at the
+    sum runs to K = 28. The block term is fixed at the
     4096 points of core.BLOCK_POINTS, so a larger block fails the test
     rather than raising its bound."""
 
@@ -277,10 +277,9 @@ class TestOwnFrame:
     @pytest.mark.parametrize("state", [
         cat_state(1.1),
         superposition([(0.6, FockState(2)), (0.8j, CoherentState(0.5 - 0.3j))], normalize=True),
-        superposition([(1.0, CoherentState(0.2)), (1e-3, CoherentState(2.5 + 0.5j))], normalize=True),
-    ], ids=["cat1.1", "fock-coherent", "weak-far-member"])
+    ], ids=["cat1.1", "fock-coherent"])
     def test_origin_states_keep_frame_and_order(self, state):
-        # the recorded order is the largest a point takes, and every point is
+        # the recorded order is choose_truncation's, and every point is
         # within the tolerance of the sum 40 orders on
         axis = GridAxis(-3.0, 3.0, 60)
         g = evaluate_grid(state, axis, axis)
@@ -289,6 +288,24 @@ class TestOwnFrame:
         K = choose_truncation(state, z, TruncationPolicy())
         assert g.metadata["truncation_order"] == K
         assert np.array_equal(g.values, wigner_series(state, z))
+        gap = np.max(np.abs(g.values - wigner_series(state, z, order=K + 40))) * math.pi
+        assert gap <= TruncationPolicy().tail_tolerance
+
+    @pytest.mark.parametrize("state", [
+        superposition([(1.0, CoherentState(0.2)), (1e-3, CoherentState(2.5 + 0.5j))], normalize=True),
+        superposition([(1.0, CoherentState(7.0)), (1.0, CoherentState(5.0))], normalize=True),
+    ], ids=["weak-far-member", "off-centre-pair"])
+    def test_coherent_superposition_in_its_mean_frame(self, state):
+        # the recorded frame is the members' mean label, the order is
+        # choose_truncation's there, and every point is within the tolerance
+        # of the sum 40 orders on
+        axis = GridAxis(-3.0, 3.0, 60)
+        g = evaluate_grid(state, axis, axis)
+        z0 = (state.terms[0][1].u + state.terms[1][1].u) / 2
+        assert g.metadata["frame"] == [z0.real, z0.imag]
+        K = choose_truncation(core._own_frame(state)[0], None, TruncationPolicy())
+        assert g.metadata["truncation_order"] == K
+        z = z_from_qp(axis.points[:, None], axis.points[None, :], BasisParams())
         gap = np.max(np.abs(g.values - wigner_series(state, z, order=K + 40))) * math.pi
         assert gap <= TruncationPolicy().tail_tolerance
 

@@ -55,6 +55,8 @@ STATES = {
     "4-fold-3": _p_fold(4, 3.0),
     "fock-coherent": {"type": "superposition", "terms": [
         {"coeff": {"re": 0.6, "im": 0.0}, "state": {"type": "fock", "n": 2}}, _coherent(0.5 - 0.3j, 0.8j)]},
+    "fock5-coherent": {"type": "superposition", "terms": [
+        {"coeff": {"re": 1.0, "im": 0.0}, "state": {"type": "fock", "n": 5}}, _coherent(2.0 - 1.0j)]},
     "fock50": {"type": "fock", "n": 50},
 }
 
@@ -64,7 +66,9 @@ def test_own_window_matches_reference(name):
     # a 41^2 grid on the state's own window, checked on a 4 x 4 sub-lattice
     # (corners included), at the window's centre and next to it; by the
     # shell walk cat(4) and the p-fold states raised TruncationError, and
-    # fock(50) came out up to 1e-7 off within |z| ~ 4 of the centre
+    # fock(50) came out up to 1e-7 off within |z| ~ 4 of the centre; a sum
+    # stopped point by point raised it for fock(5) + coherent(2 - i), whose
+    # mass left read -2.2e-15 far out
     obj = STATES[name]
     state = state_from_json(obj, normalize=True)
     q_lo, q_hi, p_lo, p_hi = state_window(state, BASIS)
