@@ -6,7 +6,8 @@ with V_k = d^k f/dz^k the Bargmann derivative stack and F_{n,j} =
 g_kernel(n, j, z) = conj(z)^n z^j 2F0(-n, -j; ; -1/|z|^2), an associated
 Laguerre polynomial regular at z = 0. build_F tabulates F entry by entry,
 the reference that validate's paper-form-agreement check compares the walk
-(_series_sum, along the diagonals of F) against.
+(_series_sum, along the diagonals of F) and the evaluated W of polynomial
+states against.
 
 The form has a second exact factorization, N^-1 F N^-1 = exp(|z|^2) B^+ S B
 with N = diag(n!), B_kj = C(k, j) (-conj(z))^(k-j), S = diag((-1)^k / k!).
@@ -19,10 +20,13 @@ to w (states._displaced). a_k(0) = <k|psi> does not depend on z, so one
 order K, chosen per state (choose_truncation), bounds what truncation
 omits at every point. _evaluate, behind wigner_series and evaluate_grid,
 moves the state to its own frame (_own_frame) and sums W block by block
-(_wigner_at) by one of two routes: the walk at K = degree for a
-polynomial state up to WALK_DEGREE, a bare coherent state among them as
-the vacuum in its own frame, and this sum (_royer_form) for every other
-state. Closed forms for Fock and coherent states live here too.
+(_wigner_at) by this form, on one of two sets of amplitudes. A polynomial
+state, a bare coherent state among them as the vacuum in its own frame,
+sums it on its own amplitudes <k|psi>, fixed vectors, with one Laguerre
+recurrence per offset k - n (_number_form); every other state sums the
+a_k(2z) (_royer_form). The walk is the check's derivative-stack form, not
+an evaluation route. Closed forms for Fock and coherent states live here
+too.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ import numpy as np
 
 from .phase import BasisParams
 from .special import g_kernel, laguerre
-from .states import (CoherentState, StateSpec, _displaced, _stack, _terms, _unchecked_superposition, exact_degree,
-                     norm_squared)
+from .states import (CoherentState, FockState, StateSpec, _displaced, _stack, _terms, _unchecked_superposition,
+                     exact_degree, norm_squared, overlap)
 
 __all__ = [
     "TruncationPolicy",
@@ -54,14 +58,10 @@ __all__ = [
 # own frame is past it. A 5-fold superposition with |U| = 4 takes K = 79.
 ORDER_CAP = 400
 
-# Highest degree the walk takes. On its own window, against 60-digit
-# Laguerre values, it is 2.2e-15 off for fock(12) and 1.3e-14 for fock(16);
-# _royer_form stays within 7e-16, at about 1.2 times the walk's cost.
-WALK_DEGREE = 12
-
-# Points summed per block, whatever the route: the walk keeps 3(K+1) + O(1)
-# doubles a point, _royer_form two dozen for a cat. 8192 points lowered
-# the 200^2 benchmark's peak RSS by half as much.
+# Points summed per block, whatever the route. _number_form keeps 13 to 17
+# doubles a point at any degree (fock(12), fock(100), the sum of |0> to
+# |12>), _royer_form about two dozen for a cat (tracemalloc, one block).
+# 8192 points lowered the 200^2 benchmark's peak RSS by half as much.
 BLOCK_POINTS = 4096
 
 
@@ -108,7 +108,10 @@ def build_F(z: complex, K: int) -> np.ndarray:
 
 def _series_sum(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
     """Quadratic form sum_{n,j<=K} conj(c_n) G_nj c_j of the kernel at the
-    points zz, c_k = V_k/k! the Taylor stack, in O(K^2) real vector operations.
+    points zz, c_k = V_k/k! the Taylor stack, in O(K^2) real vector operations:
+    the check's walk, not an evaluation route. validate's
+    paper-form-agreement compares it with build_F at choose_truncation's
+    K, for every state; W is summed by _number_form and _royer_form.
 
     Along the diagonal j = n + a, G_(n,n+a) = g_n^(a) z^a with
     g_n^(a) = n! (-1)^n L_n^(a)(y), y = |z|^2, and the entries below it are
@@ -172,7 +175,7 @@ def _royer_form(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
     the sum once per state. a_k(0) rides along in the same call as the
     label w = 0, so a point's value does not depend on the block. Every
     term is at most |a_k(0)| |a_k(2z)| in modulus, and the a_k(2z) carry
-    the Gaussian factor, so far out the sum is 0 where the walk overflows."""
+    the Gaussian factor, so far out the sum is 0."""
     w = np.concatenate(([0j], 2.0 * zz))
     form = np.zeros(w.shape)
     for k, a in zip(range(K + 1), _displaced(_terms(state), w)):
@@ -180,6 +183,75 @@ def _royer_form(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
         if s:
             form += s.real * a.real - s.imag * a.imag
     return form[1:]
+
+
+def _number_form(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
+    """pi hbar W at the 1-D labels zz of a polynomial state, with no frame
+    applied, from its number amplitudes c_k = <k|psi>, k <= K: Royer's form
+    at 2z, Re sum_(k,n) (-1)^k conj(c_k) c_n <k|D(-2z)|n>, over the matrix
+    elements of FockState.displaced, x = 4|z|^2. The pairs k = n + a and
+    n = k + a give one real sum over the offsets a,
+
+        exp(-x/2) sum_a w_a Re[(2z)^a sum_n (-1)^n conj(c_(n+a)) c_n sqrt(n!/(n+a)!) L_n^(a)(x)],
+
+    w_0 = 1, w_a = 2. c is taken once per call (states.overlap). Each
+    offset runs one upward Laguerre recurrence in n, that of
+    special.laguerre operation for operation, up to the last n with
+    c_n c_(n+a) != 0; an offset with no such pair is skipped, and no offset
+    past the last one used is reached. sqrt(n!/(n+a)!) is a running
+    product, and so is exp(-x/2) (2z)^a: where the Gaussian underflows the
+    value is 0, and x and z are set to 0 there, so neither L(x) nor (2z)^a
+    can overflow to give nan.
+    Below a state's degree, K keeps the c_k up to k = K. For fock(N) the
+    value is wigner_closed_fock's, bitwise."""
+    c = [complex(overlap(FockState(k), state)) for k in range(K + 1)]
+    pairs = [[n for n in range(K + 1 - a) if c[n] and c[n + a]] for a in range(K + 1)]
+    last = max((a for a in range(K + 1) if pairs[a]), default=-1)
+    u = (np.conj(zz) * zz).real
+    x = 4.0 * u
+    power = np.exp(-2.0 * u) + 0j  # exp(-x/2) (2z)^a
+    far = power.real == 0
+    x[far] = 0.0
+    two_z = 2.0 * np.where(far, 0j, zz)  # 2z may overflow there, and 0 inf is nan
+    total = np.zeros(zz.shape)
+    tmp = np.empty(zz.shape)
+    root = 1.0  # sqrt(0!/a!)
+    for a in range(last + 1):
+        if a:
+            power = power * two_z  # a new array: in place, a length-1 product rounds by another loop
+            root /= math.sqrt(a)
+        if not pairs[a]:
+            continue
+        prev, cur = np.empty(zz.shape), np.ones(zz.shape)  # L_(n-1)^(a), L_n^(a)
+        parts = np.zeros((2,) + zz.shape)  # Re and Im of the sum over n
+        scale = root  # sqrt(n!/(n+a)!)
+        for n in range(pairs[a][-1] + 1):
+            if n:
+                scale *= math.sqrt(n / (n + a))
+                prev, cur = cur, prev
+            if n == 1:
+                np.subtract(1 + a, x, out=cur)
+            elif n > 1:
+                # L_n = ((2n-1+a - x) L_(n-1) - (n-1+a) L_(n-2)) / n, into the buffer of L_(n-2)
+                np.subtract(2 * n - 1 + a, x, out=tmp)
+                tmp *= prev
+                cur *= n - 1 + a
+                np.subtract(tmp, cur, out=cur)
+                cur /= n
+            if c[n] and c[n + a]:
+                beta = (-1) ** n * c[n + a].conjugate() * c[n] * scale
+                for part, b in zip(parts, (beta.real, beta.imag)):
+                    if b:
+                        np.multiply(cur, b, out=tmp)
+                        part += tmp
+        # w_a Re[exp(-x/2) (2z)^a S_a], S_a the sum over n
+        parts[0] *= power.real
+        parts[1] *= power.imag
+        parts[0] -= parts[1]
+        if a:
+            parts[0] *= 2.0
+        total += parts[0]
+    return total
 
 
 def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
@@ -233,12 +305,12 @@ def _own_frame(state: StateSpec):
 
 
 def _wigner_at(state: StateSpec, zz: np.ndarray, K: int, hbar: float) -> np.ndarray:
-    """W at the 1-D labels zz, with no frame applied, to order K: the walk
-    for a polynomial state up to WALK_DEGREE, _royer_form for every other."""
-    deg = exact_degree(state)
-    if deg is not None and deg <= WALK_DEGREE:
-        return np.exp(-2.0 * (np.conj(zz) * zz).real) / (math.pi * hbar) * _series_sum(state, zz, K)
-    return _royer_form(state, zz, K) / (math.pi * hbar)
+    """W at the 1-D labels zz, with no frame applied, to order K: Royer's
+    form at 2z, on the state's own number amplitudes (_number_form) for a
+    polynomial state, the vacuum frame of a coherent state among them, and
+    on the displaced amplitudes (_royer_form) for every other."""
+    form = _royer_form if exact_degree(state) is None else _number_form
+    return form(state, zz, K) / (math.pi * hbar)
 
 
 def _evaluate(state: StateSpec, z: np.ndarray, policy: TruncationPolicy, hbar: float, order: int | None = None):
@@ -247,8 +319,10 @@ def _evaluate(state: StateSpec, z: np.ndarray, policy: TruncationPolicy, hbar: f
     evaluation behind wigner_series and evaluate_grid. z is shifted in
     place (_own_frame), so the caller gives it up. K is choose_truncation's
     in the frame, or the given order, lowered to a polynomial state's
-    degree; the degree is limited to 170 (n!-sized terms in float64). Every
-    route is pointwise, so values do not depend on the blocks of
+    degree; below the degree a polynomial state sums its amplitudes <k|psi>
+    up to k = K. The degree is limited to 170 (n! <= 170!), the float64
+    range of the walk's n!-sized terms, though _number_form holds no n!.
+    Every route is pointwise, so values do not depend on the blocks of
     BLOCK_POINTS that _wigner_at takes. A value not finite raises
     ValueError naming its label and K.
     """

@@ -8,7 +8,7 @@ import pytest
 from bargwig import core
 from bargwig.core import (
     ORDER_CAP,
-    WALK_DEGREE,
+    _number_form,
     _own_frame,
     _royer_form,
     _series_sum,
@@ -25,7 +25,7 @@ from bargwig.grid import GridAxis, evaluate_grid
 from bargwig.oracles import wigner_config_integral
 from bargwig.phase import BasisParams, qp_from_z, z_from_qp
 from bargwig.states import (CoherentState, FockState, Superposition, _displaced, _terms, cat_state, derivative_tower,
-                            norm_squared, superposition)
+                            exact_degree, norm_squared, superposition)
 from bargwig.validate import state_window
 
 RNG_SEED = 307
@@ -54,7 +54,8 @@ def quadratic_form_reference(state, z):
 class TestTruncationPolicy:
     def test_defaults(self):
         assert [f.name for f in dataclasses.fields(TruncationPolicy)] == ["tail_tolerance"]
-        assert TruncationPolicy().tail_tolerance == 1e-14 and ORDER_CAP == 400 and WALK_DEGREE == 12
+        assert TruncationPolicy().tail_tolerance == 1e-14 and ORDER_CAP == 400
+        assert not hasattr(core, "WALK_DEGREE")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -481,6 +482,85 @@ class TestDefaultPathRegressions:
             assert abs(got - want) * math.pi * basis.hbar <= 1e-6
 
 
+def number_pi_w(state, z, dps=40):
+    """pi hbar W of a polynomial state at z from 40-digit matrix elements,
+    Re sum_(k,n) (-1)^k conj(c_k) c_n <k|D(-2z)|n>, c_k = <k|psi> from its
+    coefficients, <k|D(-w)|n> = sqrt(n!/k!) (-w)^(k-n) exp(-|w|^2/2) L_n^(k-n)(|w|^2)
+    for k >= n and its conjugate for k < n (Cahill and Glauber)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        c = {}
+        for coeff, member in _terms(state):
+            k = member.n if isinstance(member, FockState) else 0  # the vacuum, CoherentState(0)
+            c[k] = c.get(k, 0) + mpmath.mpc(coeff.real, coeff.imag)
+        w = 2 * mpmath.mpc(z.real, z.imag)
+        x = abs(w) ** 2
+        total = mpmath.mpf(0)
+        for k, ck in c.items():
+            for n, cn in c.items():
+                if k < n:
+                    continue
+                element = (mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(k)) * (-w) ** (k - n)
+                           * mpmath.exp(-x / 2) * mpmath.laguerre(n, k - n, x))
+                term = (-1) ** k * mpmath.conj(ck) * cn * element
+                total += (2 if k > n else 1) * term.real
+        return float(total)
+
+
+class TestNumberForm:
+    """_number_form, Royer's form at 2z over a polynomial state's own number
+    amplitudes, against the walk (the paper's form at K = degree) and
+    against 40-digit matrix elements, on [-3, 3]^2 and on each state's own
+    window, within 1e-14 in units of 1/(pi hbar)."""
+
+    STATES = {
+        **{f"fock{n}": FockState(n) for n in range(13)},
+        "sup4": superposition([(0.5, FockState(n)) for n in range(4)]),
+        "sparse": superposition([(1.0, FockState(0)), (1j, FockState(5)), (np.exp(0.7j), FockState(12))],
+                                normalize=True),
+        "dense": superposition([(1.0, FockState(n)) for n in range(13)], normalize=True),
+        "coherent": CoherentState(0.7 - 0.4j),
+    }
+
+    @staticmethod
+    def windows(state):
+        yield lattice(-3.0, 3.0, 41, -3.0, 3.0, 41)
+        q_lo, q_hi, p_lo, p_hi = state_window(state, BasisParams())
+        yield lattice(q_lo, q_hi, 41, p_lo, p_hi, 41)
+
+    @pytest.mark.parametrize("name", STATES)
+    def test_against_the_walk_and_mpmath(self, name):
+        # the coherent state is summed as the vacuum in its own frame, at
+        # the labels z - z0, as wigner_series sums it
+        state = self.STATES[name]
+        framed, z0 = _own_frame(state)
+        K = exact_degree(framed)
+        for z in self.windows(state):
+            zz = z.ravel() - z0
+            got = _number_form(framed, zz, K)
+            assert np.array_equal(got / math.pi, wigner_series(state, z).ravel())
+            walk = np.exp(-2.0 * np.abs(zz) ** 2) * _series_sum(framed, zz, K)
+            assert np.max(np.abs(got - walk)) <= 1e-14, name
+            for i in range(0, zz.size, 97):
+                assert abs(got[i] - number_pi_w(framed, zz[i])) <= 1e-14, (name, zz[i])
+
+    def test_fock_is_the_closed_form(self):
+        # the same Laguerre recurrence and the same products, bitwise
+        z = lattice(-3.0, 3.0, 41, -3.0, 3.0, 41)
+        for n in range(13):
+            assert np.array_equal(wigner_series(FockState(n), z), wigner_closed_fock(n, z))
+
+    @pytest.mark.parametrize("K", [0, 4, 11])
+    def test_order_below_the_degree_sums_the_first_amplitudes(self, K):
+        # below the degree the sum keeps c_k for k <= K: W of the state
+        # projected on |0>, ..., |K>, here (K+1)/13 times a normalized one
+        dense = self.STATES["dense"]
+        head = superposition([(1.0, FockState(n)) for n in range(K + 1)], normalize=True)
+        z = lattice(-3.0, 3.0, 21, -3.0, 3.0, 21)
+        gap = wigner_series(dense, z, order=K) - (K + 1) / 13 * wigner_series(head, z)
+        assert np.max(np.abs(gap)) * math.pi <= 1e-15
+
+
 class TestSteppedWalk:
     """_series_sum steps the kernel in its Laguerre index; the form must be
     conj(c)^T F c with F from build_F, entry by entry."""
@@ -672,12 +752,16 @@ class TestOwnFrame:
             assert abs(value - coherent_pi_w(state, zv)) <= 1e-12
 
     def test_vacuum_walks_no_shell(self, monkeypatch):
-        # f = 1, so K = 0 is exact and no displaced amplitude is summed
+        # f = 1, so K = 0 is exact: the number form sums the one amplitude
+        # <0|0> = 1, and no displaced amplitude is taken
         calls = count_orders(monkeypatch)
+        orders = []
+        number_form = core._number_form
+        monkeypatch.setattr(core, "_number_form", lambda state, zz, K: orders.append(K) or number_form(state, zz, K))
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
         assert choose_truncation(CoherentState(0), z, TruncationPolicy()) == 0
         assert wigner_series(CoherentState(4.0 - 2.0j), z).shape == z.shape
-        assert calls == []
+        assert orders == [0] and calls == []
 
     @pytest.mark.parametrize("u", [0.7 - 0.4j, 2.0])
     def test_agrees_with_the_origin_where_it_certifies(self, u):
@@ -701,10 +785,10 @@ class TestOwnFrame:
 
 
 class TestBlocks:
-    """The walk takes the raveled labels in flat blocks of core.BLOCK_POINTS
-    points, with one K for all of them, so the values do not depend on the
-    block size: a point's value does not depend on the length of the array
-    it sits in (states._stack), length 1 included."""
+    """Each route takes the raveled labels in flat blocks of
+    core.BLOCK_POINTS points, with one K for all of them, so the values do
+    not depend on the block size: a point's value does not depend on the
+    length of the array it sits in, length 1 included."""
 
     STATES = [CoherentState(0.7 - 0.4j), cat_state(1.1), superposition([(0.5, FockState(n)) for n in range(4)])]
 
@@ -769,12 +853,18 @@ class TestLargeExplicitOrder:
         assert np.array_equal(got, wigner_series(state, z))
 
     def test_non_finite_value_names_label_order_and_value(self):
-        # Royer's sum stays finite at any order; the walk's kernel and
-        # stack overflow at |z| = 1e30
+        # Royer's sum stays finite at any order, and so does the number
+        # form where the Gaussian underflows, at every offset; 1/(pi hbar)
+        # itself overflows at hbar = 1e-310
         assert np.all(np.isfinite(wigner_series(cat_state(1.1), np.array([3.5, 6, 11, 23]), order=170)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match=re.escape("at z = 1e+30+0j is nan at truncation order K = 12")):
-                wigner_series(FockState(12), np.array([3.5, 1e30, 11]))
+        dense = superposition([(1.0, FockState(n)) for n in range(13)], normalize=True)
+        for state in (FockState(12), dense):
+            with np.errstate(over="ignore"):  # |z|^2 overflows at 1e200 and 2z at 1.5e308
+                far = wigner_series(state, np.array([1e30, -1e30j, 45.0, 1e200, -1.5e308j]))
+            assert np.array_equal(far, np.zeros(5))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=re.escape("at z = 0+0j is inf at truncation order K = 12")):
+                wigner_series(FockState(12), np.array([11, 0, 30]), basis=BasisParams(hbar=1e-310))
 
 
 class TestFloat64FactorialLimit:
@@ -826,7 +916,7 @@ class TestComplexSuperpositions:
 
 
 class TestStandardKernelBeyondTwo:
-    """The kernel walk on 2 < |z| <= 4, where the form cancels most on the
+    """The series on 2 < |z| <= 4, where the form cancels most on the
     catalog; errors in units of 1/(pi hbar)."""
 
     @staticmethod

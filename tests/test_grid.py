@@ -163,7 +163,7 @@ class TestShape:
 
 
 def spy_on_blocks(monkeypatch):
-    """Record the number of labels in every block that the series walk of
+    """Record the number of labels in every block that the series of
     core._evaluate takes."""
     sizes = []
     wigner_at = core._wigner_at
@@ -210,13 +210,14 @@ class TestBlocks:
 
 
 class TestTracedPeak:
-    """A walk block keeps about 3(K+1) + O(1) doubles per point, the Taylor
-    stack and one kernel diagonal, so with the grid's own arrays (the
-    complex labels and the values, 24 bytes a point) one evaluate_grid at
-    200^2 peaks, as tracemalloc sees numpy's allocations, below
-    24 N + 8 (3(K+1) + 24) 4096 bytes: from 1.9 MB for fock(0) to 4.2 MB
-    for cat(1.1), whose block term keeps the walk's K = 21 although its
-    sum runs to K = 28. The block term is fixed at the
+    """The bound is that of a block of the walk, which keeps about
+    3(K+1) + O(1) doubles per point, the Taylor stack and one kernel
+    diagonal; the number form and Royer's sum keep fewer. With the grid's
+    own arrays (the complex labels and the values, 24 bytes a point) one
+    evaluate_grid at 200^2 peaks, as tracemalloc sees numpy's allocations,
+    below 24 N + 8 (3(K+1) + 24) 4096 bytes: from 1.9 MB for fock(0) to
+    4.2 MB for cat(1.1), whose block term keeps the walk's K = 21 although
+    its sum runs to K = 28. The block term is fixed at the
     4096 points of core.BLOCK_POINTS, so a larger block fails the test
     rather than raising its bound."""
 

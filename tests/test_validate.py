@@ -1,11 +1,12 @@
 """The fast validation suites, each check at its own tolerance. The series
-suite's paper-form-agreement check compares the walk with the paper's form
-Re(c^dagger F c), F = build_F(z, K), on 48 points of an annulus out to
-|z| = 4, both sides at one K."""
+suite's paper-form-agreement check compares the walk, and the evaluated W
+of its polynomial states, with the paper's form Re(c^dagger F c),
+F = build_F(z, K), on 48 points of an annulus out to |z| = 4, both sides
+at one K."""
 
 import pytest
 
-from bargwig import validate
+from bargwig import core, validate
 from bargwig.phase import BasisParams
 from bargwig.states import CoherentState, FockState, cat_state, superposition
 from bargwig.validate import state_window, suite_geometry, suite_series
@@ -37,6 +38,16 @@ def test_paper_form_agreement_catches_a_scaled_walk(monkeypatch):
     # paper's side (build_F) is untouched
     walk = validate._series_sum
     monkeypatch.setattr(validate, "_series_sum", lambda *a, **k: walk(*a, **k) * (1 + 1e-8))
+    check = {r.name: r for r in suite_series()}["paper-form-agreement"]
+    assert not check.passed
+    assert check.residual == pytest.approx(1e-8, rel=0.01)
+
+
+def test_paper_form_agreement_catches_a_scaled_number_form(monkeypatch):
+    # the evaluated W of the polynomial states is compared too: a number
+    # form off by a relative 1e-8 fails, with the walk untouched
+    number_form = core._number_form
+    monkeypatch.setattr(core, "_number_form", lambda *a, **k: number_form(*a, **k) * (1 + 1e-8))
     check = {r.name: r for r in suite_series()}["paper-form-agreement"]
     assert not check.passed
     assert check.residual == pytest.approx(1e-8, rel=0.01)
