@@ -1,10 +1,11 @@
 """bargwig: Wigner quasi-probability functions from Bargmann-representation
 derivatives.
 
-The core engine evaluates W as a Hermitian quadratic form over the stack of
-Bargmann derivatives, with no integration; configuration-space and
-phase-space quadrature oracles, Laguerre/Gaussian closed forms, and
-basis-geometry identities validate it.
+The core engine evaluates the paper's Hermitian quadratic form over the
+stack of Bargmann derivatives, with no integration, through its exact
+factorization as Royer's displaced parity; the paper's form itself,
+configuration-space and phase-space quadrature oracles, Laguerre/Gaussian
+closed forms, and basis-geometry identities validate it.
 """
 
 __version__ = "0.1.0"

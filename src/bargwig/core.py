@@ -5,9 +5,8 @@
 with V_k = d^k f/dz^k the Bargmann derivative stack and F_{n,j} =
 g_kernel(n, j, z) = conj(z)^n z^j 2F0(-n, -j; ; -1/|z|^2), an associated
 Laguerre polynomial regular at z = 0. build_F tabulates F entry by entry,
-the reference that validate's paper-form-agreement check compares the walk
-(_series_sum, along the diagonals of F) and the evaluated W of polynomial
-states against.
+the reference that validate's paper-form-agreement check compares the
+evaluated W against.
 
 The form has a second exact factorization, N^-1 F N^-1 = exp(|z|^2) B^+ S B
 with N = diag(n!), B_kj = C(k, j) (-conj(z))^(k-j), S = diag((-1)^k / k!).
@@ -24,8 +23,7 @@ moves the state to its own frame (_own_frame) and sums W block by block
 state, a bare coherent state among them as the vacuum in its own frame,
 sums it on its own amplitudes <k|psi>, fixed vectors, with one Laguerre
 recurrence per offset k - n (_number_form); every other state sums the
-a_k(2z) (_royer_form). The walk is the check's derivative-stack form, not
-an evaluation route. Closed forms for Fock and coherent states live here
+a_k(2z) (_royer_form). Closed forms for Fock and coherent states live here
 too.
 """
 
@@ -39,8 +37,8 @@ import numpy as np
 
 from .phase import BasisParams
 from .special import g_kernel, laguerre
-from .states import (CoherentState, FockState, StateSpec, _displaced, _stack, _terms, _unchecked_superposition,
-                     exact_degree, norm_squared, overlap)
+from .states import (CoherentState, FockState, StateSpec, _displaced, _terms, _unchecked_superposition, exact_degree,
+                     norm_squared, overlap)
 
 __all__ = [
     "TruncationPolicy",
@@ -57,6 +55,11 @@ __all__ = [
 # near k = |U|^2, and the cut needs K >= 2|U|^2: |U| > 14.1 in the state's
 # own frame is past it. A 5-fold superposition with |U| = 4 takes K = 79.
 ORDER_CAP = 400
+
+# Degrees a polynomial state may take. fock(300) is finite at every label
+# (0 <= |z| <= 40, step 1e-4); fock(309) is not: near |z| = 19.27,
+# L_N(4|z|^2) overflows float64 before exp(-2|z|^2) underflows.
+MAX_DEGREE = 300
 
 # Points summed per block, whatever the route. _number_form keeps 13 to 17
 # doubles a point at any degree (fock(12), fock(100), the sum of |0> to
@@ -93,7 +96,8 @@ class TruncationPolicy:
 
 def build_F(z: complex, K: int) -> np.ndarray:
     """The (K+1) x (K+1) Hermitian kernel matrix of g_kernel values at the
-    point z, filled entry by entry: the reference for the walk."""
+    point z, filled entry by entry: the paper's side of validate's
+    paper-form-agreement check."""
     if K < 0:
         raise ValueError("truncation order must be non-negative")
     z = complex(z)
@@ -104,64 +108,6 @@ def build_F(z: complex, K: int) -> np.ndarray:
             entries[n, j] = val
             entries[j, n] = np.conj(val)
     return entries
-
-
-def _series_sum(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
-    """Quadratic form sum_{n,j<=K} conj(c_n) G_nj c_j of the kernel at the
-    points zz, c_k = V_k/k! the Taylor stack, in O(K^2) real vector operations:
-    the check's walk, not an evaluation route. validate's
-    paper-form-agreement compares it with build_F at choose_truncation's
-    K, for every state; W is summed by _number_form and _royer_form.
-
-    Along the diagonal j = n + a, G_(n,n+a) = g_n^(a) z^a with
-    g_n^(a) = n! (-1)^n L_n^(a)(y), y = |z|^2, and the entries below it are
-    the conjugates. With z = r u, |u| = 1 (u = 1 at z = 0), the stack along
-    the ray t_n = c_n u^n gives z^a conj(c_n) c_(n+a) = r^a conj(t_n) t_(n+a),
-    so the form is the real sum
-
-        sum_a w_a r^a sum_n g_n^(a) Re(conj(t_n) t_(n+a)),   w_0 = 1, w_a = 2.
-
-    Only the a = 0 diagonal runs the Laguerre three-term recurrence, times
-    (-1)^(n+1) n!: g_(n+1) = (y - (2n+1)) g_n - n^2 g_(n-1), g_0 = 1, with no
-    division. Each later diagonal follows from L_n^(a+1) = L_n^(a) +
-    L_(n-1)^(a+1) (DLMF section 18.9), g_n^(a+1) = g_n^(a) - n g_(n-1)^(a+1),
-    g_0^(a+1) = 1, taken upward in n in place: two vector operations per
-    entry and no new array. r^a is a running product.
-    """
-    t = _stack(state, zz, K, ray=True)
-    r = np.abs(zz)
-    y = r * r
-    g = np.empty((K + 1,) + zz.shape)  # g[n] = g_n^(a) along the current diagonal, from a = 0
-    g[0] = 1.0
-    if K:
-        np.subtract(y, 1.0, out=g[1])
-    tmp = np.empty(zz.shape)
-    for n in range(1, K):
-        np.subtract(y, 2 * n + 1, out=g[n + 1])
-        g[n + 1] *= g[n]
-        np.multiply(g[n - 1], n * n, out=tmp)
-        g[n + 1] -= tmp
-    # Re(conj(t_n) t_(n+a)) sums the products of the real and of the
-    # imaginary parts: one contraction over n and the part index c
-    total = np.einsum("nk,nck,nck->k", g, t, t)
-
-    diag = np.empty(zz.shape)
-    ra = np.ones(zz.shape)  # r^a
-    off = np.zeros(zz.shape)  # sum_{a>=1} r^a (diagonal a)
-    for a in range(1, K + 1):
-        m = K + 1 - a
-        if m > 1:
-            g[1] -= 1.0
-        for n in range(2, m):
-            np.multiply(g[n - 1], n, out=tmp)
-            g[n] -= tmp
-        np.einsum("nk,nck,nck->k", g[:m], t[:m], t[a:], out=diag)
-        ra *= r
-        diag *= ra
-        off += diag
-    off *= 2.0
-    total += off
-    return total
 
 
 def _royer_form(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
@@ -265,8 +211,8 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
     a_k(0) beyond K hold at most 2 g_(K+1)^2, and by Cauchy-Schwarz what
     _royer_form leaves out is at most the left side at every z, as the
     a_k(2z) hold at most <psi|psi>. TruncationError past ORDER_CAP. No
-    frame is applied: validate's paper-form check compares the walk and
-    build_F at this K, in the origin frame."""
+    frame is applied: validate's paper-form check sums build_F's form at
+    this K, in the origin frame."""
     deg = exact_degree(state)
     if deg is not None:
         return deg
@@ -320,11 +266,11 @@ def _evaluate(state: StateSpec, z: np.ndarray, policy: TruncationPolicy, hbar: f
     place (_own_frame), so the caller gives it up. K is choose_truncation's
     in the frame, or the given order, lowered to a polynomial state's
     degree; below the degree a polynomial state sums its amplitudes <k|psi>
-    up to k = K. The degree is limited to 170 (n! <= 170!), the float64
-    range of the walk's n!-sized terms, though _number_form holds no n!.
-    Every route is pointwise, so values do not depend on the blocks of
-    BLOCK_POINTS that _wigner_at takes. A value not finite raises
-    ValueError naming its label and K.
+    up to k = K. A polynomial state's K is limited to MAX_DEGREE: past it
+    the Laguerre values of _number_form overflow float64 where the
+    Gaussian has not yet underflowed. Every route is pointwise, so values
+    do not depend on the blocks of BLOCK_POINTS that _wigner_at takes. A
+    value not finite raises ValueError naming its label and K.
     """
     framed, z0 = _own_frame(state)
     if z0:
@@ -333,9 +279,9 @@ def _evaluate(state: StateSpec, z: np.ndarray, policy: TruncationPolicy, hbar: f
         raise ValueError(f"truncation order must be non-negative, got {order}")
     deg = exact_degree(framed)
     K = choose_truncation(framed, z, policy) if order is None else order if deg is None else min(order, deg)
-    if deg is not None and K > 170:
-        raise ValueError(f"{state!r} needs truncation order K = {K}; its terms hold n! in float64, "
-                         "so K is limited to 170 (n! <= 170!)")
+    if deg is not None and K > MAX_DEGREE:
+        raise ValueError(f"{state!r} needs truncation order K = {K}; a polynomial state's K is limited to "
+                         f"{MAX_DEGREE}, past which L_K(4|z|^2) overflows float64 before exp(-2|z|^2) underflows")
     values = np.empty(z.shape)
     zz, out = z.reshape(-1), values.reshape(-1)
     for lo in range(0, zz.size, BLOCK_POINTS):

@@ -1,8 +1,8 @@
 """Rectangular (q, p) Wigner grids: evaluation with any method and CSV/JSON
 serialization.
 
-The methods are the series (core's evaluation: the paper's form, or
-Royer's displaced-parity factorization of it), the two quadrature oracles
+The methods are the series (core's evaluation: the paper's form, summed
+as Royer's displaced-parity factorization of it), the two quadrature oracles
 (config-integral and phase-integral) and the Fock and coherent closed
 forms (closed). Both writers format every number as the shortest text that
 parses back to the identical double (orjson), and refuse non-finite values

@@ -9,12 +9,12 @@ function of w. For the catalog:
     coherent(U):  f(z) = exp(conj(U) z - |U|^2 / 2)
 
 Each member kind is one class that carries its own closed forms, among
-them its Taylor stack (recurrence) and the number amplitudes of the state
-displaced to z (displaced), which core sums. f is antilinear in the state,
-so a superposition sum_m c_m |psi_m> has f = sum_m conj(c_m) f_m, summed
-over _terms(state); its amplitudes are linear, sum_m c_m a_k[psi_m].
-Derivative towers are closed-form; finite differences appear only in the
-tests.
+them its derivative tower (recurrence), which validate's paper-form check
+reads, and the number amplitudes of the state displaced to z (displaced),
+which core sums. f is antilinear in the state, so a superposition
+sum_m c_m |psi_m> has f = sum_m conj(c_m) f_m, summed over _terms(state);
+its amplitudes are linear, sum_m c_m a_k[psi_m]. Finite differences appear
+only in the tests.
 """
 
 from __future__ import annotations
@@ -98,18 +98,14 @@ class FockState:
         """(Q, P, wq, wp): the phase-space centre and the widths in q and p."""
         return 0.0, 0.0, basis.b * math.sqrt(self.n + 0.5), (basis.hbar / basis.b) * math.sqrt(self.n + 0.5)
 
-    def recurrence(self, K, z, r, w, ray):
-        """(start, step, orders) of its stack in _stack, from k = n down:
-
-            s_k = sqrt(n!) / ((n-k)! d_k) w^n rho^(n-k),
-
-        start w^n (by repeated squaring), step rho, and the coefficients
-        correctly rounded from exact integers (_root_factorial)."""
+    def recurrence(self, K, z):
+        """(start, step, orders) of its derivative tower, from k = n down:
+        f^(k)(z) = sqrt(n!) / (n-k)! z^(n-k), start 1, step z, and the
+        coefficients correctly rounded from exact integers (_root_factorial)."""
         N = self.n
         root = _root_factorial(N)
-        orders = ((k, root / ((math.factorial(N - k) * (math.factorial(k) if ray else 1)) << 60))
-                  for k in range(N, -1, -1))
-        return _unit_power(w, N), (r if ray else z), orders
+        orders = ((k, root / (math.factorial(N - k) << 60)) for k in range(N, -1, -1))
+        return np.ones(z.shape, dtype=complex), z, orders
 
     def displaced(self, z):
         """Yield a_k = <k|D(-z)|n>, k = 0, 1, ..., at the 1-D labels z, from
@@ -187,14 +183,10 @@ class CoherentState:
         Q, P = qp_from_z(self.u, basis)
         return Q, P, basis.b / math.sqrt(2.0), basis.hbar / (basis.b * math.sqrt(2.0))
 
-    def recurrence(self, K, z, r, w, ray):
-        """(start, step, orders) of its stack in _stack, from k = 0 up,
-        with U = self.u: s_k = f(z) (conj(U) w)^k / d_k, start f(z), step
-        conj(U) w (the scalar conj(U) off the ray), coefficients 1/k! along
-        the ray."""
-        U = np.conj(self.u)
-        orders = ((k, 1 / math.factorial(k) if ray else 1.0) for k in range(K + 1))
-        return self.bargmann(z), (U * w if ray else U), orders
+    def recurrence(self, K, z):
+        """(start, step, orders) of its derivative tower, from k = 0 up:
+        f^(k)(z) = f(z) conj(u)^k, start f(z), step conj(u), coefficients 1."""
+        return self.bargmann(z), np.conj(self.u), ((k, 1.0) for k in range(K + 1))
 
     def displaced(self, z):
         """Yield a_k = <k|D(-z)|u>, k = 0, 1, ..., at the 1-D labels z:
@@ -330,60 +322,13 @@ def _root_factorial(N: int) -> int:
     return math.isqrt(math.factorial(N) << 120)
 
 
-def _stack(state: StateSpec, z: np.ndarray, K: int, ray: bool) -> np.ndarray:
-    """s_k = f^(k)(z) w^k / d_k, k = 0..K, at the points of the 1-D array
-    z, from the closed forms of the catalog, with shape (K+1, 2, len(z)):
-    [k, 0] holds Re s_k, [k, 1] Im s_k. The one tower builder:
-
-        ray=False: w = 1, d_k = 1, the derivative tower f^(k)(z);
-        ray=True:  w = u = z/|z| (u = 1 at z = 0), d_k = k!, the Taylor
-                   stack along the ray, t_k = f^(k)(z) u^k / k!, of the walk.
-
-    Each member gives its recurrence, with rho = z conj(w) (r = |z| along
-    the ray): a start vector, a multiplier, and the (order, coefficient)
-    pairs in the order the products reach them. One loop carries conj(c)
-    start as one complex vector, steps it by one complex multiply per
-    order, and writes or adds its parts times the coefficient, so a
-    superposition has sum_m conj(c_m) s_k[psi_m].
-
-    numpy rounds a complex product elementwise, by the same instructions at
-    every element, so a point's value does not depend on the array it sits
-    in, and a grid evaluated in blocks stays bitwise equal to one call. The
-    exception is an in-place product of a length-1 array, which numpy
-    rounds by another loop, so the multiply writes into a second buffer.
-    On FMA hardware values differ from a real-arithmetic build at roundoff.
-    u is taken by two real divisions: numpy's complex division z/r
-    overflows at a subnormal z (2.2e-313j gives nan + inf j).
-    """
-    r = np.abs(z)
-    w = np.ones(z.shape, dtype=complex)
-    if ray:
-        np.divide(z.real, r, out=w.real, where=r > 0)
-        np.divide(z.imag, r, out=w.imag, where=r > 0)
-    out = np.zeros((K + 1, 2) + z.shape)
-    parts = np.empty((2,) + z.shape)
-    for i, (c, member) in enumerate(_terms(state)):
-        q, step, orders = member.recurrence(K, z, r, w, ray)
-        q = q * np.conj(c)  # not in place, for the length-1 reason below
-        spare = np.empty_like(q)
-        for j, (k, coeff) in enumerate(orders):
-            if j:
-                q, spare = np.multiply(q, step, out=spare), q
-            if k > K:
-                continue
-            dest = out[k] if i == 0 else parts
-            np.multiply(q.view(float).reshape(-1, 2).T, coeff, out=dest)  # (Re q, Im q)
-            if i:
-                out[k] += parts
-    return out
-
-
 def _displaced(terms, z: np.ndarray):
     """Yield a_k = <k|D(-z)|psi> = sum_m c_m a_k[psi_m], k = 0, 1, ..., at
     the 1-D labels z, from each member's displaced, for the (coefficient,
     member) pairs terms of psi. Every product is taken into a new array:
     numpy rounds an in-place complex product of a length-1 array by
-    another loop (_stack), and values must not depend on the block."""
+    another loop (derivative_tower), and values must not depend on the
+    block."""
     for amps in zip(*(member.displaced(z) for _, member in terms)):
         total = amps[0] * terms[0][0]
         for (c, _), a in zip(terms[1:], amps[1:]):
@@ -391,33 +336,39 @@ def _displaced(terms, z: np.ndarray):
         yield total
 
 
-def _unit_power(u: np.ndarray, N: int) -> np.ndarray:
-    """u^N for |u| = 1, by repeated squaring, divided by its modulus,
-    since |u| = 1 only to an ulp."""
-    p = np.ones_like(u)
-    while N:
-        if N & 1:
-            p = p * u
-        N >>= 1
-        if N:
-            u = u * u
-    m = np.abs(p)
-    p.real /= m
-    p.imag /= m
-    return p
-
-
 def derivative_tower(state: StateSpec, z, K: int) -> np.ndarray:
     """Exact derivatives d^k f/dz^k for k = 0..K at the point(s) z, as a
-    complex array of shape (K+1,) + shape(z)."""
+    complex array of shape (K+1,) + shape(z). Each member's recurrence
+    gives a start vector, a multiplier, and the (order, coefficient) pairs
+    in the order the products reach them; one loop steps conj(c) start by
+    one complex multiply per order and writes or adds its parts times the
+    coefficient, so a superposition has sum_m conj(c_m) f_m^(k).
+
+    numpy rounds a complex product elementwise, by the same instructions at
+    every element, so a point's value does not depend on the array it sits
+    in, except for an in-place product of a length-1 array, which numpy
+    rounds by another loop: the multiply writes into a second buffer.
+    """
     if K < 0:
         raise ValueError("tower order must be non-negative")
     z = np.asarray(z, dtype=complex)
-    s = _stack(state, z.reshape(-1), K, ray=False)
-    values = np.empty((K + 1, z.size), dtype=complex)
-    values.real = s[:, 0]
-    values.imag = s[:, 1]
-    return values.reshape((K + 1,) + z.shape)
+    zz = z.reshape(-1)
+    out = np.zeros((K + 1, zz.size), dtype=complex)
+    parts = np.empty(2 * zz.size)
+    for i, (c, member) in enumerate(_terms(state)):
+        q, step, orders = member.recurrence(K, zz)
+        q = q * np.conj(c)  # not in place, for the length-1 reason above
+        spare = np.empty_like(q)
+        for j, (k, coeff) in enumerate(orders):
+            if j:
+                q, spare = np.multiply(q, step, out=spare), q
+            if k > K:
+                continue
+            dest = out[k].view(float)  # Re and Im of order k, interleaved as in q
+            np.multiply(q.view(float), coeff, out=parts if i else dest)
+            if i:
+                dest += parts
+    return out.reshape((K + 1,) + z.shape)
 
 
 def position_wavefunction(state: StateSpec, y, basis: BasisParams):

@@ -11,7 +11,7 @@ from bargwig.core import (
     _number_form,
     _own_frame,
     _royer_form,
-    _series_sum,
+    MAX_DEGREE,
     TruncationError,
     TruncationPolicy,
     build_F,
@@ -24,8 +24,8 @@ from bargwig.core import (
 from bargwig.grid import GridAxis, evaluate_grid
 from bargwig.oracles import wigner_config_integral
 from bargwig.phase import BasisParams, qp_from_z, z_from_qp
-from bargwig.states import (CoherentState, FockState, Superposition, _displaced, _terms, cat_state, derivative_tower,
-                            exact_degree, norm_squared, superposition)
+from bargwig.states import (CoherentState, FockState, Superposition, _displaced, _terms, _unchecked_superposition,
+                            cat_state, derivative_tower, exact_degree, norm_squared, superposition)
 from bargwig.validate import state_window
 
 RNG_SEED = 307
@@ -509,9 +509,10 @@ def number_pi_w(state, z, dps=40):
 
 class TestNumberForm:
     """_number_form, Royer's form at 2z over a polynomial state's own number
-    amplitudes, against the walk (the paper's form at K = degree) and
-    against 40-digit matrix elements, on [-3, 3]^2 and on each state's own
-    window, within 1e-14 in units of 1/(pi hbar)."""
+    amplitudes, against _royer_form, which sums the displaced amplitudes of
+    the same state at K = degree, and against 40-digit matrix elements, at
+    every point of [-3, 3]^2 and of each state's own window, within 1e-14
+    in units of 1/(pi hbar)."""
 
     STATES = {
         **{f"fock{n}": FockState(n) for n in range(13)},
@@ -539,8 +540,7 @@ class TestNumberForm:
             zz = z.ravel() - z0
             got = _number_form(framed, zz, K)
             assert np.array_equal(got / math.pi, wigner_series(state, z).ravel())
-            walk = np.exp(-2.0 * np.abs(zz) ** 2) * _series_sum(framed, zz, K)
-            assert np.max(np.abs(got - walk)) <= 1e-14, name
+            assert np.max(np.abs(got - _royer_form(framed, zz, K))) <= 1e-14, name
             for i in range(0, zz.size, 97):
                 assert abs(got[i] - number_pi_w(framed, zz[i])) <= 1e-14, (name, zz[i])
 
@@ -562,8 +562,11 @@ class TestNumberForm:
 
 
 class TestSteppedWalk:
-    """_series_sum steps the kernel in its Laguerre index; the form must be
-    conj(c)^T F c with F from build_F, entry by entry."""
+    """The paper's form cut at K, conj(c)^T F c with F from build_F and
+    c_k = f^(k)(z)/k!, is exactly W at z of the polynomial state g whose
+    Bargmann function is f's Taylor polynomial of degree K at z,
+    sum_(j<=K) c_j (w - z)^j. _number_form, summed on g's number
+    amplitudes, must give it, entry by entry."""
 
     STATES = [
         CoherentState(0.7 - 0.4j),
@@ -572,16 +575,31 @@ class TestSteppedWalk:
         superposition([(0.6, CoherentState(-0.3 + 1.2j)), (0.8j, FockState(5))], normalize=True),
     ]
 
+    @staticmethod
+    def taylor_state(c, z):
+        # <m|g> = sqrt(m!) conj(d_m), d_m = sum_j c_j C(j, m) (-z)^(j-m) the
+        # monomial coefficients of g, taken in 40-digit arithmetic so that
+        # only their last rounding reaches the sum
+        mpmath = pytest.importorskip("mpmath")
+        K = len(c) - 1
+        with mpmath.workdps(40):
+            shift = -mpmath.mpc(z)
+            d = [sum(mpmath.mpc(c[j]) * math.comb(j, m) * shift ** (j - m) for j in range(m, K + 1))
+                 for m in range(K + 1)]
+            amplitudes = [complex(mpmath.conj(d[m]) * mpmath.sqrt(math.factorial(m))) for m in range(K + 1)]
+        return _unchecked_superposition([(a, FockState(m)) for m, a in enumerate(amplitudes)])
+
     @pytest.mark.parametrize("state", STATES, ids=["coherent", "cat1.1", "fock-pair", "mixed"])
     @pytest.mark.parametrize("K", [0, 1, 2, 7, 18, 30])
     def test_equals_build_F_form(self, state, K):
         rng = np.random.default_rng(RNG_SEED + K)
         points = [0j] + [complex(*rng.uniform(-2.2, 2.2, 2)) for _ in range(3)]
-        walk = _series_sum(state, np.array(points), K)
-        for z, got in zip(points, walk):
+        for z in points:
             c = derivative_tower(state, z, K) / np.array([math.factorial(k) for k in range(K + 1)])
             terms = np.conj(c)[:, None] * build_F(z, K) * c[None, :]
-            assert abs(got - terms.sum().real) <= 1e-13 * np.abs(terms).sum()
+            gauss = math.exp(-2.0 * abs(z) ** 2)
+            got = _number_form(self.taylor_state(c, z), np.array([z]), K)[0]
+            assert abs(got - gauss * terms.sum().real) <= 1e-13 * gauss * np.abs(terms).sum(), z
 
 
 class TestTruncationBound:
@@ -815,8 +833,8 @@ class TestBlocks:
 
     def test_traced_peak_of_200_squared_labels(self):
         # the bound of tests/test_grid.py::TestTracedPeak at blocks of 4096
-        # points: the labels and values, 24 bytes a point, and one block's
-        # walk; building the whole Taylor stack at once would take 14 MB
+        # points: the labels and values, 24 bytes a point, and one block of
+        # the deleted derivative-stack walk, 3(K+1) + 24 doubles a point
         import tracemalloc
 
         # the block term keeps the shell walk's K = 21: Royer's sum holds
@@ -868,24 +886,42 @@ class TestLargeExplicitOrder:
 
 
 class TestFloat64FactorialLimit:
-    """The series holds n! in float64, so orders stop at 170."""
+    """Polynomial states are summed to degree MAX_DEGREE = 300: past it
+    L_N(4|z|^2) overflows float64 before exp(-2|z|^2) underflows."""
 
     def test_fock170_evaluates(self):
         got = wigner_series(FockState(170), 0.5)
         assert abs(got - wigner_closed_fock(170, 0.5)) <= 1e-9
 
     def test_fock150_matches_mpmath(self):
-        # Royer's form at 2z; the walk gave pi W = 0.602 here
+        # Royer's form at 2z; the derivative-stack sum gave pi W = 0.602 here
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(80):
             want = float(mpmath.exp(-8) * mpmath.laguerre(150, 0, 16))
         assert abs(wigner_series(FockState(150), 2.0) * math.pi - want) <= 1e-14
 
-    def test_fock171_names_state_and_limit(self):
+    def test_fock300_on_its_own_window_matches_mpmath(self):
+        # a 41^2 grid over 6 widths reaches |z| = 104, far past where the
+        # Gaussian underflows (|z| near 19.3): every 37th point, and every
+        # point with |z| <= 20, against 300-digit Laguerre values
+        mpmath = pytest.importorskip("mpmath")
+        state = FockState(MAX_DEGREE)
+        q_lo, q_hi, p_lo, p_hi = state_window(state, BasisParams())
+        z = lattice(q_lo, q_hi, 41, p_lo, p_hi, 41).ravel()
+        got = wigner_series(state, z) * math.pi
+        assert np.all(np.isfinite(got))
+        sample = set(range(0, z.size, 37)) | set(np.flatnonzero(np.abs(z) <= 20.0).tolist())
+        with mpmath.workdps(300):
+            for i in sorted(sample):
+                x = 4 * abs(mpmath.mpc(z[i])) ** 2
+                want = float(mpmath.exp(-x / 2) * mpmath.laguerre(MAX_DEGREE, 0, x))
+                assert abs(got[i] - want) <= 1e-14, z[i]
+
+    def test_fock301_names_state_and_limit(self):
         with pytest.raises(ValueError) as err:
-            wigner_series(FockState(171), 0.5)
+            wigner_series(FockState(MAX_DEGREE + 1), 0.5)
         message = str(err.value)
-        for part in ("FockState(n=171)", "K = 171", "170!"):
+        for part in ("FockState(n=301)", "K = 301", "limited to 300"):
             assert part in message
 
 

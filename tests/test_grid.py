@@ -177,7 +177,7 @@ def spy_on_blocks(monkeypatch):
 
 
 class TestBlocks:
-    """A series grid is one core._evaluate call on the label lattice, walked
+    """A series grid is one core._evaluate call on the label lattice, summed
     in flat blocks of core.BLOCK_POINTS points; tests/test_core.py tests the
     blocks themselves."""
 
@@ -210,9 +210,10 @@ class TestBlocks:
 
 
 class TestTracedPeak:
-    """The bound is that of a block of the walk, which keeps about
-    3(K+1) + O(1) doubles per point, the Taylor stack and one kernel
-    diagonal; the number form and Royer's sum keep fewer. With the grid's
+    """The bound is that of a block of the derivative-stack walk, now
+    deleted, which kept about 3(K+1) + O(1) doubles per point, the Taylor
+    stack and one kernel diagonal; the number form and Royer's sum keep
+    fewer. With the grid's
     own arrays (the complex labels and the values, 24 bytes a point) one
     evaluate_grid at 200^2 peaks, as tracemalloc sees numpy's allocations,
     below 24 N + 8 (3(K+1) + 24) 4096 bytes: from 1.9 MB for fock(0) to

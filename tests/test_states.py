@@ -7,7 +7,6 @@ import pytest
 
 from bargwig.phase import BasisParams
 from bargwig.states import (
-    _stack,
     CoherentState,
     FockState,
     Superposition,
@@ -88,65 +87,22 @@ class TestExactNormalization:
         assert abs(got - want) <= 1e-14 * abs(want)
 
 
-class TestRayStack:
-    """The stack along the ray, t_k = f^(k)(z) u^k / k! with u = z/|z|
-    (u = 1 at z = 0), against the closed forms."""
-
-    @staticmethod
-    def closed_form(state, z, K):
-        u = z / abs(z) if z else 1.0
-        if isinstance(state, FockState):
-            N = state.n
-            return np.array([
-                math.comb(N, k) / math.sqrt(math.factorial(N)) * z ** (N - k) * u**k if k <= N else 0.0
-                for k in range(K + 1)
-            ])
-        if isinstance(state, CoherentState):
-            f = bargmann(state, z)
-            return np.array([f * (np.conj(state.u) * u) ** k / math.factorial(k) for k in range(K + 1)])
-        return sum(np.conj(c) * TestRayStack.closed_form(m, z, K) for c, m in state.terms)
-
-    @pytest.mark.parametrize("state", [
-        FockState(0),
-        FockState(1),
-        FockState(12),
-        FockState(40),
-        CoherentState(0.7 - 0.4j),
-        superposition([(0.6, FockState(3)), (0.8j, CoherentState(-0.5 + 1.1j)), (0.3 - 0.4j, FockState(0))],
-                      normalize=True),
-    ], ids=["fock0", "fock1", "fock12", "fock40", "coherent", "complex-superposition"])
-    def test_matches_closed_form(self, state, K=44):
-        rng = np.random.default_rng(419)
-        z = np.array([0j] + [complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(6)])
-        s = _stack(state, z, K, ray=True)
-        t = s[:, 0] + 1j * s[:, 1]
-        for i, zi in enumerate(z):
-            want = self.closed_form(state, complex(zi), K)
-            assert np.all(np.abs(t[:, i] - want) <= 1e-13 * np.abs(want).max())
-
-
 class TestCoherentTower:
-    """The complex coherent recurrence in both frames, to K = 64, against
-    conj(c) f(z) (conj(U) w)^k / d_k summed over the members in 40-digit
-    arithmetic. The multiplier conj(U) w is taken as float64 rounds it
-    (w = x/r + i y/r along the ray, r = np.abs(z)): raising it to the k-th
-    power multiplies that one rounding by k, which this test leaves to
-    TestRayStack."""
+    """The complex coherent recurrence of derivative_tower, to K = 64,
+    against conj(c) f(z) conj(U)^k summed over the members in 40-digit
+    arithmetic."""
 
     K = 64
 
     @pytest.mark.parametrize("state", [
         CoherentState(0.7 - 0.4j),
         superposition([(1.0, CoherentState(1.1 + 0.3j)), (0.6 - 0.8j, CoherentState(-1.1 - 0.3j))], normalize=True),
-    ], ids=["coherent", "complex-cat"])
-    @pytest.mark.parametrize("ray", [False, True], ids=["derivative", "ray"])
-    def test_matches_high_precision_recurrence(self, state, ray):
+    ], ids=["derivative-coherent", "derivative-complex-cat"])
+    def test_matches_high_precision_recurrence(self, state):
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(601)
         z = np.array([0j] + [complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(12)])
-        s = _stack(state, z, self.K, ray=ray)
-        got = s[:, 0] + 1j * s[:, 1]
-        u = np.array([complex(x / r, y / r) if r else 1.0 for x, y, r in zip(z.real, z.imag, np.abs(z))])
+        got = derivative_tower(state, z, self.K)
         terms = state.terms if isinstance(state, Superposition) else ((1.0, state),)
         with mpmath.workdps(40):
             for i, zi in enumerate(z):
@@ -154,11 +110,9 @@ class TestCoherentTower:
                 for c, m in terms:
                     U = mpmath.mpc(m.u)
                     f = mpmath.exp(mpmath.conj(U) * mpmath.mpc(zi) - abs(U) ** 2 / 2)
-                    step = complex((np.conj(m.u) * u[i:i + 1])[0]) if ray else mpmath.conj(U)
-                    members.append((mpmath.conj(mpmath.mpc(c)) * f, mpmath.mpc(step)))
+                    members.append((mpmath.conj(mpmath.mpc(c)) * f, mpmath.conj(U)))
                 for k in range(self.K + 1):
-                    d = mpmath.factorial(k) if ray else 1
-                    parts = [f * step**k / d for f, step in members]
+                    parts = [f * step**k for f, step in members]
                     scale = float(sum(abs(p) for p in parts))
                     assert abs(got[k, i] - complex(sum(parts))) <= 1e-14 * scale, (zi, k)
 
@@ -167,18 +121,17 @@ class TestCoherentTower:
         cat_state(1.1),
         FockState(12),
         superposition([(0.6, FockState(5)), (0.8j, CoherentState(-0.5 + 1.1j))], normalize=True),
-    ], ids=["coherent", "cat1.1", "fock12", "fock-coherent"])
-    @pytest.mark.parametrize("ray", [False, True], ids=["derivative", "ray"])
-    def test_point_does_not_depend_on_its_array(self, state, ray):
-        # a one-point call (the origin of a scaled grid) and short blocks
-        # round as the same points inside a longer array; Fock members step
-        # by the same complex multiply as coherent ones
+    ], ids=["derivative-coherent", "derivative-cat1.1", "derivative-fock12", "derivative-fock-coherent"])
+    def test_point_does_not_depend_on_its_array(self, state):
+        # a one-point call and short blocks round as the same points inside
+        # a longer array; Fock members step by the same complex multiply as
+        # coherent ones
         rng = np.random.default_rng(607)
         z = np.array([0j] + [complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(23)])
-        whole = _stack(state, z, 30, ray=ray)
+        whole = derivative_tower(state, z, 30)
         for length in (1, 2, 3, 5):
             for i in range(len(z) - length + 1):
-                assert np.array_equal(_stack(state, z[i:i + length], 30, ray=ray), whole[:, :, i:i + length])
+                assert np.array_equal(derivative_tower(state, z[i:i + length], 30), whole[:, i:i + length])
 
 
 class TestDerivativeTower:
