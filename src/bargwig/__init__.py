@@ -2,8 +2,9 @@
 derivatives.
 
 The core engine evaluates the paper's Hermitian quadratic form over the
-stack of Bargmann derivatives, with no integration, through its exact
-factorization as Royer's displaced parity; the paper's form itself,
+stack of Bargmann derivatives, with no integration and no truncation,
+through its exact factorization as Royer's displaced parity, summed pair
+by pair of the state's members; the paper's form itself,
 configuration-space and phase-space quadrature oracles, Laguerre/Gaussian
 closed forms, and basis-geometry identities validate it.
 """

@@ -13,7 +13,6 @@ import math
 import sys
 
 from . import __version__
-from .core import TruncationError
 from .grid import METHODS, GridAxis, evaluate_grid
 from .oracles import OracleConvergenceError
 from .phase import BasisParams
@@ -22,7 +21,7 @@ from .validate import run_suite
 
 __all__ = ["main"]
 
-_USAGE_ERRORS = (ValueError, OSError, json.JSONDecodeError, TruncationError, OracleConvergenceError, ArithmeticError)
+_USAGE_ERRORS = (ValueError, OSError, json.JSONDecodeError, OracleConvergenceError, ArithmeticError)
 
 
 def _load_state(path: str, normalize: bool):
@@ -69,8 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--np", dest="n_p", type=int, required=True)
     ev.add_argument("--method", choices=METHODS, default="series")
     ev.add_argument("--tol", type=_tolerance, default=None,
-                    help="series tail tolerance, a bound on what the cut omits in units of 1/(pi hbar) "
-                         "(default 1e-14), or oracle convergence budget (default 1e-8)")
+                    help="convergence budget of config-integral and phase-integral (default 1e-8)")
     ev.add_argument("--out", required=True, help="output file path")
     ev.add_argument("--format", choices=("csv", "json"), default="csv")
     ev.add_argument("--no-meta", action="store_true",

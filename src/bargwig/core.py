@@ -12,19 +12,17 @@ The form has a second exact factorization, N^-1 F N^-1 = exp(|z|^2) B^+ S B
 with N = diag(n!), B_kj = C(k, j) (-conj(z))^(k-j), S = diag((-1)^k / k!).
 By it the form is Royer's displaced parity (Phys. Rev. A 15, 449 (1977)),
 
-    W(z) = 1/(pi hbar) <psi|D(2z) Pi|psi> = 1/(pi hbar) Re sum_k (-1)^k conj(a_k(0)) a_k(2z),
+    W(z) = 1/(pi hbar) <psi|D(2z) Pi|psi>,
 
-over the number amplitudes a_k(w) = <k|D(-w)|psi> of the state displaced
-to w (states._displaced). a_k(0) = <k|psi> does not depend on z, so one
-order K, chosen per state (choose_truncation), bounds what truncation
-omits at every point. _evaluate, behind wigner_series and evaluate_grid,
-moves the state to its own frame (_own_frame) and sums W block by block
-(_wigner_at) by this form, on one of two sets of amplitudes. A polynomial
-state, a bare coherent state among them as the vacuum in its own frame,
-sums it on its own amplitudes <k|psi>, fixed vectors, with one Laguerre
-recurrence per offset k - n (_number_form); every other state sums the
-a_k(2z) (_royer_form). Closed forms for Fock and coherent states live here
-too.
+bilinear in the state. _evaluate, behind wigner_series and evaluate_grid,
+sums it block by block (_pair_form) as a double sum over the members of a
+catalog state, each pair's term in closed form: a Fock pair gives the
+paper's own Laguerre kernel, summed over the number amplitudes <k|psi>
+with one Laguerre recurrence per offset k - n (_number_form); a coherent
+pair gives one Gaussian; a Fock-coherent pair gives one coherent amplitude.
+Nothing is truncated. choose_truncation picks the order K at which
+validate cuts the paper's side, build_F's form, for a state with a
+coherent member. Closed forms for Fock and coherent states live here too.
 """
 
 from __future__ import annotations
@@ -37,8 +35,8 @@ import numpy as np
 
 from .phase import BasisParams
 from .special import g_kernel, laguerre
-from .states import (CoherentState, FockState, StateSpec, _displaced, _terms, _unchecked_superposition, exact_degree,
-                     norm_squared, overlap)
+from .states import (CoherentState, FockState, StateSpec, _terms, _unchecked_superposition, exact_degree, norm_squared,
+                     overlap)
 
 __all__ = [
     "TruncationPolicy",
@@ -52,19 +50,22 @@ __all__ = [
 ]
 
 # Orders choose_truncation may take. A coherent member |U> has its mass
-# near k = |U|^2, and the cut needs K >= 2|U|^2: |U| > 14.1 in the state's
-# own frame is past it. A 5-fold superposition with |U| = 4 takes K = 79.
+# near k = |U|^2, and the cut needs K >= 2|U|^2: |U| > 14.1 is past it. A
+# 5-fold superposition with |U| = 4 takes K = 79.
 ORDER_CAP = 400
 
-# Degrees a polynomial state may take. fock(300) is finite at every label
-# (0 <= |z| <= 40, step 1e-4); fock(309) is not: near |z| = 19.27,
-# L_N(4|z|^2) overflows float64 before exp(-2|z|^2) underflows.
+# Orders of the number amplitudes: a polynomial state's degree, the Fock
+# part's of a mixture, or wigner_series' order. fock(300) is finite at
+# every label (0 <= |z| <= 40, step 1e-4); fock(309) is not: near
+# |z| = 19.27, L_N(4|z|^2) overflows float64 before exp(-2|z|^2) underflows.
 MAX_DEGREE = 300
 
-# Points summed per block, whatever the route. _number_form keeps 13 to 17
-# doubles a point at any degree (fock(12), fock(100), the sum of |0> to
-# |12>), _royer_form about two dozen for a cat (tracemalloc, one block).
-# 8192 points lowered the 200^2 benchmark's peak RSS by half as much.
+# Points summed per block. _pair_form keeps, as tracemalloc sees one block,
+# 13 to 17 doubles a point for a polynomial state at any degree (fock(12),
+# fock(100), the sum of |0> to |12>), 5 for a coherent state, 17 for a cat,
+# 20 for fock(5) + coherent(2 - i) + fock(0), and 2 more a member past two
+# coherent members: 31 for 8, 143 for 64. 8192 points lowered the 200^2
+# benchmark's peak RSS by half as much.
 BLOCK_POINTS = 4096
 
 
@@ -110,32 +111,11 @@ def build_F(z: complex, K: int) -> np.ndarray:
     return entries
 
 
-def _royer_form(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
-    """pi hbar W at the 1-D labels zz, with no frame applied, to order K:
-
-        <psi|D(z) Pi D(-z)|psi> = <psi|D(2z) Pi|psi> = Re sum_k (-1)^k conj(a_k(0)) a_k(2z),
-
-    Pi|k> = (-1)^k |k>, a_k(w) = <k|D(-w)|psi> from states._displaced.
-    a_k(0) = <k|psi> = sqrt(k!) conj(c_k), with c_k the paper's Taylor stack
-    at the origin, is the same at every point, so choose_truncation cuts
-    the sum once per state. a_k(0) rides along in the same call as the
-    label w = 0, so a point's value does not depend on the block. Every
-    term is at most |a_k(0)| |a_k(2z)| in modulus, and the a_k(2z) carry
-    the Gaussian factor, so far out the sum is 0."""
-    w = np.concatenate(([0j], 2.0 * zz))
-    form = np.zeros(w.shape)
-    for k, a in zip(range(K + 1), _displaced(_terms(state), w)):
-        s = (-1) ** k * np.conj(a[0])
-        if s:
-            form += s.real * a.real - s.imag * a.imag
-    return form[1:]
-
-
 def _number_form(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
-    """pi hbar W at the 1-D labels zz of a polynomial state, with no frame
-    applied, from its number amplitudes c_k = <k|psi>, k <= K: Royer's form
-    at 2z, Re sum_(k,n) (-1)^k conj(c_k) c_n <k|D(-2z)|n>, over the matrix
-    elements of FockState.displaced, x = 4|z|^2. The pairs k = n + a and
+    """pi hbar W at the 1-D labels zz of a polynomial state from its number
+    amplitudes c_k = <k|psi>, k <= K: Royer's form at 2z,
+    Re sum_(k,n) (-1)^k conj(c_k) c_n <k|D(-2z)|n>, over Cahill and Glauber's
+    normalized Laguerre matrix elements, x = 4|z|^2. The pairs k = n + a and
     n = k + a give one real sum over the offsets a,
 
         exp(-x/2) sum_a w_a Re[(2z)^a sum_n (-1)^n conj(c_(n+a)) c_n sqrt(n!/(n+a)!) L_n^(a)(x)],
@@ -148,8 +128,9 @@ def _number_form(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
     product, and so is exp(-x/2) (2z)^a: where the Gaussian underflows the
     value is 0, and x and z are set to 0 there, so neither L(x) nor (2z)^a
     can overflow to give nan.
-    Below a state's degree, K keeps the c_k up to k = K. For fock(N) the
-    value is wigner_closed_fock's, bitwise."""
+    Below a state's degree, K keeps the c_k up to k = K: W of the state
+    projected on |0>, ..., |K>. For fock(N) the value is
+    wigner_closed_fock's, bitwise."""
     c = [complex(overlap(FockState(k), state)) for k in range(K + 1)]
     pairs = [[n for n in range(K + 1 - a) if c[n] and c[n + a]] for a in range(K + 1)]
     last = max((a for a in range(K + 1) if pairs[a]), default=-1)
@@ -207,127 +188,162 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
 
         sqrt(2 <psi|psi>) g_(K+1) <= policy.tail_tolerance,   g_k = sum_m |c_m| |<k|psi_m>|.
 
-    g_k bounds |a_k(0)|. Past 2|U|^2, |<k+1|U>| <= |<k|U>| / sqrt(2), so the
-    a_k(0) beyond K hold at most 2 g_(K+1)^2, and by Cauchy-Schwarz what
-    _royer_form leaves out is at most the left side at every z, as the
-    a_k(2z) hold at most <psi|psi>. TruncationError past ORDER_CAP. No
-    frame is applied: validate's paper-form check sums build_F's form at
-    this K, in the origin frame."""
+    |<k|U>| = exp(-|U|^2/2) |U|^k / sqrt(k!) is a running product, |U|/sqrt(k)
+    an order, and <k|n> is delta_kn. g_k bounds |<k|psi>|. Past 2|U|^2,
+    |<k+1|U>| <= |<k|U>| / sqrt(2), so the number amplitudes beyond K hold
+    at most 2 g_(K+1)^2, and by Cauchy-Schwarz the left side bounds what a
+    sum over k <= K of <k|psi> against any vector of norm <psi|psi> omits.
+    TruncationError past ORDER_CAP. The evaluation is exact and needs no K:
+    validate's paper-form check sums build_F's form at this K."""
     deg = exact_degree(state)
     if deg is not None:
         return deg
     terms = _terms(state)
     least = max(2 * abs(m.u) ** 2 if m.degree() is None else m.degree() for _, m in terms)
     scale = math.sqrt(2.0 * norm_squared(state))
-    amplitudes = zip(*(m.displaced(np.zeros(1, dtype=complex)) for _, m in terms))
-    next(amplitudes)  # K looks at g_(K+1)
-    for K, amps in enumerate(amplitudes):
-        bound = scale * sum(abs(c) * abs(a[0]) for (c, _), a in zip(terms, amps))
+    moduli = [math.exp(-0.5 * abs(m.u) ** 2) if isinstance(m, CoherentState) else 0.0 for _, m in terms]
+    for K in range(ORDER_CAP + 1):
+        k = K + 1  # K looks at g_(K+1)
+        for i, (_, m) in enumerate(terms):
+            moduli[i] = moduli[i] * abs(m.u) / math.sqrt(k) if isinstance(m, CoherentState) else float(m.n == k)
+        bound = scale * sum(abs(c) * g for (c, _), g in zip(terms, moduli))
         if K >= least and bound <= policy.tail_tolerance:
             return K
-        if K == ORDER_CAP:
-            raise TruncationError(f"{state!r} is not cut by the order cap K = {K}: the cut needs K >= {least:.6g}, "
-                                  "its members' largest Fock degree or 2|U|^2, and the bound on what the sum omits "
-                                  f"at most the tail tolerance {policy.tail_tolerance:g}; at K = {K} that bound is "
-                                  f"{bound:.3g}", K, bound)
+    raise TruncationError(f"{state!r} is not cut by the order cap K = {ORDER_CAP}: the cut needs K >= {least:.6g}, "
+                          "its members' largest Fock degree or 2|U|^2, and the bound on what the sum omits "
+                          f"at most the tail tolerance {policy.tail_tolerance:g}; at K = {ORDER_CAP} that bound is "
+                          f"{bound:.3g}", ORDER_CAP, bound)
 
 
-def _own_frame(state: StateSpec):
-    """(framed, z0): _evaluate evaluates state as framed at the labels
-    z - z0. W is covariant under displacement, W_psi(z) = W_(D(-z0) psi)(z - z0)
-    (Cahill and Glauber, Phys. Rev. 177, 1882 (1969)), and
-    D(-z0)|U> = exp(i Im(conj(z0) U)) |U - z0>. A state whose members are
-    all coherent moves to the mean z0 of their labels: a bare |U> becomes
-    the vacuum, where f = 1 and K = 0 at any |U|, and a cat keeps z0 = 0.
-    A state with a Fock member keeps the origin, z0 = 0."""
+def _pair_form(state: StateSpec, zz: np.ndarray) -> np.ndarray:
+    """pi hbar W = <psi|O|psi>, O = D(2z) Pi, at the 1-D labels zz, exactly,
+    one member pair at a time. The state is split into its Fock part P and
+    its coherent members C = sum_j c_j |v_j>, and O is Hermitian, so
+
+        pi hbar W = <P|O|P> + <C|O|C> + 2 Re <P|O|C>.
+
+    <P|O|P> is _number_form's, at P's degree. A coherent pair gives one
+    Gaussian, D(a)|b> = exp(i Im(a conj(b))) |a + b>,
+
+        <u|O|v> = exp(-2|z - (u+v)/2|^2 + i [2 Im(z conj(u - v)) - Im(conj(u) v)]),
+
+    summed over the Hermitian half i <= j in the frame of the mean label
+    z0 of C, the covariance W_psi(z) = W_(D(-z0) psi)(z - z0) with
+    D(-z0)|v> = exp(i Im(conj(z0) v)) |v - z0>: the modulus is one real exp
+    at the pair's midpoint, the phase the per-member unit factors
+    exp(2i Im(w conj(d))), w = z - z0 and d = v - z0, times a constant per
+    pair. The phases stay small near the state, where their rounding
+    would show. A Fock-coherent pair gives one coherent amplitude,
+    <k|O|v> = exp(-2i Im(y conj(v))) <k|2y>, y = z - v/2, a running product
+    e^(-2|y|^2) (2y)^k / sqrt(k!) up to P's degree; where its Gaussian
+    underflows it is 0, and 2y is set to 0 there, so inf cannot give nan."""
     terms = _terms(state)
-    if not all(isinstance(m, CoherentState) for _, m in terms):
-        return state, 0j
-    z0 = sum(m.u for _, m in terms) / len(terms)
-    if not z0:
-        return state, 0j
-    moved = [(c * cmath.exp(1j * (z0.conjugate() * m.u).imag), CoherentState(m.u - z0)) for c, m in terms]
-    return (moved[0][1] if isinstance(state, CoherentState) else _unchecked_superposition(moved)), z0
+    coherent = [(c, m.u) for c, m in terms if isinstance(m, CoherentState)]
+    fock = [(c, m) for c, m in terms if isinstance(m, FockState)]
+    if not coherent:
+        return _number_form(state, zz, exact_degree(state))
+    total = np.zeros(zz.shape)
+    tmp, sq = np.empty(zz.shape), np.empty(zz.shape)
+
+    z0 = sum(v for _, v in coherent) / len(coherent)
+    moved = [(c * cmath.exp(1j * (z0.conjugate() * (v - z0)).imag), v - z0) for c, v in coherent]
+    wr, wi = zz.real - z0.real, zz.imag - z0.imag  # w = z - z0
+    if len(moved) > 1:  # c exp(-2i Im(w conj(d))) of each member, and the buffers of a pair's phase
+        units = [c * np.exp(-2j * (wi * d.real - wr * d.imag)) for c, d in moved]
+        turned, phase = np.empty(zz.shape, dtype=complex), np.empty(zz.shape, dtype=complex)
+    for i, (ci, di) in enumerate(moved):
+        left = 2.0 * np.conj(units[i]) if i + 1 < len(moved) else None
+        for j in range(i, len(moved)):
+            cj, dj = moved[j]
+            mid = (di + dj) / 2
+            np.subtract(wr, mid.real, out=tmp)
+            tmp *= tmp
+            np.subtract(wi, mid.imag, out=sq)
+            sq *= sq
+            tmp += sq
+            tmp *= -2.0
+            np.exp(tmp, out=tmp)
+            if i == j:
+                tmp *= abs(ci) ** 2
+            else:
+                # into other arrays: numpy rounds an in-place complex product
+                # of a length-1 array by another loop, and values must not
+                # depend on the block
+                np.multiply(left, cmath.exp(-1j * (di.conjugate() * dj).imag), out=turned)
+                np.multiply(turned, units[j], out=phase)
+                tmp *= phase.real
+            total += tmp
+
+    if fock:
+        part = _unchecked_superposition(fock)
+        K = exact_degree(part)
+        total += _number_form(part, zz, K)
+        p = [complex(overlap(FockState(k), part)).conjugate() for k in range(K + 1)]
+        for c, v in coherent:
+            y = zz - v / 2
+            yr, yi = y.real, y.imag
+            a = np.exp(-2.0 * (yr * yr + yi * yi) - 2j * (yi * v.real - yr * v.imag))  # <0|O|v>
+            step = 2.0 * np.where(a == 0, 0j, y)
+            cross = a * (2 * c * p[0])
+            for k in range(1, K + 1):
+                a = a * step * (1 / math.sqrt(k))
+                if p[k]:
+                    cross += a * (2 * c * p[k])
+            total += cross.real
+    return total
 
 
-def _wigner_at(state: StateSpec, zz: np.ndarray, K: int, hbar: float) -> np.ndarray:
-    """W at the 1-D labels zz, with no frame applied, to order K: Royer's
-    form at 2z, on the state's own number amplitudes (_number_form) for a
-    polynomial state, the vacuum frame of a coherent state among them, and
-    on the displaced amplitudes (_royer_form) for every other."""
-    form = _royer_form if exact_degree(state) is None else _number_form
-    return form(state, zz, K) / (math.pi * hbar)
-
-
-def _evaluate(state: StateSpec, z: np.ndarray, policy: TruncationPolicy, hbar: float, order: int | None = None):
-    """(values, K, z0): W of state at the finite labels z (a 1-D array or
-    a 2-D lattice), the order K summed and the frame z0: the one series
-    evaluation behind wigner_series and evaluate_grid. z is shifted in
-    place (_own_frame), so the caller gives it up. K is choose_truncation's
-    in the frame, or the given order, lowered to a polynomial state's
-    degree; below the degree a polynomial state sums its amplitudes <k|psi>
-    up to k = K. A polynomial state's K is limited to MAX_DEGREE: past it
-    the Laguerre values of _number_form overflow float64 where the
-    Gaussian has not yet underflowed. Every route is pointwise, so values
-    do not depend on the blocks of BLOCK_POINTS that _wigner_at takes. A
-    value not finite raises ValueError naming its label and K.
+def _evaluate(state: StateSpec, z: np.ndarray, hbar: float, order: int | None = None) -> np.ndarray:
+    """W of state at the finite labels z (a 1-D array or a 2-D lattice): the
+    one series evaluation behind wigner_series and evaluate_grid. With no
+    order, the exact pair form (_pair_form); with one, the number form
+    (_number_form) of the state projected on |0>, ..., |order>, for a
+    polynomial state no further than its degree. The order of the number
+    amplitudes, the given one or the Fock part's degree, is limited to
+    MAX_DEGREE: past it the Laguerre values of _number_form overflow
+    float64 where the Gaussian has not yet underflowed. Every part is
+    pointwise, so values do not depend on the blocks of BLOCK_POINTS they
+    are summed in. A value not finite raises ValueError naming its label.
     """
-    framed, z0 = _own_frame(state)
-    if z0:
-        z -= z0
     if order is not None and order < 0:
         raise ValueError(f"truncation order must be non-negative, got {order}")
-    deg = exact_degree(framed)
-    K = choose_truncation(framed, z, policy) if order is None else order if deg is None else min(order, deg)
-    if deg is not None and K > MAX_DEGREE:
-        raise ValueError(f"{state!r} needs truncation order K = {K}; a polynomial state's K is limited to "
+    deg, fock = exact_degree(state), [m.n for _, m in _terms(state) if isinstance(m, FockState)]
+    K = max(fock, default=None) if order is None else order if deg is None else min(order, deg)
+    if K is not None and K > MAX_DEGREE:
+        raise ValueError(f"{state!r} needs truncation order K = {K}; the number amplitudes are limited to "
                          f"{MAX_DEGREE}, past which L_K(4|z|^2) overflows float64 before exp(-2|z|^2) underflows")
     values = np.empty(z.shape)
     zz, out = z.reshape(-1), values.reshape(-1)
     for lo in range(0, zz.size, BLOCK_POINTS):
-        out[lo:lo + BLOCK_POINTS] = _wigner_at(framed, zz[lo:lo + BLOCK_POINTS], K, hbar)
+        block = zz[lo:lo + BLOCK_POINTS]
+        form = _pair_form(state, block) if order is None else _number_form(state, block, K)
+        out[lo:lo + BLOCK_POINTS] = form / (math.pi * hbar)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
-        raise ValueError(
-            f"W of {state!r} at z = {complex(zz[bad[0]] + z0):.6g} is {float(out[bad[0]])!r} "
-            f"at truncation order K = {K}"
-        )
-    return values, K, z0
+        at = "" if K is None else f" at truncation order K = {K}"
+        raise ValueError(f"W of {state!r} at z = {complex(zz[bad[0]]):.6g} is {float(out[bad[0]])!r}{at}")
+    return values
 
 
-def wigner_series(
-    state: StateSpec,
-    z,
-    policy: TruncationPolicy | None = None,
-    basis: BasisParams | None = None,
-    order: int | None = None,
-):
+def wigner_series(state: StateSpec, z, basis: BasisParams | None = None, order: int | None = None):
     """Wigner function of a catalog state (Fock, coherent of the basis
     width, or a finite superposition) at the complex label(s) z,
     sqrt(2) z = q/b + i b p / hbar: a float, or an array of the shape of z.
 
-    policy (TruncationPolicy, default tail tolerance 1e-14) bounds what
-    the truncated sum omits; basis supplies hbar; order fixes the
-    truncation order in place of choose_truncation's, so every point sums
-    orders 0 to order, in the state's own frame, and a polynomial state no
-    further than its degree. A label, or a value, that is not finite
-    raises ValueError naming it.
-
-    A state whose members are all coherent is evaluated at the labels
-    z - z0 in the frame of their mean label z0 (_own_frame), exactly: a
-    bare CoherentState(U) as the vacuum, whose Taylor stack there is
-    1, 0, 0, ..., so K = 0. Every other state is evaluated at z.
+    Summed exactly, pair by pair of members (_pair_form); basis supplies
+    hbar. order, if given, sums the state projected on |0>, ..., |order>
+    by its number amplitudes, for every state (a polynomial state no
+    further than its degree), at most MAX_DEGREE. A label, or a value,
+    that is not finite raises ValueError naming it.
     """
-    policy = policy or TruncationPolicy()
     basis = basis or BasisParams()
-
-    z_in = np.array(z, dtype=complex)  # a copy: _evaluate shifts the labels in place
+    z_in = np.asarray(z, dtype=complex)
     zz = z_in.ravel()
     bad = np.flatnonzero(~np.isfinite(zz))
     if bad.size:
         where = str(list(map(int, np.unravel_index(bad[0], z_in.shape)))) if z_in.ndim else ""
         raise ValueError(f"phase-space label z{where} = {complex(zz[bad[0]]):.6g} is not finite")
-    w = _evaluate(state, zz, policy, basis.hbar, order)[0].reshape(z_in.shape)
+    w = _evaluate(state, zz, basis.hbar, order).reshape(z_in.shape)
     return w if w.ndim else float(w)
 
 

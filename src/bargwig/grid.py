@@ -2,17 +2,18 @@
 serialization.
 
 The methods are the series (core's evaluation: the paper's form, summed
-as Royer's displaced-parity factorization of it), the two quadrature oracles
-(config-integral and phase-integral) and the Fock and coherent closed
-forms (closed). Both writers format every number as the shortest text that
-parses back to the identical double (orjson), and refuse non-finite values
-before the file is opened.
+exactly pair by pair of the state's members as Royer's displaced parity
+<psi|D(2z) Pi|psi>), the two quadrature oracles (config-integral and
+phase-integral) and the Fock and coherent closed forms (closed). Both
+writers format every number as the shortest text that parses back to the
+identical double (orjson), and refuse non-finite values before the file is
+opened.
 
 The series is one call to core._evaluate on the grid's label lattice, in
-this process; the metadata records its frame as "frame": [Re z0, Im z0],
-next to "truncation_order", the one order summed at every point. The other
-methods keep the origin. Beyond a block of the sum a grid holds its labels
-and values, 24 bytes a point.
+this process. The metadata records "truncation_order", the state's exact
+degree for every method: the order of its number amplitudes if it is
+polynomial, null if it has a coherent member. Beyond a block of the sum a
+grid holds its labels and values, 24 bytes a point.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import TruncationPolicy, _evaluate, wigner_closed_coherent_gaussian, wigner_closed_fock
+from .core import _evaluate, wigner_closed_coherent_gaussian, wigner_closed_fock
 from .oracles import wigner_config_integral, wigner_phase_integral
 from .phase import BasisParams, qp_from_z, z_from_qp
 from .states import CoherentState, FockState, StateSpec, exact_degree, state_to_json
@@ -171,24 +172,24 @@ def evaluate_grid(
 ) -> WignerGrid:
     """Evaluate W on the lattice q_axis x p_axis with the chosen method.
 
-    method is one of METHODS; tol is the series tail tolerance, or the
-    convergence budget of config-integral and phase-integral, positive and
-    finite; None keeps each default.
+    method is one of METHODS; tol is the convergence budget of
+    config-integral and phase-integral, positive and finite, None for their
+    default. The series and the closed forms are exact and take no tol.
     """
     basis = basis or BasisParams()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if tol is not None and not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if tol is not None and method in ("series", "closed"):
+        raise ValueError(f"method {method!r} is exact and takes no tol; tol is the oracles' convergence budget")
 
     q_pts = q_axis.points
     p_pts = p_axis.points
     z = z_from_qp(q_pts[:, None], p_pts[None, :], basis)
 
-    order, z0 = None, 0j
     if method == "series":
-        policy = TruncationPolicy() if tol is None else TruncationPolicy(tail_tolerance=tol)
-        values, order, z0 = _evaluate(state, z, policy, basis.hbar)
+        values = _evaluate(state, z, basis.hbar)
     elif method == "closed":
         values = _closed_form(state, q_pts, p_pts, z, basis)
     else:
@@ -209,8 +210,7 @@ def evaluate_grid(
             "state": state_to_json(state),
             "basis": {"b": basis.b, "hbar": basis.hbar},
             "method": method,
-            "truncation_order": order if order is not None else exact_degree(state),
-            "frame": [z0.real, z0.imag],
+            "truncation_order": exact_degree(state),
             "tool": "bargwig",
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),

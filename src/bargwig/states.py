@@ -10,17 +10,15 @@ function of w. For the catalog:
 
 Each member kind is one class that carries its own closed forms, among
 them its derivative tower (recurrence), which validate's paper-form check
-reads, and the number amplitudes of the state displaced to z (displaced),
-which core sums. f is antilinear in the state, so a superposition
-sum_m c_m |psi_m> has f = sum_m conj(c_m) f_m, summed over _terms(state);
-its amplitudes are linear, sum_m c_m a_k[psi_m]. Finite differences appear
-only in the tests.
+reads, and its overlaps (bra), from which core takes the number amplitudes
+<k|psi>. f is antilinear in the state, so a superposition
+sum_m c_m |psi_m> has f = sum_m conj(c_m) f_m, summed over _terms(state).
+Finite differences appear only in the tests.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -29,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .phase import BasisParams, qp_from_z
-from .special import hermite_psi, laguerre
+from .special import hermite_psi
 
 __all__ = [
     "FockState",
@@ -107,30 +105,6 @@ class FockState:
         orders = ((k, root / (math.factorial(N - k) << 60)) for k in range(N, -1, -1))
         return np.ones(z.shape, dtype=complex), z, orders
 
-    def displaced(self, z):
-        """Yield a_k = <k|D(-z)|n>, k = 0, 1, ..., at the 1-D labels z, from
-        the normalized associated Laguerre closed form (Cahill and Glauber,
-        Phys. Rev. 177, 1857 (1969)), x = |z|^2:
-
-            k < n:   sqrt(k!/n!) conj(z)^(n-k) exp(-x/2) L_k^(n-k)(x),
-            k >= n:  sqrt(n!/k!) (-z)^(k-n)    exp(-x/2) L_n^(k-n)(x).
-
-        The prefactors, running products from k = n down and up, stay
-        below 1 in modulus."""
-        N = self.n
-        x = z.real * z.real + z.imag * z.imag
-        pre = [np.exp(-0.5 * x) + 0j]  # pre[i]: the prefactor of k = n - i
-        x[pre[0] == 0] = 0.0  # there a_k = 0, and L(x) could overflow to nan
-        for k in range(N, 0, -1):
-            pre.append(pre[-1] * np.conj(z) * (1 / math.sqrt(k)))
-        for k in range(N):
-            yield pre[N - k] * laguerre(k, x, N - k)
-        p = pre[0]
-        for k in itertools.count(N):
-            if k > N:
-                p = p * -z * (1 / math.sqrt(k))
-            yield p * laguerre(N, x, k - N)
-
 
 @dataclass(frozen=True)
 class CoherentState:
@@ -188,17 +162,6 @@ class CoherentState:
         f^(k)(z) = f(z) conj(u)^k, start f(z), step conj(u), coefficients 1."""
         return self.bargmann(z), np.conj(self.u), ((k, 1.0) for k in range(K + 1))
 
-    def displaced(self, z):
-        """Yield a_k = <k|D(-z)|u>, k = 0, 1, ..., at the 1-D labels z:
-        D(-z)|u> is |u - z> times the phase exp(i Im(conj(z) u)), so
-        a_0 = exp(i Im(conj(z) u) - |u - z|^2 / 2) and a_k = a_(k-1) (u - z) / sqrt(k),
-        one complex and one real multiply per order."""
-        d = self.u - z
-        a = np.exp(1j * (np.conj(z) * self.u).imag - 0.5 * (d.real * d.real + d.imag * d.imag))
-        yield a
-        for k in itertools.count(1):
-            a = a * d * (1 / math.sqrt(k))
-            yield a
 
 
 _MEMBER_KINDS = (FockState, CoherentState)
@@ -283,8 +246,8 @@ def superposition(terms, normalize: bool = False) -> Superposition:
 
 def _unchecked_superposition(terms) -> Superposition:
     """The Superposition of the (coefficient, member) pairs terms, with no
-    check of its norm: core moves a normalized state to its own frame,
-    which changes the norm by roundoff only."""
+    check of its norm: core sums the Fock part of a state on its own, whose
+    norm is not 1."""
     state = object.__new__(Superposition)
     object.__setattr__(state, "terms", tuple(terms))
     return state
@@ -320,20 +283,6 @@ def _root_factorial(N: int) -> int:
     correctly rounded, with no intermediate float that could overflow before
     the coefficient itself does."""
     return math.isqrt(math.factorial(N) << 120)
-
-
-def _displaced(terms, z: np.ndarray):
-    """Yield a_k = <k|D(-z)|psi> = sum_m c_m a_k[psi_m], k = 0, 1, ..., at
-    the 1-D labels z, from each member's displaced, for the (coefficient,
-    member) pairs terms of psi. Every product is taken into a new array:
-    numpy rounds an in-place complex product of a length-1 array by
-    another loop (derivative_tower), and values must not depend on the
-    block."""
-    for amps in zip(*(member.displaced(z) for _, member in terms)):
-        total = amps[0] * terms[0][0]
-        for (c, _), a in zip(terms[1:], amps[1:]):
-            total = total + a * c
-        yield total
 
 
 def derivative_tower(state: StateSpec, z, K: int) -> np.ndarray:

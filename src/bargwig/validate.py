@@ -106,13 +106,13 @@ def _catalog_degree_le(max_degree: int):
 
 
 def _paper_form_residual(n_points: int, n_used: int, r_lo: float, r_hi: float) -> tuple[float, float]:
-    """Largest relative gaps between pi hbar W (wigner_series) and the
-    paper's form exp(-2|z|^2) Re(c^dagger F c), F = build_F(z, K),
-    c_k = V_k/k!, K choose_truncation's in the origin frame, over the first
-    n_used of n_points seeded annulus points: (polynomial states, pointwise,
-    both sides exact at the degree; other states, in the max norm
-    max|got - want| / max|want| of fock-closed-form, since where W is 1e-13
-    to 1e-18 of its peak two truncations differ by more than a pointwise
+    """Largest relative gaps between pi hbar W (wigner_series, exact) and
+    the paper's form exp(-2|z|^2) Re(c^dagger F c), F = build_F(z, K),
+    c_k = V_k/k!, K choose_truncation's, over the first n_used of n_points
+    seeded annulus points: (polynomial states, pointwise, both sides exact
+    at the degree; other states, in the max norm max|got - want| / max|want|
+    of fock-closed-form, since where W is 1e-13 to 1e-18 of its peak the
+    paper's side, cut at K, differs from W by more than a pointwise
     relative gap can hold)."""
     rng = np.random.default_rng(_SEED)
     r = rng.uniform(r_lo, r_hi, n_points)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bargwig.cli import main
@@ -112,9 +113,12 @@ def test_check_report_times_each_check(capsys):
     assert checks and all(math.isfinite(c["seconds"]) and c["seconds"] >= 0 for c in checks)
 
 
-def test_eval_records_the_frame_of_a_coherent_state(tmp_path):
-    # coherent(6) on its own window: K = 0 in its own frame, at z0 = 6
-    from bargwig.phase import BasisParams
+def test_eval_records_no_frame_for_a_coherent_state(tmp_path):
+    # coherent(6) on its own window, summed exactly: no frame and no order
+    # recorded, and the Gaussian closed form at every point
+    from bargwig.core import wigner_closed_coherent_gaussian
+    from bargwig.grid import WignerGrid
+    from bargwig.phase import BasisParams, qp_from_z
     from bargwig.states import CoherentState
     from bargwig.validate import state_window
 
@@ -125,6 +129,23 @@ def test_eval_records_the_frame_of_a_coherent_state(tmp_path):
     window = ["--qmin", repr(qmin), "--qmax", repr(qmax), "--nq", "41",
               "--pmin", repr(pmin), "--pmax", repr(pmax), "--np", "41"]
     assert main(["eval", "--state", str(path), *window, "--format", "json", "--out", str(out)]) == 0
-    meta = json.loads(out.read_text())["metadata"]
-    assert meta["truncation_order"] == 0
-    assert meta["frame"] == [6, 0]
+    grid = WignerGrid.from_dict(json.loads(out.read_text()))
+    assert grid.metadata["truncation_order"] is None and "frame" not in grid.metadata
+    qq, pp = np.meshgrid(grid.q_axis.points, grid.p_axis.points, indexing="ij")
+    want = wigner_closed_coherent_gaussian(*qp_from_z(6.0, BasisParams()), 1.0, qq, pp)
+    assert np.max(np.abs(grid.values - want)) * math.pi <= 1e-13
+
+
+@pytest.mark.parametrize("method", ["series", "closed"])
+def test_eval_tol_is_the_oracle_budget_only(state_file, tmp_path, capsys, method):
+    # the series and the closed forms are exact: a --tol exits 2, naming
+    # the method, and writes nothing
+    out = tmp_path / "w.csv"
+    assert main(["eval", "--state", state_file, *GRID, "--method", method, "--tol", "1e-8", "--out", str(out)]) == 2
+    assert f"method {method!r} is exact and takes no tol" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit):
+        main(["eval", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--tol TOL convergence budget of config-integral and phase-" in help_text
+    assert "tail" not in help_text

@@ -9,8 +9,6 @@ from bargwig import core
 from bargwig.core import (
     ORDER_CAP,
     _number_form,
-    _own_frame,
-    _royer_form,
     MAX_DEGREE,
     TruncationError,
     TruncationPolicy,
@@ -24,9 +22,10 @@ from bargwig.core import (
 from bargwig.grid import GridAxis, evaluate_grid
 from bargwig.oracles import wigner_config_integral
 from bargwig.phase import BasisParams, qp_from_z, z_from_qp
-from bargwig.states import (CoherentState, FockState, Superposition, _displaced, _terms, _unchecked_superposition,
-                            cat_state, derivative_tower, exact_degree, norm_squared, superposition)
+from bargwig.states import (CoherentState, FockState, _terms, _unchecked_superposition, cat_state, derivative_tower,
+                            exact_degree, norm_squared, overlap, superposition)
 from bargwig.validate import state_window
+from pair_reference import pair_pi_w
 
 RNG_SEED = 307
 
@@ -120,12 +119,11 @@ class TestChooseTruncation:
         assert choose_truncation(st, 0.3 + 0j, TruncationPolicy()) == 3
 
     def test_coherent_regression_value(self):
-        # frozen once computed, in the origin frame; in its own frame a bare
-        # coherent state is the vacuum, K = 0, and a cat keeps the origin
+        # frozen once computed; the vacuum, f = 1, has degree 0
         for state, K in [(CoherentState(1.0), 26), (CoherentState(1.5), 34), (CoherentState(0.7 - 0.4j), 23),
                          (cat_state(1.1), 28), (cat_state(1.2), 30), (cat_state(4.0), 78)]:
-            assert certify(state, np.array([1.0 + 0j, 2.5j]), frame=False) == K, state
-        assert certify(CoherentState(1.5), np.array([2.5j])) == 0
+            assert certify(state, np.array([1.0 + 0j, 2.5j])) == K, state
+        assert certify(CoherentState(0), np.array([2.5j])) == 0
         assert certify(cat_state(4.0), np.array([2.5j])) == 78
 
     def test_cap_error_carries_estimate(self):
@@ -176,70 +174,64 @@ POLICY = TruncationPolicy()
 TOL = POLICY.tail_tolerance
 
 
-def origin_sum(state, z, K=None):
-    """pi hbar W at z by Royer's sum in the origin frame, the frame
-    choose_truncation works in (wigner_series moves a state whose members
-    are all coherent to its own): to K, or else to choose_truncation's."""
-    z = np.asarray(z, dtype=complex)
-    K = choose_truncation(state, z, POLICY) if K is None else K
-    return _royer_form(state, z.ravel(), K).reshape(z.shape)
-
-
 def origin_tail(state, K, extra=200):
-    """sum_(K<k<=K+extra) |a_k(0)|^2 = |<k|psi>|^2, summed term by term."""
-    amplitudes = zip(_displaced(_terms(state), np.zeros(1, dtype=complex)), range(K + extra + 1))
-    return sum(abs(a[0]) ** 2 for a, k in amplitudes if k > K)
+    """sum_(K<k<=K+extra) |<k|psi>|^2, summed term by term."""
+    return sum(abs(overlap(FockState(k), state)) ** 2 for k in range(K + 1, K + extra + 1))
 
 
-def certify(state, z, frame=True):
-    """choose_truncation's K for state in the frame wigner_series sums it
-    in (_own_frame), or as given, checked on the labels z: K is the same on
-    any labels, its certificate sqrt(<psi|psi> sum_(k>K) |a_k(0)|^2)
-    bounds what the sum omits by the tolerance, and the values at K are
-    within the tolerance of the sum 40 orders on at every point."""
-    framed = _own_frame(state)[0] if frame else state
-    K = choose_truncation(framed, z, POLICY)
+def certify(state, z):
+    """choose_truncation's K for state, checked on the labels z: K is the
+    same on any labels, its certificate sqrt(<psi|psi> sum_(k>K) |<k|psi>|^2)
+    is within the tolerance, and W of the state projected on |0>, ..., |K>
+    (wigner_series' order) is within the tolerance of the exact W at every
+    point."""
+    K = choose_truncation(state, z, POLICY)
     for labels in (np.ravel(z)[::-1], np.array([0j]), None):
-        assert choose_truncation(framed, labels, POLICY) == K
-    assert math.sqrt(norm_squared(state) * origin_tail(framed, K)) <= TOL, (state, K)
-    if frame:
-        values, further = (wigner_series(state, z, order=order) * math.pi for order in (K, K + 40))
-        assert np.array_equal(values, wigner_series(state, z) * math.pi)
-    else:
-        values, further = origin_sum(state, z, K), origin_sum(state, z, K + 40)
-    assert np.max(np.abs(values - further)) <= TOL, state
+        assert choose_truncation(state, labels, POLICY) == K
+    assert math.sqrt(norm_squared(state) * origin_tail(state, K)) <= TOL, (state, K)
+    gap = wigner_series(state, z, order=K) - wigner_series(state, z)
+    assert np.max(np.abs(gap), initial=0.0) * math.pi <= TOL, state
     return K
 
 
-def count_orders(monkeypatch):
-    """The list of the orders each states._displaced call of core yields,
-    one entry per call, for the rest of the test."""
-    calls = []
-
-    def recording(terms, z):
-        calls.append(0)
-        for a in _displaced(terms, z):
-            calls[-1] += 1
-            yield a
-
-    monkeypatch.setattr(core, "_displaced", recording)
-    return calls
+def number_form_calls(monkeypatch):
+    """The list of the orders of every core._number_form call, for the rest
+    of the test."""
+    orders = []
+    number_form = core._number_form
+    monkeypatch.setattr(core, "_number_form", lambda state, zz, K: orders.append(K) or number_form(state, zz, K))
+    return orders
 
 
-def coherent_pi_w(state, z, dps=30):
-    """pi hbar W of a superposition sum_i c_i |u_i> of coherent states at z,
-    sum_(i,j) c_i conj(c_j) <u_j|u_i> exp(-2 (z - u_i)(conj(z) - conj(u_j))),
-    in dps digits."""
+def displaced_amplitudes(state, w, M, dps=30):
+    """[a_0, ..., a_M], a_k = <k|D(-w)|psi> at the label w, in dps digits,
+    from each member's closed form: D(-w)|u> = exp(i Im(conj(w) u)) |u - w>,
+    a running product in k, for a coherent member, and Cahill and Glauber's
+    normalized Laguerre values for a Fock member,
+    sqrt(n!/k!) (-w)^(k-n) exp(-x/2) L_n^(k-n)(x) for k >= n and
+    sqrt(k!/n!) conj(w)^(n-k) exp(-x/2) L_k^(n-k)(x) for k < n, x = |w|^2."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(dps):
-        terms = [(mpmath.mpc(c.real, c.imag), mpmath.mpc(m.u.real, m.u.imag)) for c, m in _terms(state)]
-        w = mpmath.mpc(z.real, z.imag)
-        return float(mpmath.fsum(
-            ci * mpmath.conj(cj)
-            * mpmath.exp(mpmath.conj(uj) * ui - (abs(ui) ** 2 + abs(uj) ** 2) / 2)
-            * mpmath.exp(-2 * (w - ui) * mpmath.conj(w - uj))
-            for ci, ui in terms for cj, uj in terms
-        ).real)
+        w = mpmath.mpc(complex(w))
+        x = abs(w) ** 2
+        total = [mpmath.mpc(0)] * (M + 1)
+        for c, m in _terms(state):
+            c = mpmath.mpc(c)
+            if isinstance(m, CoherentState):
+                u = mpmath.mpc(m.u)
+                a = c * mpmath.exp(1j * mpmath.im(mpmath.conj(w) * u) - abs(u - w) ** 2 / 2)
+                for k in range(M + 1):
+                    if k:
+                        a = a * (u - w) / mpmath.sqrt(k)
+                    total[k] += a
+                continue
+            n = m.n
+            for k in range(M + 1):
+                lo, hi = min(k, n), max(k, n)
+                power = (-w) ** (k - n) if k >= n else mpmath.conj(w) ** (n - k)
+                root = mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(hi))
+                total[k] += c * root * power * mpmath.exp(-x / 2) * mpmath.laguerre(lo, hi - lo, x)
+        return np.array([complex(a) for a in total])
 
 
 class TestEdgeScan:
@@ -252,23 +244,21 @@ class TestEdgeScan:
     @pytest.mark.parametrize("state", [CoherentState(0.7 - 0.4j), cat_state(1.1)], ids=["coherent", "cat1.1"])
     def test_catalog_windows(self, state, count):
         z = lattice(-3.0, 3.0, count, -3.0, 3.0, count)
-        for frame in (True, False):
-            K = certify(state, z, frame)
-            framed = _own_frame(state)[0] if frame else state
-            assert choose_truncation(framed, z.ravel(), POLICY) == K
-            assert choose_truncation(framed, z.T, POLICY) == K
+        K = certify(state, z)
+        assert choose_truncation(state, z.ravel(), POLICY) == K
+        assert choose_truncation(state, z.T, POLICY) == K
 
     def test_random_superpositions_on_random_lattices(self):
         for state, z in random_superpositions_on_lattices(30):
-            for frame in (True, False):
-                K = certify(state, z, frame)
-                assert choose_truncation(_own_frame(state)[0] if frame else state, z.T, POLICY) == K
+            K = certify(state, z)
+            assert choose_truncation(state, z.T, POLICY) == K
 
 
 class TestTwoTrySearch:
     """The shell walk tried its closure at shell 32, then at the cap, 64.
-    Royer's sum is cut once per state; the cases on which the two tries
-    were checked are restated against its certificate (certify)."""
+    The sum is now exact; the cases on which the two tries were checked are
+    restated against choose_truncation's certificate (certify) and the
+    exact values."""
 
     @pytest.mark.parametrize("count", [41, 60, 61, 200])
     @pytest.mark.parametrize("state", [CoherentState(0.7 - 0.4j), cat_state(1.1)], ids=["coherent", "cat1.1"])
@@ -277,10 +267,10 @@ class TestTwoTrySearch:
 
     @pytest.mark.parametrize("u, extent", [(0.3, 3.0), (1.0, 3.0), (2.0, 3.0), (3.0, 3.0), (2.5, 6.0), (3.0, 6.0)])
     def test_coherent_windows(self, u, extent):
-        # in the origin frame, where K > 0, against exp(-2|z - u|^2)
+        # against exp(-2|z - u|^2)
         z = lattice(-extent, extent, 60, -extent, extent, 60)
-        K = certify(CoherentState(u), z, frame=False)
-        assert np.max(np.abs(origin_sum(CoherentState(u), z, K) - np.exp(-2 * np.abs(z - u) ** 2))) <= TOL
+        certify(CoherentState(u), z)
+        assert np.max(np.abs(wigner_series(CoherentState(u), z) * math.pi - np.exp(-2 * np.abs(z - u) ** 2))) <= TOL
 
     def test_random_superpositions(self):
         for state, z in random_superpositions_on_lattices(30):
@@ -288,43 +278,43 @@ class TestTwoTrySearch:
 
     @pytest.mark.parametrize("beta", [2.0, 2.5, 3.0])
     def test_weak_far_member(self, beta):
-        # in the origin frame a weak member far out sets K, which falls with
-        # its weight
+        # a weak member far out sets K, which falls with its weight
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
         orders = []
         for w in 10.0 ** -np.arange(1, 7):
             state = superposition([(1.0, CoherentState(0.2)), (w, CoherentState(beta + 0.5j))], normalize=True)
-            orders.append(certify(state, z, frame=False))
+            orders.append(certify(state, z))
         assert orders == sorted(orders, reverse=True) and orders[-1] < orders[0]
 
     def test_second_try_is_only_paid_past_half_the_cap(self, monkeypatch):
-        # no order is summed twice: one pass of K + 1 amplitudes a block, the
-        # origin's among them, for K = 28 (cat(1.1)) and K = 59 (coherent(3)
-        # in the origin frame); choose_truncation takes none of them
-        calls = count_orders(monkeypatch)
+        # no order is summed at all: a state of coherent members takes no
+        # number amplitude, a mixture one number form a block, at its Fock
+        # part's degree, and no evaluation reads choose_truncation's K = 28
+        # (cat(1.1)) or 59 (coherent(3))
+        orders = number_form_calls(monkeypatch)
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
-        assert choose_truncation(cat_state(1.1), z, TruncationPolicy()) == 28 and calls == []
+        assert choose_truncation(cat_state(1.1), z, POLICY) == 28
+        assert choose_truncation(CoherentState(3.0), z, POLICY) == 59
         wigner_series(cat_state(1.1), z)
-        assert calls == [29]
-        calls.clear()
-        origin_sum(CoherentState(3.0), z)
-        assert calls == [60]
-        calls.clear()
+        wigner_series(CoherentState(3.0), z)
         wigner_series(cat_state(1.1), lattice(-3.0, 3.0, 200, -3.0, 3.0, 200))
-        assert calls == [29] * 10
+        assert orders == []
+        mixed = superposition([(0.6, FockState(2)), (0.8j, CoherentState(0.5 - 0.3j))], normalize=True)
+        wigner_series(mixed, lattice(-3.0, 3.0, 200, -3.0, 3.0, 200))
+        assert orders == [2] * 10
 
     # the ids keep the orders the shell walk took at z = 0 (None: it raised)
     @pytest.mark.parametrize("p, beta", [(3, 2.0), (4, 2.0), (4, 3.0), (3, 4.0)],
                              ids=["3-2.0-24", "4-2.0-None", "4-3.0-None", "3-4.0-30"])
     def test_sparse_taylor_stack(self, p, beta):
-        # at the centre of a p-fold symmetric superposition a_k vanishes
+        # at the centre of a p-fold symmetric superposition <k|psi> vanishes
         # unless p divides k, which fooled the walk's pair-sum closure; the
-        # mass left sees every order
+        # certificate sees every order, and the pair sum needs none
         w = np.exp(2j * np.pi / p)
         state = superposition([(1.0, CoherentState(beta * w**k)) for k in range(p)], normalize=True)
         z = np.array([0j])
         certify(state, z)
-        assert abs(wigner_series(state, z)[0] * math.pi - coherent_pi_w(state, 0j)) <= TOL
+        assert abs(wigner_series(state, z)[0] * math.pi - pair_pi_w(state, 0j)) <= TOL
 
     @pytest.mark.parametrize("shape", [(1,), (2,), (511,), (512,), (513,), (1024,), (1025,), (5000,),
                                        (1, 700), (700, 1), (3, 700), (60, 60), (200, 200)])
@@ -353,12 +343,11 @@ class TestTwoTrySearch:
         (-1.0, 3.0, 45, -2.0, 1.0, 70),
     ])
     def test_edge_maxima_are_those_of_a_full_scan(self, window):
-        # K is the state's, whatever the window, in either frame
+        # K is the state's, whatever the window
         z = lattice(*window)
         for state in (CoherentState(0.7 - 0.4j), cat_state(1.1), CoherentState(-0.2 + 1.5j)):
-            for frame in (True, False):
-                K = certify(state, z, frame)
-                assert choose_truncation(_own_frame(state)[0] if frame else state, z.ravel()[::-1], POLICY) == K
+            K = certify(state, z)
+            assert choose_truncation(state, z.ravel()[::-1], POLICY) == K
 
 
 class TestWignerSeries:
@@ -482,37 +471,14 @@ class TestDefaultPathRegressions:
             assert abs(got - want) * math.pi * basis.hbar <= 1e-6
 
 
-def number_pi_w(state, z, dps=40):
-    """pi hbar W of a polynomial state at z from 40-digit matrix elements,
-    Re sum_(k,n) (-1)^k conj(c_k) c_n <k|D(-2z)|n>, c_k = <k|psi> from its
-    coefficients, <k|D(-w)|n> = sqrt(n!/k!) (-w)^(k-n) exp(-|w|^2/2) L_n^(k-n)(|w|^2)
-    for k >= n and its conjugate for k < n (Cahill and Glauber)."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(dps):
-        c = {}
-        for coeff, member in _terms(state):
-            k = member.n if isinstance(member, FockState) else 0  # the vacuum, CoherentState(0)
-            c[k] = c.get(k, 0) + mpmath.mpc(coeff.real, coeff.imag)
-        w = 2 * mpmath.mpc(z.real, z.imag)
-        x = abs(w) ** 2
-        total = mpmath.mpf(0)
-        for k, ck in c.items():
-            for n, cn in c.items():
-                if k < n:
-                    continue
-                element = (mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(k)) * (-w) ** (k - n)
-                           * mpmath.exp(-x / 2) * mpmath.laguerre(n, k - n, x))
-                term = (-1) ** k * mpmath.conj(ck) * cn * element
-                total += (2 if k > n else 1) * term.real
-        return float(total)
-
-
 class TestNumberForm:
     """_number_form, Royer's form at 2z over a polynomial state's own number
-    amplitudes, against _royer_form, which sums the displaced amplitudes of
-    the same state at K = degree, and against 40-digit matrix elements, at
-    every point of [-3, 3]^2 and of each state's own window, within 1e-14
-    in units of 1/(pi hbar)."""
+    amplitudes, is what wigner_series sums for it, bitwise, and is within
+    1e-14 in units of 1/(pi hbar) of 40-digit matrix elements (pair_pi_w)
+    at every 97th point of [-3, 3]^2 and of each state's own window. A
+    coherent state is summed by its one pair; projected on |0>, ..., |K>
+    at choose_truncation's K its number form is within the tolerance of
+    that."""
 
     STATES = {
         **{f"fock{n}": FockState(n) for n in range(13)},
@@ -531,18 +497,17 @@ class TestNumberForm:
 
     @pytest.mark.parametrize("name", STATES)
     def test_against_the_walk_and_mpmath(self, name):
-        # the coherent state is summed as the vacuum in its own frame, at
-        # the labels z - z0, as wigner_series sums it
         state = self.STATES[name]
-        framed, z0 = _own_frame(state)
-        K = exact_degree(framed)
+        K = choose_truncation(state, None, POLICY)
         for z in self.windows(state):
-            zz = z.ravel() - z0
-            got = _number_form(framed, zz, K)
-            assert np.array_equal(got / math.pi, wigner_series(state, z).ravel())
-            assert np.max(np.abs(got - _royer_form(framed, zz, K))) <= 1e-14, name
+            zz = z.ravel()
+            got, exact = _number_form(state, zz, K), wigner_series(state, z).ravel()
+            if exact_degree(state) is None:
+                assert np.max(np.abs(got - exact * math.pi)) <= TOL, name
+            else:
+                assert np.array_equal(got / math.pi, exact)
             for i in range(0, zz.size, 97):
-                assert abs(got[i] - number_pi_w(framed, zz[i])) <= 1e-14, (name, zz[i])
+                assert abs(exact[i] * math.pi - pair_pi_w(state, zz[i], 40)) <= 1e-14, (name, zz[i])
 
     def test_fock_is_the_closed_form(self):
         # the same Laguerre recurrence and the same products, bitwise
@@ -603,8 +568,9 @@ class TestSteppedWalk:
 
 
 class TestTruncationBound:
-    """The certificate of Royer's sum against the true omitted part, the
-    amplitudes against the paper's stack, and windows the sum reaches."""
+    """choose_truncation's certificate against what a cut of Royer's sum
+    omits from the exact W, the displaced amplitudes against the paper's
+    stack, and windows the exact sum reaches."""
 
     @staticmethod
     def _window(count):
@@ -613,26 +579,31 @@ class TestTruncationBound:
         return qq, pp, z_from_qp(qq, pp, BasisParams())
 
     def test_omitted_part_within_estimate(self):
-        # |W_K - W_80| pi hbar <= sqrt(<psi|psi> sum_(k>K) |a_k(0)|^2), by
+        # Royer's sum cut at K, Re sum_(k<=K) (-1)^k conj(a_k(0)) a_k(2z),
+        # a_k(w) = <k|D(-w)|psi> in 30 digits, omits at most
+        # sqrt(<psi|psi> sum_(k>K) |a_k(0)|^2) pi hbar of W, by
         # Cauchy-Schwarz; 1e-15 and K + 1 ulp allow for the roundoff of the
         # sums. Points with |z| < 0.05 are where a cat's odd or even
         # amplitudes nearly vanish.
         rng = np.random.default_rng(RNG_SEED + 3)
+        signs = (-1.0) ** np.arange(41)
         for trial in range(15):
             u = complex(*rng.uniform(-1.5, 1.5, 2))
             state = [CoherentState(u), cat_state(u, 1), cat_state(u, -1)][trial % 3]
             z = rng.uniform(0.0, 3.0, 32) * np.exp(1j * rng.uniform(0, 2 * np.pi, 32))
             z[:8] *= 0.05 / 3.0
-            ref = origin_sum(state, z, 80)
-            for K in range(2, 41):
-                omitted = np.abs(origin_sum(state, z, K) - ref)
-                bound = math.sqrt(norm_squared(state) * origin_tail(state, K))
-                assert np.all(omitted <= bound + 1e-15 + (K + 1) * 2.0**-53), (state, K)
+            exact = wigner_series(state, z) * math.pi
+            origin = np.conj(displaced_amplitudes(state, 0j, 40)) * signs
+            mass = [abs(overlap(FockState(k), state)) ** 2 for k in range(241)]
+            bounds = [math.sqrt(norm_squared(state) * sum(mass[K + 1:K + 201])) for K in range(41)]
+            for zi, value in zip(z, exact):
+                cut = np.cumsum((origin * displaced_amplitudes(state, 2 * zi, 40)).real)
+                for K in range(2, 41):
+                    assert abs(cut[K] - value) <= bounds[K] + 1e-15 + (K + 1) * 2.0**-53, (state, zi, K)
 
     def test_infinite_closure_stays_infinite_where_the_gaussian_underflows(self):
-        # at |z| = 45 exp(-|u - 2z|^2 / 2) underflows to 0: the amplitudes
-        # there are 0, not nan and with no warning, and so is W, within the
-        # tolerance of its closed form
+        # at |z| = 45 exp(-2|z - u|^2) underflows to 0: W there is 0, not
+        # nan and with no warning, within the tolerance of mpmath
         import warnings
 
         state = cat_state(1.1)
@@ -641,24 +612,24 @@ class TestTruncationBound:
             warnings.simplefilter("error")
             got = wigner_series(state, z) * math.pi
         for value, zv in zip(got, z):
-            assert abs(value - coherent_pi_w(state, zv)) <= TOL
+            assert abs(value - pair_pi_w(state, zv)) <= TOL
 
     @pytest.mark.parametrize("state", TestSteppedWalk.STATES, ids=["coherent", "cat1.1", "fock-pair", "mixed"])
     def test_shell_weights_are_those_of_build_F(self, state):
-        # the amplitudes are the paper's stack through the factorization
-        # N^-1 F N^-1 = exp(|z|^2) B^+ S B of build_F's kernel:
+        # the displaced amplitudes are the paper's stack through the
+        # factorization N^-1 F N^-1 = exp(|z|^2) B^+ S B of build_F's kernel:
         # a_k = conj(exp(-|z|^2/2) (B V)_k) / sqrt(k!), B_kj = C(k, j) (-conj(z))^(k-j)
         M = 30
         rng = np.random.default_rng(RNG_SEED + 5)
         points = np.array([0j, 4.0 + 0j] + [complex(*rng.uniform(-2.8, 2.8, 2)) for _ in range(4)])
-        amplitudes = np.array([a for a, _ in zip(_displaced(_terms(state), points), range(M + 1))])
-        for i, z in enumerate(points):
+        for z in points:
+            amplitudes = displaced_amplitudes(state, z, M)
             V = derivative_tower(state, z, M)
             for k in range(M + 1):
                 terms = np.array([math.comb(k, j) * (-np.conj(z)) ** (k - j) * V[j] for j in range(k + 1)])
                 scale = math.exp(-abs(z) ** 2 / 2) / math.sqrt(math.factorial(k))
                 want = np.conj(terms.sum()) * scale
-                assert abs(amplitudes[k, i] - want) <= 1e-13 * (np.abs(terms).sum() * scale + 1e-300), (state, z, k)
+                assert abs(amplitudes[k] - want) <= 1e-13 * (np.abs(terms).sum() * scale + 1e-300), (state, z, k)
 
     def test_kernel_factorization(self):
         # N^-1 F N^-1 = exp(|z|^2) B^+ S B, S = diag((-1)^k / k!), k summed to 100
@@ -691,29 +662,26 @@ class TestTruncationBound:
         state = CoherentState(3.0)
         qq, pp, z = self._own_window(state)
         basis = BasisParams()
-        assert certify(state, z) == 0 and certify(state, z, frame=False) <= ORDER_CAP
+        assert certify(state, z) <= ORDER_CAP
         Q, P = qp_from_z(3.0, basis)
         want = wigner_closed_coherent_gaussian(Q, P, basis.b, qq, pp, basis.hbar)
         got = wigner_series(state, z, basis=basis)
         assert np.max(np.abs(got - want)) * math.pi * basis.hbar <= 1e-12
 
     def test_cat3_on_its_own_window_matches_mpmath(self):
-        # pi hbar W of sum_i c_i |u_i> is sum_{i,j} c_i conj(c_j) <u_j|u_i>
-        # exp(-2 (z - u_i)(conj(z) - conj(u_j))), in 30 digits
-        mpmath = pytest.importorskip("mpmath")
         state = cat_state(3.0)
         _, _, z = self._own_window(state)
         assert certify(state, z) <= ORDER_CAP
         got = wigner_series(state, z).ravel() * math.pi
         for value, zv in zip(got, z.ravel()):
-            assert abs(value - coherent_pi_w(state, zv)) <= 1e-12
+            assert abs(value - pair_pi_w(state, zv)) <= 1e-12
 
     def test_coherent40_raises_in_the_origin_frame_only(self):
-        # coherent(4) is cut at K = 78 in the origin frame; coherent(40)
-        # would need K >= 3200 there, and the error names the state and
-        # the order, while in its own frame it is the vacuum
+        # choose_truncation cuts coherent(4) at K = 78; coherent(40) would
+        # need K >= 3200, and the error names the state and the order,
+        # while the exact sum evaluates it, 0 on this window
         _, _, z = self._window(41)
-        assert certify(CoherentState(4.0), z, frame=False) == 78
+        assert certify(CoherentState(4.0), z) == 78
         with pytest.raises(TruncationError) as err:
             choose_truncation(CoherentState(40.0), z, TruncationPolicy())
         assert err.value.order == ORDER_CAP
@@ -722,13 +690,19 @@ class TestTruncationBound:
 
 
 class TestOwnFrame:
-    """A state whose members are all coherent is evaluated in the frame of
-    their mean label z0, at z - z0: a bare coherent state |U> as the vacuum.
-    A state with a Fock member keeps the origin."""
+    """W is covariant under displacement, W_psi(z) = W_(D(-z0) psi)(z - z0)
+    (Cahill and Glauber, Phys. Rev. 177, 1882 (1969)), with
+    D(-z0)|U> = exp(i Im(conj(z0) U)) |U - z0>. The pair form takes its
+    phases in the frame of the coherent members' mean label, inside one
+    call; the values must not show it."""
 
     @pytest.mark.parametrize("u", [0.7 - 0.4j, 3.0, -2.0j])
     def test_coherent_state_moves_to_its_centre(self, u):
-        assert _own_frame(CoherentState(u)) == (CoherentState(0), u)
+        # |U> is the vacuum moved to U
+        z = lattice(-3.0, 3.0, 41, -3.0, 3.0, 41)
+        moved = wigner_series(CoherentState(0), z - u) * math.pi
+        assert np.max(np.abs(wigner_series(CoherentState(u), z) * math.pi - moved)) <= 1e-15
+        assert np.max(np.abs(moved - np.exp(-2 * np.abs(z - u) ** 2))) <= 1e-15
 
     @pytest.mark.parametrize("state", [
         CoherentState(0),
@@ -737,78 +711,91 @@ class TestOwnFrame:
         superposition([(0.6, FockState(2)), (0.8j, CoherentState(0.5 - 0.3j))], normalize=True),
     ], ids=["vacuum", "fock3", "cat1.1", "fock-coherent"])
     def test_other_states_keep_the_origin(self, state):
-        framed, z0 = _own_frame(state)
-        assert framed is state and z0 == 0
+        # states about the origin, at every 13th point of [-3, 3]^2
+        z = lattice(-3.0, 3.0, 41, -3.0, 3.0, 41).ravel()[::13]
+        for value, zv in zip(wigner_series(state, z) * math.pi, z):
+            assert abs(value - pair_pi_w(state, zv)) <= TOL, zv
 
     def test_coherent_superpositions_move_to_their_mean_label(self):
-        # D(-z0)|U> = exp(i Im(conj(z0) U)) |U - z0>: a one-member
-        # superposition becomes the vacuum, and |7> + |5> a pair at 1 and -1
-        framed, z0 = _own_frame(superposition([(1.0, CoherentState(0.7 - 0.4j))]))
-        assert z0 == 0.7 - 0.4j and framed == Superposition(((1.0, CoherentState(0)),))
-        pair = superposition([(1.0, CoherentState(7.0)), (1.0, CoherentState(5.0))], normalize=True)
-        framed, z0 = _own_frame(pair)
-        assert z0 == 6 and framed.terms == tuple((c, CoherentState(u)) for (c, _), u in zip(pair.terms, (1, -1)))
+        # a one-member superposition moved by its label is the vacuum, and
+        # |5+5i> + i|6+3i> moved by its mean label z0 a pair at
+        # +-(-0.5 + i), each coefficient turned by exp(i Im(conj(z0) U))
+        one = superposition([(1.0, CoherentState(0.7 - 0.4j))])
+        z = lattice(-3.0, 3.0, 41, -3.0, 3.0, 41)
+        gap = wigner_series(one, z) - wigner_series(CoherentState(0), z - (0.7 - 0.4j))
+        assert np.max(np.abs(gap)) * math.pi <= 1e-15
+        pair = superposition([(1.0, CoherentState(5 + 5j)), (1j, CoherentState(6 + 3j))], normalize=True)
+        z0 = 5.5 + 4j
+        moved = _unchecked_superposition([(c * np.exp(1j * (z0.conjugate() * m.u).imag), CoherentState(m.u - z0))
+                                          for c, m in pair.terms])
+        q_lo, q_hi, p_lo, p_hi = state_window(pair, BasisParams())
+        z = lattice(q_lo, q_hi, 41, p_lo, p_hi, 41)
+        gap = wigner_series(pair, z) - wigner_series(moved, z - z0)
+        assert np.max(np.abs(gap)) * math.pi <= 1e-15
 
     @pytest.mark.parametrize("labels", [(1 + 1j, -1 + 1j), (0.7 - 0.4j,), (2.0, 0.5j, -1.0 - 0.5j)],
                              ids=["pair", "one", "three"])
     def test_mean_frame_agrees_with_the_origin(self, labels):
-        # each sum is within the tolerance of W, so within twice of the other
+        # at every 7th point of [-3, 3]^2, against 30-digit mpmath
         state = superposition([(complex(1, k), CoherentState(u)) for k, u in enumerate(labels)], normalize=True)
-        assert _own_frame(state)[1] == pytest.approx(sum(labels) / len(labels), abs=1e-15)
-        z = lattice(-3.0, 3.0, 41, -3.0, 3.0, 41)
-        assert np.max(np.abs(wigner_series(state, z) * math.pi - origin_sum(state, z))) <= 2 * TOL
+        z = lattice(-3.0, 3.0, 41, -3.0, 3.0, 41).ravel()[::7]
+        for value, zv in zip(wigner_series(state, z) * math.pi, z):
+            assert abs(value - pair_pi_w(state, zv)) <= TOL, zv
 
     def test_off_centre_pair_on_its_own_window(self):
-        # |7> + |5> at z0 = 6, against 30-digit mpmath at every point
+        # |7> + |5>, whose mean label is 6, against 30-digit mpmath at every
+        # point; the metadata records no frame, and no order for a state
+        # with a coherent member
         state = superposition([(1.0, CoherentState(7.0)), (1.0, CoherentState(5.0))], normalize=True)
         basis = BasisParams()
         q_lo, q_hi, p_lo, p_hi = state_window(state, basis)
         g = evaluate_grid(state, GridAxis(q_lo, q_hi, 41), GridAxis(p_lo, p_hi, 41), basis)
-        assert g.metadata["frame"] == [6, 0] and g.metadata["truncation_order"] == 27
+        assert "frame" not in g.metadata and g.metadata["truncation_order"] is None
         z = z_from_qp(g.q_axis.points[:, None], g.p_axis.points[None, :], basis)
         for value, zv in zip(g.values.ravel() * math.pi, z.ravel()):
-            assert abs(value - coherent_pi_w(state, zv)) <= 1e-12
+            assert abs(value - pair_pi_w(state, zv)) <= 1e-12
 
     def test_vacuum_walks_no_shell(self, monkeypatch):
-        # f = 1, so K = 0 is exact: the number form sums the one amplitude
-        # <0|0> = 1, and no displaced amplitude is taken
-        calls = count_orders(monkeypatch)
-        orders = []
-        number_form = core._number_form
-        monkeypatch.setattr(core, "_number_form", lambda state, zz, K: orders.append(K) or number_form(state, zz, K))
+        # f = 1, so K = 0 is exact; a coherent state, the vacuum among them,
+        # sums its one pair and takes no number amplitude
+        orders = number_form_calls(monkeypatch)
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
         assert choose_truncation(CoherentState(0), z, TruncationPolicy()) == 0
         assert wigner_series(CoherentState(4.0 - 2.0j), z).shape == z.shape
-        assert orders == [0] and calls == []
+        assert wigner_series(CoherentState(0), z).shape == z.shape
+        assert orders == []
 
     @pytest.mark.parametrize("u", [0.7 - 0.4j, 2.0])
     def test_agrees_with_the_origin_where_it_certifies(self, u):
-        # the origin frame certifies K; its sum and the own-frame value
-        # differ by at most the tolerance
-        state = CoherentState(u)
-        z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
-        K = certify(state, z, frame=False)
+        # choose_truncation certifies K in the origin frame, and the
+        # projection on |0>, ..., |K> is within the tolerance of W
+        K = certify(CoherentState(u), lattice(-3.0, 3.0, 60, -3.0, 3.0, 60))
         assert 0 < K <= ORDER_CAP
-        gap = np.max(np.abs(wigner_series(state, z) * math.pi - origin_sum(state, z)))
-        assert gap <= TOL
 
     def test_order_is_the_order_in_the_frame(self):
-        # in its own frame the Taylor stack of |U> is 1, 0, 0, ...: the
-        # orders the origin needs, and the cap, give the values of K = 0
+        # order projects the state on |0>, ..., |order> in the origin frame:
+        # from choose_truncation's K on, within the tolerance of W; past
+        # MAX_DEGREE it is refused
         state = CoherentState(0.7 - 0.4j)
         z = lattice(-3.0, 3.0, 60, -3.0, 3.0, 60)
         values = wigner_series(state, z)
-        for K in (0, 17, ORDER_CAP):
-            assert np.array_equal(wigner_series(state, z, order=K), values)
+        for K in (choose_truncation(state, z, POLICY), 60, 120):
+            assert np.max(np.abs(wigner_series(state, z, order=K) - values)) * math.pi <= TOL
+        with pytest.raises(ValueError, match=f"limited to {MAX_DEGREE}"):
+            wigner_series(state, z, order=MAX_DEGREE + 1)
 
 
 class TestBlocks:
-    """Each route takes the raveled labels in flat blocks of
-    core.BLOCK_POINTS points, with one K for all of them, so the values do
-    not depend on the block size: a point's value does not depend on the
-    length of the array it sits in, length 1 included."""
+    """The labels are taken in flat blocks of core.BLOCK_POINTS raveled
+    points, so the values do not depend on the block size: a point's value
+    does not depend on the length of the array it sits in, length 1
+    included."""
 
-    STATES = [CoherentState(0.7 - 0.4j), cat_state(1.1), superposition([(0.5, FockState(n)) for n in range(4)])]
+    STATES = [CoherentState(0.7 - 0.4j), cat_state(1.1), superposition([(0.5, FockState(n)) for n in range(4)]),
+              superposition([(complex(1, k), CoherentState(u)) for k, u in enumerate((2.0, 0.5j, -1.0 - 0.5j))],
+                            normalize=True),
+              superposition([(0.6, FockState(2)), (0.8j, CoherentState(0.5 - 0.3j))], normalize=True)]
+    IDS = ["coherent", "cat1.1", "sup4", "three-coherent", "fock-coherent"]
 
     @staticmethod
     def one_block(monkeypatch, state, z, order=None):
@@ -816,29 +803,30 @@ class TestBlocks:
             patch.setattr(core, "BLOCK_POINTS", z.size)
             return wigner_series(state, z, order=order)
 
-    @pytest.mark.parametrize("state", STATES, ids=["coherent", "cat1.1", "sup4"])
+    @pytest.mark.parametrize("state", STATES, ids=IDS)
     def test_last_block_of_one_point(self, state, monkeypatch):
         rng = np.random.default_rng(RNG_SEED)
         z = rng.uniform(-2.0, 2.0, 4097) + 1j * rng.uniform(-2.0, 2.0, 4097)
         assert core.BLOCK_POINTS == 4096
         assert np.array_equal(wigner_series(state, z), self.one_block(monkeypatch, state, z))
 
-    @pytest.mark.parametrize("state", STATES, ids=["coherent", "cat1.1", "sup4"])
+    @pytest.mark.parametrize("state", STATES, ids=IDS)
     def test_blocks_of_one_point(self, state, monkeypatch):
+        # the exact sum, and the projection on choose_truncation's K orders
         z = lattice(-3.0, 3.0, 9, -3.0, 3.0, 7).ravel()
         K = choose_truncation(state, z, TruncationPolicy())
         monkeypatch.setattr(core, "BLOCK_POINTS", 1)
-        blocked = wigner_series(state, z, order=K)
-        assert np.array_equal(blocked, self.one_block(monkeypatch, state, z, order=K))
+        for order in (None, K):
+            blocked = wigner_series(state, z, order=order)
+            assert np.array_equal(blocked, self.one_block(monkeypatch, state, z, order=order))
 
     def test_traced_peak_of_200_squared_labels(self):
         # the bound of tests/test_grid.py::TestTracedPeak at blocks of 4096
         # points: the labels and values, 24 bytes a point, and one block of
-        # the deleted derivative-stack walk, 3(K+1) + 24 doubles a point
+        # the deleted derivative-stack walk, 3(K+1) + 24 doubles a point at
+        # the walk's K = 21 for cat(1.1); the pair form of a cat keeps 17
         import tracemalloc
 
-        # the block term keeps the shell walk's K = 21: Royer's sum holds
-        # far fewer doubles a point than the walk's 3(K+1) at K = 28
         state = cat_state(1.1)
         z = lattice(-3.0, 3.0, 200, -3.0, 3.0, 200).ravel()
         K = 21
@@ -863,17 +851,20 @@ class TestLargeExplicitOrder:
         (FockState(3), [0.5 - 0.2j, 4, 30]),
     ], ids=["fock0", "coherent3", "fock3"])
     def test_polynomial_state_walks_to_its_degree(self, state, z):
-        # in its own frame coherent(3) is the vacuum, of degree 0; the
-        # entries beyond the degree are 0, so the cap is exact
+        # a polynomial state stops at its degree, exactly; coherent(3) sums
+        # its projection on |0>, ..., |170>, within the tolerance of W
         z = np.array(z, dtype=complex)
         got = wigner_series(state, z, order=170)
         assert np.all(np.isfinite(got))
-        assert np.array_equal(got, wigner_series(state, z))
+        if exact_degree(state) is None:
+            assert np.max(np.abs(got - wigner_series(state, z))) * math.pi <= TOL
+        else:
+            assert np.array_equal(got, wigner_series(state, z))
 
     def test_non_finite_value_names_label_order_and_value(self):
-        # Royer's sum stays finite at any order, and so does the number
-        # form where the Gaussian underflows, at every offset; 1/(pi hbar)
-        # itself overflows at hbar = 1e-310
+        # the number form stays finite at any order, also where the Gaussian
+        # underflows, at every offset; 1/(pi hbar) itself overflows at
+        # hbar = 1e-310
         assert np.all(np.isfinite(wigner_series(cat_state(1.1), np.array([3.5, 6, 11, 23]), order=170)))
         dense = superposition([(1.0, FockState(n)) for n in range(13)], normalize=True)
         for state in (FockState(12), dense):
@@ -923,6 +914,51 @@ class TestFloat64FactorialLimit:
         message = str(err.value)
         for part in ("FockState(n=301)", "K = 301", "limited to 300"):
             assert part in message
+
+
+class TestExactPairSum:
+    """The pair form needs no order, so states whose cut would pass
+    ORDER_CAP evaluate, and every state meets mpmath's pair sum on its own
+    window (validate.state_window, 41^2), in units of 1/(pi hbar)."""
+
+    @staticmethod
+    def own_window(state):
+        q_lo, q_hi, p_lo, p_hi = state_window(state, BasisParams())
+        return lattice(q_lo, q_hi, 41, p_lo, p_hi, 41).ravel()
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["even", "odd"])
+    def test_cat15_on_its_own_window(self, sign):
+        # its cut needs K >= 450, past the cap, and raised TruncationError;
+        # every point against 50 digits
+        state = cat_state(15.0, sign)
+        with pytest.raises(TruncationError):
+            choose_truncation(state, None, POLICY)
+        z = self.own_window(state)
+        for value, zv in zip(wigner_series(state, z) * math.pi, z):
+            assert abs(value - pair_pi_w(state, zv, 50)) <= 1e-14, zv
+
+    STATES = {
+        "fock7+fock5": superposition([(1.0, FockState(7)), (1.0, FockState(5))], normalize=True),
+        "coherent7+coherent5": superposition([(1.0, CoherentState(7.0)), (1.0, CoherentState(5.0))], normalize=True),
+        "cat4": cat_state(4.0),
+        "coherent6": CoherentState(6.0),
+        "coherent9-7i": CoherentState(9 - 7j),
+        "3-fold-4": superposition([(1.0, CoherentState(4 * np.exp(2j * np.pi * k / 3))) for k in range(3)],
+                                  normalize=True),
+        "5-fold-4": superposition([(1.0, CoherentState(4 * np.exp(2j * np.pi * k / 5))) for k in range(5)],
+                                  normalize=True),
+        "5+5i,i(6+3i)": superposition([(1.0, CoherentState(5 + 5j)), (1j, CoherentState(6 + 3j))], normalize=True),
+        "mixture": superposition([(1.0, FockState(5)), (0.5, CoherentState(2 - 1j)), (0.3j, FockState(0))],
+                                 normalize=True),
+    }
+
+    @pytest.mark.parametrize("name", STATES)
+    def test_own_window_against_mpmath(self, name):
+        # every 7th point against 30 digits
+        state = self.STATES[name]
+        z = self.own_window(state)[::7]
+        for value, zv in zip(wigner_series(state, z) * math.pi, z):
+            assert abs(value - pair_pi_w(state, zv)) <= 1.5e-15, (name, zv)
 
 
 class TestComplexSuperpositions:

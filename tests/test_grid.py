@@ -10,7 +10,7 @@ from bargwig.core import TruncationPolicy, choose_truncation, wigner_closed_cohe
 from bargwig.grid import GridAxis, WignerGrid, evaluate_grid
 from bargwig.oracles import OracleConvergenceError, wigner_config_integral, wigner_phase_integral
 from bargwig.phase import BasisParams, qp_from_z, z_from_qp
-from bargwig.states import CoherentState, FockState, cat_state, superposition
+from bargwig.states import CoherentState, FockState, cat_state, exact_degree, superposition
 from bargwig.validate import state_window
 
 SUP4 = superposition([(0.5, FockState(n)) for n in range(4)])
@@ -166,13 +166,13 @@ def spy_on_blocks(monkeypatch):
     """Record the number of labels in every block that the series of
     core._evaluate takes."""
     sizes = []
-    wigner_at = core._wigner_at
+    pair_form = core._pair_form
 
-    def recording(state, zz, *args):
+    def recording(state, zz):
         sizes.append(zz.size)
-        return wigner_at(state, zz, *args)
+        return pair_form(state, zz)
 
-    monkeypatch.setattr(core, "_wigner_at", recording)
+    monkeypatch.setattr(core, "_pair_form", recording)
     return sizes
 
 
@@ -186,7 +186,6 @@ class TestBlocks:
     def test_values_do_not_depend_on_the_block_size(self, state, monkeypatch):
         q_axis, p_axis = GridAxis(-3.0, 3.0, 23), GridAxis(-2.5, 3.0, 17)
         whole = evaluate_grid(state, q_axis, p_axis)
-        K = whole.metadata["truncation_order"]
         # blocks of 84 points cut rows: 391 points leave a last block of 55
         monkeypatch.setattr(core, "BLOCK_POINTS", 5 * p_axis.count - 1)
         sizes = spy_on_blocks(monkeypatch)
@@ -195,13 +194,14 @@ class TestBlocks:
 
         qq, pp = np.meshgrid(q_axis.points, p_axis.points, indexing="ij")
         single = wigner_series(state, z_from_qp(qq, pp, BasisParams()))
-        assert np.array_equal(blocked.values, single) and blocked.metadata["truncation_order"] == K
+        assert np.array_equal(blocked.values, single)
+        assert blocked.metadata["truncation_order"] == whole.metadata["truncation_order"] == exact_degree(state)
         assert np.array_equal(whole.values, single)
 
     @pytest.mark.parametrize("state", [FockState(0), cat_state(1.1)], ids=["fock0", "cat1.1"])
     def test_no_block_exceeds_the_point_budget(self, state, monkeypatch):
-        # the block is cut by points whatever K is: 9 blocks of 4096 points
-        # and one of 3136 for K = 0 and K = 28 alike
+        # the block is cut by points whatever the state: 9 blocks of 4096
+        # points and one of 3136 for fock(0) and cat(1.1) alike
         axis = GridAxis(-3.0, 3.0, 200)
         sizes = spy_on_blocks(monkeypatch)
         evaluate_grid(state, axis, axis)
@@ -211,16 +211,16 @@ class TestBlocks:
 
 class TestTracedPeak:
     """The bound is that of a block of the derivative-stack walk, now
-    deleted, which kept about 3(K+1) + O(1) doubles per point, the Taylor
-    stack and one kernel diagonal; the number form and Royer's sum keep
-    fewer. With the grid's
-    own arrays (the complex labels and the values, 24 bytes a point) one
-    evaluate_grid at 200^2 peaks, as tracemalloc sees numpy's allocations,
-    below 24 N + 8 (3(K+1) + 24) 4096 bytes: from 1.9 MB for fock(0) to
-    4.2 MB for cat(1.1), whose block term keeps the walk's K = 21 although
-    its sum runs to K = 28. The block term is fixed at the
-    4096 points of core.BLOCK_POINTS, so a larger block fails the test
-    rather than raising its bound."""
+    deleted, which kept about 3(K+1) + O(1) doubles per point at the walk's
+    order K, the Taylor stack and one kernel diagonal; the pair form keeps
+    fewer (core.BLOCK_POINTS). With the grid's own arrays (the complex
+    labels and the values, 24 bytes a point) one evaluate_grid at 200^2
+    peaks, as tracemalloc sees numpy's allocations, below
+    24 N + 8 (3(K+1) + 24) 4096 bytes: from 1.9 MB for fock(0) to 4.2 MB
+    for cat(1.1), whose block term keeps the walk's K = 21, and 1.9 MB for
+    coherent(0.7 - 0.4i), which the walk summed at K = 0. The block term is
+    fixed at the 4096 points of core.BLOCK_POINTS, so a larger block fails
+    the test rather than raising its bound."""
 
     @pytest.mark.parametrize("state, K", [(FockState(0), 0), (FockState(6), 6), (FockState(12), 12),
                                           (CoherentState(0.7 - 0.4j), 0), (cat_state(1.1), 21), (SUP4, 3)],
@@ -258,9 +258,9 @@ class TestOrigin:
 
 
 class TestOwnFrame:
-    """The series grid evaluates a bare coherent state in its own frame and
-    records the frame next to the truncation order, which is the order in
-    that frame; every other state keeps the origin."""
+    """The series grid records no frame, and for every method the state's
+    exact degree as its truncation order: null for a state with a coherent
+    member, which the pair form sums exactly."""
 
     @pytest.mark.parametrize("u", [3.0, 4.0, 5.0, 6.0, 4.0 - 2.0j])
     def test_coherent_on_its_own_window(self, u):
@@ -269,8 +269,7 @@ class TestOwnFrame:
         state = CoherentState(u)
         q_lo, q_hi, p_lo, p_hi = state_window(state, basis)
         g = evaluate_grid(state, GridAxis(q_lo, q_hi, 41), GridAxis(p_lo, p_hi, 41), basis)
-        assert g.metadata["truncation_order"] == 0
-        assert g.metadata["frame"] == [u.real, u.imag]
+        assert g.metadata["truncation_order"] is None and "frame" not in g.metadata
         Q, P = qp_from_z(u, basis)
         qq, pp = np.meshgrid(g.q_axis.points, g.p_axis.points, indexing="ij")
         want = wigner_closed_coherent_gaussian(Q, P, basis.b, qq, pp, basis.hbar)
@@ -281,14 +280,14 @@ class TestOwnFrame:
         superposition([(0.6, FockState(2)), (0.8j, CoherentState(0.5 - 0.3j))], normalize=True),
     ], ids=["cat1.1", "fock-coherent"])
     def test_origin_states_keep_frame_and_order(self, state):
-        # the recorded order is choose_truncation's, and every point is
-        # within the tolerance of the sum 40 orders on
+        # the grid is wigner_series on its labels, and every point is within
+        # the tolerance of the state projected on choose_truncation's K + 40
+        # orders
         axis = GridAxis(-3.0, 3.0, 60)
         g = evaluate_grid(state, axis, axis)
-        assert g.metadata["frame"] == [0.0, 0.0]
+        assert g.metadata["truncation_order"] is None and "frame" not in g.metadata
         z = z_from_qp(axis.points[:, None], axis.points[None, :], BasisParams())
         K = choose_truncation(state, z, TruncationPolicy())
-        assert g.metadata["truncation_order"] == K
         assert np.array_equal(g.values, wigner_series(state, z))
         gap = np.max(np.abs(g.values - wigner_series(state, z, order=K + 40))) * math.pi
         assert gap <= TruncationPolicy().tail_tolerance
@@ -298,15 +297,13 @@ class TestOwnFrame:
         superposition([(1.0, CoherentState(7.0)), (1.0, CoherentState(5.0))], normalize=True),
     ], ids=["weak-far-member", "off-centre-pair"])
     def test_coherent_superposition_in_its_mean_frame(self, state):
-        # the recorded frame is the members' mean label, the order is
-        # choose_truncation's there, and every point is within the tolerance
-        # of the sum 40 orders on
+        # whatever the members' mean label, every point is within the
+        # tolerance of the state projected on choose_truncation's K + 40
+        # orders
         axis = GridAxis(-3.0, 3.0, 60)
         g = evaluate_grid(state, axis, axis)
-        z0 = (state.terms[0][1].u + state.terms[1][1].u) / 2
-        assert g.metadata["frame"] == [z0.real, z0.imag]
-        K = choose_truncation(core._own_frame(state)[0], None, TruncationPolicy())
-        assert g.metadata["truncation_order"] == K
+        assert g.metadata["truncation_order"] is None and "frame" not in g.metadata
+        K = choose_truncation(state, None, TruncationPolicy())
         z = z_from_qp(axis.points[:, None], axis.points[None, :], BasisParams())
         gap = np.max(np.abs(g.values - wigner_series(state, z, order=K + 40))) * math.pi
         assert gap <= TruncationPolicy().tail_tolerance
@@ -315,7 +312,7 @@ class TestOwnFrame:
     def test_other_methods_keep_the_origin(self, method):
         axis = GridAxis(-1.0, 1.0, 2)
         g = evaluate_grid(CoherentState(0.7 - 0.4j), axis, axis, method=method)
-        assert g.metadata["frame"] == [0.0, 0.0]
+        assert "frame" not in g.metadata
         assert g.metadata["truncation_order"] is None
 
 
@@ -355,8 +352,8 @@ class TestOracleMethods:
 
 
 class TestTolerance:
-    """A given tol is used as given, and one that is not positive and
-    finite is refused by every method."""
+    """A tol that is not positive and finite is refused by every method,
+    and any tol by the series and the closed forms, which are exact."""
 
     AXIS = GridAxis(-1.0, 1.0, 3)
 
@@ -366,12 +363,11 @@ class TestTolerance:
         with pytest.raises(ValueError, match=f"positive and finite, got {tol!r}"):
             evaluate_grid(CoherentState(0.7 - 0.4j), self.AXIS, self.AXIS, method=method, tol=tol)
 
-    def test_series_uses_given_tol(self):
-        # a cat keeps the origin frame; a bare coherent state has K = 0 in its own
-        state = cat_state(1.1)
-        orders = [evaluate_grid(state, self.AXIS, self.AXIS, tol=tol).metadata["truncation_order"]
-                  for tol in (1e-4, 1e-12, None)]
-        assert orders[0] < orders[1] < orders[2]
+    @pytest.mark.parametrize("method", ["series", "closed"])
+    def test_exact_methods_refuse_a_tol(self, method):
+        # the series' tail tolerance once set its order; no order is cut now
+        with pytest.raises(ValueError, match=re.escape(f"method {method!r} is exact and takes no tol")):
+            evaluate_grid(CoherentState(0.7 - 0.4j), self.AXIS, self.AXIS, method=method, tol=1e-8)
 
 
 class TestValidate:

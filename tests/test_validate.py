@@ -2,7 +2,7 @@
 suite's paper-form-agreement check compares the evaluated W of every state
 of its catalog with the paper's form exp(-2|z|^2) Re(c^dagger F c),
 F = build_F(z, K), on 48 points of an annulus out to |z| = 4, the paper's
-side at choose_truncation's K."""
+side at choose_truncation's K and the evaluated W exact."""
 
 import pytest
 
@@ -33,21 +33,21 @@ def test_every_check_is_timed():
     assert all(r.seconds >= 0 and r.to_dict()["seconds"] == r.seconds for r in results)
 
 
-def test_paper_form_agreement_catches_a_scaled_royer_form(monkeypatch):
-    # the cat, the one state of the check summed by Royer's form, off by a
-    # relative 1e-8 fails the check's 1e-9 tolerance in the max norm; the
-    # paper's side (build_F) is untouched
-    royer_form = core._royer_form
-    monkeypatch.setattr(core, "_royer_form", lambda *a, **k: royer_form(*a, **k) * (1 + 1e-8))
+def test_paper_form_agreement_catches_a_scaled_pair_form(monkeypatch):
+    # the pair form, which sums every state of the check, off by a relative
+    # 1e-8 fails the check's 1e-9 tolerance, pointwise on the polynomial
+    # states and in the max norm on the others; the paper's side (build_F)
+    # is untouched
+    pair_form = core._pair_form
+    monkeypatch.setattr(core, "_pair_form", lambda *a, **k: pair_form(*a, **k) * (1 + 1e-8))
     check = {r.name: r for r in suite_series()}["paper-form-agreement"]
     assert not check.passed
     assert check.residual == pytest.approx(1e-8, rel=0.01)
 
 
 def test_paper_form_agreement_catches_a_scaled_number_form(monkeypatch):
-    # a number form off by a relative 1e-8 fails, pointwise on the
-    # polynomial states and in the max norm on the coherent state, which is
-    # summed as the vacuum in its own frame
+    # a number form off by a relative 1e-8 fails pointwise on the
+    # polynomial states, whose Fock pairs it sums
     number_form = core._number_form
     monkeypatch.setattr(core, "_number_form", lambda *a, **k: number_form(*a, **k) * (1 + 1e-8))
     check = {r.name: r for r in suite_series()}["paper-form-agreement"]
