@@ -18,7 +18,7 @@ bilinear in the state. _evaluate, behind wigner_series and evaluate_grid,
 sums it block by block (_pair_form) as a double sum over the members of a
 catalog state, each pair's term in closed form: a Fock pair gives the
 paper's own Laguerre kernel, summed over the number amplitudes <k|psi>
-with one Laguerre recurrence per offset k - n (_number_form); a coherent
+with special.laguerre_steps at each offset k - n (_number_form); a coherent
 pair gives one Gaussian; a Fock-coherent pair gives one coherent amplitude.
 Nothing is truncated. choose_truncation picks the order K at which
 validate cuts the paper's side, build_F's form, for a state with a
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase import BasisParams
-from .special import g_kernel, laguerre
+from .special import g_kernel, laguerre, laguerre_steps
 from .states import (CoherentState, FockState, StateSpec, _terms, _unchecked_superposition, exact_degree, norm_squared,
                      overlap)
 
@@ -56,8 +56,8 @@ ORDER_CAP = 400
 
 # Orders of the number amplitudes: a polynomial state's degree, the Fock
 # part's of a mixture, or wigner_series' order. fock(300) is finite at
-# every label (0 <= |z| <= 40, step 1e-4); fock(309) is not: near
-# |z| = 19.27, L_N(4|z|^2) overflows float64 before exp(-2|z|^2) underflows.
+# every label (0 <= |z| <= 40, step 1e-4); fock(308) is not: near
+# |z| = 19.28, L_N(4|z|^2) overflows float64 before exp(-2|z|^2) underflows.
 MAX_DEGREE = 300
 
 # Points summed per block. _pair_form keeps, as tracemalloc sees one block,
@@ -111,35 +111,29 @@ def build_F(z: complex, K: int) -> np.ndarray:
     return entries
 
 
-def _number_form(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
-    """pi hbar W at the 1-D labels zz of a polynomial state from its number
-    amplitudes c_k = <k|psi>, k <= K: Royer's form at 2z,
+def _number_form(c: list, zz: np.ndarray) -> np.ndarray:
+    """pi hbar W at the 1-D labels zz of the polynomial state whose number
+    amplitudes are c_k = <k|psi>, k < len(c): Royer's form at 2z,
     Re sum_(k,n) (-1)^k conj(c_k) c_n <k|D(-2z)|n>, over Cahill and Glauber's
     normalized Laguerre matrix elements, x = 4|z|^2. The pairs k = n + a and
     n = k + a give one real sum over the offsets a,
 
         exp(-x/2) sum_a w_a Re[(2z)^a sum_n (-1)^n conj(c_(n+a)) c_n sqrt(n!/(n+a)!) L_n^(a)(x)],
 
-    w_0 = 1, w_a = 2. c is taken once per call (states.overlap). Each
-    offset runs one upward Laguerre recurrence in n, that of
-    special.laguerre operation for operation, up to the last n with
-    c_n c_(n+a) != 0; an offset with no such pair is skipped, and no offset
-    past the last one used is reached. sqrt(n!/(n+a)!) is a running
-    product, and so is exp(-x/2) (2z)^a: where the Gaussian underflows the
-    value is 0, and x and z are set to 0 there, so neither L(x) nor (2z)^a
-    can overflow to give nan.
-    Below a state's degree, K keeps the c_k up to k = K: W of the state
-    projected on |0>, ..., |K>. For fock(N) the value is
-    wigner_closed_fock's, bitwise."""
-    c = [complex(overlap(FockState(k), state)) for k in range(K + 1)]
-    pairs = [[n for n in range(K + 1 - a) if c[n] and c[n + a]] for a in range(K + 1)]
-    last = max((a for a in range(K + 1) if pairs[a]), default=-1)
+    w_0 = 1, w_a = 2. Each offset takes L_n^(a) from special.laguerre_steps
+    up to the last n with c_n c_(n+a) != 0; an offset with no such pair is
+    skipped, and no offset past the last one used is reached.
+    sqrt(n!/(n+a)!) is a running product, and so is exp(-x/2) (2z)^a: where
+    the Gaussian underflows the value is 0, and x is set to 0 there, so
+    L(x) cannot overflow to give nan (2z is finite at the labels _evaluate
+    passes). For fock(N) the value is wigner_closed_fock's, bitwise."""
+    pairs = [[n for n in range(len(c) - a) if c[n] and c[n + a]] for a in range(len(c))]
+    last = max((a for a, used in enumerate(pairs) if used), default=-1)
     u = (np.conj(zz) * zz).real
     x = 4.0 * u
     power = np.exp(-2.0 * u) + 0j  # exp(-x/2) (2z)^a
-    far = power.real == 0
-    x[far] = 0.0
-    two_z = 2.0 * np.where(far, 0j, zz)  # 2z may overflow there, and 0 inf is nan
+    x[power.real == 0] = 0.0
+    two_z = 2.0 * zz
     total = np.zeros(zz.shape)
     tmp = np.empty(zz.shape)
     root = 1.0  # sqrt(0!/a!)
@@ -149,35 +143,21 @@ def _number_form(state: StateSpec, zz: np.ndarray, K: int) -> np.ndarray:
             root /= math.sqrt(a)
         if not pairs[a]:
             continue
-        prev, cur = np.empty(zz.shape), np.ones(zz.shape)  # L_(n-1)^(a), L_n^(a)
-        parts = np.zeros((2,) + zz.shape)  # Re and Im of the sum over n
-        scale = root  # sqrt(n!/(n+a)!)
-        for n in range(pairs[a][-1] + 1):
+        parts = np.zeros((2,) + zz.shape)  # Re and Im of S_a, the sum over n
+        scale = 2.0 * root if a else root  # w_a sqrt(n!/(n+a)!)
+        for n, value in enumerate(laguerre_steps(pairs[a][-1], x, a)):
             if n:
                 scale *= math.sqrt(n / (n + a))
-                prev, cur = cur, prev
-            if n == 1:
-                np.subtract(1 + a, x, out=cur)
-            elif n > 1:
-                # L_n = ((2n-1+a - x) L_(n-1) - (n-1+a) L_(n-2)) / n, into the buffer of L_(n-2)
-                np.subtract(2 * n - 1 + a, x, out=tmp)
-                tmp *= prev
-                cur *= n - 1 + a
-                np.subtract(tmp, cur, out=cur)
-                cur /= n
             if c[n] and c[n + a]:
                 beta = (-1) ** n * c[n + a].conjugate() * c[n] * scale
                 for part, b in zip(parts, (beta.real, beta.imag)):
                     if b:
-                        np.multiply(cur, b, out=tmp)
+                        np.multiply(value, b, out=tmp)
                         part += tmp
-        # w_a Re[exp(-x/2) (2z)^a S_a], S_a the sum over n
         parts[0] *= power.real
         parts[1] *= power.imag
         parts[0] -= parts[1]
-        if a:
-            parts[0] *= 2.0
-        total += parts[0]
+        total += parts[0]  # Re[exp(-x/2) (2z)^a S_a]
     return total
 
 
@@ -215,14 +195,15 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
                           f"{bound:.3g}", ORDER_CAP, bound)
 
 
-def _pair_form(state: StateSpec, zz: np.ndarray) -> np.ndarray:
+def _pair_form(state: StateSpec, zz: np.ndarray, amplitudes: list) -> np.ndarray:
     """pi hbar W = <psi|O|psi>, O = D(2z) Pi, at the 1-D labels zz, exactly,
     one member pair at a time. The state is split into its Fock part P and
     its coherent members C = sum_j c_j |v_j>, and O is Hermitian, so
 
         pi hbar W = <P|O|P> + <C|O|C> + 2 Re <P|O|C>.
 
-    <P|O|P> is _number_form's, at P's degree. A coherent pair gives one
+    <P|O|P> is _number_form's, on P's number amplitudes (empty for no Fock
+    member), which _evaluate takes once. A coherent pair gives one
     Gaussian, D(a)|b> = exp(i Im(a conj(b))) |a + b>,
 
         <u|O|v> = exp(-2|z - (u+v)/2|^2 + i [2 Im(z conj(u - v)) - Im(conj(u) v)]),
@@ -235,13 +216,11 @@ def _pair_form(state: StateSpec, zz: np.ndarray) -> np.ndarray:
     pair. The phases stay small near the state, where their rounding
     would show. A Fock-coherent pair gives one coherent amplitude,
     <k|O|v> = exp(-2i Im(y conj(v))) <k|2y>, y = z - v/2, a running product
-    e^(-2|y|^2) (2y)^k / sqrt(k!) up to P's degree; where its Gaussian
-    underflows it is 0, and 2y is set to 0 there, so inf cannot give nan."""
-    terms = _terms(state)
-    coherent = [(c, m.u) for c, m in terms if isinstance(m, CoherentState)]
-    fock = [(c, m) for c, m in terms if isinstance(m, FockState)]
+    e^(-2|y|^2) (2y)^k / sqrt(k!) up to P's degree. The labels are those
+    _evaluate leaves finite in every square and phase."""
+    coherent = [(c, m.u) for c, m in _terms(state) if isinstance(m, CoherentState)]
     if not coherent:
-        return _number_form(state, zz, exact_degree(state))
+        return _number_form(amplitudes, zz)
     total = np.zeros(zz.shape)
     tmp, sq = np.empty(zz.shape), np.empty(zz.shape)
 
@@ -274,18 +253,16 @@ def _pair_form(state: StateSpec, zz: np.ndarray) -> np.ndarray:
                 tmp *= phase.real
             total += tmp
 
-    if fock:
-        part = _unchecked_superposition(fock)
-        K = exact_degree(part)
-        total += _number_form(part, zz, K)
-        p = [complex(overlap(FockState(k), part)).conjugate() for k in range(K + 1)]
+    if amplitudes:
+        total += _number_form(amplitudes, zz)
+        p = [a.conjugate() for a in amplitudes]
         for c, v in coherent:
             y = zz - v / 2
             yr, yi = y.real, y.imag
             a = np.exp(-2.0 * (yr * yr + yi * yi) - 2j * (yi * v.real - yr * v.imag))  # <0|O|v>
-            step = 2.0 * np.where(a == 0, 0j, y)
+            step = 2.0 * y
             cross = a * (2 * c * p[0])
-            for k in range(1, K + 1):
+            for k in range(1, len(p)):
                 a = a * step * (1 / math.sqrt(k))
                 if p[k]:
                     cross += a * (2 * c * p[k])
@@ -298,25 +275,35 @@ def _evaluate(state: StateSpec, z: np.ndarray, hbar: float, order: int | None = 
     one series evaluation behind wigner_series and evaluate_grid. With no
     order, the exact pair form (_pair_form); with one, the number form
     (_number_form) of the state projected on |0>, ..., |order>, for a
-    polynomial state no further than its degree. The order of the number
-    amplitudes, the given one or the Fock part's degree, is limited to
-    MAX_DEGREE: past it the Laguerre values of _number_form overflow
-    float64 where the Gaussian has not yet underflowed. Every part is
-    pointwise, so values do not depend on the blocks of BLOCK_POINTS they
-    are summed in. A value not finite raises ValueError naming its label.
+    polynomial state no further than its degree. The number amplitudes
+    <k|.>, of the Fock part or of the state, are taken once, up to the
+    Fock part's degree or order, at most MAX_DEGREE: past it the Laguerre
+    values of _number_form overflow float64 where the Gaussian has not yet
+    underflowed. Each pair's Gaussian is centred within max |v| of the
+    origin (v the coherent labels), so past reach = 20 + max |v| in Re z or
+    Im z W is 0: such labels are summed at reach, where every square and
+    phase is finite. Every part is pointwise, so values do not depend on the
+    blocks of BLOCK_POINTS. A value not finite raises ValueError naming
+    its label.
     """
     if order is not None and order < 0:
         raise ValueError(f"truncation order must be non-negative, got {order}")
-    deg, fock = exact_degree(state), [m.n for _, m in _terms(state) if isinstance(m, FockState)]
-    K = max(fock, default=None) if order is None else order if deg is None else min(order, deg)
+    deg, terms = exact_degree(state), _terms(state)
+    fock = [(b, m) for b, m in terms if isinstance(m, FockState)]
+    K = max((m.n for _, m in fock), default=None) if order is None else order if deg is None else min(order, deg)
     if K is not None and K > MAX_DEGREE:
         raise ValueError(f"{state!r} needs truncation order K = {K}; the number amplitudes are limited to "
                          f"{MAX_DEGREE}, past which L_K(4|z|^2) overflows float64 before exp(-2|z|^2) underflows")
+    part = _unchecked_superposition(fock) if order is None else state
+    c = [] if K is None else [complex(overlap(FockState(k), part)) for k in range(K + 1)]
+    reach = 20.0 + max((abs(m.u) for _, m in terms if isinstance(m, CoherentState)), default=0.0)
     values = np.empty(z.shape)
     zz, out = z.reshape(-1), values.reshape(-1)
     for lo in range(0, zz.size, BLOCK_POINTS):
         block = zz[lo:lo + BLOCK_POINTS]
-        form = _pair_form(state, block) if order is None else _number_form(state, block, K)
+        if np.abs(block.view(float)).max() > reach:  # some label's Re z or Im z
+            block = np.where(np.maximum(np.abs(block.real), np.abs(block.imag)) > reach, reach, block)
+        form = _pair_form(state, block, c) if order is None else _number_form(c, block)
         out[lo:lo + BLOCK_POINTS] = form / (math.pi * hbar)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:

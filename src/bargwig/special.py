@@ -2,9 +2,12 @@
 the quadratic form, the terminating 2F0 series in its singularity-free
 polynomial form.
 
-The kernel is an associated Laguerre polynomial, evaluated by the upward
-recurrence in laguerre rather than as the alternating 2F0 sum, which
-cancels catastrophically in float64.
+The kernel is an associated Laguerre polynomial. laguerre_steps, the one
+Laguerre recurrence, serves it, laguerre, the Fock closed form and core's
+number form, in Reinsch's difference form (Stoer and Bulirsch, sec. 2.3;
+Gentleman, Comput. J. 12, 160 (1969)): it keeps full precision near
+x = 0, where the upward three-term form cancels at every step, as the
+alternating 2F0 sum cancels everywhere.
 
 All functions accept numpy arrays in their continuous argument and
 broadcast elementwise; order arguments are plain non-negative ints.
@@ -18,26 +21,38 @@ import numpy as np
 
 __all__ = [
     "laguerre",
+    "laguerre_steps",
     "g_kernel",
     "hermite_psi",
 ]
 
 
-def laguerre(n: int, x, a: int = 0):
-    """Associated Laguerre polynomial L_n^(a)(x), a >= 0, by the upward
-    three-term recurrence
+def laguerre_steps(n: int, x, a: int = 0):
+    """Yield L_0^(a)(x), ..., L_n^(a)(x), a >= 0, by Reinsch's difference form
 
-        (k+1) L_{k+1} = (2k+1+a - x) L_k - (k+a) L_{k-1},   L_{-1} = 0, L_0 = 1.
-    """
+        k d_k = (k-1+a) d_(k-1) - x L_(k-1),   L_k = L_(k-1) + d_k,   L_0 = d_0 = 1:
+
+    floats for a scalar x, else one array, updated in place by each step."""
     if n < 0:
         raise ValueError("Laguerre degree must be non-negative")
-    # [()] makes a 0-d input a numpy scalar, on which the loop runs about
-    # twice as fast as on a 0-d array (build_F calls it once per entry)
-    x = np.asarray(x, dtype=float)[()]
-    prev, cur = 0.0, np.ones(x.shape)
-    for k in range(n):
-        prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
-    return cur if cur.ndim else float(cur)
+    x = np.asarray(x, dtype=float)
+    # a scalar steps in Python floats, which round as float64 and take about
+    # a third of the time of numpy scalars (build_F takes one per entry)
+    x, value, diff = (x, np.ones(x.shape), np.ones(x.shape)) if x.ndim else (float(x), 1.0, 1.0)
+    yield value
+    for k in range(1, n + 1):
+        diff *= k - 1 + a
+        diff -= x * value
+        diff /= k
+        value += diff
+        yield value
+
+
+def laguerre(n: int, x, a: int = 0):
+    """Associated Laguerre polynomial L_n^(a)(x), a >= 0: the last value of
+    laguerre_steps."""
+    *_, value = laguerre_steps(n, x, a)
+    return value
 
 
 def g_kernel(n: int, j: int, z):
@@ -71,10 +86,7 @@ def hermite_psi(n: int, y):
     if n < 0:
         raise ValueError("oscillator level must be non-negative")
     y = np.asarray(y, dtype=float)
-    psi0 = np.pi ** -0.25 * np.exp(-0.5 * y * y)
-    if n == 0:
-        return psi0 if psi0.ndim else float(psi0)
-    psi1 = math.sqrt(2.0) * y * psi0
-    for k in range(1, n):
-        psi0, psi1 = psi1, math.sqrt(2.0 / (k + 1)) * y * psi1 - math.sqrt(k / (k + 1)) * psi0
-    return psi1 if psi1.ndim else float(psi1)
+    prev, psi = 0.0, np.pi ** -0.25 * np.exp(-0.5 * y * y)  # psi_(-1), psi_0
+    for k in range(n):
+        prev, psi = psi, math.sqrt(2.0 / (k + 1)) * y * psi - math.sqrt(k / (k + 1)) * prev
+    return psi if psi.ndim else float(psi)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -199,8 +200,13 @@ def number_form_calls(monkeypatch):
     of the test."""
     orders = []
     number_form = core._number_form
-    monkeypatch.setattr(core, "_number_form", lambda state, zz, K: orders.append(K) or number_form(state, zz, K))
+    monkeypatch.setattr(core, "_number_form", lambda c, zz: orders.append(len(c) - 1) or number_form(c, zz))
     return orders
+
+
+def amplitudes(state, K):
+    """The number amplitudes [<0|psi>, ..., <K|psi>] that _number_form sums."""
+    return [complex(overlap(FockState(k), state)) for k in range(K + 1)]
 
 
 def displaced_amplitudes(state, w, M, dps=30):
@@ -501,7 +507,7 @@ class TestNumberForm:
         K = choose_truncation(state, None, POLICY)
         for z in self.windows(state):
             zz = z.ravel()
-            got, exact = _number_form(state, zz, K), wigner_series(state, z).ravel()
+            got, exact = _number_form(amplitudes(state, K), zz), wigner_series(state, z).ravel()
             if exact_degree(state) is None:
                 assert np.max(np.abs(got - exact * math.pi)) <= TOL, name
             else:
@@ -563,7 +569,7 @@ class TestSteppedWalk:
             c = derivative_tower(state, z, K) / np.array([math.factorial(k) for k in range(K + 1)])
             terms = np.conj(c)[:, None] * build_F(z, K) * c[None, :]
             gauss = math.exp(-2.0 * abs(z) ** 2)
-            got = _number_form(self.taylor_state(c, z), np.array([z]), K)[0]
+            got = _number_form(amplitudes(self.taylor_state(c, z), K), np.array([z]))[0]
             assert abs(got - gauss * terms.sum().real) <= 1e-13 * gauss * np.abs(terms).sum(), z
 
 
@@ -914,6 +920,68 @@ class TestFloat64FactorialLimit:
         message = str(err.value)
         for part in ("FockState(n=301)", "K = 301", "limited to 300"):
             assert part in message
+
+
+class TestNearOrigin:
+    """High Fock degrees near the origin, where the upward three-term
+    Laguerre recurrence lost up to 1e-12 and the difference form keeps full
+    precision: pi hbar W against 100-digit mpmath."""
+
+    @pytest.mark.parametrize("N", [100, 170, 200, 250, MAX_DEGREE])
+    def test_high_fock_against_mpmath(self, N):
+        mpmath = pytest.importorskip("mpmath")
+        z = np.array([r * np.exp(1j * phase) for r in (0.005, 0.02, 0.1, 0.5) for phase in (0.3, 1.9, 4.4)])
+        got = wigner_series(FockState(N), z) * math.pi
+        with mpmath.workdps(100):
+            for value, zv in zip(got, z):
+                x = 4 * abs(mpmath.mpc(zv)) ** 2
+                want = (-1) ** N * mpmath.exp(-x / 2) * mpmath.laguerre(N, 0, x)
+                assert abs(value - want) <= 1e-15, zv
+
+
+class TestNumberAmplitudesOnce:
+    """An evaluation takes the number amplitudes <k|.> once, K + 1 overlaps,
+    however many blocks it sums."""
+
+    @pytest.mark.parametrize("state, order, K", [
+        (FockState(6), None, 6),
+        (superposition([(0.5, FockState(n)) for n in range(4)]), None, 3),
+        (superposition([(1.0, FockState(5)), (1.0, CoherentState(2 - 1j))], normalize=True), None, 5),
+        (cat_state(1.1), None, -1),
+        (CoherentState(0.7 - 0.4j), 23, 23),
+    ], ids=["fock6", "sup4", "fock5+coherent", "cat1.1", "coherent-order23"])
+    def test_overlaps_per_evaluation(self, state, order, K, monkeypatch):
+        calls = []
+        overlap_of = core.overlap
+        monkeypatch.setattr(core, "overlap", lambda *args: calls.append(args) or overlap_of(*args))
+        monkeypatch.setattr(core, "BLOCK_POINTS", 7)
+        z = lattice(-3.0, 3.0, 9, -3.0, 3.0, 7)
+        wigner_series(state, z, order=order)
+        assert len(calls) == K + 1
+        wigner_series(state, z, order=order)
+        assert len(calls) == 2 * (K + 1)
+
+
+class TestFarLabels:
+    """Where every Gaussian of a state underflows W is 0, with no nan and no
+    floating-point warning, up to the float64 limit."""
+
+    STATES = {
+        "cat1.1": cat_state(1.1),
+        "fock5+coherent": superposition([(1.0, FockState(5)), (1.0, CoherentState(2 - 1j))], normalize=True),
+        "fock5": FockState(5),
+        "coherent": CoherentState(2 - 1j),
+    }
+
+    @pytest.mark.parametrize("name", STATES)
+    @pytest.mark.parametrize("z", [-1.5e308j, 1e200, 1.7e308 - 1.7e308j], ids=["-1.5e308j", "1e200", "corner"])
+    def test_zero_with_no_warning(self, name, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = self.STATES[name]
+            assert wigner_series(state, z) == 0.0
+            both = wigner_series(state, np.array([z, 0.3 - 0.2j]))
+            assert np.array_equal(both, [0.0, wigner_series(state, 0.3 - 0.2j)])
 
 
 class TestExactPairSum:

@@ -168,9 +168,9 @@ def spy_on_blocks(monkeypatch):
     sizes = []
     pair_form = core._pair_form
 
-    def recording(state, zz):
+    def recording(state, zz, amplitudes):
         sizes.append(zz.size)
-        return pair_form(state, zz)
+        return pair_form(state, zz, amplitudes)
 
     monkeypatch.setattr(core, "_pair_form", recording)
     return sizes

@@ -9,6 +9,7 @@ from bargwig.special import (
     g_kernel,
     hermite_psi,
     laguerre,
+    laguerre_steps,
 )
 
 
@@ -54,6 +55,56 @@ class TestLaguerre:
         out = laguerre(1, x)
         assert out.shape == (2,)
         assert np.allclose(out, [1.0, 0.0])
+
+    def test_negative_degree_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            laguerre(-1, 0.5)
+
+    @pytest.mark.parametrize("a", [0, 1, 3])
+    def test_near_origin_against_mpmath(self, a):
+        # the upward three-term form lost up to 1e-12 here (L_250^(3)(1e-4)
+        # by 4e-13). Relative to |L|, or near a zero of L to |x dL/dx|, the
+        # change one rounding of x makes: dL_n^(a)/dx = -L_(n-1)^(a+1)
+        mpmath = pytest.importorskip("mpmath")
+
+        def exact(n, b, x):
+            return mpmath.fsum((-1) ** s * mpmath.binomial(n + b, n - s) * x**s / mpmath.factorial(s)
+                               for s in range(n + 1))
+
+        with mpmath.workdps(100):
+            for x in (1e-4, 1e-2, 1.0, 20.0):
+                xm = mpmath.mpf(x)
+                for n in (12, 50, 100, 170, 250, 300):
+                    want = exact(n, a, xm)
+                    scale = max(abs(want), abs(xm * exact(n - 1, a + 1, xm)))
+                    assert abs(laguerre(n, x, a) - want) <= 2e-15 * scale, (n, a, x)
+
+
+class TestLaguerreSteps:
+    """laguerre_steps yields every degree up to n; laguerre is its last
+    value, so the two agree bitwise at every degree."""
+
+    @pytest.mark.parametrize("a", [0, 2])
+    def test_each_degree_is_laguerre(self, a):
+        # an array value is updated in place by the next step, so each is
+        # read as it comes
+        x = np.linspace(0.0, 30.0, 61)
+        n = -1
+        for n, value in enumerate(laguerre_steps(20, x, a)):
+            assert np.array_equal(value, laguerre(n, x, a))
+        assert n == 20
+
+    def test_scalar_and_array_points_round_alike(self):
+        # a scalar (g_kernel) steps in Python floats and a block (core's
+        # number form) in place, by the same expressions
+        x = np.array([0.3, 7.0, 19.5])
+        for scalar, block in zip(laguerre_steps(40, np.float64(7.0), 1), laguerre_steps(40, x, 1)):
+            assert type(scalar) is float
+            assert scalar == block[1]
+
+    def test_negative_degree_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            next(laguerre_steps(-1, 0.5))
 
 
 class TestGKernel:
