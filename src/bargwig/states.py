@@ -9,11 +9,11 @@ function of w. For the catalog:
     coherent(U):  f(z) = exp(conj(U) z - |U|^2 / 2)
 
 Each member kind is one class that carries its own closed forms, among
-them its derivative tower (recurrence), which validate's paper-form check
-reads, and its overlaps (bra), from which core takes the number amplitudes
-<k|psi>. f is antilinear in the state, so a superposition
-sum_m c_m |psi_m> has f = sum_m conj(c_m) f_m, summed over _terms(state).
-Finite differences appear only in the tests.
+them its derivatives, which validate's paper-form check reads, and its
+overlaps (bra), from which core takes the number amplitudes <k|psi>. Every
+function over states sums a member form over _terms(state); f is
+antilinear in the state, so a superposition sum_m c_m |psi_m> has
+f = sum_m conj(c_m) f_m. Finite differences appear only in the tests.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "cat_state",
     "state_from_json",
     "state_to_json",
-    "state_label",
 ]
 
 MAX_SUPERPOSITION_TERMS = 64
@@ -86,24 +85,31 @@ class FockState:
         return hermite_psi(self.n, y / b) / math.sqrt(b) + 0.0j
 
     def bra(self, other) -> complex:
-        """<n|other>: a Kronecker delta, or e^(-|u|^2/2) u^n / sqrt(n!) for |u>."""
+        """<n|other>: a Kronecker delta, or <n|u> = e^(-|u|^2/2) u^n / sqrt(n!)
+        as a_k = a_(k-1) u / sqrt(k) from a_0 = e^(-|u|^2/2): |a_k| <= 1 never
+        overflows, but past |u| = 37.6 a_0 is subnormal or 0."""
         if isinstance(other, FockState):
             return 1.0 + 0.0j if other.n == self.n else 0.0j
-        u = other.u
-        return math.exp(-0.5 * abs(u) ** 2) * ((1 << 60) / _root_factorial(self.n)) * u ** self.n
+        u, a = other.u, complex(math.exp(-0.5 * abs(other.u) ** 2))
+        for k in range(1, self.n + 1):
+            a = a * u / math.sqrt(k)
+        return a
 
     def spread(self, basis: BasisParams):
         """(Q, P, wq, wp): the phase-space centre and the widths in q and p."""
         return 0.0, 0.0, basis.b * math.sqrt(self.n + 0.5), (basis.hbar / basis.b) * math.sqrt(self.n + 0.5)
 
-    def recurrence(self, K, z):
-        """(start, step, orders) of its derivative tower, from k = n down:
-        f^(k)(z) = sqrt(n!) / (n-k)! z^(n-k), start 1, step z, and the
-        coefficients correctly rounded from exact integers (_root_factorial)."""
-        N = self.n
-        root = _root_factorial(N)
-        orders = ((k, root / (math.factorial(N - k) << 60)) for k in range(N, -1, -1))
-        return np.ones(z.shape, dtype=complex), z, orders
+    def derivatives(self, z, K, c):
+        """(k, c f^(k)(z)) for k = min(n, K) down to 0: c z^(n-k), stepped
+        up from c at order n, times sqrt(n!) / (n-k)!, correctly rounded
+        from exact integers (_root_factorial)."""
+        N, root = self.n, _root_factorial(self.n)
+        q = np.full(z.shape, c, dtype=complex)
+        for k in range(N, -1, -1):
+            if k <= K:
+                yield k, q * (root / (math.factorial(N - k) << 60))
+            if k:
+                q = q * z
 
 
 @dataclass(frozen=True)
@@ -157,11 +163,14 @@ class CoherentState:
         Q, P = qp_from_z(self.u, basis)
         return Q, P, basis.b / math.sqrt(2.0), basis.hbar / (basis.b * math.sqrt(2.0))
 
-    def recurrence(self, K, z):
-        """(start, step, orders) of its derivative tower, from k = 0 up:
-        f^(k)(z) = f(z) conj(u)^k, start f(z), step conj(u), coefficients 1."""
-        return self.bargmann(z), np.conj(self.u), ((k, 1.0) for k in range(K + 1))
-
+    def derivatives(self, z, K, c):
+        """(k, c f^(k)(z)) for k = 0..K, f^(k)(z) = f(z) conj(u)^k, one
+        complex multiply an order."""
+        q = self.bargmann(z) * c
+        yield 0, q
+        for k in range(1, K + 1):
+            q = q * np.conj(self.u)
+            yield k, q
 
 
 _MEMBER_KINDS = (FockState, CoherentState)
@@ -287,36 +296,20 @@ def _root_factorial(N: int) -> int:
 
 def derivative_tower(state: StateSpec, z, K: int) -> np.ndarray:
     """Exact derivatives d^k f/dz^k for k = 0..K at the point(s) z, as a
-    complex array of shape (K+1,) + shape(z). Each member's recurrence
-    gives a start vector, a multiplier, and the (order, coefficient) pairs
-    in the order the products reach them; one loop steps conj(c) start by
-    one complex multiply per order and writes or adds its parts times the
-    coefficient, so a superposition has sum_m conj(c_m) f_m^(k).
+    complex array of shape (K+1,) + shape(z): the sum over the state's
+    terms of what each member's derivatives yield, conj(c_m) f_m^(k).
 
-    numpy rounds a complex product elementwise, by the same instructions at
-    every element, so a point's value does not depend on the array it sits
-    in, except for an in-place product of a length-1 array, which numpy
-    rounds by another loop: the multiply writes into a second buffer.
+    A point's value does not depend on the array it sits in: numpy rounds
+    each complex product elementwise, by the same instructions at every
+    element, and the labels are taken as one flat array, even a scalar.
     """
     if K < 0:
         raise ValueError("tower order must be non-negative")
     z = np.asarray(z, dtype=complex)
-    zz = z.reshape(-1)
-    out = np.zeros((K + 1, zz.size), dtype=complex)
-    parts = np.empty(2 * zz.size)
-    for i, (c, member) in enumerate(_terms(state)):
-        q, step, orders = member.recurrence(K, zz)
-        q = q * np.conj(c)  # not in place, for the length-1 reason above
-        spare = np.empty_like(q)
-        for j, (k, coeff) in enumerate(orders):
-            if j:
-                q, spare = np.multiply(q, step, out=spare), q
-            if k > K:
-                continue
-            dest = out[k].view(float)  # Re and Im of order k, interleaved as in q
-            np.multiply(q.view(float), coeff, out=parts if i else dest)
-            if i:
-                dest += parts
+    out = np.zeros((K + 1, z.size), dtype=complex)
+    for c, member in _terms(state):
+        for k, value in member.derivatives(z.reshape(-1), K, np.conj(c)):
+            out[k] += value
     return out.reshape((K + 1,) + z.shape)
 
 
@@ -373,8 +366,3 @@ def state_from_json(obj: dict, normalize: bool = False) -> StateSpec:
 def state_to_json(state: StateSpec) -> dict:
     """Inverse of state_from_json."""
     return state.to_json()
-
-
-def state_label(state: StateSpec) -> str:
-    """Short human-readable tag used in logs and benchmark tables."""
-    return state.label()

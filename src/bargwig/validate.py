@@ -22,7 +22,7 @@ from .grid import GridAxis, evaluate_grid
 from .oracles import QuadratureSpec, marginal_position, normalization, wigner_config_integral, wigner_phase_integral
 from .phase import BasisParams, PhasePoint, z_from_qp
 from .states import (CoherentState, FockState, StateSpec, _terms, cat_state, derivative_tower, exact_degree,
-                     position_wavefunction, state_label, superposition)
+                     position_wavefunction, superposition)
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "suite_series", "suite_oracles", "suite_geometry"]
 
@@ -54,13 +54,16 @@ class CheckResult:
 
 
 class _Results(list):
-    """The CheckResults of one suite, each timed from the one before."""
+    """The CheckResults of one suite, each timed from the one before and
+    held to tol_override, if one is given."""
 
-    def __init__(self):
+    def __init__(self, tol_override: Optional[float] = None):
         super().__init__()
+        self.tol_override = tol_override
         self._since = time.perf_counter()
 
     def add(self, name, residual, tolerance, detail=""):
+        tolerance = tolerance if self.tol_override is None else self.tol_override
         now = time.perf_counter()
         self.append(CheckResult(name, bool(residual <= tolerance), float(residual), float(tolerance), detail,
                                 now - self._since))
@@ -135,19 +138,16 @@ def _paper_form_residual(n_points: int, n_used: int, r_lo: float, r_hi: float) -
 
 def suite_series(tol_override: Optional[float] = None) -> list[CheckResult]:
     basis = BasisParams()
-    out = _Results()
+    out = _Results(tol_override)
 
-    tol = 1e-10 if tol_override is None else tol_override
     res = _fock_agreement_residual(n_max=8, grid_points=21, extent=3.0, basis=basis)
-    out.add("fock-closed-form", res, tol, "fock(0..8), 21x21 grid over [-3,3]^2")
+    out.add("fock-closed-form", res, 1e-10, "fock(0..8), 21x21 grid over [-3,3]^2")
 
-    tol = 1e-9 if tol_override is None else tol_override
     polynomial, other = _paper_form_residual(n_points=200, n_used=48, r_lo=0.5, r_hi=4.0)
-    out.add("paper-form-agreement", max(polynomial, other), tol,
+    out.add("paper-form-agreement", max(polynomial, other), 1e-9,
             f"evaluated W vs build_F form: polynomial states {polynomial:.3g} pointwise, "
             f"other states {other:.3g} in max norm; first 48 of 200 annulus points, one K")
 
-    tol = 1e-12 if tol_override is None else tol_override
     target = -1.0 / math.pi
     phase_quad = QuadratureSpec(nodes=257, domain_halfwidth=14.0)
     values = {
@@ -157,7 +157,7 @@ def suite_series(tol_override: Optional[float] = None) -> list[CheckResult]:
         "closed": wigner_closed_fock(1, 0j, basis),
     }
     res = max(abs(v - target) for v in values.values())
-    out.add("negativity-witness", res, tol, "fock(1) at the origin, four methods")
+    out.add("negativity-witness", res, 1e-12, "fock(1) at the origin, four methods")
     return out
 
 
@@ -170,9 +170,8 @@ def _probe_points(state: StateSpec, basis: BasisParams, n: int = 7, n_widths: fl
 
 def suite_oracles(tol_override: Optional[float] = None) -> list[CheckResult]:
     basis = BasisParams()
-    out = _Results()
+    out = _Results(tol_override)
 
-    tol = 1e-6 if tol_override is None else tol_override
     states = [FockState(n) for n in range(5)] + [CoherentState(0.9 - 1.2j), cat_state(1.0)]
     worst = 0.0
     worst_at = ""
@@ -184,10 +183,9 @@ def suite_oracles(tol_override: Optional[float] = None) -> list[CheckResult]:
             w_phase = wigner_phase_integral(state, z, basis)
             dev = max(abs(w_config - w_series), abs(w_phase - w_series)) * math.pi * basis.hbar
             if dev > worst:
-                worst, worst_at = dev, f"{state_label(state)} at ({q:.2f}, {p:.2f})"
-    out.add("oracle-concordance", worst, tol, f"7x7 probes, units 1/(pi hbar); worst {worst_at}")
+                worst, worst_at = dev, f"{state.label()} at ({q:.2f}, {p:.2f})"
+    out.add("oracle-concordance", worst, 1e-6, f"7x7 probes, units 1/(pi hbar); worst {worst_at}")
 
-    tol = 1e-6 if tol_override is None else tol_override
     states = [FockState(n) for n in range(4)] + [CoherentState(0.8 + 0.55j)]
     worst_norm = 0.0
     worst_marg = 0.0
@@ -198,17 +196,16 @@ def suite_oracles(tol_override: Optional[float] = None) -> list[CheckResult]:
         marg = marginal_position(grid)
         ref = np.abs(position_wavefunction(state, marg.q, basis)) ** 2
         worst_marg = max(worst_marg, float(np.max(np.abs(marg.density - ref))))
-    out.add("normalization", worst_norm, tol, "201x201 grids over 6 state widths")
-    out.add("position-marginal", worst_marg, tol, "marginal vs |psi(q)|^2, pointwise")
+    out.add("normalization", worst_norm, 1e-6, "201x201 grids over 6 state widths")
+    out.add("position-marginal", worst_marg, 1e-6, "marginal vs |psi(q)|^2, pointwise")
     return out
 
 
 def suite_geometry(tol_override: Optional[float] = None) -> list[CheckResult]:
     hbar = 1.0
     U_center = (0.7, -0.4, 1.5)  # Q, P, B
-    out = _Results()
+    out = _Results(tol_override)
 
-    tol = 1e-6 if tol_override is None else tol_override
     Q, P, B = U_center
     U = z_from_qp(Q, P, BasisParams(B, hbar))
     worst = 0.0
@@ -219,7 +216,7 @@ def suite_geometry(tol_override: Optional[float] = None) -> list[CheckResult]:
                 point = PhasePoint(float(q), float(p), BasisParams(b, hbar))
                 report = check_identity_crossb(U, B, point, step=1e-3 * b)
                 worst = max(worst, report.max_residual / max(abs(report.lhs), scale))
-    out.add("width-derivative-identity", worst, tol, "5x5x3 scan of (q, p, b)")
+    out.add("width-derivative-identity", worst, 1e-6, "5x5x3 scan of (q, p, b)")
 
     # second-order convergence of the plain central difference
     point = PhasePoint(1.3, 0.7, BasisParams(1.0, hbar))
@@ -227,16 +224,14 @@ def suite_geometry(tol_override: Optional[float] = None) -> list[CheckResult]:
     r2 = check_identity_crossb(U, B, point, step=1e-2, extrapolate=False).residuals["qp"]
     ratio = r1 / r2 if r2 > 0 else float("inf")
     res = abs(ratio - 4.0)
-    out.add("step-halving-convergence", res, 0.5 if tol_override is None else tol_override,
-            f"residual ratio {ratio:.3f} for steps 2e-2 / 1e-2")
+    out.add("step-halving-convergence", res, 0.5, f"residual ratio {ratio:.3f} for steps 2e-2 / 1e-2")
 
-    tol = 1e-11 if tol_override is None else tol_override
     rng = np.random.default_rng(_SEED)
     worst = 0.0
     for _ in range(100):
         q, p = rng.uniform(-3.0, 3.0, 2)
         worst = max(worst, check_b_independence(Q, P, B, float(q), float(p), 1.0, 2.0, hbar))
-    out.add("b-independence", worst, tol, "100 random points, bases b=1 vs b=2")
+    out.add("b-independence", worst, 1e-11, "100 random points, bases b=1 vs b=2")
     return out
 
 

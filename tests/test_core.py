@@ -266,21 +266,12 @@ class TestTwoTrySearch:
     restated against choose_truncation's certificate (certify) and the
     exact values."""
 
-    @pytest.mark.parametrize("count", [41, 60, 61, 200])
-    @pytest.mark.parametrize("state", [CoherentState(0.7 - 0.4j), cat_state(1.1)], ids=["coherent", "cat1.1"])
-    def test_catalog_lattices(self, state, count):
-        certify(state, lattice(-3.0, 3.0, count, -3.0, 3.0, count))
-
     @pytest.mark.parametrize("u, extent", [(0.3, 3.0), (1.0, 3.0), (2.0, 3.0), (3.0, 3.0), (2.5, 6.0), (3.0, 6.0)])
     def test_coherent_windows(self, u, extent):
         # against exp(-2|z - u|^2)
         z = lattice(-extent, extent, 60, -extent, extent, 60)
         certify(CoherentState(u), z)
         assert np.max(np.abs(wigner_series(CoherentState(u), z) * math.pi - np.exp(-2 * np.abs(z - u) ** 2))) <= TOL
-
-    def test_random_superpositions(self):
-        for state, z in random_superpositions_on_lattices(30):
-            certify(state, z)
 
     @pytest.mark.parametrize("beta", [2.0, 2.5, 3.0])
     def test_weak_far_member(self, beta):
@@ -1027,6 +1018,15 @@ class TestExactPairSum:
         z = self.own_window(state)[::7]
         for value, zv in zip(wigner_series(state, z) * math.pi, z):
             assert abs(value - pair_pi_w(state, zv)) <= 1.5e-15, (name, zv)
+
+    def test_fock300_with_a_far_coherent_member(self):
+        # the state could not be built while <300|17.3> overflowed; every 7th
+        # point against 60 digits (over all 41^2 points the largest gap is
+        # 1.75e-15, at z = 3.68+7.35i, where fock(300) alone is 3.1e-16 off)
+        state = superposition([(1.0, FockState(300)), (1.0, CoherentState(17.3))], normalize=True)
+        z = self.own_window(state)[::7]
+        for value, zv in zip(wigner_series(state, z) * math.pi, z):
+            assert abs(value - pair_pi_w(state, zv, 60)) <= 2e-15, zv
 
 
 class TestComplexSuperpositions:

@@ -76,15 +76,19 @@ class TestExactNormalization:
         exact_sq = Fraction(1, math.factorial(N))
         assert Fraction(v - math.ulp(v)) ** 2 <= exact_sq <= Fraction(v + math.ulp(v)) ** 2
 
-    @pytest.mark.parametrize("N", [5, 40])
+    @pytest.mark.parametrize("N", [0, 1, 5, 20, 40, 100, 170, 300])
     def test_fock_coherent_overlap_against_mpmath(self, N):
+        # the running product e^(-|u|^2/2) prod_k u/sqrt(k); with u^N and
+        # sqrt(N!) as separate factors, N = 300 overflowed (-17.3, 20+3i),
+        # underflowed to 0 (10.6) or lost digits in complex powers (5i)
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        u = 1.3 - 0.6j
-        U = mpmath.mpc(u)
-        want = complex(mpmath.exp(-abs(U) ** 2 / 2) * U**N / mpmath.sqrt(mpmath.factorial(N)))
-        got = overlap(FockState(N), CoherentState(u))
-        assert abs(got - want) <= 1e-14 * abs(want)
+        with mpmath.workdps(50):
+            for u in (1.3 - 0.6j, 0.3, 2 - 1j, 5j, 10.6, -17.3, 20 + 3j):
+                U = mpmath.mpc(u)
+                want = complex(mpmath.exp(-abs(U) ** 2 / 2) * U**N / mpmath.sqrt(mpmath.factorial(N)))
+                got = overlap(FockState(N), CoherentState(u))
+                assert abs(got - want) <= 1e-14 * abs(want), u
+                assert overlap(CoherentState(u), FockState(N)) == np.conj(got)
 
 
 class TestCoherentTower:
