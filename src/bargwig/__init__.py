@@ -26,7 +26,6 @@ from .states import (
     overlap,
     position_wavefunction,
     state_from_json,
-    state_to_json,
     superposition,
 )
 from .core import (
@@ -74,7 +73,6 @@ __all__ = [
     "overlap",
     "position_wavefunction",
     "state_from_json",
-    "state_to_json",
     "superposition",
     "TruncationError",
     "TruncationPolicy",

@@ -7,6 +7,7 @@ unreadable state file, or a method/state combination that cannot run).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -30,14 +31,6 @@ def _load_state(path: str, normalize: bool):
     return state_from_json(obj, normalize=normalize)
 
 
-def _add_common_state_flags(sub):
-    sub.add_argument("--state", required=True, help="path to a state-description JSON file")
-    sub.add_argument("--normalize", action="store_true",
-                     help="rescale unnormalized superposition coefficients instead of rejecting them")
-    sub.add_argument("--b", type=float, default=1.0, help="basis width (default 1)")
-    sub.add_argument("--hbar", type=float, default=1.0, help="action scale (default 1)")
-
-
 def _tolerance(text: str) -> float:
     """--tol: a positive, finite float; argparse exits 2 on anything else."""
     try:
@@ -59,7 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("eval", help="evaluate W on a rectangular (q, p) grid")
-    _add_common_state_flags(ev)
+    ev.add_argument("--state", required=True, help="path to a state-description JSON file")
+    ev.add_argument("--normalize", action="store_true",
+                    help="rescale unnormalized superposition coefficients instead of rejecting them")
+    ev.add_argument("--b", type=float, default=1.0, help="basis width (default 1)")
+    ev.add_argument("--hbar", type=float, default=1.0, help="action scale (default 1)")
     ev.add_argument("--qmin", type=float, required=True)
     ev.add_argument("--qmax", type=float, required=True)
     ev.add_argument("--nq", type=int, required=True)
@@ -109,7 +106,7 @@ def _cmd_check(args) -> int:
     report = {
         "suite": args.suite,
         "passed": all(r.passed for r in results),
-        "checks": [r.to_dict() for r in results],
+        "checks": [dataclasses.asdict(r) for r in results],
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["passed"] else 1

@@ -61,10 +61,10 @@ ORDER_CAP = 400
 MAX_DEGREE = 300
 
 # Points summed per block. _pair_form keeps, as tracemalloc sees one block,
-# 13 to 17 doubles a point for a polynomial state at any degree (fock(12),
-# fock(100), the sum of |0> to |12>), 5 for a coherent state, 17 for a cat,
+# 12 to 14 doubles a point for a polynomial state at any degree (fock(12),
+# fock(100), the sum of |0> to |12>), 8 for a coherent state, 16 for a cat,
 # 20 for fock(5) + coherent(2 - i) + fock(0), and 2 more a member past two
-# coherent members: 31 for 8, 143 for 64. 8192 points lowered the 200^2
+# coherent members: 28 for 8, 140 for 64. 8192 points lowered the 200^2
 # benchmark's peak RSS by half as much.
 BLOCK_POINTS = 4096
 
@@ -133,31 +133,22 @@ def _number_form(c: list, zz: np.ndarray) -> np.ndarray:
     x = 4.0 * u
     power = np.exp(-2.0 * u) + 0j  # exp(-x/2) (2z)^a
     x[power.real == 0] = 0.0
-    two_z = 2.0 * zz
     total = np.zeros(zz.shape)
-    tmp = np.empty(zz.shape)
     root = 1.0  # sqrt(0!/a!)
     for a in range(last + 1):
         if a:
-            power = power * two_z  # a new array: in place, a length-1 product rounds by another loop
+            power = power * (2.0 * zz)
             root /= math.sqrt(a)
         if not pairs[a]:
             continue
-        parts = np.zeros((2,) + zz.shape)  # Re and Im of S_a, the sum over n
+        s = 0j  # S_a, the sum over n
         scale = 2.0 * root if a else root  # w_a sqrt(n!/(n+a)!)
         for n, value in enumerate(laguerre_steps(pairs[a][-1], x, a)):
             if n:
                 scale *= math.sqrt(n / (n + a))
             if c[n] and c[n + a]:
-                beta = (-1) ** n * c[n + a].conjugate() * c[n] * scale
-                for part, b in zip(parts, (beta.real, beta.imag)):
-                    if b:
-                        np.multiply(value, b, out=tmp)
-                        part += tmp
-        parts[0] *= power.real
-        parts[1] *= power.imag
-        parts[0] -= parts[1]
-        total += parts[0]  # Re[exp(-x/2) (2z)^a S_a]
+                s += (-1) ** n * c[n + a].conjugate() * c[n] * scale * value
+        total += (power * s).real  # Re[exp(-x/2) (2z)^a S_a]
     return total
 
 
@@ -222,36 +213,22 @@ def _pair_form(state: StateSpec, zz: np.ndarray, amplitudes: list) -> np.ndarray
     if not coherent:
         return _number_form(amplitudes, zz)
     total = np.zeros(zz.shape)
-    tmp, sq = np.empty(zz.shape), np.empty(zz.shape)
 
     z0 = sum(v for _, v in coherent) / len(coherent)
     moved = [(c * cmath.exp(1j * (z0.conjugate() * (v - z0)).imag), v - z0) for c, v in coherent]
-    wr, wi = zz.real - z0.real, zz.imag - z0.imag  # w = z - z0
-    if len(moved) > 1:  # c exp(-2i Im(w conj(d))) of each member, and the buffers of a pair's phase
-        units = [c * np.exp(-2j * (wi * d.real - wr * d.imag)) for c, d in moved]
-        turned, phase = np.empty(zz.shape, dtype=complex), np.empty(zz.shape, dtype=complex)
+    w = zz - z0
+    if len(moved) > 1:  # c exp(-2i Im(w conj(d))) of each member
+        units = [c * np.exp(-2j * (w.imag * d.real - w.real * d.imag)) for c, d in moved]
     for i, (ci, di) in enumerate(moved):
-        left = 2.0 * np.conj(units[i]) if i + 1 < len(moved) else None
+        left = 2 * np.conj(units[i]) if i + 1 < len(moved) else None  # once a row, not a pair: 1.2x at 64 members
         for j in range(i, len(moved)):
-            cj, dj = moved[j]
-            mid = (di + dj) / 2
-            np.subtract(wr, mid.real, out=tmp)
-            tmp *= tmp
-            np.subtract(wi, mid.imag, out=sq)
-            sq *= sq
-            tmp += sq
-            tmp *= -2.0
-            np.exp(tmp, out=tmp)
+            dj = moved[j][1]
+            gap = w - (di + dj) / 2
+            gauss = np.exp(-2.0 * (gap.real ** 2 + gap.imag ** 2))
             if i == j:
-                tmp *= abs(ci) ** 2
+                total += abs(ci) ** 2 * gauss
             else:
-                # into other arrays: numpy rounds an in-place complex product
-                # of a length-1 array by another loop, and values must not
-                # depend on the block
-                np.multiply(left, cmath.exp(-1j * (di.conjugate() * dj).imag), out=turned)
-                np.multiply(turned, units[j], out=phase)
-                tmp *= phase.real
-            total += tmp
+                total += gauss * (left * cmath.exp(-1j * (di.conjugate() * dj).imag) * units[j]).real
 
     if amplitudes:
         total += _number_form(amplitudes, zz)

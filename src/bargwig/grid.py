@@ -29,7 +29,7 @@ from . import __version__
 from .core import _evaluate, wigner_closed_coherent_gaussian, wigner_closed_fock
 from .oracles import wigner_config_integral, wigner_phase_integral
 from .phase import BasisParams, qp_from_z, z_from_qp
-from .states import CoherentState, FockState, StateSpec, exact_degree, state_to_json
+from .states import CoherentState, FockState, StateSpec, exact_degree
 
 __all__ = ["GridAxis", "WignerGrid", "evaluate_grid", "METHODS"]
 
@@ -207,7 +207,7 @@ def evaluate_grid(
         p_axis,
         values,
         metadata={
-            "state": state_to_json(state),
+            "state": state.to_json(),
             "basis": {"b": basis.b, "hbar": basis.hbar},
             "method": method,
             "truncation_order": exact_degree(state),

@@ -43,7 +43,6 @@ __all__ = [
     "superposition",
     "cat_state",
     "state_from_json",
-    "state_to_json",
 ]
 
 MAX_SUPERPOSITION_TERMS = 64
@@ -87,11 +86,14 @@ class FockState:
     def bra(self, other) -> complex:
         """<n|other>: a Kronecker delta, or <n|u> = e^(-|u|^2/2) u^n / sqrt(n!)
         as a_k = a_(k-1) u / sqrt(k) from a_0 = e^(-|u|^2/2): |a_k| <= 1 never
-        overflows, but past |u| = 37.6 a_0 is subnormal or 0."""
+        overflows, but past |u| = 37.6 a_0 is subnormal or 0. The product
+        stops at the first a_k that is 0, as every later one is."""
         if isinstance(other, FockState):
             return 1.0 + 0.0j if other.n == self.n else 0.0j
         u, a = other.u, complex(math.exp(-0.5 * abs(other.u) ** 2))
         for k in range(1, self.n + 1):
+            if not a:
+                break
             a = a * u / math.sqrt(k)
         return a
 
@@ -361,8 +363,3 @@ def state_from_json(obj: dict, normalize: bool = False) -> StateSpec:
             terms.append((coeff, member))
         return superposition(terms, normalize=normalize)
     raise ValueError(f"unknown state type {kind!r}")
-
-
-def state_to_json(state: StateSpec) -> dict:
-    """Inverse of state_from_json."""
-    return state.to_json()

@@ -42,16 +42,6 @@ class CheckResult:
     detail: str = ""
     seconds: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-            "seconds": self.seconds,
-        }
-
 
 class _Results(list):
     """The CheckResults of one suite, each timed from the one before and

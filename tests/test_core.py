@@ -791,8 +791,10 @@ class TestBlocks:
     STATES = [CoherentState(0.7 - 0.4j), cat_state(1.1), superposition([(0.5, FockState(n)) for n in range(4)]),
               superposition([(complex(1, k), CoherentState(u)) for k, u in enumerate((2.0, 0.5j, -1.0 - 0.5j))],
                             normalize=True),
-              superposition([(0.6, FockState(2)), (0.8j, CoherentState(0.5 - 0.3j))], normalize=True)]
-    IDS = ["coherent", "cat1.1", "sup4", "three-coherent", "fock-coherent"]
+              superposition([(0.6, FockState(2)), (0.8j, CoherentState(0.5 - 0.3j))], normalize=True),
+              superposition([(1, FockState(0)), (1j, FockState(1)), (1 - 1j, FockState(3)), (0.5 + 2j, FockState(6))],
+                            normalize=True)]
+    IDS = ["coherent", "cat1.1", "sup4", "three-coherent", "fock-coherent", "complex-fock"]
 
     @staticmethod
     def one_block(monkeypatch, state, z, order=None):
@@ -821,7 +823,7 @@ class TestBlocks:
         # the bound of tests/test_grid.py::TestTracedPeak at blocks of 4096
         # points: the labels and values, 24 bytes a point, and one block of
         # the deleted derivative-stack walk, 3(K+1) + 24 doubles a point at
-        # the walk's K = 21 for cat(1.1); the pair form of a cat keeps 17
+        # the walk's K = 21 for cat(1.1); the pair form of a cat keeps 16
         import tracemalloc
 
         state = cat_state(1.1)

@@ -1,10 +1,14 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import bargwig
 from bargwig.phase import BasisParams
 from bargwig.states import (
     CoherentState,
@@ -18,7 +22,6 @@ from bargwig.states import (
     overlap,
     position_wavefunction,
     state_from_json,
-    state_to_json,
     superposition,
 )
 
@@ -89,6 +92,16 @@ class TestExactNormalization:
                 got = overlap(FockState(N), CoherentState(u))
                 assert abs(got - want) <= 1e-14 * abs(want), u
                 assert overlap(CoherentState(u), FockState(N)) == np.conj(got)
+
+    def test_huge_fock_overlap_stops_at_zero(self):
+        # <n|u> for n = 10^11 once looped n times after the running product
+        # had reached 0; a child process keeps a hang from stalling the suite
+        code = ("from bargwig.states import CoherentState, FockState\n"
+                "for u in (0, 1e-300, 1, 10, 37, 38, 38.7, 20 + 3j):\n"
+                "    assert FockState(10**11).bra(CoherentState(u)) == 0, u\n")
+        src = os.path.dirname(os.path.dirname(bargwig.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestCoherentTower:
@@ -296,12 +309,12 @@ class TestJsonSchema:
     def test_fock_round_trip(self):
         st = state_from_json({"type": "fock", "n": 3})
         assert st == FockState(3)
-        assert state_to_json(st) == {"type": "fock", "n": 3}
+        assert st.to_json() == {"type": "fock", "n": 3}
 
     def test_coherent_round_trip(self):
         st = state_from_json({"type": "coherent", "re": 0.7, "im": -0.4})
         assert st == CoherentState(0.7 - 0.4j)
-        assert state_to_json(st) == {"type": "coherent", "re": 0.7, "im": -0.4}
+        assert st.to_json() == {"type": "coherent", "re": 0.7, "im": -0.4}
 
     def test_superposition_round_trip(self):
         obj = {
@@ -312,7 +325,7 @@ class TestJsonSchema:
             ],
         }
         st = state_from_json(obj)
-        back = state_to_json(st)
+        back = st.to_json()
         again = state_from_json(back)
         assert again == st
 

@@ -4,6 +4,8 @@ of its catalog with the paper's form exp(-2|z|^2) Re(c^dagger F c),
 F = build_F(z, K), on 48 points of an annulus out to |z| = 4, the paper's
 side at choose_truncation's K and the evaluated W exact."""
 
+import dataclasses
+
 import pytest
 
 from bargwig import core, validate
@@ -16,7 +18,7 @@ from bargwig.validate import state_window, suite_geometry, suite_series
 def test_every_check_passes(suite):
     results = suite()
     assert results
-    failed = [r.to_dict() for r in results if not r.passed]
+    failed = [dataclasses.asdict(r) for r in results if not r.passed]
     assert not failed
 
 
@@ -30,7 +32,7 @@ def test_override_of_zero_reaches_every_check():
 
 def test_every_check_is_timed():
     results = suite_geometry()
-    assert all(r.seconds >= 0 and r.to_dict()["seconds"] == r.seconds for r in results)
+    assert all(r.seconds >= 0 and dataclasses.asdict(r)["seconds"] == r.seconds for r in results)
 
 
 def test_paper_form_agreement_catches_a_scaled_pair_form(monkeypatch):
