@@ -1,13 +1,15 @@
-"""Scalar special functions: Laguerre/Hermite recurrences and the kernel of
-the quadratic form, the terminating 2F0 series in its singularity-free
-polynomial form.
+"""Scalar special functions: Laguerre/Hermite recurrences, the coherent
+amplitudes, and the kernel of the quadratic form, the terminating 2F0
+series in its singularity-free polynomial form.
 
 The kernel is an associated Laguerre polynomial. laguerre_steps, the one
 Laguerre recurrence, serves it, laguerre, the Fock closed form and core's
 number form, in Reinsch's difference form (Stoer and Bulirsch, sec. 2.3;
 Gentleman, Comput. J. 12, 160 (1969)): it keeps full precision near
 x = 0, where the upward three-term form cancels at every step, as the
-alternating 2F0 sum cancels everywhere.
+alternating 2F0 sum cancels everywhere. coherent_amplitudes, the one
+running product <k|w>, serves bra, core's number form and Fock-coherent
+pairs, and choose_truncation.
 
 All functions accept numpy arrays in their continuous argument and
 broadcast elementwise; order arguments are plain non-negative ints.
@@ -22,6 +24,7 @@ import numpy as np
 __all__ = [
     "laguerre",
     "laguerre_steps",
+    "coherent_amplitudes",
     "g_kernel",
     "hermite_psi",
 ]
@@ -53,6 +56,20 @@ def laguerre(n: int, x, a: int = 0):
     laguerre_steps."""
     *_, value = laguerre_steps(n, x, a)
     return value
+
+
+def coherent_amplitudes(K: int, w):
+    """Yield <k|w> = exp(-|w|^2/2) w^k / sqrt(k!) for k = 0..K (Cahill and
+    Glauber, Phys. Rev. 177, 1857 (1969)) as a_k = a_(k-1) w / sqrt(k) from a
+    real a_0: no step overflows. A number w steps in Python arithmetic, an
+    array in numpy; the two need not round alike."""
+    if K < 0:
+        raise ValueError("coherent amplitude order must be non-negative")
+    a = np.exp(-0.5 * (np.conj(w) * w).real) if isinstance(w, np.ndarray) else math.exp(-0.5 * abs(w) ** 2)
+    yield a
+    for k in range(1, K + 1):
+        a = a * w * (1 / math.sqrt(k))
+        yield a
 
 
 def g_kernel(n: int, j: int, z):

@@ -8,10 +8,10 @@ function of w. For the catalog:
     fock(N):      f(z) = z^N / sqrt(N!)
     coherent(U):  f(z) = exp(conj(U) z - |U|^2 / 2)
 
-Each member kind is one class that carries its own closed forms, among
-them its derivatives, which validate's paper-form check reads, and its
-overlaps (bra), from which core takes the number amplitudes <k|psi>. Every
-function over states sums a member form over _terms(state); f is
+Each member kind is one class that carries its own closed forms: its
+derivatives, which validate's paper-form check reads, and its overlaps
+(bra, by special.coherent_amplitudes), whence core's amplitudes <k|psi>.
+Every function over states sums a member form over _terms(state); f is
 antilinear in the state, so a superposition sum_m c_m |psi_m> has
 f = sum_m conj(c_m) f_m. Finite differences appear only in the tests.
 """
@@ -27,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .phase import BasisParams, qp_from_z
-from .special import hermite_psi
+from .special import coherent_amplitudes, hermite_psi
 
 __all__ = [
     "FockState",
@@ -75,8 +75,11 @@ class FockState:
         return self.n
 
     def bargmann(self, z: np.ndarray) -> np.ndarray:
-        """f(z) = z^n / sqrt(n!)."""
-        return z ** self.n * ((1 << 60) / _root_factorial(self.n))
+        """f(z) = z^n / sqrt(n!), as (z^h / sqrt(n!)) z^(n-h), h = n // 2:
+        from n = 164 on, z^n alone overflows at the corners of fock(n)'s own
+        window, where f is finite; the halves stay finite there to n = 300."""
+        h = self.n // 2
+        return z ** h * ((1 << 60) / _root_factorial(self.n)) * z ** (self.n - h)
 
     def wavefunction(self, y: np.ndarray, b: float) -> np.ndarray:
         """psi(y) = b^{-1/2} phi_n(y/b), with phi_n the dimensionless
@@ -84,17 +87,13 @@ class FockState:
         return hermite_psi(self.n, y / b) / math.sqrt(b) + 0.0j
 
     def bra(self, other) -> complex:
-        """<n|other>: a Kronecker delta, or <n|u> = e^(-|u|^2/2) u^n / sqrt(n!)
-        as a_k = a_(k-1) u / sqrt(k) from a_0 = e^(-|u|^2/2): |a_k| <= 1 never
-        overflows, but past |u| = 37.6 a_0 is subnormal or 0. The product
-        stops at the first a_k that is 0, as every later one is."""
+        """<n|other>: a Kronecker delta, or the coherent amplitude <n|u>, stopped
+        at the first that is 0, as every later one is (a_0 is from |u| = 38.6)."""
         if isinstance(other, FockState):
             return 1.0 + 0.0j if other.n == self.n else 0.0j
-        u, a = other.u, complex(math.exp(-0.5 * abs(other.u) ** 2))
-        for k in range(1, self.n + 1):
+        for a in coherent_amplitudes(self.n, other.u):
             if not a:
                 break
-            a = a * u / math.sqrt(k)
         return a
 
     def spread(self, basis: BasisParams):

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from bargwig.cli import main
+from bargwig.phase import BasisParams
+from bargwig.states import FockState
+from bargwig.validate import state_window
 
 GRID = ["--qmin", "-2", "--qmax", "2", "--nq", "9", "--pmin", "-2", "--pmax", "2", "--np", "7"]
 
@@ -48,6 +51,23 @@ def test_eval_exits_2_on_infinite_basis(state_file, tmp_path, capsys, flag):
     assert main(["eval", "--state", state_file, *GRID, flag, "inf", "--out", str(out)]) == 2
     assert "must be positive and finite, got inf" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_closed_fock300_on_its_own_window(tmp_path):
+    # the closed form gave nan past the Gaussian underflow, |z| >= 19.5, and
+    # eval exited 2 where the series exits 0
+    path = tmp_path / "state.json"
+    path.write_text('{"type": "fock", "n": 300}')
+    q_lo, q_hi, p_lo, p_hi = state_window(FockState(300), BasisParams())
+    window = ["--qmin", str(q_lo), "--qmax", str(q_hi), "--nq", "41", "--pmin", str(p_lo), "--pmax", str(p_hi),
+              "--np", "41"]
+    grids = {}
+    for method in ("closed", "series"):
+        out = tmp_path / f"{method}.json"
+        assert main(["eval", "--state", str(path), *window, "--method", method, "--format", "json",
+                     "--out", str(out)]) == 0
+        grids[method] = np.array(json.loads(out.read_text())["values"])
+    assert np.array_equal(grids["closed"], grids["series"])
 
 
 def test_check_exits_1_on_failing_suite(capsys):

@@ -1116,6 +1116,19 @@ class TestClosedForms:
         z = 0.5  # 4|z|^2 = 1, the L1 root
         assert wigner_closed_fock(1, z + 0j) == pytest.approx(0.0, abs=1e-16)
 
+    @pytest.mark.parametrize("N", [140, 200, 300])
+    def test_fock_past_the_gaussian_underflow(self, N):
+        # L_N(4|z|^2) overflowed where exp(-2|z|^2) is 0, to give nan from
+        # |z| = 45.4, 26.2 and 19.5; W is 0 there, as the series gives it
+        r = np.linspace(0.0, 60.0, 1201)
+        z = np.concatenate([r, r * np.exp(0.7j), r * np.exp(2.2j)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed = wigner_closed_fock(N, z)
+            assert wigner_closed_fock(N, 60.0) == 0.0
+        assert np.all(np.isfinite(closed))
+        assert np.array_equal(closed, wigner_series(FockState(N), z))
+
     def test_gaussian_peak_and_width(self):
         assert wigner_closed_coherent_gaussian(0.7, -0.4, 1.5, 0.7, -0.4) == pytest.approx(1 / math.pi)
         got = wigner_closed_coherent_gaussian(0.7, -0.4, 1.5, 0.7 + 1.5, -0.4)

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import eval_genlaguerre, eval_hermite, eval_laguerre, factorial
 
 from bargwig.special import (
+    coherent_amplitudes,
     g_kernel,
     hermite_psi,
     laguerre,
@@ -105,6 +106,51 @@ class TestLaguerreSteps:
     def test_negative_degree_refused(self):
         with pytest.raises(ValueError, match="non-negative"):
             next(laguerre_steps(-1, 0.5))
+
+
+class TestCoherentAmplitudes:
+    """coherent_amplitudes yields <k|w> = exp(-|w|^2/2) w^k / sqrt(k!) for
+    k = 0..K as a running product, from a number or from an array."""
+
+    LABELS = (0.3, 2 - 1j, 5j, 10.6, -17.3, 20 + 3j)
+
+    @staticmethod
+    def exact(K, w, mpmath):
+        W = mpmath.mpc(w)
+        return [mpmath.exp(-abs(W) ** 2 / 2) * W**k / mpmath.sqrt(mpmath.factorial(k)) for k in range(K + 1)]
+
+    def test_numbers_and_one_array_against_mpmath(self):
+        # wherever |<k|w>| > 1e-300, within 1e-14 of 50 digits; w^k and
+        # sqrt(k!) apart overflow float64 for the larger labels at K = 300
+        mpmath = pytest.importorskip("mpmath")
+        K = 300
+        with mpmath.workdps(50):
+            want = np.array([[complex(a) for a in self.exact(K, w, mpmath)] for w in self.LABELS])
+        scalars = np.array([list(coherent_amplitudes(K, w)) for w in self.LABELS], dtype=complex)
+        block = np.array(list(coherent_amplitudes(K, np.array(self.LABELS, dtype=complex)))).T
+        kept = np.abs(want) > 1e-300
+        assert kept.sum() > 1000
+        for got in (scalars, block):
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)[kept] / np.abs(want)[kept]) <= 1e-14
+
+    def test_yields_orders_zero_to_K(self):
+        # a_0 = exp(-|w|^2/2) is real; <k|0> is delta_k0
+        amplitudes = list(coherent_amplitudes(4, 0.5 - 0.5j))
+        assert len(amplitudes) == 5
+        assert amplitudes[0] == math.exp(-0.25)
+        assert list(coherent_amplitudes(3, 0j)) == [1.0, 0, 0, 0]
+
+    def test_underflow_is_zero_from_then_on(self):
+        # past |w| = 38.6 exp(-|w|^2/2) is 0 in float64, and so is every
+        # later amplitude, with no nan
+        block = list(coherent_amplitudes(50, np.array([39.0, 1e-200j])))
+        assert block[0][0] == 0 and all(a[0] == 0 for a in block)
+        assert all(a[1] == 0 for a in block[2:])
+
+    def test_negative_order_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            next(coherent_amplitudes(-1, 0.5))
 
 
 class TestGKernel:

@@ -3,13 +3,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import bargwig
-from bargwig.phase import BasisParams
+from bargwig.phase import BasisParams, z_from_qp
 from bargwig.states import (
     CoherentState,
     FockState,
@@ -24,6 +25,7 @@ from bargwig.states import (
     state_from_json,
     superposition,
 )
+from bargwig.validate import state_window
 
 CATALOG = [
     FockState(0),
@@ -78,6 +80,26 @@ class TestExactNormalization:
         v = bargmann(FockState(N), 1.0).real
         exact_sq = Fraction(1, math.factorial(N))
         assert Fraction(v - math.ulp(v)) ** 2 <= exact_sq <= Fraction(v + math.ulp(v)) ** 2
+
+    @pytest.mark.parametrize("N", [20, 100, 164, 200, 250, 300])
+    def test_fock_finite_on_its_own_window(self, N):
+        # z^N once came before 1/sqrt(N!) and overflowed from N = 164 on:
+        # f(30) of fock(250) was nan, not 30^250 / sqrt(250!) = 1.06e123.
+        # numpy takes z^h for h >= 100 as exp(h log z), good to a few 1e-14
+        # per 100 orders, so the bound is 5e-13 relative against 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        q_lo, q_hi, p_lo, p_hi = state_window(FockState(N), BasisParams())
+        qq, pp = np.meshgrid(np.linspace(q_lo, q_hi, 9), np.linspace(p_lo, p_hi, 9))
+        z = np.append(z_from_qp(qq, pp, BasisParams()).ravel(), [1.0, 30.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bargmann(FockState(N), z)
+        assert np.all(np.isfinite(got))
+        with mpmath.workdps(50):
+            for value, zv in zip(got, z):
+                want = mpmath.mpc(zv) ** N / mpmath.sqrt(mpmath.factorial(N))
+                if abs(want) > 1e-300:
+                    assert abs(value - complex(want)) <= 5e-13 * abs(complex(want)), zv
 
     @pytest.mark.parametrize("N", [0, 1, 5, 20, 40, 100, 170, 300])
     def test_fock_coherent_overlap_against_mpmath(self, N):
