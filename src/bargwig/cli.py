@@ -73,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ck = sub.add_parser("check", help="run validation suites")
     ck.add_argument("--suite", choices=("all", "series", "oracles", "geometry"), default="all")
-    ck.add_argument("--tol", type=_tolerance, default=None,
-                    help="override every check tolerance in the suite")
 
     return parser
 
@@ -102,7 +100,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    results = run_suite(args.suite, args.tol)
+    results = run_suite(args.suite)
     report = {
         "suite": args.suite,
         "passed": all(r.passed for r in results),

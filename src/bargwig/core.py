@@ -234,6 +234,14 @@ def _pair_form(state: StateSpec, zz: np.ndarray, amplitudes: list) -> np.ndarray
     return total
 
 
+def _refuse_past_max_degree(state: StateSpec, K: int | None) -> None:
+    """ValueError naming state if its Laguerre degree K is past MAX_DEGREE:
+    the one limit of the series and of wigner_closed_fock."""
+    if K is not None and K > MAX_DEGREE:
+        raise ValueError(f"{state!r} needs truncation order K = {K}; the number amplitudes are limited to "
+                         f"{MAX_DEGREE}, past which L_K(4|z|^2) overflows float64 before exp(-2|z|^2) underflows")
+
+
 def _evaluate(state: StateSpec, z: np.ndarray, hbar: float, order: int | None = None) -> np.ndarray:
     """W of state at the finite labels z (a 1-D array or a 2-D lattice): the
     one series evaluation behind wigner_series and evaluate_grid. With no
@@ -255,9 +263,7 @@ def _evaluate(state: StateSpec, z: np.ndarray, hbar: float, order: int | None = 
     deg, terms = exact_degree(state), _terms(state)
     fock = [(b, m) for b, m in terms if isinstance(m, FockState)]
     K = max((m.n for _, m in fock), default=None) if order is None else order if deg is None else min(order, deg)
-    if K is not None and K > MAX_DEGREE:
-        raise ValueError(f"{state!r} needs truncation order K = {K}; the number amplitudes are limited to "
-                         f"{MAX_DEGREE}, past which L_K(4|z|^2) overflows float64 before exp(-2|z|^2) underflows")
+    _refuse_past_max_degree(state, K)
     part = _unchecked_superposition(fock) if order is None else state
     c = [] if K is None else [complex(overlap(FockState(k), part)) for k in range(K + 1)]
     reach = 20.0 + max((abs(m.u) for _, m in terms if isinstance(m, CoherentState)), default=0.0)
@@ -302,9 +308,11 @@ def wigner_closed_fock(N: int, z, basis: BasisParams | None = None):
     """Closed form for Fock states:
     W_N = (-1)^N exp(-2|z|^2) L_N(4|z|^2) / (pi hbar). Where the Gaussian
     underflows W is 0, and L is taken at 0 there, as _number_form takes it,
-    so L_N cannot overflow to give nan."""
+    so L_N cannot overflow to give nan. N is at most MAX_DEGREE, as for the
+    series."""
     if N < 0:
         raise ValueError("Fock index must be non-negative")
+    _refuse_past_max_degree(FockState(N), N)
     basis = basis or BasisParams()
     z = np.asarray(z, dtype=complex)
     u = (np.conj(z) * z).real

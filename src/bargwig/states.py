@@ -9,8 +9,9 @@ function of w. For the catalog:
     coherent(U):  f(z) = exp(conj(U) z - |U|^2 / 2)
 
 Each member kind is one class that carries its own closed forms: its
-derivatives, which validate's paper-form check reads, and its overlaps
-(bra, by special.coherent_amplitudes), whence core's amplitudes <k|psi>.
+derivatives f^(k), order 0 being f itself, which bargmann, the oracles
+and validate's paper-form check read, and its overlaps (bra, by
+special.coherent_amplitudes), whence core's amplitudes <k|psi>.
 Every function over states sums a member form over _terms(state); f is
 antilinear in the state, so a superposition sum_m c_m |psi_m> has
 f = sum_m conj(c_m) f_m. Finite differences appear only in the tests.
@@ -74,13 +75,6 @@ class FockState:
     def degree(self) -> int:
         return self.n
 
-    def bargmann(self, z: np.ndarray) -> np.ndarray:
-        """f(z) = z^n / sqrt(n!), as (z^h / sqrt(n!)) z^(n-h), h = n // 2:
-        from n = 164 on, z^n alone overflows at the corners of fock(n)'s own
-        window, where f is finite; the halves stay finite there to n = 300."""
-        h = self.n // 2
-        return z ** h * ((1 << 60) / _root_factorial(self.n)) * z ** (self.n - h)
-
     def wavefunction(self, y: np.ndarray, b: float) -> np.ndarray:
         """psi(y) = b^{-1/2} phi_n(y/b), with phi_n the dimensionless
         oscillator eigenfunction."""
@@ -101,16 +95,18 @@ class FockState:
         return 0.0, 0.0, basis.b * math.sqrt(self.n + 0.5), (basis.hbar / basis.b) * math.sqrt(self.n + 0.5)
 
     def derivatives(self, z, K, c):
-        """(k, c f^(k)(z)) for k = min(n, K) down to 0: c z^(n-k), stepped
-        up from c at order n, times sqrt(n!) / (n-k)!, correctly rounded
-        from exact integers (_root_factorial)."""
+        """(k, c f^(k)(z)) for k = min(n, K) down to 0, f^(k)(z) =
+        sqrt(n!)/m! z^m, m = n - k: the coefficient, correctly rounded from
+        exact integers (_root_factorial), between the halves z^ceil(m/2) and
+        z^floor(m/2), one carrying c, stepped in turn by one complex multiply
+        an order. For n <= 300 no factor overflows before the value does."""
         N, root = self.n, _root_factorial(self.n)
-        q = np.full(z.shape, c, dtype=complex)
-        for k in range(N, -1, -1):
-            if k <= K:
-                yield k, q * (root / (math.factorial(N - k) << 60))
-            if k:
-                q = q * z
+        half, other = np.full(z.shape, c, dtype=complex), np.ones(z.shape, dtype=complex)
+        for m in range(N + 1):
+            if N - m <= K:
+                yield N - m, half * (root / (math.factorial(m) << 60)) * other
+            if m < N:
+                half, other = other * z, half
 
 
 @dataclass(frozen=True)
@@ -141,10 +137,6 @@ class CoherentState:
         """0 for the vacuum u = 0, where f = 1; None otherwise."""
         return None if self.u else 0
 
-    def bargmann(self, z: np.ndarray) -> np.ndarray:
-        """f(z) = exp(conj(u) z - |u|^2 / 2)."""
-        return np.exp(np.conj(self.u) * z - 0.5 * abs(self.u) ** 2)
-
     def wavefunction(self, y: np.ndarray, b: float) -> np.ndarray:
         """psi(y) = pi^{-1/4} b^{-1/2} exp(-(y/b - sqrt(2) u)^2 / 2 + u (u - conj(u)) / 2)."""
         u = self.u
@@ -165,9 +157,9 @@ class CoherentState:
         return Q, P, basis.b / math.sqrt(2.0), basis.hbar / (basis.b * math.sqrt(2.0))
 
     def derivatives(self, z, K, c):
-        """(k, c f^(k)(z)) for k = 0..K, f^(k)(z) = f(z) conj(u)^k, one
-        complex multiply an order."""
-        q = self.bargmann(z) * c
+        """(k, c f^(k)(z)) for k = 0..K, f^(k)(z) = conj(u)^k f(z), one
+        complex multiply an order from f(z) = exp(conj(u) z - |u|^2 / 2)."""
+        q = np.exp(np.conj(self.u) * z - 0.5 * abs(self.u) ** 2) * c
         yield 0, q
         for k in range(1, K + 1):
             q = q * np.conj(self.u)
@@ -273,12 +265,10 @@ def cat_state(u: complex, sign: int = 1) -> Superposition:
 
 
 def bargmann(state: StateSpec, z):
-    """Bargmann function f(z) of a catalog state."""
-    z = np.asarray(z, dtype=complex)
-    total = np.zeros_like(z)
-    for c, member in _terms(state):
-        total = total + np.conj(c) * member.bargmann(z)
-    return total if total.ndim else complex(total)
+    """Bargmann function f(z) of a catalog state: order 0 of its
+    derivative_tower, the sum of its members' derivatives."""
+    f = derivative_tower(state, z, 0)[0]
+    return f if f.ndim else complex(f)
 
 
 def exact_degree(state: StateSpec) -> Optional[int]:

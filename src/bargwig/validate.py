@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,16 +43,13 @@ class CheckResult:
 
 
 class _Results(list):
-    """The CheckResults of one suite, each timed from the one before and
-    held to tol_override, if one is given."""
+    """The CheckResults of one suite, each timed from the one before."""
 
-    def __init__(self, tol_override: Optional[float] = None):
+    def __init__(self):
         super().__init__()
-        self.tol_override = tol_override
         self._since = time.perf_counter()
 
     def add(self, name, residual, tolerance, detail=""):
-        tolerance = tolerance if self.tol_override is None else self.tol_override
         now = time.perf_counter()
         self.append(CheckResult(name, bool(residual <= tolerance), float(residual), float(tolerance), detail,
                                 now - self._since))
@@ -126,9 +122,9 @@ def _paper_form_residual(n_points: int, n_used: int, r_lo: float, r_hi: float) -
     return worst[0], worst[1]
 
 
-def suite_series(tol_override: Optional[float] = None) -> list[CheckResult]:
+def suite_series() -> list[CheckResult]:
     basis = BasisParams()
-    out = _Results(tol_override)
+    out = _Results()
 
     res = _fock_agreement_residual(n_max=8, grid_points=21, extent=3.0, basis=basis)
     out.add("fock-closed-form", res, 1e-10, "fock(0..8), 21x21 grid over [-3,3]^2")
@@ -158,9 +154,9 @@ def _probe_points(state: StateSpec, basis: BasisParams, n: int = 7, n_widths: fl
     return [(float(q), float(p)) for q in qs for p in ps]
 
 
-def suite_oracles(tol_override: Optional[float] = None) -> list[CheckResult]:
+def suite_oracles() -> list[CheckResult]:
     basis = BasisParams()
-    out = _Results(tol_override)
+    out = _Results()
 
     states = [FockState(n) for n in range(5)] + [CoherentState(0.9 - 1.2j), cat_state(1.0)]
     worst = 0.0
@@ -191,10 +187,10 @@ def suite_oracles(tol_override: Optional[float] = None) -> list[CheckResult]:
     return out
 
 
-def suite_geometry(tol_override: Optional[float] = None) -> list[CheckResult]:
+def suite_geometry() -> list[CheckResult]:
     hbar = 1.0
     U_center = (0.7, -0.4, 1.5)  # Q, P, B
-    out = _Results(tol_override)
+    out = _Results()
 
     Q, P, B = U_center
     U = z_from_qp(Q, P, BasisParams(B, hbar))
@@ -232,13 +228,13 @@ SUITES = {
 }
 
 
-def run_suite(suite: str, tol_override: Optional[float] = None) -> list[CheckResult]:
+def run_suite(suite: str) -> list[CheckResult]:
     """Run one named suite or 'all'; returns the individual check results."""
     if suite == "all":
         results = []
         for fn in SUITES.values():
-            results.extend(fn(tol_override))
+            results.extend(fn())
         return results
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all', *SUITES)}")
-    return SUITES[suite](tol_override)
+    return SUITES[suite]()

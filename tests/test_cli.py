@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bargwig import core
 from bargwig.cli import main
 from bargwig.phase import BasisParams
 from bargwig.states import FockState
@@ -70,8 +71,26 @@ def test_eval_closed_fock300_on_its_own_window(tmp_path):
     assert np.array_equal(grids["closed"], grids["series"])
 
 
-def test_check_exits_1_on_failing_suite(capsys):
-    assert main(["check", "--suite", "series", "--tol", "1e-300"]) == 1
+def test_eval_closed_refuses_fock301_on_its_own_window(tmp_path, capsys):
+    # the closed form once had no degree limit: it exited 0 here, where the
+    # series exits 2 naming the limit, and gave nan on fock(400)
+    path = tmp_path / "state.json"
+    path.write_text('{"type": "fock", "n": 301}')
+    q_lo, q_hi, p_lo, p_hi = state_window(FockState(301), BasisParams())
+    window = ["--qmin", str(q_lo), "--qmax", str(q_hi), "--nq", "41", "--pmin", str(p_lo), "--pmax", str(p_hi),
+              "--np", "41"]
+    for method in ("closed", "series"):
+        out = tmp_path / f"{method}.csv"
+        assert main(["eval", "--state", str(path), *window, "--method", method, "--out", str(out)]) == 2
+        assert "limited to 300" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_check_exits_1_on_failing_suite(capsys, monkeypatch):
+    # a pair form off by a relative 1e-8 fails paper-form-agreement
+    pair_form = core._pair_form
+    monkeypatch.setattr(core, "_pair_form", lambda *a, **k: pair_form(*a, **k) * (1 + 1e-8))
+    assert main(["check", "--suite", "series"]) == 1
     assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
@@ -117,13 +136,19 @@ def test_bench_subcommand_is_gone(state_file):
 @pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])
 @pytest.mark.parametrize("command", ["eval", "check"])
 def test_tol_must_be_positive_and_finite(state_file, tmp_path, capsys, command, tol):
-    # --tol 0 once gave the default-tolerance file, and --tol inf K = 0
+    # --tol 0 once gave the default-tolerance file, and --tol inf K = 0;
+    # check takes no --tol at all, since one moved every check's bound
+    # (--tol 1e9 passed any program)
     out = tmp_path / "w.csv"
     args = ["eval", "--state", state_file, *GRID, "--out", str(out)] if command == "eval" else ["check"]
     with pytest.raises(SystemExit) as exc:
         main([*args, f"--tol={tol}"])
     assert exc.value.code == 2
-    assert f"--tol: must be positive and finite, got {tol}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if command == "eval":
+        assert f"--tol: must be positive and finite, got {tol}" in err
+    else:
+        assert f"unrecognized arguments: --tol={tol}" in err
     assert not out.exists()
 
 

@@ -914,6 +914,14 @@ class TestFloat64FactorialLimit:
         for part in ("FockState(n=301)", "K = 301", "limited to 300"):
             assert part in message
 
+    def test_closed_form_refuses_fock301_as_the_series_does(self):
+        # the closed form once had no limit: fock(400) gave nan from |z| = 19
+        with pytest.raises(ValueError) as series:
+            wigner_series(FockState(MAX_DEGREE + 1), 0.5)
+        with pytest.raises(ValueError) as closed:
+            wigner_closed_fock(MAX_DEGREE + 1, 0.5)
+        assert str(closed.value) == str(series.value)
+
 
 class TestNearOrigin:
     """High Fock degrees near the origin, where the upward three-term

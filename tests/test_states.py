@@ -83,23 +83,28 @@ class TestExactNormalization:
 
     @pytest.mark.parametrize("N", [20, 100, 164, 200, 250, 300])
     def test_fock_finite_on_its_own_window(self, N):
-        # z^N once came before 1/sqrt(N!) and overflowed from N = 164 on:
-        # f(30) of fock(250) was nan, not 30^250 / sqrt(250!) = 1.06e123.
-        # numpy takes z^h for h >= 100 as exp(h log z), good to a few 1e-14
-        # per 100 orders, so the bound is 5e-13 relative against 50 digits
-        mpmath = pytest.importorskip("mpmath")
+        # z^(N-k) once came before sqrt(N!)/(N-k)! and overflowed: orders
+        # 0-20 of fock(300) were non-finite at 9093 of 9303 such values, and
+        # f(30) of fock(250), 30^250 / sqrt(250!) = 1.06e123, was nan. numpy
+        # took z^h for h >= 100 as exp(h log z), up to 2.4e-13 off
         q_lo, q_hi, p_lo, p_hi = state_window(FockState(N), BasisParams())
-        qq, pp = np.meshgrid(np.linspace(q_lo, q_hi, 9), np.linspace(p_lo, p_hi, 9))
+        qq, pp = np.meshgrid(np.linspace(q_lo, q_hi, 21), np.linspace(p_lo, p_hi, 21))
         z = np.append(z_from_qp(qq, pp, BasisParams()).ravel(), [1.0, 30.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = bargmann(FockState(N), z)
-        assert np.all(np.isfinite(got))
-        with mpmath.workdps(50):
-            for value, zv in zip(got, z):
-                want = mpmath.mpc(zv) ** N / mpmath.sqrt(mpmath.factorial(N))
-                if abs(want) > 1e-300:
-                    assert abs(value - complex(want)) <= 5e-13 * abs(complex(want)), zv
+            got = np.vstack([derivative_tower(FockState(N), z, 20), bargmann(FockState(N), z)])
+        _assert_fock_tower(N, z, got, [*range(21), 0])
+
+    @pytest.mark.parametrize("N", [250, 300])
+    def test_fock_every_order_on_its_own_window(self, N):
+        # every order to K = N, near the origin too; where the value itself
+        # overflows (at the corners, orders near N - |z|) it is not read
+        q_lo, q_hi, p_lo, p_hi = state_window(FockState(N), BasisParams())
+        qq, pp = np.meshgrid(np.linspace(q_lo, q_hi, 7), np.linspace(p_lo, p_hi, 7))
+        z = np.append(z_from_qp(qq, pp, BasisParams()).ravel(), [1.0, 0.05 + 0.02j, 0.001j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = derivative_tower(FockState(N), z, N)
+        _assert_fock_tower(N, z, got, range(N + 1))
 
     @pytest.mark.parametrize("N", [0, 1, 5, 20, 40, 100, 170, 300])
     def test_fock_coherent_overlap_against_mpmath(self, N):
@@ -124,6 +129,29 @@ class TestExactNormalization:
         src = os.path.dirname(os.path.dirname(bargwig.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def _assert_fock_tower(N, z, got, orders):
+    """Row i of got is f^(orders[i]) of fock(N) at z: finite wherever the
+    50-digit value sqrt(N!)/m! z^m, m = N - k, is below 1.7e308, and
+    within 1e-14 of it relative wherever it is above 1e-290 too."""
+    mpmath = pytest.importorskip("mpmath")
+    low = N - max(orders)
+    with mpmath.workdps(50):
+        coef = [mpmath.sqrt(mpmath.factorial(N)) / mpmath.factorial(low)]
+        for m in range(low + 1, N + 1):
+            coef.append(coef[-1] / m)
+        for j, zv in enumerate(z):
+            Z = mpmath.mpc(zv)
+            power = [Z ** low]
+            for _ in range(low, N):
+                power.append(power[-1] * Z)
+            for row, k in zip(got[:, j], orders):
+                want = coef[N - k - low] * power[N - k - low]
+                size = abs(want)
+                if size < 1.7e308:
+                    assert np.isfinite(row), (zv, k)
+                    assert size <= 1e-290 or abs(want - mpmath.mpc(row)) <= 1e-14 * size, (zv, k)
 
 
 class TestCoherentTower:
