@@ -11,7 +11,7 @@ closed forms, and basis-geometry identities validate it.
 
 __version__ = "0.1.0"
 
-from .phase import BasisParams, PhasePoint, qp_from_z, wirtinger_derivatives, z_from_qp
+from .phase import BasisParams, qp_from_z, wirtinger_derivatives, z_from_qp
 from .special import g_kernel, hermite_psi, laguerre
 from .states import (
     CoherentState,
@@ -39,7 +39,6 @@ from .core import (
     wigner_series,
 )
 from .oracles import (
-    MarginalDensity,
     OracleConvergenceError,
     QuadratureSpec,
     marginal_position,
@@ -48,13 +47,12 @@ from .oracles import (
     wigner_config_integral,
     wigner_phase_integral,
 )
-from .geometry import IdentityReport, check_b_independence, check_identity_crossb
+from .geometry import check_b_independence, check_identity_crossb
 from .grid import METHODS, GridAxis, WignerGrid, evaluate_grid
 
 __all__ = [
     "__version__",
     "BasisParams",
-    "PhasePoint",
     "qp_from_z",
     "wirtinger_derivatives",
     "z_from_qp",
@@ -82,7 +80,6 @@ __all__ = [
     "wigner_closed_coherent_gaussian",
     "wigner_closed_fock",
     "wigner_series",
-    "MarginalDensity",
     "OracleConvergenceError",
     "QuadratureSpec",
     "marginal_position",
@@ -90,7 +87,6 @@ __all__ = [
     "quadrature_nodes",
     "wigner_config_integral",
     "wigner_phase_integral",
-    "IdentityReport",
     "check_b_independence",
     "check_identity_crossb",
     "METHODS",

@@ -35,8 +35,8 @@ import numpy as np
 
 from .phase import BasisParams
 from .special import coherent_amplitudes, g_kernel, laguerre, laguerre_steps
-from .states import (CoherentState, FockState, StateSpec, _terms, _unchecked_superposition, exact_degree, norm_squared,
-                     overlap)
+from .states import (MAX_DEGREE, CoherentState, FockState, StateSpec, _refuse_past_max_degree, _terms,
+                     _unchecked_superposition, exact_degree, norm_squared, overlap)
 
 __all__ = [
     "TruncationPolicy",
@@ -53,12 +53,6 @@ __all__ = [
 # near k = |U|^2, and the cut needs K >= 2|U|^2: |U| > 14.1 is past it. A
 # 5-fold superposition with |U| = 4 takes K = 79.
 ORDER_CAP = 400
-
-# Orders of the number amplitudes: a polynomial state's degree, the Fock
-# part's of a mixture, or wigner_series' order. fock(300) is finite at
-# every label (0 <= |z| <= 40, step 1e-4); fock(308) is not: near
-# |z| = 19.28, L_N(4|z|^2) overflows float64 before exp(-2|z|^2) underflows.
-MAX_DEGREE = 300
 
 # Points summed per block. _pair_form keeps, as tracemalloc sees one block,
 # 12 to 14 doubles a point for a polynomial state at any degree (fock(12),
@@ -232,14 +226,6 @@ def _pair_form(state: StateSpec, zz: np.ndarray, amplitudes: list) -> np.ndarray
             cross = sum(p.conjugate() * a for p, a in zip(amplitudes, row) if p)
             total += (2 * c * np.exp(-2j * (y.imag * v.real - y.real * v.imag)) * cross).real
     return total
-
-
-def _refuse_past_max_degree(state: StateSpec, K: int | None) -> None:
-    """ValueError naming state if its Laguerre degree K is past MAX_DEGREE:
-    the one limit of the series and of wigner_closed_fock."""
-    if K is not None and K > MAX_DEGREE:
-        raise ValueError(f"{state!r} needs truncation order K = {K}; the number amplitudes are limited to "
-                         f"{MAX_DEGREE}, past which L_K(4|z|^2) overflows float64 before exp(-2|z|^2) underflows")
 
 
 def _evaluate(state: StateSpec, z: np.ndarray, hbar: float, order: int | None = None) -> np.ndarray:

@@ -12,8 +12,12 @@ Two independent routes to W:
                  exp(-|w|^2/4 + z* w/2 - z w*/2),   w = u + i v
 
 plus grid-level distributional checks (position marginal, normalization).
-Every oracle self-checks by node doubling and rejects results whose
-imaginary residual exceeds its budget.
+Every oracle checks its rule by node doubling and rejects results whose
+imaginary residual exceeds its budget. Node doubling cannot see a domain
+that is too small: the fixed halfwidths (12 b in y, 10 per axis of w) cut
+the integrand of a state that reaches past them with no error. At the
+origin, where W = 1/pi, fock(20) passes the default tol with 0.2552 (config)
+and 0.2960 (phase), and fock(60) with 0.1163 and 0.00096.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
     "quadrature_nodes",
     "wigner_config_integral",
     "wigner_phase_integral",
-    "MarginalDensity",
     "marginal_position",
     "normalization",
 ]
@@ -185,17 +188,10 @@ def wigner_phase_integral(
     )
 
 
-@dataclass(frozen=True)
-class MarginalDensity:
-    """Position density obtained by integrating a Wigner grid over p."""
-
-    q: np.ndarray
-    density: np.ndarray
-
-
-def marginal_position(grid) -> MarginalDensity:
-    """Trapezoid-integrate W over p at each q column."""
-    return MarginalDensity(q=grid.q_axis.points, density=np.trapezoid(grid.values, grid.p_axis.points, axis=1))
+def marginal_position(grid) -> np.ndarray:
+    """The position density at grid.q_axis.points: W trapezoid-integrated
+    over p at each q column."""
+    return np.trapezoid(grid.values, grid.p_axis.points, axis=1)
 
 
 def normalization(grid) -> float:

@@ -7,13 +7,12 @@ Convention: sqrt(2) z = q/b + i b p / hbar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BasisParams",
-    "PhasePoint",
     "z_from_qp",
     "qp_from_z",
     "wirtinger_derivatives",
@@ -51,19 +50,6 @@ def qp_from_z(z, basis: BasisParams):
     if q.ndim:
         return q, p
     return float(q), float(p)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A phase-space point with its basis and the derived complex label."""
-
-    q: float
-    p: float
-    basis: BasisParams = field(default_factory=BasisParams)
-    z: complex = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", z_from_qp(self.q, self.p, self.basis))
 
 
 def wirtinger_derivatives(w_q, w_p, basis: BasisParams):

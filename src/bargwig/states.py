@@ -49,6 +49,14 @@ __all__ = [
 MAX_SUPERPOSITION_TERMS = 64
 NORMALIZATION_TOL = 1e-12
 
+# The largest Fock degree: of derivative_tower (so of bargmann and the phase
+# oracle), and of core's number amplitudes (a polynomial state's degree, the
+# Fock part's of a mixture, or wigner_series' order). fock(300) is finite at
+# every label (0 <= |z| <= 40, step 1e-4); fock(308) is not: near
+# |z| = 19.28, L_N(4|z|^2) overflows float64 before exp(-2|z|^2) underflows.
+# From fock(301) on, sqrt(n!)/m! in FockState.derivatives leaves float64 too.
+MAX_DEGREE = 300
+
 
 @dataclass(frozen=True)
 class FockState:
@@ -68,9 +76,6 @@ class FockState:
 
     def to_json(self) -> dict:
         return {"type": self.kind, "n": self.n}
-
-    def label(self) -> str:
-        return f"fock({self.n})"
 
     def degree(self) -> int:
         return self.n
@@ -129,9 +134,6 @@ class CoherentState:
 
     def to_json(self) -> dict:
         return {"type": self.kind, "re": self.u.real, "im": self.u.imag}
-
-    def label(self) -> str:
-        return f"coherent({self.u:.3g})"
 
     def degree(self) -> Optional[int]:
         """0 for the vacuum u = 0, where f = 1; None otherwise."""
@@ -198,9 +200,6 @@ class Superposition:
             "type": "superposition",
             "terms": [{"coeff": {"re": c.real, "im": c.imag}, "state": s.to_json()} for c, s in self.terms],
         }
-
-    def label(self) -> str:
-        return f"superposition[{len(self.terms)}]"
 
 
 StateSpec = Union[FockState, CoherentState, Superposition]
@@ -285,6 +284,14 @@ def _root_factorial(N: int) -> int:
     return math.isqrt(math.factorial(N) << 120)
 
 
+def _refuse_past_max_degree(state: StateSpec, K: int | None) -> None:
+    """ValueError naming state if its Fock degree K is past MAX_DEGREE: the
+    one limit of the series, of wigner_closed_fock and of derivative_tower."""
+    if K is not None and K > MAX_DEGREE:
+        raise ValueError(f"{state!r} needs truncation order K = {K}; the number amplitudes are limited to "
+                         f"{MAX_DEGREE}, past which L_K(4|z|^2) overflows float64 before exp(-2|z|^2) underflows")
+
+
 def derivative_tower(state: StateSpec, z, K: int) -> np.ndarray:
     """Exact derivatives d^k f/dz^k for k = 0..K at the point(s) z, as a
     complex array of shape (K+1,) + shape(z): the sum over the state's
@@ -293,9 +300,11 @@ def derivative_tower(state: StateSpec, z, K: int) -> np.ndarray:
     A point's value does not depend on the array it sits in: numpy rounds
     each complex product elementwise, by the same instructions at every
     element, and the labels are taken as one flat array, even a scalar.
+    A Fock member past MAX_DEGREE raises ValueError.
     """
     if K < 0:
         raise ValueError("tower order must be non-negative")
+    _refuse_past_max_degree(state, max((m.n for _, m in _terms(state) if isinstance(m, FockState)), default=None))
     z = np.asarray(z, dtype=complex)
     out = np.zeros((K + 1, z.size), dtype=complex)
     for c, member in _terms(state):

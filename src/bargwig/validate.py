@@ -19,7 +19,7 @@ from .core import TruncationPolicy, build_F, choose_truncation, wigner_closed_fo
 from .geometry import check_b_independence, check_identity_crossb
 from .grid import GridAxis, evaluate_grid
 from .oracles import QuadratureSpec, marginal_position, normalization, wigner_config_integral, wigner_phase_integral
-from .phase import BasisParams, PhasePoint, z_from_qp
+from .phase import BasisParams, z_from_qp
 from .states import (CoherentState, FockState, StateSpec, _terms, cat_state, derivative_tower, exact_degree,
                      position_wavefunction, superposition)
 
@@ -169,7 +169,7 @@ def suite_oracles() -> list[CheckResult]:
             w_phase = wigner_phase_integral(state, z, basis)
             dev = max(abs(w_config - w_series), abs(w_phase - w_series)) * math.pi * basis.hbar
             if dev > worst:
-                worst, worst_at = dev, f"{state.label()} at ({q:.2f}, {p:.2f})"
+                worst, worst_at = dev, f"{state!r} at ({q:.2f}, {p:.2f})"
     out.add("oracle-concordance", worst, 1e-6, f"7x7 probes, units 1/(pi hbar); worst {worst_at}")
 
     states = [FockState(n) for n in range(4)] + [CoherentState(0.8 + 0.55j)]
@@ -179,9 +179,8 @@ def suite_oracles() -> list[CheckResult]:
         q_lo, q_hi, p_lo, p_hi = state_window(state, basis, 6.0)
         grid = evaluate_grid(state, GridAxis(q_lo, q_hi, 201), GridAxis(p_lo, p_hi, 201), basis)
         worst_norm = max(worst_norm, abs(normalization(grid) - 1.0))
-        marg = marginal_position(grid)
-        ref = np.abs(position_wavefunction(state, marg.q, basis)) ** 2
-        worst_marg = max(worst_marg, float(np.max(np.abs(marg.density - ref))))
+        ref = np.abs(position_wavefunction(state, grid.q_axis.points, basis)) ** 2
+        worst_marg = max(worst_marg, float(np.max(np.abs(marginal_position(grid) - ref))))
     out.add("normalization", worst_norm, 1e-6, "201x201 grids over 6 state widths")
     out.add("position-marginal", worst_marg, 1e-6, "marginal vs |psi(q)|^2, pointwise")
     return out
@@ -199,15 +198,14 @@ def suite_geometry() -> list[CheckResult]:
     for b in (0.8, 1.0, 1.25):
         for q in np.linspace(-2.0, 2.0, 5):
             for p in np.linspace(-2.0, 2.0, 5):
-                point = PhasePoint(float(q), float(p), BasisParams(b, hbar))
-                report = check_identity_crossb(U, B, point, step=1e-3 * b)
-                worst = max(worst, report.max_residual / max(abs(report.lhs), scale))
+                lhs, rhs = check_identity_crossb(U, B, float(q), float(p), BasisParams(b, hbar), step=1e-3 * b)
+                worst = max(worst, abs(lhs - rhs) / max(abs(lhs), scale))
     out.add("width-derivative-identity", worst, 1e-6, "5x5x3 scan of (q, p, b)")
 
     # second-order convergence of the plain central difference
-    point = PhasePoint(1.3, 0.7, BasisParams(1.0, hbar))
-    r1 = check_identity_crossb(U, B, point, step=2e-2, extrapolate=False).residuals["qp"]
-    r2 = check_identity_crossb(U, B, point, step=1e-2, extrapolate=False).residuals["qp"]
+    basis = BasisParams(1.0, hbar)
+    pairs = [check_identity_crossb(U, B, 1.3, 0.7, basis, step, extrapolate=False) for step in (2e-2, 1e-2)]
+    r1, r2 = (abs(lhs - rhs) for lhs, rhs in pairs)
     ratio = r1 / r2 if r2 > 0 else float("inf")
     res = abs(ratio - 4.0)
     out.add("step-halving-convergence", res, 0.5, f"residual ratio {ratio:.3f} for steps 2e-2 / 1e-2")

@@ -23,8 +23,8 @@ from bargwig.core import (
 from bargwig.grid import GridAxis, evaluate_grid
 from bargwig.oracles import wigner_config_integral
 from bargwig.phase import BasisParams, qp_from_z, z_from_qp
-from bargwig.states import (CoherentState, FockState, _terms, _unchecked_superposition, cat_state, derivative_tower,
-                            exact_degree, norm_squared, overlap, superposition)
+from bargwig.states import (CoherentState, FockState, _terms, _unchecked_superposition, bargmann, cat_state,
+                            derivative_tower, exact_degree, norm_squared, overlap, superposition)
 from bargwig.validate import state_window
 from pair_reference import pair_pi_w
 
@@ -921,6 +921,26 @@ class TestFloat64FactorialLimit:
         with pytest.raises(ValueError) as closed:
             wigner_closed_fock(MAX_DEGREE + 1, 0.5)
         assert str(closed.value) == str(series.value)
+
+    @pytest.mark.parametrize("state", [FockState(301), FockState(400),
+                                       superposition([(0.6, FockState(301)), (0.8, CoherentState(0.5))])],
+                             ids=["fock301", "fock400", "mixture"])
+    @pytest.mark.parametrize("route", [
+        lambda state: bargmann(state, 20.0),
+        lambda state: derivative_tower(state, 0.5, 310),
+        lambda state: evaluate_grid(state, GridAxis(-1, 1, 3), GridAxis(-1, 1, 3), BasisParams(),
+                                    method="phase-integral"),
+    ], ids=["bargmann", "derivative_tower", "phase-integral"])
+    def test_bargmann_function_refuses_past_the_limit_as_the_series_does(self, route, state):
+        # the Bargmann function once had no limit: bargmann(fock(400), 20)
+        # was 0j (true 1.02e86), derivative_tower(fock(310)) raised a bare
+        # OverflowError, and the phase oracle wrote -2e-131 for fock(301)
+        # and 0.0 for fock(400), where W(0, 0) = -1/pi and 1/pi
+        with pytest.raises(ValueError) as series:
+            wigner_series(state, 0.5)
+        with pytest.raises(ValueError) as route_error:
+            route(state)
+        assert str(route_error.value) == str(series.value)
 
 
 class TestNearOrigin:

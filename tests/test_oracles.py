@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from bargwig import oracles
-from bargwig.oracles import QuadratureSpec, quadrature_nodes, wigner_config_integral, wigner_phase_integral
+from bargwig.grid import GridAxis, evaluate_grid
+from bargwig.oracles import (QuadratureSpec, marginal_position, normalization, quadrature_nodes, wigner_config_integral,
+                             wigner_phase_integral)
 from bargwig.phase import BasisParams
-from bargwig.states import FockState
+from bargwig.states import CoherentState, FockState, position_wavefunction
+from bargwig.validate import state_window
 
 BASIS = BasisParams()
 QUAD = QuadratureSpec(nodes=32, domain_halfwidth=3.0)
@@ -91,3 +94,18 @@ class TestNonFiniteValues:
             oracles._node_doubling(value, 32, 1e-8, 1e-8, "phase-space", "z=(0.1+0.2j)")
         got = info.value.coarse if which == "coarse" else info.value.fine
         assert not np.isfinite(got)
+
+
+class TestGridIntegrals:
+    """normalization and marginal_position on the oracle suite's 201^2
+    grids of each state's 6-width window, at the suite's 1e-6 bounds."""
+
+    @pytest.mark.parametrize("state", [FockState(n) for n in range(4)] + [CoherentState(0.8 + 0.55j)], ids=repr)
+    def test_on_the_state_window(self, state):
+        q_lo, q_hi, p_lo, p_hi = state_window(state, BASIS, 6.0)
+        grid = evaluate_grid(state, GridAxis(q_lo, q_hi, 201), GridAxis(p_lo, p_hi, 201), BASIS)
+        assert abs(normalization(grid) - 1.0) <= 1e-6
+        density = marginal_position(grid)
+        assert density.shape == (grid.q_axis.count,)
+        want = np.abs(position_wavefunction(state, grid.q_axis.points, BASIS)) ** 2
+        assert np.max(np.abs(density - want)) <= 1e-6

@@ -6,7 +6,6 @@ import pytest
 
 from bargwig.phase import (
     BasisParams,
-    PhasePoint,
     qp_from_z,
     wirtinger_derivatives,
     z_from_qp,
@@ -77,17 +76,6 @@ class TestLabelConversion:
         assert z.shape == (3, 4)
         qq, pp = qp_from_z(z, BasisParams())
         assert qq.shape == (3, 4) and np.allclose(pp, 1.0)
-
-
-class TestPhasePoint:
-    def test_label_cached_on_construction(self):
-        pt = PhasePoint(1.0, 1.0)
-        assert pt.z == pytest.approx((1 + 1j) / SQRT2)
-
-    def test_immutable(self):
-        pt = PhasePoint(0.5, -0.5)
-        with pytest.raises(AttributeError):
-            pt.q = 2.0
 
 
 class TestWirtinger:
