@@ -15,11 +15,12 @@ By it the form is Royer's displaced parity (Phys. Rev. A 15, 449 (1977)),
     W(z) = 1/(pi hbar) <psi|D(2z) Pi|psi>,
 
 bilinear in the state. _evaluate, behind wigner_series and evaluate_grid,
-sums it block by block (_pair_form) as a double sum over the members of a
-catalog state, each pair's term in closed form: a Fock pair gives the
-paper's own Laguerre kernel, summed over the number amplitudes <k|psi>
-with special.laguerre_steps at each offset k - n (_number_form); a coherent
-pair gives one Gaussian; a Fock-coherent pair gives one coherent amplitude.
+sums it (_pair_form) as a double sum over the members of a catalog state,
+each pair's term in closed form: a Fock pair gives the paper's own
+Laguerre kernel, summed over the number amplitudes <k|psi> with
+special.laguerre_steps at each offset k - n (_number_form); a coherent
+pair gives one Gaussian, a factor of Re z times one of Im z, so a grid is
+summed on its axes; a Fock-coherent pair gives one coherent amplitude.
 Nothing is truncated. choose_truncation picks the order K at which
 validate cuts the paper's side, build_F's form, for a state with a
 coherent member. Closed forms for Fock and coherent states live here too.
@@ -54,12 +55,11 @@ __all__ = [
 # 5-fold superposition with |U| = 4 takes K = 79.
 ORDER_CAP = 400
 
-# Points summed per block. _pair_form keeps, as tracemalloc sees one block,
-# 12 to 14 doubles a point for a polynomial state at any degree (fock(12),
-# fock(100), the sum of |0> to |12>), 8 for a coherent state, 16 for a cat,
-# 20 for fock(5) + coherent(2 - i) + fock(0), and 2 more a member past two
-# coherent members: 28 for 8, 140 for 64. 8192 points lowered the 200^2
-# benchmark's peak RSS by half as much.
+# Points summed per block (_rows). As tracemalloc sees one block of a grid,
+# the sum keeps about 10 doubles a point for a Fock state at any degree, 15
+# for the sum of |0> to |12>, 3 for a coherent state, 6.5 for a cat and for
+# 8 or 64 coherent members, 25 for fock(5) + coherent(2 - i) + fock(0); of
+# scattered labels 13 to 23. 8192 lowered the 200^2 peak RSS half as much.
 BLOCK_POINTS = 4096
 
 
@@ -105,35 +105,35 @@ def build_F(z: complex, K: int) -> np.ndarray:
     return entries
 
 
-def _number_form(c: list, zz: np.ndarray) -> np.ndarray:
-    """pi hbar W at the 1-D labels zz of the polynomial state whose number
-    amplitudes are c_k = <k|psi>, k < len(c): Royer's form at 2z,
-    Re sum_(k,n) (-1)^k conj(c_k) c_n <k|D(-2z)|n>, over Cahill and Glauber's
-    normalized Laguerre matrix elements, x = 4|z|^2. The pairs k = n + a and
-    n = k + a give one real sum over the offsets a,
+def _number_form(c: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """pi hbar W at the labels x + iy (x and y broadcast) of the polynomial
+    state whose number amplitudes are c_k = <k|psi>, k < len(c): Royer's
+    form at 2z, Re sum_(k,n) (-1)^k conj(c_k) c_n <k|D(-2z)|n>, over Cahill
+    and Glauber's normalized Laguerre matrix elements, X = |2z|^2, read as
+    (2x)^2 + (2y)^2. The pairs k = n + a and n = k + a give one real sum over
+    the offsets a,
 
-        sum_a w_a Re[<a|2z> sum_n (-1)^n conj(c_(n+a)) c_n sqrt(a! n!/(n+a)!) L_n^(a)(x)],
+        sum_a w_a Re[<a|2z> sum_n (-1)^n conj(c_(n+a)) c_n sqrt(a! n!/(n+a)!) L_n^(a)(X)],
 
-    w_0 = 1, w_a = 2, <a|2z> = exp(-x/2) (2z)^a / sqrt(a!) from
-    special.coherent_amplitudes. Each offset takes L_n^(a) from
-    special.laguerre_steps up to the last n with c_n c_(n+a) != 0; an offset
-    with no such pair is skipped, and no offset past the last one used is
-    reached. Where <0|2z> underflows the value is 0, and x is set to 0
-    there, so L(x) cannot overflow to give nan (2z is finite at the labels
-    _evaluate passes). For fock(N) the value is wigner_closed_fock's, bitwise."""
+    w_0 = 1, w_a = 2, <a|2z> = exp(-X/2) (2z)^a / sqrt(a!) from
+    special.coherent_amplitudes; 2z is formed only if an offset a >= 1 is
+    used. Each offset takes L_n^(a) from special.laguerre_steps up to the
+    last n with c_n c_(n+a) != 0; an offset with no such pair is skipped.
+    Where <0|2z> underflows the value is 0, and X is set to 0 there, so
+    L(X) cannot overflow to give nan. For fock(N) the value is
+    wigner_closed_fock's, bitwise."""
     pairs = [[n for n in range(len(c) - a) if c[n] and c[n + a]] for a in range(len(c))]
     last = max((a for a, used in enumerate(pairs) if used), default=0)
-    total = np.zeros(zz.shape)
-    w = 2.0 * zz
-    x = (np.conj(w) * w).real.copy()  # a view would hold the complex product: 10% slower at 200^2
-    for a, amplitude in enumerate(coherent_amplitudes(last, w)):
-        if not a:
-            x[amplitude == 0] = 0.0
+    total = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    square = (2.0 * x) ** 2 + (2.0 * y) ** 2
+    first = np.exp(-0.5 * square)  # <0|2z>
+    square[first == 0] = 0.0
+    for a, amplitude in enumerate(coherent_amplitudes(last, 2.0 * x + 2j * y if last else None, first)):
         if not pairs[a]:
             continue
         s = 0j  # S_a, the sum over n
         scale = 2.0 if a else 1.0  # w_a sqrt(a! n!/(n+a)!)
-        for n, value in enumerate(laguerre_steps(pairs[a][-1], x, a)):
+        for n, value in enumerate(laguerre_steps(pairs[a][-1], square, a)):
             if n:
                 scale *= math.sqrt(n / (n + a))
             if c[n] and c[n + a]:
@@ -174,76 +174,79 @@ def choose_truncation(state: StateSpec, z, policy: TruncationPolicy) -> int:
                           f"{bound:.3g}", ORDER_CAP, bound)
 
 
-def _pair_form(state: StateSpec, zz: np.ndarray, amplitudes: list) -> np.ndarray:
-    """pi hbar W = <psi|O|psi>, O = D(2z) Pi, at the 1-D labels zz, exactly,
-    one member pair at a time. The state is split into its Fock part P and
-    its coherent members C = sum_j c_j |v_j>, and O is Hermitian, so
+def _rows(x: np.ndarray, y: np.ndarray):
+    """(rows, x, y) of each block of whole rows of x + iy: BLOCK_POINTS points at most, or one row."""
+    step = max(1, BLOCK_POINTS // max(np.broadcast(x[:1], y[:1]).size, 1))
+    for lo in range(0, max(len(x), len(y)), step):
+        yield slice(lo, lo + step), *(a[lo:lo + step] if len(a) > 1 else a for a in (x, y))
+
+
+def _pair_form(coherent: list, x: np.ndarray, y: np.ndarray, amplitudes: list) -> np.ndarray:
+    """pi hbar W = <psi|O|psi>, O = D(2z) Pi, at the labels x + iy, exactly,
+    pair by pair of the members of the Fock part P, <k|P> = amplitudes[k],
+    and of C = sum_j c_j |v_j>, (c_j, v_j) in coherent. O is Hermitian, so
 
         pi hbar W = <P|O|P> + <C|O|C> + 2 Re <P|O|C>.
 
-    <P|O|P> is _number_form's, on P's number amplitudes (empty for no Fock
-    member), which _evaluate takes once. A coherent pair gives one
-    Gaussian, D(a)|b> = exp(i Im(a conj(b))) |a + b>,
+    <P|O|P> is _number_form's. A coherent pair gives one Gaussian,
+    D(a)|b> = exp(i Im(a conj(b))) |a + b>,
 
         <u|O|v> = exp(-2|z - (u+v)/2|^2 + i [2 Im(z conj(u - v)) - Im(conj(u) v)]),
 
-    summed over the Hermitian half i <= j in the frame of the mean label
-    z0 of C, the covariance W_psi(z) = W_(D(-z0) psi)(z - z0) with
-    D(-z0)|v> = exp(i Im(conj(z0) v)) |v - z0>: the modulus is one real exp
-    at the pair's midpoint, the phase the per-member unit factors
-    exp(2i Im(w conj(d))), w = z - z0 and d = v - z0, times a constant per
-    pair. The phases stay small near the state, where their rounding
-    would show. A Fock-coherent pair gives one coherent amplitude,
-    <k|O|v> = exp(-2i Im(y conj(v))) <k|2y>, y = z - v/2: one phase times
-    sum_k conj(<k|P>) <k|2y> up to P's degree. The labels are those
-    _evaluate leaves finite in every square and phase."""
-    coherent = [(c, m.u) for c, m in _terms(state) if isinstance(m, CoherentState)]
-    if not coherent:
-        return _number_form(amplitudes, zz)
-    total = np.zeros(zz.shape)
+    summed over i <= j in the frame of C's mean label z0, where the phases
+    stay small, by W_psi(z) = W_(D(-z0) psi)(z - z0), D(-z0)|v> =
+    exp(i Im(conj(z0) v)) |v - z0>. With z - z0 = s + it, d = v - z0,
+    g = (d_i + d_j)/2 and e = d_i - d_j the term is Re[C A(s) B(t)], with
+    C = |c_i|^2 for i = j, else 2 conj(c_i) c_j exp(-i Im(conj(d_i) d_j)), and
 
-    z0 = sum(v for _, v in coherent) / len(coherent)
-    moved = [(c * cmath.exp(1j * (z0.conjugate() * (v - z0)).imag), v - z0) for c, v in coherent]
-    w = zz - z0
-    if len(moved) > 1:  # c exp(-2i Im(w conj(d))) of each member
-        units = [c * np.exp(-2j * (w.imag * d.real - w.real * d.imag)) for c, d in moved]
-    for i, (ci, di) in enumerate(moved):
-        left = 2 * np.conj(units[i]) if i + 1 < len(moved) else None  # once a row, not a pair: 1.2x at 64 members
-        for j in range(i, len(moved)):
-            dj = moved[j][1]
-            gap = w - (di + dj) / 2
-            gauss = np.exp(-2.0 * (gap.real ** 2 + gap.imag ** 2))
-            if i == j:
-                total += abs(ci) ** 2 * gauss
-            else:
-                total += gauss * (left * cmath.exp(-1j * (di.conjugate() * dj).imag) * units[j]).real
+        A(s) = exp(-2(s - g_r)^2 - 2i s e_i),   B(t) = exp(-2(t - g_i)^2 + 2i t e_r),
 
-    if amplitudes:
-        total += _number_form(amplitudes, zz)
+    taken once a pair (on a lattice, on its axes), their products summed a
+    block of rows at a time (_rows). A Fock-coherent pair gives
+    <k|O|v> = exp(-2i Im(h conj(v))) <k|2h>, h = z - v/2, pointwise."""
+    total = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    if coherent:
+        z0 = sum(v for _, v in coherent) / len(coherent)
+        moved = [(c * cmath.exp(1j * (z0.conjugate() * (v - z0)).imag), v - z0) for c, v in coherent]
+        s, t = x - z0.real, y - z0.imag
+        for i, (ci, di) in enumerate(moved):
+            for j, (cj, dj) in enumerate(moved[i:], i):
+                g, e = (di + dj) / 2, di - dj
+                if i == j:
+                    a, b = abs(ci) ** 2 * np.exp(-2.0 * (s - g.real) ** 2), np.exp(-2.0 * (t - g.imag) ** 2)
+                else:
+                    pair = 2 * ci.conjugate() * cj * cmath.exp(-1j * (di.conjugate() * dj).imag)
+                    a = pair * np.exp(-2.0 * (s - g.real) ** 2 - 2j * e.imag * s)
+                    b = np.exp(-2.0 * (t - g.imag) ** 2 + 2j * e.real * t)
+                for rows, ab, bb in _rows(a, b):
+                    total[rows] += (ab * bb).real
+
+    for rows, xb, yb in _rows(x, y) if amplitudes else ():
+        total[rows] += _number_form(amplitudes, xb, yb)
+        zz = xb + 1j * yb if coherent else None
         for c, v in coherent:
-            y = zz - v / 2
-            row = coherent_amplitudes(len(amplitudes) - 1, 2.0 * y)  # <k|2y>
+            h = zz - v / 2
+            row = coherent_amplitudes(len(amplitudes) - 1, 2.0 * h)  # <k|2h>
             cross = sum(p.conjugate() * a for p, a in zip(amplitudes, row) if p)
-            total += (2 * c * np.exp(-2j * (y.imag * v.real - y.real * v.imag)) * cross).real
+            total[rows] += (2 * c * np.exp(-2j * (h.imag * v.real - h.real * v.imag)) * cross).real
     return total
 
 
-def _evaluate(state: StateSpec, z: np.ndarray, hbar: float, order: int | None = None) -> np.ndarray:
-    """W of state at the finite labels z (a 1-D array or a 2-D lattice): the
-    one series evaluation behind wigner_series and evaluate_grid. With no
-    order, the exact pair form (_pair_form); with one, the number form
-    (_number_form) of the state projected on |0>, ..., |order>, for a
-    polynomial state no further than its degree. The number amplitudes
-    <k|.>, of the Fock part or of the state, are taken once, up to the
-    Fock part's degree or order, at most MAX_DEGREE: past it the Laguerre
-    values of _number_form overflow float64 where the Gaussian has not yet
+def _evaluate(state: StateSpec, x: np.ndarray, y: np.ndarray, hbar: float, order: int | None = None) -> np.ndarray:
+    """W of state at the finite labels x + iy, x = Re z and y = Im z as 1-D
+    arrays (scattered labels, summed in flat blocks) or as a column and a
+    row (a lattice's axes, summed at once): the one series evaluation
+    behind wigner_series and evaluate_grid. With no order, the exact pair
+    form (_pair_form); with one, the number form of the state projected on
+    |0>, ..., |order>, for a polynomial state no further than its degree.
+    The number amplitudes <k|.>, of the Fock part or of the state, are taken
+    once, at most MAX_DEGREE of them: past it the Laguerre values of
+    _number_form overflow float64 where the Gaussian has not yet
     underflowed. Each pair's Gaussian is centred within max |v| of the
-    origin (v the coherent labels), so past reach = 20 + max |v| in Re z or
-    Im z W is 0: such labels are summed at reach, where every square and
-    phase is finite. Every part is pointwise, so values do not depend on the
-    blocks of BLOCK_POINTS. A value not finite raises ValueError naming
-    its label.
-    """
+    origin (v the coherent labels), so x and y are clipped at
+    reach = 20 + max |v|, past which W is 0. Every part is pointwise, so
+    values do not depend on the blocks. A value not finite raises
+    ValueError naming its label."""
     if order is not None and order < 0:
         raise ValueError(f"truncation order must be non-negative, got {order}")
     deg, terms = exact_degree(state), _terms(state)
@@ -252,19 +255,20 @@ def _evaluate(state: StateSpec, z: np.ndarray, hbar: float, order: int | None = 
     _refuse_past_max_degree(state, K)
     part = _unchecked_superposition(fock) if order is None else state
     c = [] if K is None else [complex(overlap(FockState(k), part)) for k in range(K + 1)]
+    coherent = [(b, m.u) for b, m in terms if isinstance(m, CoherentState) and order is None]
     reach = 20.0 + max((abs(m.u) for _, m in terms if isinstance(m, CoherentState)), default=0.0)
-    values = np.empty(z.shape)
-    zz, out = z.reshape(-1), values.reshape(-1)
-    for lo in range(0, zz.size, BLOCK_POINTS):
-        block = zz[lo:lo + BLOCK_POINTS]
-        if np.abs(block.view(float)).max() > reach:  # some label's Re z or Im z
-            block = np.where(np.maximum(np.abs(block.real), np.abs(block.imag)) > reach, reach, block)
-        form = _pair_form(state, block, c) if order is None else _number_form(c, block)
-        out[lo:lo + BLOCK_POINTS] = form / (math.pi * hbar)
-    bad = np.flatnonzero(~np.isfinite(out))
+    if x.ndim == 1:  # scattered labels, a block at a time
+        values = np.empty(x.shape)
+        for rows, *block in _rows(x, y):
+            values[rows] = _pair_form(coherent, *(np.clip(a, -reach, reach) for a in block), c)
+    else:  # a lattice, on its axes
+        values = _pair_form(coherent, *(np.clip(a, -reach, reach) for a in (x, y)), c)
+    values /= math.pi * hbar
+    bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         at = "" if K is None else f" at truncation order K = {K}"
-        raise ValueError(f"W of {state!r} at z = {complex(zz[bad[0]]):.6g} is {float(out[bad[0]])!r}{at}")
+        z = complex(*(np.broadcast_to(a, values.shape).flat[bad[0]] for a in (x, y)))
+        raise ValueError(f"W of {state!r} at z = {z:.6g} is {float(values.flat[bad[0]])!r}{at}")
     return values
 
 
@@ -286,7 +290,7 @@ def wigner_series(state: StateSpec, z, basis: BasisParams | None = None, order: 
     if bad.size:
         where = str(list(map(int, np.unravel_index(bad[0], z_in.shape)))) if z_in.ndim else ""
         raise ValueError(f"phase-space label z{where} = {complex(zz[bad[0]]):.6g} is not finite")
-    w = _evaluate(state, zz, basis.hbar, order).reshape(z_in.shape)
+    w = _evaluate(state, zz.real, zz.imag, basis.hbar, order).reshape(z_in.shape)
     return w if w.ndim else float(w)
 
 
@@ -301,9 +305,9 @@ def wigner_closed_fock(N: int, z, basis: BasisParams | None = None):
     _refuse_past_max_degree(FockState(N), N)
     basis = basis or BasisParams()
     z = np.asarray(z, dtype=complex)
-    u = (np.conj(z) * z).real
-    gauss = np.exp(-2.0 * u)
-    w = (-1.0) ** N * gauss * laguerre(N, np.where(gauss == 0, 0.0, 4.0 * u)) / (math.pi * basis.hbar)
+    x = (2.0 * z.real) ** 2 + (2.0 * z.imag) ** 2  # |2z|^2, rounded as _number_form rounds it
+    gauss = np.exp(-0.5 * x)
+    w = (-1.0) ** N * gauss * laguerre(N, np.where(gauss == 0, 0.0, x)) / (math.pi * basis.hbar)
     return w if np.ndim(w) else float(w)
 
 

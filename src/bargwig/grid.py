@@ -9,11 +9,11 @@ writers format every number as the shortest text that parses back to the
 identical double (orjson), and refuse non-finite values before the file is
 opened.
 
-The series is one call to core._evaluate on the grid's label lattice, in
-this process. The metadata records "truncation_order", the state's exact
-degree for every method: the order of its number amplitudes if it is
-polynomial, null if it has a coherent member. Beyond a block of the sum a
-grid holds its labels and values, 24 bytes a point.
+The series is one call to core._evaluate on the grid's axes, in this
+process, with no label lattice. The metadata records "truncation_order",
+the state's exact degree for every method: the order of its number
+amplitudes if it is polynomial, null if it has a coherent member. Beyond a
+block of the sum a grid holds its values and validate's |W|, 16 bytes a point.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ class GridAxis:
     count: int
 
     def __post_init__(self):
+        if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
+            raise ValueError(f"axis count must be an integer, got {self.count!r}")
+        object.__setattr__(self, "count", int(self.count))
         if self.count < 2:
             raise ValueError("each grid axis needs at least 2 points")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -186,13 +189,14 @@ def evaluate_grid(
 
     q_pts = q_axis.points
     p_pts = p_axis.points
-    z = z_from_qp(q_pts[:, None], p_pts[None, :], basis)
-
-    if method == "series":
-        values = _evaluate(state, z, basis.hbar)
-    elif method == "closed":
-        values = _closed_form(state, q_pts, p_pts, z, basis)
+    if method == "series":  # Re z depends on q alone and Im z on p alone: the series takes the axes
+        x, y = z_from_qp(q_pts, 0.0, basis).real, z_from_qp(0.0, p_pts, basis).imag
+        values = _evaluate(state, x[:, None], y[None, :], basis.hbar)
     else:
+        z = z_from_qp(q_pts[:, None], p_pts[None, :], basis)
+    if method == "closed":
+        values = _closed_form(state, q_pts, p_pts, z, basis)
+    elif method != "series":
         # The oracles take tol as their convergence budget; unset, their default.
         budget = {} if tol is None else {"tol": tol}
         values = np.empty(z.shape)

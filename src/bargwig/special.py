@@ -58,14 +58,16 @@ def laguerre(n: int, x, a: int = 0):
     return value
 
 
-def coherent_amplitudes(K: int, w):
+def coherent_amplitudes(K: int, w, first=None):
     """Yield <k|w> = exp(-|w|^2/2) w^k / sqrt(k!) for k = 0..K (Cahill and
     Glauber, Phys. Rev. 177, 1857 (1969)) as a_k = a_(k-1) w / sqrt(k) from a
-    real a_0: no step overflows. A number w steps in Python arithmetic, an
-    array in numpy; the two need not round alike."""
+    real a_0, or from first as the caller rounds a_0 (w read past K = 0 only):
+    no step overflows. A number w steps in Python arithmetic, an array in
+    numpy; the two need not round alike."""
     if K < 0:
         raise ValueError("coherent amplitude order must be non-negative")
-    a = np.exp(-0.5 * (np.conj(w) * w).real) if isinstance(w, np.ndarray) else math.exp(-0.5 * abs(w) ** 2)
+    a = first if first is not None else (
+        np.exp(-0.5 * (np.conj(w) * w).real) if isinstance(w, np.ndarray) else math.exp(-0.5 * abs(w) ** 2))
     yield a
     for k in range(1, K + 1):
         a = a * w * (1 / math.sqrt(k))

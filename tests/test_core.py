@@ -200,7 +200,7 @@ def number_form_calls(monkeypatch):
     of the test."""
     orders = []
     number_form = core._number_form
-    monkeypatch.setattr(core, "_number_form", lambda c, zz: orders.append(len(c) - 1) or number_form(c, zz))
+    monkeypatch.setattr(core, "_number_form", lambda c, x, y: orders.append(len(c) - 1) or number_form(c, x, y))
     return orders
 
 
@@ -498,7 +498,7 @@ class TestNumberForm:
         K = choose_truncation(state, None, POLICY)
         for z in self.windows(state):
             zz = z.ravel()
-            got, exact = _number_form(amplitudes(state, K), zz), wigner_series(state, z).ravel()
+            got, exact = _number_form(amplitudes(state, K), zz.real, zz.imag), wigner_series(state, z).ravel()
             if exact_degree(state) is None:
                 assert np.max(np.abs(got - exact * math.pi)) <= TOL, name
             else:
@@ -560,7 +560,7 @@ class TestSteppedWalk:
             c = derivative_tower(state, z, K) / np.array([math.factorial(k) for k in range(K + 1)])
             terms = np.conj(c)[:, None] * build_F(z, K) * c[None, :]
             gauss = math.exp(-2.0 * abs(z) ** 2)
-            got = _number_form(amplitudes(self.taylor_state(c, z), K), np.array([z]))[0]
+            got = _number_form(amplitudes(self.taylor_state(c, z), K), np.array([z.real]), np.array([z.imag]))[0]
             assert abs(got - gauss * terms.sum().real) <= 1e-13 * gauss * np.abs(terms).sum(), z
 
 
@@ -820,8 +820,8 @@ class TestBlocks:
             assert np.array_equal(blocked, self.one_block(monkeypatch, state, z, order=order))
 
     def test_traced_peak_of_200_squared_labels(self):
-        # the bound of tests/test_grid.py::TestTracedPeak at blocks of 4096
-        # points: the labels and values, 24 bytes a point, and one block of
+        # scattered labels: the bound a grid had while it built its label
+        # lattice, the labels and values, 24 bytes a point, and one block of
         # the deleted derivative-stack walk, 3(K+1) + 24 doubles a point at
         # the walk's K = 21 for cat(1.1); the pair form of a cat keeps 16
         import tracemalloc

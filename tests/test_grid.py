@@ -12,6 +12,7 @@ from bargwig.oracles import OracleConvergenceError, wigner_config_integral, wign
 from bargwig.phase import BasisParams, qp_from_z, z_from_qp
 from bargwig.states import CoherentState, FockState, cat_state, exact_degree, superposition
 from bargwig.validate import state_window
+from pair_reference import pair_pi_w
 
 SUP4 = superposition([(0.5, FockState(n)) for n in range(4)])
 EDGE_VALUES = np.array([[0.0, -0.0, 1e-300], [-5e-324, 0.1 + 0.2, -1 / 3], [math.pi, 1e22, -2.5e-17]])
@@ -146,6 +147,28 @@ class TestWriters:
         assert back.to_dict() == obj
 
 
+class TestAxisCount:
+    """An axis count is an integer, as a Fock index is: a float count
+    once constructed and then broke linspace in .points, and from_dict
+    loaded a JSON count of 2.0 and wrote it back as 2.0."""
+
+    @pytest.mark.parametrize("count", [3.0, 2.5, "3", True], ids=["3.0", "2.5", "str", "bool"])
+    def test_refuses_a_count_that_is_not_an_integer(self, count):
+        with pytest.raises(ValueError, match=re.escape(f"axis count must be an integer, got {count!r}")):
+            GridAxis(0.0, 1.0, count)
+
+    def test_numpy_integer_is_stored_as_int(self):
+        axis = GridAxis(0.0, 1.0, np.int64(3))
+        assert type(axis.count) is int and axis == GridAxis(0.0, 1.0, 3)
+        assert axis.points.tolist() == [0.0, 0.5, 1.0]
+
+    def test_from_dict_refuses_a_float_count(self, sup4_grid):
+        obj = sup4_grid.to_dict()
+        obj["q_axis"]["count"] = float(obj["q_axis"]["count"])
+        with pytest.raises(ValueError, match=re.escape(f"axis count must be an integer, got {obj['q_axis']['count']!r}")):
+            WignerGrid.from_dict(obj)
+
+
 class TestShape:
     """values must be (q count, p count): a mismatched array would lose
     rows in write_csv and write JSON that from_dict cannot read back."""
@@ -163,34 +186,38 @@ class TestShape:
 
 
 def spy_on_blocks(monkeypatch):
-    """Record the number of labels in every block that the series of
-    core._evaluate takes."""
-    sizes = []
-    pair_form = core._pair_form
+    """Record, for every split of a series' labels into blocks of rows
+    (core._rows), the number of labels in each block."""
+    splits = []
+    rows = core._rows
 
-    def recording(state, zz, amplitudes):
-        sizes.append(zz.size)
-        return pair_form(state, zz, amplitudes)
+    def recording(x, y):
+        sizes = []
+        splits.append(sizes)
+        for block in rows(x, y):
+            sizes.append(np.broadcast(*block[1:]).size)
+            yield block
 
-    monkeypatch.setattr(core, "_pair_form", recording)
-    return sizes
+    monkeypatch.setattr(core, "_rows", recording)
+    return splits
 
 
 class TestBlocks:
-    """A series grid is one core._evaluate call on the label lattice, summed
-    in flat blocks of core.BLOCK_POINTS points; tests/test_core.py tests the
-    blocks themselves."""
+    """A series grid is one core._evaluate call on the lattice's axes, summed
+    in blocks of whole rows of at most core.BLOCK_POINTS points;
+    tests/test_core.py tests the blocks of scattered labels."""
 
     @pytest.mark.parametrize("state", [CoherentState(0.7 - 0.4j), cat_state(1.1), SUP4],
                              ids=["coherent", "cat1.1", "sup4"])
     def test_values_do_not_depend_on_the_block_size(self, state, monkeypatch):
         q_axis, p_axis = GridAxis(-3.0, 3.0, 23), GridAxis(-2.5, 3.0, 17)
         whole = evaluate_grid(state, q_axis, p_axis)
-        # blocks of 84 points cut rows: 391 points leave a last block of 55
+        # a budget of 84 points holds 4 rows of 17: 23 rows leave a last
+        # block of 3
         monkeypatch.setattr(core, "BLOCK_POINTS", 5 * p_axis.count - 1)
-        sizes = spy_on_blocks(monkeypatch)
+        splits = spy_on_blocks(monkeypatch)
         blocked = evaluate_grid(state, q_axis, p_axis)
-        assert sizes == [84, 84, 84, 84, 55]
+        assert splits and all(sizes == [68, 68, 68, 68, 68, 51] for sizes in splits)
 
         qq, pp = np.meshgrid(q_axis.points, p_axis.points, indexing="ij")
         single = wigner_series(state, z_from_qp(qq, pp, BasisParams()))
@@ -200,32 +227,31 @@ class TestBlocks:
 
     @pytest.mark.parametrize("state", [FockState(0), cat_state(1.1)], ids=["fock0", "cat1.1"])
     def test_no_block_exceeds_the_point_budget(self, state, monkeypatch):
-        # the block is cut by points whatever the state: 9 blocks of 4096
-        # points and one of 3136 for fock(0) and cat(1.1) alike
+        # the block is cut by points whatever the state: 10 blocks of 20
+        # rows of 200, 4000 points, for fock(0) and cat(1.1) alike
         axis = GridAxis(-3.0, 3.0, 200)
-        sizes = spy_on_blocks(monkeypatch)
+        splits = spy_on_blocks(monkeypatch)
         evaluate_grid(state, axis, axis)
         assert core.BLOCK_POINTS == 4096
-        assert sizes == [4096] * 9 + [3136]
+        assert splits and all(sizes == [4000] * 10 for sizes in splits)
 
 
 class TestTracedPeak:
-    """The bound is that of a block of the derivative-stack walk, now
-    deleted, which kept about 3(K+1) + O(1) doubles per point at the walk's
-    order K, the Taylor stack and one kernel diagonal; the pair form keeps
-    fewer (core.BLOCK_POINTS). With the grid's own arrays (the complex
-    labels and the values, 24 bytes a point) one evaluate_grid at 200^2
-    peaks, as tracemalloc sees numpy's allocations, below
-    24 N + 8 (3(K+1) + 24) 4096 bytes: from 1.9 MB for fock(0) to 4.2 MB
-    for cat(1.1), whose block term keeps the walk's K = 21, and 1.9 MB for
-    coherent(0.7 - 0.4i), which the walk summed at K = 0. The block term is
-    fixed at the 4096 points of core.BLOCK_POINTS, so a larger block fails
-    the test rather than raising its bound."""
+    """A series grid keeps no label lattice: core._evaluate sums it on its
+    axes, its values its only array of the grid's size until validate takes
+    |W|, 16 bytes a point in all. One block keeps at most 16 doubles a point
+    (the 4-term Fock superposition's number form), so one evaluate_grid at
+    200^2 peaks, as tracemalloc sees numpy's allocations, below
+    16 N + 8 * 16 * 4096 bytes, 1.16 MB: from 0.65 MB (coherent, cat(1.1),
+    Fock states) to 0.82 MB (the superposition). A complex label lattice
+    kept until the grid returns, 16 bytes a point more, brings the peak to
+    at least 32 N, 1.28 MB, and fails the test, and so does the
+    superposition summed in blocks of twice the points."""
 
-    @pytest.mark.parametrize("state, K", [(FockState(0), 0), (FockState(6), 6), (FockState(12), 12),
-                                          (CoherentState(0.7 - 0.4j), 0), (cat_state(1.1), 21), (SUP4, 3)],
+    @pytest.mark.parametrize("state", [FockState(0), FockState(6), FockState(12), CoherentState(0.7 - 0.4j),
+                                       cat_state(1.1), SUP4],
                              ids=["fock0", "fock6", "fock12", "coherent", "cat1.1", "sup4"])
-    def test_catalog_at_200(self, state, K):
+    def test_catalog_at_200(self, state):
         import tracemalloc
 
         axis = GridAxis(-3.0, 3.0, 200)
@@ -236,8 +262,8 @@ class TestTracedPeak:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 24 * axis.count**2 + 8 * (3 * (K + 1) + 24) * 4096
-        assert peak < bound, (K, peak, bound)
+        bound = 16 * axis.count**2 + 8 * 16 * 4096
+        assert peak < bound, (peak, bound)
 
 
 class TestOrigin:
@@ -314,6 +340,43 @@ class TestOwnFrame:
         g = evaluate_grid(CoherentState(0.7 - 0.4j), axis, axis, method=method)
         assert "frame" not in g.metadata
         assert g.metadata["truncation_order"] is None
+
+
+def seeded_superposition(members: int, seed: int):
+    """members coherent states, labels uniform in the disk |U| <= 5 and
+    complex normal coefficients, normalized."""
+    rng = np.random.default_rng(seed)
+    labels = 5 * np.sqrt(rng.uniform(0, 1, members)) * np.exp(2j * np.pi * rng.uniform(0, 1, members))
+    coeffs = rng.normal(size=members) + 1j * rng.normal(size=members)
+    return superposition([(complex(c), CoherentState(complex(u))) for c, u in zip(coeffs, labels)], normalize=True)
+
+
+class TestPairsOnAxes:
+    """States with several coherent members, each on its own window
+    (validate.state_window) at 41^2: the grid, summed on its axes, is
+    wigner_series at its labels bitwise, and within 1e-14 (1/pi hbar) of
+    the 30-digit pair sum (tests/pair_reference.py) at every step-th point
+    and at its largest |W|. The 64-member reference takes about 0.3 s a
+    point, so it is read at 9 points."""
+
+    STATES = {
+        "cat15": (cat_state(15.0), 13),
+        "8-members": (seeded_superposition(8, 8), 29),
+        "64-members": (seeded_superposition(64, 64), 211),
+        "fock5+coherent+fock0": (superposition([(1.0, FockState(5)), (0.5, CoherentState(2 - 1j)),
+                                                (0.3j, FockState(0))], normalize=True), 7),
+    }
+
+    @pytest.mark.parametrize("name", STATES)
+    def test_own_window(self, name):
+        state, step = self.STATES[name]
+        basis = BasisParams()
+        q_lo, q_hi, p_lo, p_hi = state_window(state, basis)
+        g = evaluate_grid(state, GridAxis(q_lo, q_hi, 41), GridAxis(p_lo, p_hi, 41), basis)
+        z = z_from_qp(g.q_axis.points[:, None], g.p_axis.points[None, :], basis)
+        assert np.array_equal(g.values, wigner_series(state, z, basis))
+        for i in sorted({*range(step // 2, z.size, step), int(np.argmax(np.abs(g.values)))}):
+            assert abs(g.values.flat[i] * math.pi - pair_pi_w(state, z.flat[i])) <= 1e-14, (name, z.flat[i])
 
 
 class TestOracleTolerance:
