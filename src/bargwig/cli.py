@@ -18,7 +18,7 @@ from .grid import METHODS, GridAxis, evaluate_grid
 from .oracles import OracleConvergenceError
 from .phase import BasisParams
 from .states import state_from_json
-from .validate import run_suite
+from .validate import SUITES, run_suite
 
 __all__ = ["main"]
 
@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="omit the timestamp from JSON metadata (comparison mode)")
 
     ck = sub.add_parser("check", help="run validation suites")
-    ck.add_argument("--suite", choices=("all", "series", "oracles", "geometry"), default="all")
+    ck.add_argument("--suite", choices=("all", *SUITES), default="all")
 
     return parser
 

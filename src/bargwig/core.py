@@ -5,8 +5,8 @@
 with V_k = d^k f/dz^k the Bargmann derivative stack and F_{n,j} =
 g_kernel(n, j, z) = conj(z)^n z^j 2F0(-n, -j; ; -1/|z|^2), an associated
 Laguerre polynomial regular at z = 0. build_F tabulates F entry by entry,
-the reference that validate's paper-form-agreement check compares the
-evaluated W against.
+each entry over an array of points at once, the reference that validate's
+paper-form-agreement check compares the evaluated W against.
 
 The form has a second exact factorization, N^-1 F N^-1 = exp(|z|^2) B^+ S B
 with N = diag(n!), B_kj = C(k, j) (-conj(z))^(k-j), S = diag((-1)^k / k!).
@@ -89,19 +89,18 @@ class TruncationPolicy:
             raise ValueError(f"tail_tolerance must be positive and finite, got {self.tail_tolerance!r}")
 
 
-def build_F(z: complex, K: int) -> np.ndarray:
-    """The (K+1) x (K+1) Hermitian kernel matrix of g_kernel values at the
-    point z, filled entry by entry: the paper's side of validate's
-    paper-form-agreement check."""
+def build_F(z, K: int) -> np.ndarray:
+    """The Hermitian kernel matrix of g_kernel values at the point(s) z,
+    shape (K+1, K+1) + shape(z), filled entry by entry over every point at
+    once: the paper's side of validate's paper-form-agreement check."""
     if K < 0:
         raise ValueError("truncation order must be non-negative")
-    z = complex(z)
-    entries = np.empty((K + 1, K + 1), dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    entries = np.empty((K + 1, K + 1) + z.shape, dtype=complex)
     for n in range(K + 1):
         for j in range(n, K + 1):
-            val = g_kernel(n, j, z)
-            entries[n, j] = val
-            entries[j, n] = np.conj(val)
+            entries[n, j] = g_kernel(n, j, z)
+            entries[j, n] = np.conj(entries[n, j])
     return entries
 
 

@@ -1,4 +1,4 @@
-"""Scalar special functions: Laguerre/Hermite recurrences, the coherent
+"""Special functions: Laguerre/Hermite recurrences, the coherent
 amplitudes, and the kernel of the quadratic form, the terminating 2F0
 series in its singularity-free polynomial form.
 
@@ -11,8 +11,8 @@ alternating 2F0 sum cancels everywhere. coherent_amplitudes, the one
 running product <k|w>, serves bra, core's number form and Fock-coherent
 pairs, and choose_truncation.
 
-All functions accept numpy arrays in their continuous argument and
-broadcast elementwise; order arguments are plain non-negative ints.
+All functions take numpy arrays in their continuous argument and broadcast
+elementwise, a scalar by the same numpy path; order arguments are ints.
 """
 
 from __future__ import annotations
@@ -35,13 +35,11 @@ def laguerre_steps(n: int, x, a: int = 0):
 
         k d_k = (k-1+a) d_(k-1) - x L_(k-1),   L_k = L_(k-1) + d_k,   L_0 = d_0 = 1:
 
-    floats for a scalar x, else one array, updated in place by each step."""
+    one array of the shape of x, updated in place by each step."""
     if n < 0:
         raise ValueError("Laguerre degree must be non-negative")
     x = np.asarray(x, dtype=float)
-    # a scalar steps in Python floats, which round as float64 and take about
-    # a third of the time of numpy scalars (build_F takes one per entry)
-    x, value, diff = (x, np.ones(x.shape), np.ones(x.shape)) if x.ndim else (float(x), 1.0, 1.0)
+    value, diff = np.ones(x.shape), np.ones(x.shape)
     yield value
     for k in range(1, n + 1):
         diff *= k - 1 + a
@@ -53,21 +51,21 @@ def laguerre_steps(n: int, x, a: int = 0):
 
 def laguerre(n: int, x, a: int = 0):
     """Associated Laguerre polynomial L_n^(a)(x), a >= 0: the last value of
-    laguerre_steps."""
+    laguerre_steps, a float for a scalar x."""
     *_, value = laguerre_steps(n, x, a)
-    return value
+    return value if value.ndim else float(value)
 
 
 def coherent_amplitudes(K: int, w, first=None):
     """Yield <k|w> = exp(-|w|^2/2) w^k / sqrt(k!) for k = 0..K (Cahill and
     Glauber, Phys. Rev. 177, 1857 (1969)) as a_k = a_(k-1) w / sqrt(k) from a
     real a_0, or from first as the caller rounds a_0 (w read past K = 0 only):
-    no step overflows. A number w steps in Python arithmetic, an array in
-    numpy; the two need not round alike."""
+    no step overflows. A number w steps as a 0-d array, by the loops of an
+    array, so each point's amplitudes are those it has in any array."""
     if K < 0:
         raise ValueError("coherent amplitude order must be non-negative")
-    a = first if first is not None else (
-        np.exp(-0.5 * (np.conj(w) * w).real) if isinstance(w, np.ndarray) else math.exp(-0.5 * abs(w) ** 2))
+    w = np.asarray(w)
+    a = np.exp(-0.5 * (np.conj(w) * w).real) if first is None else first
     yield a
     for k in range(1, K + 1):
         a = a * w * (1 / math.sqrt(k))

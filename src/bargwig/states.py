@@ -285,11 +285,12 @@ def _root_factorial(N: int) -> int:
 
 
 def _refuse_past_max_degree(state: StateSpec, K: int | None) -> None:
-    """ValueError naming state if its Fock degree K is past MAX_DEGREE: the
-    one limit of the series, of wigner_closed_fock and of derivative_tower."""
+    """ValueError naming state if the Fock degree K it is taken to is past
+    MAX_DEGREE, and both causes: the one limit of every route."""
     if K is not None and K > MAX_DEGREE:
-        raise ValueError(f"{state!r} needs truncation order K = {K}; the number amplitudes are limited to "
-                         f"{MAX_DEGREE}, past which L_K(4|z|^2) overflows float64 before exp(-2|z|^2) underflows")
+        raise ValueError(f"{state!r} is taken to Fock degree {K}; Fock degrees are limited to {MAX_DEGREE}, past "
+                         "which sqrt(n!)/m! of the Bargmann derivatives leaves float64, and from degree 308 "
+                         "L_n(4|z|^2) overflows float64 before exp(-2|z|^2) underflows")
 
 
 def derivative_tower(state: StateSpec, z, K: int) -> np.ndarray:

@@ -70,49 +70,40 @@ def state_window(state: StateSpec, basis: BasisParams, n_widths: float = 6.0):
     return min(lo_q), max(hi_q), min(lo_p), max(hi_p)
 
 
-def _fock_agreement_residual(n_max: int, grid_points: int, extent: float, basis: BasisParams) -> float:
-    qs = np.linspace(-extent, extent, grid_points)
+def _fock_agreement_residual(basis: BasisParams) -> float:
+    qs = np.linspace(-3.0, 3.0, 21)
     qq, pp = np.meshgrid(qs, qs, indexing="ij")
     z = z_from_qp(qq, pp, basis)
     worst = 0.0
-    for n in range(n_max + 1):
+    for n in range(9):
         got = wigner_series(FockState(n), z, basis=basis)
         ref = wigner_closed_fock(n, z, basis)
         worst = max(worst, float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))))
     return worst
 
 
-def _catalog_degree_le(max_degree: int):
-    states = [FockState(n) for n in range(max_degree + 1)]
-    states.append(
-        superposition(
-            [(0.5, FockState(0)), (0.5, FockState(1)), (0.5, FockState(2)), (0.5, FockState(3))]
-        )
-    )
-    states.append(CoherentState(0.7 - 0.4j))
-    states.append(cat_state(1.2))
-    return states
-
-
-def _paper_form_residual(n_points: int, n_used: int, r_lo: float, r_hi: float) -> tuple[float, float]:
+def _paper_form_residual() -> tuple[float, float]:
     """Largest relative gaps between pi hbar W (wigner_series, exact) and
     the paper's form exp(-2|z|^2) Re(c^dagger F c), F = build_F(z, K),
-    c_k = V_k/k!, K choose_truncation's, over the first n_used of n_points
-    seeded annulus points: (polynomial states, pointwise, both sides exact
-    at the degree; other states, in the max norm max|got - want| / max|want|
-    of fock-closed-form, since where W is 1e-13 to 1e-18 of its peak the
-    paper's side, cut at K, differs from W by more than a pointwise
-    relative gap can hold)."""
+    c_k = V_k/k!, K choose_truncation's, over 200 seeded points of the
+    annulus 0.5 <= |z| <= 4: F is built once a state over all of them and
+    contracted by einsum, F c first, as a matrix-vector product would:
+    (polynomial states, pointwise, both sides exact at the degree; other
+    states, in the max norm max|got - want| / max|want| of fock-closed-form,
+    since where W is 1e-13 to 1e-20 of its peak the paper's side, cut at K,
+    differs from W by more than a pointwise relative gap can hold)."""
     rng = np.random.default_rng(_SEED)
-    r = rng.uniform(r_lo, r_hi, n_points)
-    theta = rng.uniform(0.0, 2.0 * math.pi, n_points)
-    z = (r * np.exp(1j * theta))[:n_used]
+    r = rng.uniform(0.5, 4.0, 200)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 200)
+    z = r * np.exp(1j * theta)
     gauss = np.exp(-2.0 * np.abs(z) ** 2)
     worst = [0.0, 0.0]
-    for state in _catalog_degree_le(8):
+    states = [FockState(n) for n in range(9)] + [
+        superposition([(0.5, FockState(n)) for n in range(4)]), CoherentState(0.7 - 0.4j), cat_state(1.2)]
+    for state in states:
         K = choose_truncation(state, z, TruncationPolicy())
         c = derivative_tower(state, z, K) / np.array([math.factorial(k) for k in range(K + 1)])[:, None]
-        want = gauss * np.array([np.vdot(c[:, i], build_F(z[i], K) @ c[:, i]).real for i in range(z.size)])
+        want = gauss * np.einsum("np,np->p", c.conj(), np.einsum("njp,jp->np", build_F(z, K), c)).real
         got = math.pi * wigner_series(state, z)
         if exact_degree(state) is not None:
             gap = np.max(np.abs(got - want) / np.maximum(np.maximum(np.abs(got), np.abs(want)), 1e-280))
@@ -126,13 +117,13 @@ def suite_series() -> list[CheckResult]:
     basis = BasisParams()
     out = _Results()
 
-    res = _fock_agreement_residual(n_max=8, grid_points=21, extent=3.0, basis=basis)
+    res = _fock_agreement_residual(basis)
     out.add("fock-closed-form", res, 1e-10, "fock(0..8), 21x21 grid over [-3,3]^2")
 
-    polynomial, other = _paper_form_residual(n_points=200, n_used=48, r_lo=0.5, r_hi=4.0)
+    polynomial, other = _paper_form_residual()
     out.add("paper-form-agreement", max(polynomial, other), 1e-9,
             f"evaluated W vs build_F form: polynomial states {polynomial:.3g} pointwise, "
-            f"other states {other:.3g} in max norm; first 48 of 200 annulus points, one K")
+            f"other states {other:.3g} in max norm; 200 annulus points, one K")
 
     target = -1.0 / math.pi
     phase_quad = QuadratureSpec(nodes=257, domain_halfwidth=14.0)
@@ -147,10 +138,10 @@ def suite_series() -> list[CheckResult]:
     return out
 
 
-def _probe_points(state: StateSpec, basis: BasisParams, n: int = 7, n_widths: float = 3.0):
-    q_lo, q_hi, p_lo, p_hi = state_window(state, basis, n_widths)
-    qs = np.linspace(q_lo, q_hi, n)
-    ps = np.linspace(p_lo, p_hi, n)
+def _probe_points(state: StateSpec, basis: BasisParams):
+    q_lo, q_hi, p_lo, p_hi = state_window(state, basis, 3.0)
+    qs = np.linspace(q_lo, q_hi, 7)
+    ps = np.linspace(p_lo, p_hi, 7)
     return [(float(q), float(p)) for q in qs for p in ps]
 
 

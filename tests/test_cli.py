@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from bargwig import core
-from bargwig.cli import main
+from bargwig.cli import _build_parser, main
 from bargwig.phase import BasisParams
 from bargwig.states import FockState
-from bargwig.validate import state_window
+from bargwig.validate import SUITES, state_window
 
 GRID = ["--qmin", "-2", "--qmax", "2", "--nq", "9", "--pmin", "-2", "--pmax", "2", "--np", "7"]
 
@@ -150,6 +150,19 @@ def test_tol_must_be_positive_and_finite(state_file, tmp_path, capsys, command, 
     else:
         assert f"unrecognized arguments: --tol={tol}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", ["all", *SUITES])
+def test_check_takes_every_suite_name(suite):
+    # the parser's choices are the validation suites' own names
+    assert _build_parser().parse_args(["check", "--suite", suite]).suite == suite
+
+
+def test_check_exits_2_on_unknown_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 def test_check_report_times_each_check(capsys):

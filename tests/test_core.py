@@ -25,7 +25,7 @@ from bargwig.oracles import wigner_config_integral
 from bargwig.phase import BasisParams, qp_from_z, z_from_qp
 from bargwig.states import (CoherentState, FockState, _terms, _unchecked_superposition, bargmann, cat_state,
                             derivative_tower, exact_degree, norm_squared, overlap, superposition)
-from bargwig.validate import state_window
+from bargwig.validate import _SEED, state_window
 from pair_reference import pair_pi_w
 
 RNG_SEED = 307
@@ -103,6 +103,20 @@ class TestBuildF:
             z = complex(rng.normal(), rng.normal())
             F = build_F(z, 12)
             assert np.max(np.abs(F - F.conj().T)) <= 1e-14 * max(1.0, np.max(np.abs(F)))
+
+    @pytest.mark.parametrize("K", [0, 8, 30])
+    def test_points_at_once_are_each_point_bitwise(self, K):
+        # validate's paper-form check builds F once over its 200 annulus
+        # points, drawn here as it draws them; each slice is F at that point
+        # alone, and F is Hermitian in its first two axes at every point
+        rng = np.random.default_rng(_SEED)
+        r, theta = rng.uniform(0.5, 4.0, 200), rng.uniform(0.0, 2.0 * math.pi, 200)
+        z = np.append(0j, r * np.exp(1j * theta))
+        F = build_F(z, K)
+        assert F.shape == (K + 1, K + 1, z.size)
+        assert np.array_equal(F, np.conj(np.swapaxes(F, 0, 1)))
+        for i, point in enumerate(z):
+            assert np.array_equal(F[..., i], build_F(complex(point), K)), point
 
     def test_negative_order(self):
         with pytest.raises(ValueError):
@@ -911,7 +925,7 @@ class TestFloat64FactorialLimit:
         with pytest.raises(ValueError) as err:
             wigner_series(FockState(MAX_DEGREE + 1), 0.5)
         message = str(err.value)
-        for part in ("FockState(n=301)", "K = 301", "limited to 300"):
+        for part in ("FockState(n=301)", "Fock degree 301", "limited to 300"):
             assert part in message
 
     def test_closed_form_refuses_fock301_as_the_series_does(self):

@@ -57,6 +57,12 @@ class TestLaguerre:
         assert out.shape == (2,)
         assert np.allclose(out, [1.0, 0.0])
 
+    @pytest.mark.parametrize("x", [0.0, 0.7, np.float64(7.0), np.array(19.5)])
+    def test_scalar_is_a_python_float(self, x):
+        # the recurrence steps a 0-d array; laguerre hands back a float
+        for n, a in ((0, 0), (5, 0), (12, 3)):
+            assert type(laguerre(n, x, a)) is float
+
     def test_negative_degree_refused(self):
         with pytest.raises(ValueError, match="non-negative"):
             laguerre(-1, 0.5)
@@ -96,11 +102,10 @@ class TestLaguerreSteps:
         assert n == 20
 
     def test_scalar_and_array_points_round_alike(self):
-        # a scalar (g_kernel) steps in Python floats and a block (core's
-        # number form) in place, by the same expressions
+        # a scalar (g_kernel at one point) steps as a 0-d array and a block
+        # (core's number form, build_F) as a 1-d one, by the same expressions
         x = np.array([0.3, 7.0, 19.5])
         for scalar, block in zip(laguerre_steps(40, np.float64(7.0), 1), laguerre_steps(40, x, 1)):
-            assert type(scalar) is float
             assert scalar == block[1]
 
     def test_negative_degree_refused(self):
@@ -133,6 +138,13 @@ class TestCoherentAmplitudes:
         for got in (scalars, block):
             assert np.all(np.isfinite(got))
             assert np.max(np.abs(got - want)[kept] / np.abs(want)[kept]) <= 1e-14
+
+    def test_a_number_steps_as_in_an_array(self):
+        # a number is stepped as a 0-d array, by the loops an array takes:
+        # its amplitudes are bitwise those it has in a block of labels
+        block = np.array(list(coherent_amplitudes(300, np.array(self.LABELS, dtype=complex))))
+        for i, w in enumerate(self.LABELS):
+            assert np.array_equal(np.array(list(coherent_amplitudes(300, w)), dtype=complex), block[:, i]), w
 
     def test_yields_orders_zero_to_K(self):
         # a_0 = exp(-|w|^2/2) is real; <k|0> is delta_k0
@@ -200,6 +212,11 @@ class TestGKernel:
             got = g_kernel(n, n, z)
             assert abs(got.imag) <= 1e-12 * max(1.0, abs(got))
             assert got.real == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("z", [0j, 0.5, 1.3 - 0.2j, np.complex128(-4j)])
+    def test_scalar_is_a_python_complex(self, z):
+        for n, j in ((0, 0), (2, 5), (6, 1)):
+            assert type(g_kernel(n, j, z)) is complex
 
     def test_array_broadcast(self):
         z = np.array([0j, 1 + 1j])

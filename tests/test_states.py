@@ -120,6 +120,27 @@ class TestExactNormalization:
                 assert abs(got - want) <= 1e-14 * abs(want), u
                 assert overlap(CoherentState(u), FockState(N)) == np.conj(got)
 
+    def test_fock_coherent_overlap_on_a_seeded_sample(self):
+        # <n|u> for about 100 seeded pairs, n <= 300 and |u| <= 30, within
+        # 1e-13 of 50 digits wherever it is past 1e-290, and below that
+        # wherever it is not
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2007)
+        ns = rng.integers(0, 301, 100)
+        us = rng.uniform(0.0, 30.0, 100) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 100))
+        kept = 0
+        with mpmath.workdps(50):
+            for n, u in zip(ns.tolist(), us.tolist()):
+                U = mpmath.mpc(u)
+                want = complex(mpmath.exp(-abs(U) ** 2 / 2) * U**n / mpmath.sqrt(mpmath.factorial(n)))
+                got = FockState(n).bra(CoherentState(u))
+                if abs(want) > 1e-290:
+                    kept += 1
+                    assert abs(got - want) <= 1e-13 * abs(want), (n, u)
+                else:
+                    assert abs(got) <= 1e-290, (n, u)
+        assert kept >= 50
+
     def test_huge_fock_overlap_stops_at_zero(self):
         # <n|u> for n = 10^11 once looped n times after the running product
         # had reached 0; a child process keeps a hang from stalling the suite

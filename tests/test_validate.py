@@ -1,8 +1,9 @@
 """The fast validation suites, each check at its own tolerance. The series
 suite's paper-form-agreement check compares the evaluated W of every state
 of its catalog with the paper's form exp(-2|z|^2) Re(c^dagger F c),
-F = build_F(z, K), on 48 points of an annulus out to |z| = 4, the paper's
-side at choose_truncation's K and the evaluated W exact."""
+F = build_F(z, K), on 200 points of an annulus out to |z| = 4, one build_F
+call a state over all of them, the paper's side at choose_truncation's K and
+the evaluated W exact."""
 
 import dataclasses
 
