@@ -12,7 +12,7 @@ closed forms, and basis-geometry identities validate it.
 __version__ = "0.1.0"
 
 from .phase import BasisParams, qp_from_z, wirtinger_derivatives, z_from_qp
-from .special import g_kernel, hermite_psi, laguerre
+from .special import hermite_psi, laguerre
 from .states import (
     CoherentState,
     FockState,
@@ -56,7 +56,6 @@ __all__ = [
     "qp_from_z",
     "wirtinger_derivatives",
     "z_from_qp",
-    "g_kernel",
     "hermite_psi",
     "laguerre",
     "CoherentState",

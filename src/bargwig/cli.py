@@ -22,7 +22,7 @@ from .validate import SUITES, run_suite
 
 __all__ = ["main"]
 
-_USAGE_ERRORS = (ValueError, OSError, json.JSONDecodeError, OracleConvergenceError, ArithmeticError)
+_USAGE_ERRORS = (ValueError, OSError, OracleConvergenceError, ArithmeticError)
 
 
 def _load_state(path: str, normalize: bool):

@@ -3,10 +3,10 @@
     W(z, z*) = exp(-2|z|^2) / (pi hbar) * sum_{n,j} conj(V_n)/n! F_{n,j} V_j/j!
 
 with V_k = d^k f/dz^k the Bargmann derivative stack and F_{n,j} =
-g_kernel(n, j, z) = conj(z)^n z^j 2F0(-n, -j; ; -1/|z|^2), an associated
-Laguerre polynomial regular at z = 0. build_F tabulates F entry by entry,
-each entry over an array of points at once, the reference that validate's
-paper-form-agreement check compares the evaluated W against.
+conj(z)^n z^j 2F0(-n, -j; ; -1/|z|^2), an associated Laguerre polynomial
+regular at z = 0. build_F states that kernel and tabulates F a band at a
+time, each band over an array of points at once, the reference that
+validate's paper-form-agreement check compares the evaluated W against.
 
 The form has a second exact factorization, N^-1 F N^-1 = exp(|z|^2) B^+ S B
 with N = diag(n!), B_kj = C(k, j) (-conj(z))^(k-j), S = diag((-1)^k / k!).
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase import BasisParams
-from .special import coherent_amplitudes, g_kernel, laguerre, laguerre_steps
+from .special import coherent_amplitudes, laguerre, laguerre_steps
 from .states import (MAX_DEGREE, CoherentState, FockState, StateSpec, _refuse_past_max_degree, _terms,
                      _unchecked_superposition, exact_degree, norm_squared, overlap)
 
@@ -90,17 +90,27 @@ class TruncationPolicy:
 
 
 def build_F(z, K: int) -> np.ndarray:
-    """The Hermitian kernel matrix of g_kernel values at the point(s) z,
-    shape (K+1, K+1) + shape(z), filled entry by entry over every point at
-    once: the paper's side of validate's paper-form-agreement check."""
+    """The Hermitian kernel matrix F at the point(s) z, shape
+    (K+1, K+1) + shape(z): the paper's side of validate's
+    paper-form-agreement check. Its entries are the terminating 2F0 series
+    in its polynomial form, regular at z = 0: for a >= 0,
+
+        F_(m,m+a) = conj(z)^m z^(m+a) 2F0(-m, -m-a; ; -1/|z|^2) = (-1)^m m! L_m^(a)(|z|^2) z^a,
+
+    and F_(m+a,m) = conj(F_(m,m+a)), so the diagonal is exactly real. F is
+    filled a band a at a time, over every point at once: one
+    special.laguerre_steps run of degree K - a gives the band's m = 0..K-a."""
     if K < 0:
         raise ValueError("truncation order must be non-negative")
     z = np.asarray(z, dtype=complex)
+    x = (np.conj(z) * z).real
     entries = np.empty((K + 1, K + 1) + z.shape, dtype=complex)
-    for n in range(K + 1):
-        for j in range(n, K + 1):
-            entries[n, j] = g_kernel(n, j, z)
-            entries[j, n] = np.conj(entries[n, j])
+    for a in range(K + 1):
+        band = np.array([(-1) ** m * float(math.factorial(m)) * value
+                         for m, value in enumerate(laguerre_steps(K - a, x, a))]) * z**a
+        m = np.arange(K + 1 - a)
+        entries[m, m + a] = band
+        entries[m + a, m] = np.conj(band)
     return entries
 
 
@@ -265,7 +275,7 @@ def _evaluate(state: StateSpec, x: np.ndarray, y: np.ndarray, hbar: float, order
     values /= math.pi * hbar
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        at = "" if K is None else f" at truncation order K = {K}"
+        at = "" if K is None else f", its Fock part of degree K = {K}" if order is None else f", at order K = {K}"
         z = complex(*(np.broadcast_to(a, values.shape).flat[bad[0]] for a in (x, y)))
         raise ValueError(f"W of {state!r} at z = {z:.6g} is {float(values.flat[bad[0]])!r}{at}")
     return values

@@ -1,13 +1,13 @@
-"""Special functions: Laguerre/Hermite recurrences, the coherent
-amplitudes, and the kernel of the quadratic form, the terminating 2F0
-series in its singularity-free polynomial form.
+"""Special functions: Laguerre/Hermite recurrences and the coherent
+amplitudes.
 
-The kernel is an associated Laguerre polynomial. laguerre_steps, the one
-Laguerre recurrence, serves it, laguerre, the Fock closed form and core's
-number form, in Reinsch's difference form (Stoer and Bulirsch, sec. 2.3;
-Gentleman, Comput. J. 12, 160 (1969)): it keeps full precision near
-x = 0, where the upward three-term form cancels at every step, as the
-alternating 2F0 sum cancels everywhere. coherent_amplitudes, the one
+laguerre_steps, the one Laguerre recurrence, serves laguerre, the Fock
+closed form, core's number form and core.build_F, which states the kernel
+of the quadratic form, an associated Laguerre polynomial. It steps in
+Reinsch's difference form (Stoer and Bulirsch, sec. 2.3; Gentleman,
+Comput. J. 12, 160 (1969)): it keeps full precision near x = 0, where the
+upward three-term form cancels at every step, as the alternating 2F0 sum
+cancels everywhere. coherent_amplitudes, the one
 running product <k|w>, serves bra, core's number form and Fock-coherent
 pairs, and choose_truncation.
 
@@ -25,7 +25,6 @@ __all__ = [
     "laguerre",
     "laguerre_steps",
     "coherent_amplitudes",
-    "g_kernel",
     "hermite_psi",
 ]
 
@@ -70,28 +69,6 @@ def coherent_amplitudes(K: int, w, first=None):
     for k in range(1, K + 1):
         a = a * w * (1 / math.sqrt(k))
         yield a
-
-
-def g_kernel(n: int, j: int, z):
-    """Combined kernel conj(z)^n z^j * 2F0(-n, -j; ; -1/|z|^2) in its
-    polynomial form, regular at z = 0:
-
-        G(n, j, z) = sum_s (-1)^s n! j! / (s! (n-s)! (j-s)!)
-                     * conj(z)^(n-s) * z^(j-s)
-                   = (-1)^m m! L_m^(a)(|z|^2) * z^a         (j >= n)
-
-    with m = min(n, j), a = |n - j|, and conj(z)^a in place of z^a when
-    n > j. The Laguerre factor is real, so the diagonal is exactly real and
-    G(j, n, z) = conj(G(n, j, z)) holds exactly.
-    """
-    if n < 0 or j < 0:
-        raise ValueError("kernel orders must be non-negative")
-    z = np.asarray(z, dtype=complex)
-    m, a = min(n, j), abs(n - j)
-    radial = (-1) ** m * float(math.factorial(m)) * laguerre(m, (np.conj(z) * z).real, a)
-    phase = z**a if j >= n else np.conj(z) ** a
-    out = radial * phase
-    return out if out.ndim else complex(out)
 
 
 def hermite_psi(n: int, y):

@@ -23,8 +23,9 @@ from bargwig.core import (
 from bargwig.grid import GridAxis, evaluate_grid
 from bargwig.oracles import wigner_config_integral
 from bargwig.phase import BasisParams, qp_from_z, z_from_qp
+from bargwig.special import coherent_amplitudes, laguerre
 from bargwig.states import (CoherentState, FockState, _terms, _unchecked_superposition, bargmann, cat_state,
-                            derivative_tower, exact_degree, norm_squared, overlap, superposition)
+                            derivative_tower, exact_degree, norm_squared, superposition)
 from bargwig.validate import _SEED, state_window
 from pair_reference import pair_pi_w
 
@@ -104,19 +105,38 @@ class TestBuildF:
             F = build_F(z, 12)
             assert np.max(np.abs(F - F.conj().T)) <= 1e-14 * max(1.0, np.max(np.abs(F)))
 
+    @staticmethod
+    def annulus_points():
+        """The origin and validate's 200 paper-form points, drawn as it draws them."""
+        rng = np.random.default_rng(_SEED)
+        r, theta = rng.uniform(0.5, 4.0, 200), rng.uniform(0.0, 2.0 * math.pi, 200)
+        return np.append(0j, r * np.exp(1j * theta))
+
     @pytest.mark.parametrize("K", [0, 8, 30])
     def test_points_at_once_are_each_point_bitwise(self, K):
         # validate's paper-form check builds F once over its 200 annulus
-        # points, drawn here as it draws them; each slice is F at that point
-        # alone, and F is Hermitian in its first two axes at every point
-        rng = np.random.default_rng(_SEED)
-        r, theta = rng.uniform(0.5, 4.0, 200), rng.uniform(0.0, 2.0 * math.pi, 200)
-        z = np.append(0j, r * np.exp(1j * theta))
+        # points; each slice is F at that point alone, and F is Hermitian in
+        # its first two axes at every point
+        z = self.annulus_points()
         F = build_F(z, K)
         assert F.shape == (K + 1, K + 1, z.size)
         assert np.array_equal(F, np.conj(np.swapaxes(F, 0, 1)))
         for i, point in enumerate(z):
             assert np.array_equal(F[..., i], build_F(complex(point), K)), point
+
+    @pytest.mark.parametrize("K", [0, 1, 8, 30, 60])
+    def test_bands_are_the_per_entry_form_bitwise(self, K):
+        # one Laguerre run a band gives, to the bit and the sign of zero, the
+        # kernel taken entry by entry, (-1)^m m! L_m^(a)(|z|^2) z^a at
+        # (m, m + a) and its conjugate at (m + a, m)
+        z = self.annulus_points()
+        x = (np.conj(z) * z).real
+        want = np.empty((K + 1, K + 1, z.size), dtype=complex)
+        for m in range(K + 1):
+            for a in range(K + 1 - m):
+                want[m, m + a] = (-1) ** m * float(math.factorial(m)) * laguerre(m, x, a) * z**a
+                want[m + a, m] = np.conj(want[m, m + a])
+        assert build_F(z, K).tobytes() == want.tobytes()
 
     def test_negative_order(self):
         with pytest.raises(ValueError):
@@ -191,7 +211,7 @@ TOL = POLICY.tail_tolerance
 
 def origin_tail(state, K, extra=200):
     """sum_(K<k<=K+extra) |<k|psi>|^2, summed term by term."""
-    return sum(abs(overlap(FockState(k), state)) ** 2 for k in range(K + 1, K + extra + 1))
+    return sum(abs(c) ** 2 for c in amplitudes(state, K + extra)[K + 1:])
 
 
 def certify(state, z):
@@ -219,8 +239,13 @@ def number_form_calls(monkeypatch):
 
 
 def amplitudes(state, K):
-    """The number amplitudes [<0|psi>, ..., <K|psi>] that _number_form sums."""
-    return [complex(overlap(FockState(k), state)) for k in range(K + 1)]
+    """The number amplitudes [<0|psi>, ..., <K|psi>] that _number_form sums,
+    each summed over the members in order, as overlap sums it, a coherent
+    member's <k|u> read from one coherent_amplitudes run."""
+    terms = _terms(state)
+    rows = [list(coherent_amplitudes(K, m.u)) if isinstance(m, CoherentState)
+            else [FockState(k).bra(m) for k in range(K + 1)] for _, m in terms]
+    return [complex(sum(b * row[k] for (b, _), row in zip(terms, rows))) for k in range(K + 1)]
 
 
 def displaced_amplitudes(state, w, M, dps=30):
@@ -605,7 +630,7 @@ class TestTruncationBound:
             z[:8] *= 0.05 / 3.0
             exact = wigner_series(state, z) * math.pi
             origin = np.conj(displaced_amplitudes(state, 0j, 40)) * signs
-            mass = [abs(overlap(FockState(k), state)) ** 2 for k in range(241)]
+            mass = [abs(c) ** 2 for c in amplitudes(state, 240)]
             bounds = [math.sqrt(norm_squared(state) * sum(mass[K + 1:K + 201])) for K in range(41)]
             for zi, value in zip(z, exact):
                 cut = np.cumsum((origin * displaced_amplitudes(state, 2 * zi, 40)).real)
@@ -885,7 +910,7 @@ class TestLargeExplicitOrder:
                 far = wigner_series(state, np.array([1e30, -1e30j, 45.0, 1e200, -1.5e308j]))
             assert np.array_equal(far, np.zeros(5))
         with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match=re.escape("at z = 0+0j is inf at truncation order K = 12")):
+            with pytest.raises(ValueError, match=re.escape("at z = 0+0j is inf, its Fock part of degree K = 12")):
                 wigner_series(FockState(12), np.array([11, 0, 30]), basis=BasisParams(hbar=1e-310))
 
 

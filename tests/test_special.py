@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, eval_hermite, eval_laguerre, factorial
 
+from bargwig.core import build_F
 from bargwig.special import (
     coherent_amplitudes,
-    g_kernel,
     hermite_psi,
     laguerre,
     laguerre_steps,
@@ -102,8 +102,9 @@ class TestLaguerreSteps:
         assert n == 20
 
     def test_scalar_and_array_points_round_alike(self):
-        # a scalar (g_kernel at one point) steps as a 0-d array and a block
-        # (core's number form, build_F) as a 1-d one, by the same expressions
+        # a scalar (build_F at one point) steps as a 0-d array and a block
+        # (core's number form, build_F over many) as a 1-d one, by the same
+        # expressions
         x = np.array([0.3, 7.0, 19.5])
         for scalar, block in zip(laguerre_steps(40, np.float64(7.0), 1), laguerre_steps(40, x, 1)):
             assert scalar == block[1]
@@ -165,68 +166,79 @@ class TestCoherentAmplitudes:
             next(coherent_amplitudes(-1, 0.5))
 
 
+def kernel(n, j, z):
+    """G(n, j, z), build_F's entry F[n, j] at the point(s) z."""
+    return build_F(z, max(n, j))[n, j]
+
+
+def kernel_samples(samples):
+    """G(n, j, z) for each (n, j, ..., z) of samples, all from one build_F
+    over every sampled point at order 30."""
+    F = build_F(np.array([sample[-1] for sample in samples]), 30)
+    return [F[n, j, i] for i, (n, j, *_) in enumerate(samples)]
+
+
 class TestGKernel:
+    """The kernel G(n, j, z) = conj(z)^n z^j 2F0(-n, -j; ; -1/|z|^2) of the
+    quadratic form, read from build_F's entries."""
+
     def test_order_zero(self):
         for z in (0j, 1.3 - 0.2j, -4j):
-            assert g_kernel(0, 0, z) == 1.0 + 0j
+            assert kernel(0, 0, z) == 1.0 + 0j
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_diagonal_at_origin(self, n):
-        assert g_kernel(n, n, 0j) == pytest.approx((-1.0) ** n * math.factorial(n))
+        assert kernel(n, n, 0j) == pytest.approx((-1.0) ** n * math.factorial(n))
 
     def test_off_diagonal_at_origin_vanishes(self):
-        assert g_kernel(2, 0, 0j) == 0
-        assert g_kernel(1, 3, 0j) == 0
+        assert kernel(2, 0, 0j) == 0
+        assert kernel(1, 3, 0j) == 0
 
     def test_one_one_value(self):
         for z in (0.4 + 0.1j, 2.0 - 1.0j):
-            assert g_kernel(1, 1, z) == pytest.approx(abs(z) ** 2 - 1.0, rel=1e-14)
+            assert kernel(1, 1, z) == pytest.approx(abs(z) ** 2 - 1.0, rel=1e-14)
 
     def test_matches_scaled_product_away_from_origin(self):
         # G(n,j,z) = conj(z)^n z^j 2F0(-n,-j;;-1/|z|^2) for 0.1 <= |z| <= 5
         rng = np.random.default_rng(11)
+        samples = []
         for _ in range(200):
             n, j = (int(v) for v in rng.integers(0, 31, 2))
             r = rng.uniform(0.1, 5.0)
-            z = r * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            direct = g_kernel(n, j, z)
+            samples.append((n, j, r, r * np.exp(1j * rng.uniform(0, 2 * np.pi))))
+        for (n, j, r, z), direct in zip(samples, kernel_samples(samples)):
             via_2f0 = np.conj(z) ** n * z**j * hyp2f0_exact(n, j, -1.0 / r**2)
             assert abs(direct - via_2f0) <= 1e-10 * max(1e-300, abs(direct))
 
     def test_conjugate_symmetry_exact(self):
         rng = np.random.default_rng(13)
-        for _ in range(100):
-            n, j = (int(v) for v in rng.integers(0, 25, 2))
-            z = complex(rng.normal(), rng.normal())
-            a = g_kernel(n, j, z)
-            b = g_kernel(j, n, z)
+        samples = [(*(int(v) for v in rng.integers(0, 25, 2)), complex(rng.normal(), rng.normal()))
+                   for _ in range(100)]
+        swapped = kernel_samples([(j, n, z) for n, j, z in samples])
+        for a, b in zip(kernel_samples(samples), swapped):
             assert abs(np.conj(a) - b) <= 1e-14 * max(1.0, abs(a))
 
     def test_diagonal_is_signed_laguerre(self):
         # G(n,n,z) = (-1)^n n! L_n(|z|^2)
         rng = np.random.default_rng(17)
+        samples = []
         for _ in range(60):
             n = int(rng.integers(0, 21))
-            z = complex(rng.normal(), rng.normal())
+            samples.append((n, n, complex(rng.normal(), rng.normal())))
+        for (n, _, z), got in zip(samples, kernel_samples(samples)):
             want = (-1.0) ** n * math.factorial(n) * laguerre(n, abs(z) ** 2)
-            got = g_kernel(n, n, z)
             assert abs(got.imag) <= 1e-12 * max(1.0, abs(got))
             assert got.real == pytest.approx(want, rel=1e-10, abs=1e-12)
 
-    @pytest.mark.parametrize("z", [0j, 0.5, 1.3 - 0.2j, np.complex128(-4j)])
-    def test_scalar_is_a_python_complex(self, z):
-        for n, j in ((0, 0), (2, 5), (6, 1)):
-            assert type(g_kernel(n, j, z)) is complex
-
     def test_array_broadcast(self):
         z = np.array([0j, 1 + 1j])
-        out = g_kernel(1, 1, z)
+        out = kernel(1, 1, z)
         assert np.allclose(out, [-1.0, 1.0])
 
 
 class TestKernelAgainstMpmath:
-    """g_kernel against its sum in 50-digit arithmetic, so that no float64
-    route shares its rounding."""
+    """build_F's entries against the kernel's sum in 50-digit arithmetic,
+    so that no float64 route shares its rounding."""
 
     @pytest.fixture
     def mp(self):
@@ -252,16 +264,18 @@ class TestKernelAgainstMpmath:
 
     def test_kernel_and_2f0_relative_error(self, mp):
         rng = np.random.default_rng(29)
+        samples = []
         for _ in range(200):
             n, j = (int(v) for v in rng.integers(0, 31, 2))
             r = rng.uniform(0.1, 5.0)
-            z = r * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            samples.append((n, j, r * np.exp(1j * rng.uniform(0, 2 * np.pi))))
+        for (n, j, z), got in zip(samples, kernel_samples(samples)):
             want = self._g(mp, n, j, z)
-            assert abs(mp.mpc(g_kernel(n, j, z)) - want) <= 1e-12 * abs(want)
+            assert abs(mp.mpc(got) - want) <= 1e-12 * abs(want)
             # the same value as the paper writes it, conj(z)^n z^j 2F0(-n, -j; ; -1/|z|^2)
             zm = mp.mpc(z.real, z.imag)
             want = mp.conj(zm) ** n * zm**j * self._hyp(mp, n, j, -1 / abs(zm) ** 2)
-            assert abs(mp.mpc(g_kernel(n, j, z)) - want) <= 1e-12 * abs(want)
+            assert abs(mp.mpc(got) - want) <= 1e-12 * abs(want)
 
 
 class TestHermitePsi:
