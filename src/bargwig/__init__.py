@@ -41,8 +41,6 @@ from .core import (
 from .oracles import (
     OracleConvergenceError,
     QuadratureSpec,
-    marginal_position,
-    normalization,
     quadrature_nodes,
     wigner_config_integral,
     wigner_phase_integral,
@@ -81,8 +79,6 @@ __all__ = [
     "wigner_series",
     "OracleConvergenceError",
     "QuadratureSpec",
-    "marginal_position",
-    "normalization",
     "quadrature_nodes",
     "wigner_config_integral",
     "wigner_phase_integral",

@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 
 from . import __version__
@@ -29,17 +28,6 @@ def _load_state(path: str, normalize: bool):
     with open(path) as fh:
         obj = json.load(fh)
     return state_from_json(obj, normalize=normalize)
-
-
-def _tolerance(text: str) -> float:
-    """--tol: a positive, finite float; argparse exits 2 on anything else."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--pmax", type=float, required=True)
     ev.add_argument("--np", dest="n_p", type=int, required=True)
     ev.add_argument("--method", choices=METHODS, default="series")
-    ev.add_argument("--tol", type=_tolerance, default=None,
+    ev.add_argument("--tol", type=float, default=None,
                     help="convergence budget of config-integral and phase-integral (default 1e-8)")
     ev.add_argument("--out", required=True, help="output file path")
     ev.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -101,7 +101,7 @@ def build_F(z, K: int) -> np.ndarray:
     filled a band a at a time, over every point at once: one
     special.laguerre_steps run of degree K - a gives the band's m = 0..K-a."""
     if K < 0:
-        raise ValueError("truncation order must be non-negative")
+        raise ValueError(f"truncation order must be non-negative, got {K!r}")
     z = np.asarray(z, dtype=complex)
     x = (np.conj(z) * z).real
     entries = np.empty((K + 1, K + 1) + z.shape, dtype=complex)
@@ -310,7 +310,7 @@ def wigner_closed_fock(N: int, z, basis: BasisParams | None = None):
     so L_N cannot overflow to give nan. N is at most MAX_DEGREE, as for the
     series."""
     if N < 0:
-        raise ValueError("Fock index must be non-negative")
+        raise ValueError(f"Fock index must be non-negative, got {N!r}")
     _refuse_past_max_degree(FockState(N), N)
     basis = basis or BasisParams()
     z = np.asarray(z, dtype=complex)
@@ -324,7 +324,7 @@ def wigner_closed_coherent_gaussian(Q: float, P: float, B: float, q, p, hbar: fl
     """Gaussian Wigner function of a coherent state of width B centered at
     (Q, P): exp(-(q-Q)^2/B^2 - B^2 (p-P)^2/hbar^2) / (pi hbar)."""
     if not B > 0:
-        raise ValueError("state width B must be positive")
+        raise ValueError(f"state width B must be positive, got {B!r}")
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     w = np.exp(-((q - Q) ** 2) / B**2 - B**2 * (p - P) ** 2 / hbar**2) / (math.pi * hbar)
@@ -340,7 +340,7 @@ def wigner_closed_coherent_crossb(U: complex, B: float, z, basis: BasisParams):
     equals wigner_closed_coherent_gaussian at the physical point of (z, b).
     """
     if not B > 0:
-        raise ValueError("state width B must be positive")
+        raise ValueError(f"state width B must be positive, got {B!r}")
     b, hbar = basis.b, basis.hbar
     z = np.asarray(z, dtype=complex)
     zc = np.conj(z)

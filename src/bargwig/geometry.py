@@ -23,7 +23,7 @@ __all__ = ["check_identity_crossb", "check_b_independence"]
 def _b_derivative(U: complex, B: float, z: complex, b: float, hbar: float, step: float) -> float:
     """b dW/db at fixed z by a central difference, error O(step^2)."""
     if not 0 < step < b:
-        raise ValueError("finite-difference step must be positive and below b")
+        raise ValueError(f"finite-difference step must be positive and below b, got step = {step!r}, b = {b!r}")
     up = wigner_closed_coherent_crossb(U, B, z, BasisParams(b + step, hbar))
     dn = wigner_closed_coherent_crossb(U, B, z, BasisParams(b - step, hbar))
     return b * (up - dn) / (2.0 * step)
@@ -76,7 +76,7 @@ def check_b_independence(
     """|W(q,p) through basis b1 - W(q,p) through basis b2| for the coherent
     state centered at (Q, P) with width B; zero up to rounding."""
     if not (b1 > 0 and b2 > 0):
-        raise ValueError("basis widths must be positive")
+        raise ValueError(f"basis widths must be positive, got b1 = {b1!r}, b2 = {b2!r}")
     U = z_from_qp(Q, P, BasisParams(B, hbar))
     w1 = wigner_closed_coherent_crossb(U, B, z_from_qp(q, p, BasisParams(b1, hbar)), BasisParams(b1, hbar))
     w2 = wigner_closed_coherent_crossb(U, B, z_from_qp(q, p, BasisParams(b2, hbar)), BasisParams(b2, hbar))

@@ -55,11 +55,11 @@ class GridAxis:
             raise ValueError(f"axis count must be an integer, got {self.count!r}")
         object.__setattr__(self, "count", int(self.count))
         if self.count < 2:
-            raise ValueError("each grid axis needs at least 2 points")
+            raise ValueError(f"each grid axis needs at least 2 points, got {self.count!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"axis bounds must be finite, got [{self.lo!r}, {self.hi!r}]")
         if not self.hi > self.lo:
-            raise ValueError("axis upper bound must exceed lower bound")
+            raise ValueError(f"axis upper bound must exceed lower bound, got [{self.lo!r}, {self.hi!r}]")
 
     @property
     def points(self) -> np.ndarray:

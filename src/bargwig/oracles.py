@@ -11,13 +11,14 @@ Two independent routes to W:
                  conj(f(z + w/2)) f(z - w/2)
                  exp(-|w|^2/4 + z* w/2 - z w*/2),   w = u + i v
 
-plus grid-level distributional checks (position marginal, normalization).
-Every oracle checks its rule by node doubling and rejects results whose
-imaginary residual exceeds its budget. Node doubling cannot see a domain
-that is too small: the fixed halfwidths (12 b in y, 10 per axis of w) cut
-the integrand of a state that reaches past them with no error. At the
-origin, where W = 1/pi, fock(20) passes the default tol with 0.2552 (config)
-and 0.2960 (phase), and fock(60) with 0.1163 and 0.00096.
+The distribution checks (normalization, position marginal) need neither:
+validate reads them from the series at Gauss-Hermite nodes. Every oracle
+checks its rule by node doubling and rejects results whose imaginary
+residual exceeds its budget. Node doubling cannot see a domain that is too
+small: the fixed halfwidths (12 b in y, 10 per axis of w) cut the integrand
+of a state that reaches past them with no error. At the origin, where
+W = 1/pi, fock(20) passes the default tol with 0.2552 (config) and 0.2960
+(phase), and fock(60) with 0.1163 and 0.00096.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ __all__ = [
     "quadrature_nodes",
     "wigner_config_integral",
     "wigner_phase_integral",
-    "marginal_position",
-    "normalization",
 ]
 
 DEFAULT_CONFIG_HALFWIDTH = 12.0  # units of b, along the shift variable y
@@ -187,15 +186,3 @@ def wigner_phase_integral(
         quad.nodes, tol, 1e-7, "phase-space", f"z={z}",
     )
 
-
-def marginal_position(grid) -> np.ndarray:
-    """The position density at grid.q_axis.points: W trapezoid-integrated
-    over p at each q column."""
-    return np.trapezoid(grid.values, grid.p_axis.points, axis=1)
-
-
-def normalization(grid) -> float:
-    """Two-dimensional trapezoid integral of the grid; 1 for a valid state."""
-    q = grid.q_axis.points
-    p = grid.p_axis.points
-    return float(np.trapezoid(np.trapezoid(grid.values, p, axis=1), q))

@@ -36,7 +36,7 @@ def laguerre_steps(n: int, x, a: int = 0):
 
     one array of the shape of x, updated in place by each step."""
     if n < 0:
-        raise ValueError("Laguerre degree must be non-negative")
+        raise ValueError(f"Laguerre degree must be non-negative, got {n!r}")
     x = np.asarray(x, dtype=float)
     value, diff = np.ones(x.shape), np.ones(x.shape)
     yield value
@@ -62,7 +62,7 @@ def coherent_amplitudes(K: int, w, first=None):
     no step overflows. A number w steps as a 0-d array, by the loops of an
     array, so each point's amplitudes are those it has in any array."""
     if K < 0:
-        raise ValueError("coherent amplitude order must be non-negative")
+        raise ValueError(f"coherent amplitude order must be non-negative, got {K!r}")
     w = np.asarray(w)
     a = np.exp(-0.5 * (np.conj(w) * w).real) if first is None else first
     yield a
@@ -78,7 +78,7 @@ def hermite_psi(n: int, y):
     psi_{k+1} = sqrt(2/(k+1)) y psi_k - sqrt(k/(k+1)) psi_{k-1}.
     """
     if n < 0:
-        raise ValueError("oscillator level must be non-negative")
+        raise ValueError(f"oscillator level must be non-negative, got {n!r}")
     y = np.asarray(y, dtype=float)
     prev, psi = 0.0, np.pi ** -0.25 * np.exp(-0.5 * y * y)  # psi_(-1), psi_0
     for k in range(n):

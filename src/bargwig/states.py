@@ -304,7 +304,7 @@ def derivative_tower(state: StateSpec, z, K: int) -> np.ndarray:
     A Fock member past MAX_DEGREE raises ValueError.
     """
     if K < 0:
-        raise ValueError("tower order must be non-negative")
+        raise ValueError(f"tower order must be non-negative, got {K!r}")
     _refuse_past_max_degree(state, max((m.n for _, m in _terms(state) if isinstance(m, FockState)), default=None))
     z = np.asarray(z, dtype=complex)
     out = np.zeros((K + 1, z.size), dtype=complex)

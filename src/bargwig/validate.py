@@ -1,6 +1,6 @@
 """Validation suites: closed-form agreement, agreement of the evaluated W
-with the paper's form V^dagger F V, oracle concordance,
-marginals/normalization, and the basis-geometry checks.
+with the paper's form V^dagger F V, oracle concordance, normalization and
+the position marginal at Gauss-Hermite nodes, and the basis-geometry checks.
 
 Each check returns a CheckResult with its residual, tolerance and wall
 time; the CLI `check` subcommand serializes them, and the acceptance tests
@@ -17,8 +17,7 @@ import numpy as np
 
 from .core import TruncationPolicy, build_F, choose_truncation, wigner_closed_fock, wigner_series
 from .geometry import check_b_independence, check_identity_crossb
-from .grid import GridAxis, evaluate_grid
-from .oracles import QuadratureSpec, marginal_position, normalization, wigner_config_integral, wigner_phase_integral
+from .oracles import QuadratureSpec, wigner_config_integral, wigner_phase_integral
 from .phase import BasisParams, z_from_qp
 from .states import (CoherentState, FockState, StateSpec, _terms, cat_state, derivative_tower, exact_degree,
                      position_wavefunction, superposition)
@@ -145,6 +144,32 @@ def _probe_points(state: StateSpec, basis: BasisParams):
     return [(float(q), float(p)) for q in qs for p in ps]
 
 
+_HERMITE_NODES = 40
+
+
+def _distribution_residuals(basis: BasisParams) -> tuple[float, float]:
+    """Largest |Int W dq dp - 1| and |Int W dp - |psi(q)|^2| of fock 0-3 and
+    coherent(0.8+0.55i), from wigner_series at Gauss-Hermite nodes whose
+    weight e^(-s^2) is W's own Gaussian (DLMF 3.5(v)), so exact for a Fock
+    degree below _HERMITE_NODES = 40: with x = s/sqrt(2), w = lambda e^(s^2)/sqrt(2)
+    and dq dp = 2 hbar dx dy over z = x + iy, the norm is 2 hbar w^T W(x_j + i x_k) w,
+    and the marginal at q is sqrt(2) hbar/b sum_k w_k W(q/(sqrt(2) b) + i x_k),
+    at 201 points q of the state's 6-width window."""
+    s, lam = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
+    root2 = math.sqrt(2.0)
+    x, w = s / root2, lam * np.exp(s * s) / root2
+    worst_norm = worst_marg = 0.0
+    for state in [FockState(n) for n in range(4)] + [CoherentState(0.8 + 0.55j)]:
+        norm = 2.0 * basis.hbar * (w @ wigner_series(state, x[:, None] + 1j * x, basis=basis) @ w)
+        q = np.linspace(*state_window(state, basis)[:2], 201)
+        marginal = root2 * basis.hbar / basis.b * (wigner_series(state, q[:, None] / (root2 * basis.b) + 1j * x,
+                                                                 basis=basis) @ w)
+        ref = np.abs(position_wavefunction(state, q, basis)) ** 2
+        worst_norm = max(worst_norm, abs(float(norm) - 1.0))
+        worst_marg = max(worst_marg, float(np.max(np.abs(marginal - ref))))
+    return worst_norm, worst_marg
+
+
 def suite_oracles() -> list[CheckResult]:
     basis = BasisParams()
     out = _Results()
@@ -163,17 +188,9 @@ def suite_oracles() -> list[CheckResult]:
                 worst, worst_at = dev, f"{state!r} at ({q:.2f}, {p:.2f})"
     out.add("oracle-concordance", worst, 1e-6, f"7x7 probes, units 1/(pi hbar); worst {worst_at}")
 
-    states = [FockState(n) for n in range(4)] + [CoherentState(0.8 + 0.55j)]
-    worst_norm = 0.0
-    worst_marg = 0.0
-    for state in states:
-        q_lo, q_hi, p_lo, p_hi = state_window(state, basis, 6.0)
-        grid = evaluate_grid(state, GridAxis(q_lo, q_hi, 201), GridAxis(p_lo, p_hi, 201), basis)
-        worst_norm = max(worst_norm, abs(normalization(grid) - 1.0))
-        ref = np.abs(position_wavefunction(state, grid.q_axis.points, basis)) ** 2
-        worst_marg = max(worst_marg, float(np.max(np.abs(marginal_position(grid) - ref))))
-    out.add("normalization", worst_norm, 1e-6, "201x201 grids over 6 state widths")
-    out.add("position-marginal", worst_marg, 1e-6, "marginal vs |psi(q)|^2, pointwise")
+    worst_norm, worst_marg = _distribution_residuals(basis)
+    out.add("normalization", worst_norm, 1e-12, f"Gauss-Hermite, {_HERMITE_NODES} nodes an axis")
+    out.add("position-marginal", worst_marg, 1e-12, "marginal vs |psi(q)|^2 at 201 points, pointwise")
     return out
 
 

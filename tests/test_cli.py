@@ -137,18 +137,18 @@ def test_bench_subcommand_is_gone(state_file):
 @pytest.mark.parametrize("command", ["eval", "check"])
 def test_tol_must_be_positive_and_finite(state_file, tmp_path, capsys, command, tol):
     # --tol 0 once gave the default-tolerance file, and --tol inf K = 0;
-    # check takes no --tol at all, since one moved every check's bound
-    # (--tol 1e9 passed any program)
+    # eval refuses them in evaluate_grid, by its own message; check takes
+    # no --tol at all, since one moved every check's bound (--tol 1e9
+    # passed any program)
     out = tmp_path / "w.csv"
-    args = ["eval", "--state", state_file, *GRID, "--out", str(out)] if command == "eval" else ["check"]
-    with pytest.raises(SystemExit) as exc:
-        main([*args, f"--tol={tol}"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
     if command == "eval":
-        assert f"--tol: must be positive and finite, got {tol}" in err
+        assert main(["eval", "--state", state_file, *GRID, "--out", str(out), f"--tol={tol}"]) == 2
+        assert f"tol must be positive and finite, got {float(tol)!r}" in capsys.readouterr().err
     else:
-        assert f"unrecognized arguments: --tol={tol}" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["check", f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --tol={tol}" in capsys.readouterr().err
     assert not out.exists()
 
 

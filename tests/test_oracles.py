@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from bargwig import oracles
-from bargwig.grid import GridAxis, evaluate_grid
-from bargwig.oracles import (QuadratureSpec, marginal_position, normalization, quadrature_nodes, wigner_config_integral,
-                             wigner_phase_integral)
+from bargwig.oracles import QuadratureSpec, quadrature_nodes, wigner_config_integral, wigner_phase_integral
 from bargwig.phase import BasisParams
-from bargwig.states import CoherentState, FockState, position_wavefunction
-from bargwig.validate import state_window
+from bargwig.states import FockState
 
 BASIS = BasisParams()
 QUAD = QuadratureSpec(nodes=32, domain_halfwidth=3.0)
@@ -95,17 +92,3 @@ class TestNonFiniteValues:
         got = info.value.coarse if which == "coarse" else info.value.fine
         assert not np.isfinite(got)
 
-
-class TestGridIntegrals:
-    """normalization and marginal_position on the oracle suite's 201^2
-    grids of each state's 6-width window, at the suite's 1e-6 bounds."""
-
-    @pytest.mark.parametrize("state", [FockState(n) for n in range(4)] + [CoherentState(0.8 + 0.55j)], ids=repr)
-    def test_on_the_state_window(self, state):
-        q_lo, q_hi, p_lo, p_hi = state_window(state, BASIS, 6.0)
-        grid = evaluate_grid(state, GridAxis(q_lo, q_hi, 201), GridAxis(p_lo, p_hi, 201), BASIS)
-        assert abs(normalization(grid) - 1.0) <= 1e-6
-        density = marginal_position(grid)
-        assert density.shape == (grid.q_axis.count,)
-        want = np.abs(position_wavefunction(state, grid.q_axis.points, BASIS)) ** 2
-        assert np.max(np.abs(density - want)) <= 1e-6

@@ -1,42 +1,24 @@
 """Ground truth for the default evaluation path: W over each state's own
-window (validate.state_window) against bench/reference.py, the benchmark's
-40-digit mpmath displaced-parity sum, which shares no arithmetic with
-bargwig. Errors are in units of 1/(pi hbar)."""
+window (validate.state_window) against pair_reference.pair_pi_w, the tests'
+30-digit mpmath sum over member pairs in closed form, which shares no
+arithmetic with bargwig. Errors are in units of 1/(pi hbar)."""
 
 import cmath
 import math
-import sys
-from pathlib import Path
 
 import pytest
 
 from bargwig.core import wigner_series
 from bargwig.grid import GridAxis, evaluate_grid
-from bargwig.phase import BasisParams
+from bargwig.phase import BasisParams, z_from_qp
 from bargwig.states import state_from_json
 from bargwig.validate import state_window
+from pair_reference import pair_pi_w
 
 pytest.importorskip("mpmath")
 
-BENCH = str(Path(__file__).resolve().parents[1] / "bench")
-TOL = 1e-12
+TOL = 1e-14
 BASIS = BasisParams()
-
-
-def _load_reference():
-    """bench/reference.py, imported through sys.path without writing a
-    bytecode cache next to it."""
-    sys.path.insert(0, BENCH)
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        import reference
-    finally:
-        sys.path.remove(BENCH)
-        sys.dont_write_bytecode = dont_write
-    return reference
-
-
-wigner_reference = _load_reference().wigner_reference
 
 
 def _coherent(u, coeff=1.0):
@@ -58,6 +40,7 @@ STATES = {
     "fock5-coherent": {"type": "superposition", "terms": [
         {"coeff": {"re": 1.0, "im": 0.0}, "state": {"type": "fock", "n": 5}}, _coherent(2.0 - 1.0j)]},
     "fock50": {"type": "fock", "n": 50},
+    "fock150": {"type": "fock", "n": 150},
 }
 
 
@@ -68,17 +51,18 @@ def test_own_window_matches_reference(name):
     # shell walk cat(4) and the p-fold states raised TruncationError, and
     # fock(50) came out up to 1e-7 off within |z| ~ 4 of the centre; a sum
     # stopped point by point raised it for fock(5) + coherent(2 - i), whose
-    # mass left read -2.2e-15 far out
-    obj = STATES[name]
-    state = state_from_json(obj, normalize=True)
+    # mass left read -2.2e-15 far out; at z = 2 fock(150)'s pair sum at 30
+    # digits equals the one at 60, where a 40-digit alternating sum over its
+    # number amplitudes reads 4.2e-8 off
+    state = state_from_json(STATES[name], normalize=True)
     q_lo, q_hi, p_lo, p_hi = state_window(state, BASIS)
     q_axis, p_axis = GridAxis(q_lo, q_hi, 41), GridAxis(p_lo, p_hi, 41)
     grid = evaluate_grid(state, q_axis, p_axis, BASIS)
     picks = [(i, j) for i in (0, 13, 27, 40) for j in (0, 13, 27, 40)] + [(20, 20), (18, 21), (21, 18)]
     for i, j in picks:
-        q, p = float(q_axis.points[i]), float(p_axis.points[j])
-        err = abs(grid.values[i, j] - wigner_reference(obj, q, p)) * math.pi * BASIS.hbar
-        assert err <= TOL, (name, q, p, err)
+        z = z_from_qp(q_axis.points[i], p_axis.points[j], BASIS)
+        err = abs(grid.values[i, j] * math.pi * BASIS.hbar - pair_pi_w(state, z))
+        assert err <= TOL, (name, z, err)
 
 
 @pytest.mark.parametrize("name", ["3-fold-4", "4-fold-3"])
@@ -86,6 +70,5 @@ def test_centre_of_p_fold_superposition(name):
     # every order not a multiple of p vanishes at the centre; the shell
     # walk's closure dropped an order there (1.9e-4 off for the 3-fold
     # state) or raised
-    obj = STATES[name]
-    got = wigner_series(state_from_json(obj, normalize=True), 0j, basis=BASIS)
-    assert abs(got - wigner_reference(obj, 0.0, 0.0)) * math.pi * BASIS.hbar <= TOL
+    state = state_from_json(STATES[name], normalize=True)
+    assert abs(wigner_series(state, 0j, basis=BASIS) * math.pi * BASIS.hbar - pair_pi_w(state, 0j)) <= TOL

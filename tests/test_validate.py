@@ -3,7 +3,9 @@ suite's paper-form-agreement check compares the evaluated W of every state
 of its catalog with the paper's form exp(-2|z|^2) Re(c^dagger F c),
 F = build_F(z, K), on 200 points of an annulus out to |z| = 4, one build_F
 call a state over all of them, the paper's side at choose_truncation's K and
-the evaluated W exact."""
+the evaluated W exact. The oracle suite's normalization and position-marginal
+checks read the series at Gauss-Hermite nodes; their helper is tested here
+without the slow oracle-concordance."""
 
 import dataclasses
 
@@ -40,6 +42,20 @@ def test_paper_form_agreement_catches_a_scaled_pair_form(monkeypatch):
     assert check.residual == pytest.approx(1e-8, rel=0.01)
 
 
+def test_paper_form_builds_F_once_a_state(monkeypatch):
+    # one build_F call over all 200 points for each of the 12 states; a
+    # return to one call a point would make 2400
+    shapes = []
+
+    def build_F(z, K):
+        shapes.append(z.shape)
+        return core.build_F(z, K)
+
+    monkeypatch.setattr(validate, "build_F", build_F)
+    validate._paper_form_residual()
+    assert shapes == [(200,)] * 12
+
+
 def test_paper_form_agreement_catches_a_scaled_number_form(monkeypatch):
     # a number form off by a relative 1e-8 fails pointwise on the
     # polynomial states, whose Fock pairs it sums
@@ -48,6 +64,28 @@ def test_paper_form_agreement_catches_a_scaled_number_form(monkeypatch):
     check = {r.name: r for r in suite_series()}["paper-form-agreement"]
     assert not check.passed
     assert check.residual == pytest.approx(1e-8, rel=0.01)
+
+
+@pytest.mark.parametrize("basis", [BasisParams(), BasisParams(1.5, 0.5)], ids=["unit", "b1.5-hbar0.5"])
+def test_distribution_residuals_at_roundoff(basis):
+    # Gauss-Hermite nodes make both integrals exact for fock 0-3 and leave
+    # the coherent state's error below roundoff; the 201^2 trapezoid grids
+    # read 4.0e-9 and 1.1e-9, the 6-width window cutting the states
+    norm, marginal = validate._distribution_residuals(basis)
+    assert norm <= 1e-14 and marginal <= 1e-14
+
+
+def test_distribution_checks_catch_a_scaled_pair_form(monkeypatch):
+    # a pair form off by a relative 1e-9 moves the norm by 1.0e-9 and the
+    # marginal by 5.6e-10, past the checks' 1e-12; the trapezoid grids
+    # passed it at 1e-6. The oracles, which these two checks do not read,
+    # are stubbed to keep the suite fast
+    pair_form = core._pair_form
+    monkeypatch.setattr(core, "_pair_form", lambda *a, **k: pair_form(*a, **k) * (1 + 1e-9))
+    monkeypatch.setattr(validate, "wigner_config_integral", lambda *a, **k: 0.0)
+    monkeypatch.setattr(validate, "wigner_phase_integral", lambda *a, **k: 0.0)
+    checks = {r.name: r for r in validate.suite_oracles()}
+    assert not (checks["normalization"].passed and checks["position-marginal"].passed)
 
 
 # (q_lo, q_hi, p_lo, p_hi) at n_widths = 6 in the unit basis and at 4 in
